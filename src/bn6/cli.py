@@ -72,9 +72,6 @@ class RunConfig:
                      expansion module default
     s                inner-region exponent of the ansatz (default 0.75)
     lmax             angular sectors scanned by nondeg (default 24)
-    ode_tol,
-    root_tol         provenance records of the integrator/root tolerances;
-                     the solvers pin these internally for reproducibility
     fit_min_points   tail length used by limits (default 8)
     out              output directory (default $BN6_OUT, else ".")
     format           "csv" or "json"; table artifacts with a pinned CSV
@@ -91,8 +88,6 @@ class RunConfig:
     eps_grid: str | None = None
     s: float = DEFAULT_S
     lmax: int = DEFAULT_L_MAX
-    ode_tol: float = 1e-10
-    root_tol: float = 1e-13
     fit_min_points: int = 8
     out: str | None = None
     format: str = "csv"
@@ -114,8 +109,7 @@ class RunConfig:
 _FIELD_TYPES = {
     "dimension": int, "grid_n": int, "lam": float, "m": int,
     "a_start": float, "a_end": float, "eps_grid": str, "s": float,
-    "lmax": int, "ode_tol": float, "root_tol": float,
-    "fit_min_points": int, "out": str, "format": str,
+    "lmax": int, "fit_min_points": int, "out": str, "format": str,
 }
 _KEY_ALIASES = {"n": "dimension", "lambda": "lam"}
 
@@ -270,8 +264,6 @@ def cmd_lambda0(cfg: RunConfig, prov: dict) -> None:
         "amplitude": cert.amplitude,
         "gap": cert.gap,
         "gap_alt": cert.gap_alt,
-        "bracket": list(cert.bracket),
-        "bisection_width": cert.bisection_width,
         "branch_point": branch_point_dict(cert.branch),
     }
     out = cfg.resolved_out()
@@ -369,9 +361,8 @@ def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
                                 else {"eps_magnitudes": magnitudes}))
     _write_table(cfg, prov, "expansion_check", EXPANSION_HEADER,
                  expansion_rows(report))
-    summary = {k: v for k, v in report.as_dict().items() if k != "rows"}
     write_atomic(os.path.join(cfg.resolved_out(), "expansion_fit.json"),
-                 json_text(summary, prov))
+                 json_text(report.as_dict(), prov))
 
 
 _DISPATCH = {

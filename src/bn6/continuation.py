@@ -30,30 +30,13 @@ from .errors import (
     BranchLostError,
     NotConvergedError,
 )
-from .grid import make_grid
-from .operators import OperatorSpec, assemble
+from .operators import dirichlet_eigenvalue
 from .shooting import BranchPoint, nodal_count, shoot, zero_position
 
 LAMBDA_FLOOR = 1e-2
 RESIDUAL_TOL = 1e-6
 BOOTSTRAP_SAMPLES = 200
 BOOTSTRAP_SEED = 20260815
-
-
-def radial_eigenvalue(dimension: int, m: int, grid_n: int = 2048) -> float:
-    """m-th eigenvalue of -Delta on B_1 among radial Dirichlet functions.
-
-    Computed from the sector-0 discrete pencil on two uniform grids with
-    one Richardson step, which removes the leading h^2 error of the
-    product-trapezoid scheme.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    coarse = assemble(OperatorSpec(make_grid(dimension, grid_n // 2)))
-    fine = assemble(OperatorSpec(make_grid(dimension, grid_n)))
-    ec = coarse.eigenvalues(count=m)[m - 1]
-    ef = fine.eigenvalues(count=m)[m - 1]
-    return float((4.0 * ef - ec) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -126,10 +109,12 @@ class LimitEstimate:
 
 def _match_lambda(dimension: int, amplitude: float, m: int,
                   lo: float, hi: float) -> float | None:
-    """lambda with the m-th trajectory zero at r = 1, or None.
+    """lambda in [lo, hi] with the m-th trajectory zero at r = 1, or None.
 
-    The zero position is strictly decreasing in lambda, so a sign change
-    of z_m - 1 over the scan grid brackets the root.
+    The zero position is strictly decreasing in lambda (module
+    docstring), so z_m - 1 has at most one root in the window, and it is
+    bracketed exactly when the endpoints have opposite signs: two IVPs
+    decide, one brentq finds it.
     """
 
     def excess(lam: float) -> float:
@@ -141,14 +126,9 @@ def _match_lambda(dimension: int, amplitude: float, m: int,
             return 10.0
         return z - 1.0
 
-    prev_lam, prev_val = None, None
-    for lam in np.linspace(lo, hi, 33):
-        val = excess(lam)
-        if prev_val is not None and prev_val > 0.0 >= val:
-            return float(brentq(excess, prev_lam, lam,
-                                xtol=1e-13, rtol=1e-14))
-        prev_lam, prev_val = lam, val
-    return None
+    if not (excess(lo) > 0.0 >= excess(hi)):
+        return None
+    return float(brentq(excess, lo, hi, xtol=1e-13, rtol=1e-14))
 
 
 def trace_branch(dimension: int, m: int, a_start: float = 1.0,
@@ -168,7 +148,7 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
         points = int(round(math.log2(a_end / a_start))) + 1
     if points < 2:
         raise ValueError(f"schedule needs at least 2 points, got {points}")
-    lam_hi = 0.9999 * radial_eigenvalue(dimension, m)
+    lam_hi = 0.9999 * dirichlet_eigenvalue(dimension, m, n=1024)
     schedule = np.geomspace(a_start, a_end, points)
     rows = []
     diagnostics = []

@@ -26,10 +26,6 @@ class NoSignChangeError(BN6Error):
     """Matching function has one sign over the whole bracket."""
 
 
-class NoRootInBracketError(BN6Error):
-    """Root bracket for a scalar equation could not be established."""
-
-
 class JacobianSingularError(BN6Error):
     """Newton Jacobian is singular at the current iterate."""
 
@@ -39,7 +35,7 @@ class DivergedError(BN6Error):
 
 
 class RadialModeViolationError(BN6Error):
-    """A mode index outside the certified angular range was requested."""
+    """A mode or dimension outside the certified range was requested."""
 
 
 class UnderResolvedError(BN6Error):

@@ -88,19 +88,9 @@ def radial_fn_rows(fn):
             for r, u, du in zip(fn.grid.nodes, fn.values, fn.derivative)]
 
 
-def write_radial_fn(path: str, fn, config: dict | None = None) -> None:
-    write_atomic(path, csv_text("r,value,derivative",
-                                radial_fn_rows(fn), config))
-
-
 def branch_rows(branch):
     return [(float(p.amplitude), float(p.lam), float(p.residual))
             for p in branch.points]
-
-
-def write_branch(path: str, branch, config: dict | None = None) -> None:
-    write_atomic(path, csv_text("amplitude,lambda,residual",
-                                branch_rows(branch), config))
 
 
 def branch_point_dict(point) -> dict:
@@ -112,11 +102,6 @@ def branch_point_dict(point) -> dict:
 def expansion_rows(report):
     return [(row.eps, row.mu, row.j_ansatz, row.j_base,
              row.e_pred, row.residual_l32) for row in report.rows]
-
-
-def write_expansion(path: str, report, config: dict | None = None) -> None:
-    write_atomic(path, csv_text("eps,mu_bar,J_quad,c0_quad,E_pred,residual_L32",
-                                expansion_rows(report), config))
 
 
 def rows_as_json(header: str, rows) -> list[dict]:

@@ -20,8 +20,18 @@ The distinguished value lam_0 solves the scalar equation
     2 u_lam(0) = lam
 
 along the one-region (positive) branch: the solution whose doubled
-maximum equals its own linear parameter.  Its certificate records the
-matching residuals of both readings of that relation.
+maximum equals its own linear parameter.  No search is needed for it.
+The critical dilation u(r) = a phi(a^{2/(N-2)} r) maps the trajectory
+with parameters (lam, a) onto the one with phi(0) = 1 and
+mu = lam a^{-4/(N-2)}, so its m-th zero is z_m(lam, a) =
+Z_m(mu) a^{-2/(N-2)}.  At N = 6 that reads mu = lam / a, the relation
+2 u(0) = lam becomes mu = 2, and matching Z_1(2) a^{-1/2} = 1 gives
+
+    lam_0 = 2 Z_1(2)^2
+
+from a single IVP.  The certificate then solves the Dirichlet problem
+at lam_0 in the original variables, independently of the dilation, and
+records the matching residuals of both readings of the relation.
 """
 
 from __future__ import annotations
@@ -40,9 +50,9 @@ from .errors import (
     DivergedError,
     JacobianSingularError,
     NearSingularError,
-    NoRootInBracketError,
     NoSignChangeError,
     NotConvergedError,
+    RadialModeViolationError,
 )
 from .grid import RadialFn, RadialGrid, make_core_grid, make_grid, lp_norm
 from .operators import OperatorSpec, assemble
@@ -280,52 +290,29 @@ class Lambda0Certificate:
     amplitude: float
     gap: float
     gap_alt: float
-    bracket: tuple[float, float]
-    bisection_width: float
     branch: BranchPoint = field(repr=False)
 
 
-def find_lambda0(dimension: int = 6,
-                 lam_bracket: tuple[float, float] = (1.0, 26.0),
-                 grid_n: int = 2048) -> Lambda0Certificate:
+def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
     """Solve 2 a(lam) = lam along the positive branch.
 
-    a(lam) is decreasing, so g(lam) = 2 a(lam) - lam changes sign once;
-    bisection to width 1e-10, then up to 3 secant polish steps.
+    By the critical dilation (module docstring) the solution is
+    lam_0 = 2 Z_1(2)^2, with Z_1(2) the first zero of the trajectory with
+    phi(0) = 1 at lam = 2: one IVP.  The branch point at lam_0 is then
+    matched by solve_bvp in the original variables, so gap checks the
+    dilation route.  Only at N = 6 do u(0) and lam scale alike under the
+    dilation; any other dimension raises RadialModeViolationError.
     """
-
-    def amp(lam: float) -> float:
-        return solve_bvp(dimension, lam, 1, grid_n=256).amplitude
-
-    def g(lam: float) -> float:
-        return 2.0 * amp(lam) - lam
-
-    lo, hi = lam_bracket
-    glo, ghi = g(lo), g(hi)
-    if glo <= 0.0 or ghi >= 0.0:
-        raise NoRootInBracketError(
-            f"g has signs ({glo:+.3e}, {ghi:+.3e}) on {lam_bracket}")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm > 0.0:
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    width = hi - lo
-    lam0, g0 = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
-    lam_prev, g_prev = (hi, ghi) if lam0 == lo else (lo, glo)
-    for _ in range(3):
-        if g0 == g_prev:
-            break
-        lam_next = lam0 - g0 * (lam0 - lam_prev) / (g0 - g_prev)
-        lam_prev, g_prev = lam0, g0
-        lam0, g0 = lam_next, g(lam_next)
+    if dimension != 6:
+        raise RadialModeViolationError(
+            f"2u(0) = lambda_0 is specific to N = 6, got N = {dimension}")
+    z = zero_position(6, 2.0, 1.0, 1)
+    lam0 = 2.0 * z * z
     branch = solve_bvp(dimension, lam0, 1, grid_n=grid_n)
     u0 = branch.amplitude
     return Lambda0Certificate(dimension, float(lam0), float(u0),
                               abs(2.0 * u0 - lam0), abs(u0 - 0.5 * lam0),
-                              lam_bracket, float(width), branch)
+                              branch)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,10 +21,10 @@ from scipy.special import jn_zeros, jv
 from bn6.auxiliary import build_profiles, essential_nondegeneracy, w_eta
 from bn6.bubbles import constants, d2_value, talenti_u
 from bn6.cli import main as cli_main
-from bn6.continuation import extract_limit, radial_eigenvalue, trace_branch
+from bn6.continuation import extract_limit, trace_branch
 from bn6.errors import NoSignChangeError
 from bn6.grid import RadialFn, make_grid
-from bn6.operators import OperatorSpec, weak_apply
+from bn6.operators import OperatorSpec, dirichlet_eigenvalue, weak_apply
 from bn6.reduction import (
     expansion_check,
     reduced_energy_polynomial,
@@ -60,7 +60,7 @@ def test_criterion_02_eigenvalue_oracles():
     start = time.perf_counter()
     worst = 0.0
     for dim, target in LAMBDA1.items():
-        got = radial_eigenvalue(dim, 1)
+        got = dirichlet_eigenvalue(dim, 1, n=1024)
         worst = max(worst, abs(got - target) / target)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-7, f"worst eigenvalue error {worst:.3e}"

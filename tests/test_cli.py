@@ -46,6 +46,9 @@ def test_solver_failure_exits_2(tmp_path, capsys):
                "--out", str(tmp_path))
     assert code == 2
     assert capsys.readouterr().err.strip()
+    # 2u(0) = lambda_0 is defined in dimension 6 only
+    assert run("lambda0", "--N", "5", "--out", str(tmp_path)) == 2
+    assert "N = 6" in capsys.readouterr().err
 
 
 def test_missing_required_lambda_exits_3(tmp_path):
@@ -197,3 +200,18 @@ def test_limits_artifacts(tmp_path):
     assert est["lam_infinity"] == pytest.approx(math.pi ** 2 / 4.0, rel=0.08)
     assert len(est["tail"]) == 8
     assert (out / "limits_N3_m1_branch.csv").exists()
+
+
+def test_expansion_fit_carries_rows(tmp_path):
+    out = tmp_path / "exp"
+    assert run("expansion-check", "--out", str(out)) == 0
+    fit = json.loads(read(out / "expansion_fit.json"))
+    keys = {"eps", "tau_mult", "mu", "j_ansatz", "j_base", "delta",
+            "e_pred", "defect", "residual_l32", "audit_gap"}
+    assert fit["rows"]
+    assert all(set(row) == keys for row in fit["rows"])
+    # two rows are audited by direct quadrature; the rest carry NaN
+    audits = [row["audit_gap"] for row in fit["rows"]]
+    finite = [a for a in audits if a != "nan"]
+    assert len(finite) == 2
+    assert all(math.isfinite(a) and a < 1e-5 for a in finite)

@@ -12,10 +12,10 @@ from bn6.continuation import (
     Branch,
     LimitEstimate,
     extract_limit,
-    radial_eigenvalue,
     trace_branch,
 )
 from bn6.errors import BranchLostError
+from bn6.operators import dirichlet_eigenvalue
 from bn6.shooting import BranchPoint, solve_bvp
 
 # m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N: squared m-th
@@ -33,13 +33,13 @@ RADIAL_EV = {
 
 @pytest.mark.parametrize("dim,m", sorted(RADIAL_EV))
 def test_radial_eigenvalue_matches_bessel(dim, m):
-    got = radial_eigenvalue(dim, m)
+    got = dirichlet_eigenvalue(dim, m, n=1024)
     assert got == pytest.approx(RADIAL_EV[(dim, m)], rel=1e-8)
 
 
 def test_radial_eigenvalue_rejects_bad_m():
     with pytest.raises(ValueError):
-        radial_eigenvalue(6, 0)
+        dirichlet_eigenvalue(6, 0, n=1024)
 
 
 def _synthetic_point(amplitude, lam, m=1):

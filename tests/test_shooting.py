@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from bn6.errors import NoSignChangeError
+from bn6.errors import BN6Error, NoSignChangeError
 from bn6.grid import RadialFn
 from bn6.shooting import (
     BranchPoint,
@@ -113,18 +113,49 @@ def test_lambda0_certificate(certificate):
     assert certificate.lam0 == pytest.approx(LAMBDA0_FROZEN, rel=1e-8)
     assert certificate.gap <= 1e-8
     assert certificate.gap_alt <= 1e-8
-    assert certificate.bracket[0] < certificate.lam0 < certificate.bracket[1]
-    assert certificate.bisection_width <= 2e-10
     assert certificate.branch.nodal_count == 1
     assert certificate.branch.residual <= 1e-6
     assert certificate.amplitude == pytest.approx(certificate.lam0 / 2.0,
                                                   abs=1e-8)
 
 
-def test_find_lambda0_rejects_bad_bracket():
-    from bn6.errors import NoRootInBracketError
-    with pytest.raises(NoRootInBracketError):
-        find_lambda0(6, lam_bracket=(24.0, 26.0))
+def test_find_lambda0_requires_n6():
+    with pytest.raises(BN6Error, match="N = 6"):
+        find_lambda0(5)
+
+
+def test_lambda0_matches_mpmath(certificate):
+    # independent reference: the phi(0) = 1, mu = 2 trajectory
+    # phi'' + (5/s) phi' + 2 phi + phi^2 = 0 started from its regular
+    # series phi = sum b_k s^{2k} and integrated by mpmath's Taylor
+    # method; lambda_0 = 2 Z_1^2 agrees to 20 digits at 20, 30 and 40
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(20):
+        b = [mp.mpf(1)]
+        for k in range(1, 12):
+            conv = sum(b[i] * b[k - 1 - i] for i in range(k))
+            b.append(-(2 * b[k - 1] + conv) / (2 * k * (2 * k + 4)))
+        s0 = mp.mpf("0.05")
+        phi0 = sum(c * s0 ** (2 * k) for k, c in enumerate(b))
+        dphi0 = sum(2 * k * c * s0 ** (2 * k - 1)
+                    for k, c in enumerate(b) if k)
+        phi = mp.odefun(lambda s, y: [y[1], -5 * y[1] / s - 2 * y[0]
+                                      - y[0] ** 2], s0, [phi0, dphi0])
+        z = mp.findroot(lambda s: phi(s)[0], mp.mpf("3.35"))
+        lam0 = float(2 * z * z)
+    assert lam0 == pytest.approx(22.469107870741982642, rel=1e-15)
+    assert certificate.lam0 == pytest.approx(lam0, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim,lam,a,m", [
+    (4, 10.0, 5.0, 1), (4, 30.0, 0.5, 2), (5, 15.0, 40.0, 1),
+    (5, 30.0, 3.0, 2), (6, 20.0, 10.0, 1), (6, 40.0, 50.0, 2)])
+def test_zero_position_dilation_identity(dim, lam, a, m):
+    # u(r) = a phi(a^{2/(N-2)} r) maps (lam, a) to (lam a^{-4/(N-2)}, 1)
+    scaled = zero_position(dim, lam * a ** (-4.0 / (dim - 2)), 1.0, m)
+    got = zero_position(dim, lam, a, m)
+    assert got == pytest.approx(a ** (-2.0 / (dim - 2)) * scaled, rel=1e-8)
 
 
 def test_newton_refine_is_a_local_contraction(certificate):
