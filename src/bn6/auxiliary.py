@@ -296,8 +296,7 @@ def essential_nondegeneracy(profiles: AuxProfiles,
     N = profiles.dimension
     lam0 = profiles.lam0
     q = profiles.linearized_potential()
-    spec0 = sector_eigenvalues(profiles.grid, 0, 8, potential=q)
-    nu1 = float(spec0[0])
+    nu1 = float(sector_eigenvalues(profiles.grid, 0, 1, potential=q)[0])
     gaps = []
     for l in range(l_max + 1):
         op = OperatorSpec(profiles.grid, sector=l, lam=lam0, potential=q)

@@ -18,6 +18,7 @@ with the rate gamma fitted rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -114,9 +115,11 @@ def _match_lambda(dimension: int, amplitude: float, m: int,
     The zero position is strictly decreasing in lambda (module
     docstring), so z_m - 1 has at most one root in the window, and it is
     bracketed exactly when the endpoints have opposite signs: two IVPs
-    decide, one brentq finds it.
+    decide, one brentq finds it.  brentq starts from the same endpoints,
+    so excess is cached and each distinct lambda is shot once.
     """
 
+    @functools.cache
     def excess(lam: float) -> float:
         try:
             z = zero_position(dimension, lam, amplitude, m)

@@ -47,7 +47,12 @@ class BranchLostError(BN6Error):
 
 
 class AllPointsExcludedError(BN6Error):
-    """Every tail point was rejected by the limit-extraction filter."""
+    """No critical-level point supports a bubble construction.
+
+    Raised when every surveyed point lies in an excluded set, or when
+    v(0) = 1/2 leaves the fixed-center construction at the center
+    without a parameter sign.
+    """
 
 
 class ConfigError(BN6Error):

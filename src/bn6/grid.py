@@ -41,21 +41,26 @@ def _moment(a: float, b: float, p: int) -> float:
     return (b ** (p + 1) - a ** (p + 1)) / (p + 1)
 
 
-def _product_trapezoid_weights(nodes: np.ndarray, dimension: int) -> np.ndarray:
-    """Quadrature weights w with sum_i w_i f(r_i) = omega_N int_0^1 f r^{N-1} dr
-    exact for piecewise-linear f."""
+def hat_moments(nodes: np.ndarray, p: int) -> np.ndarray:
+    """Exact per-node moments int phi_i(r) r^p dr of the linear hats.
+
+    With p = N - 1 these are the lumped masses, and sum_i w_i f(r_i) is
+    int_0^1 f r^{N-1} dr exactly for piecewise-linear f.  The per-cell
+    loop is deliberate: numpy's vectorised ** differs from the scalar
+    power in the last bit at a few percent of the nodes, and the weights
+    are kept bit-stable.
+    """
     n = len(nodes) - 1
-    w = np.zeros(n + 1)
-    p = dimension - 1
+    out = np.zeros(n + 1)
     for i in range(n):
         a, b = nodes[i], nodes[i + 1]
         h = b - a
         m0 = _moment(a, b, p)          # int r^p
         m1 = _moment(a, b, p + 1)      # int r^{p+1}
         # linear hat parts: f ~ f_a (b-r)/h + f_b (r-a)/h
-        w[i] += (b * m0 - m1) / h
-        w[i + 1] += (m1 - a * m0) / h
-    return sphere_area(dimension) * w
+        out[i] += (b * m0 - m1) / h
+        out[i + 1] += (m1 - a * m0) / h
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +119,7 @@ def _finish(dimension: int, nodes: np.ndarray, grading: str, ratio: float) -> Ra
         raise ValueError(f"dimension must be >= 3, got {dimension}")
     nodes = np.asarray(nodes, dtype=float)
     _validate_nodes(nodes)
-    w = _product_trapezoid_weights(nodes, dimension)
+    w = sphere_area(dimension) * hat_moments(nodes, dimension - 1)
     return RadialGrid(dimension, nodes, w, grading, ratio)
 
 

@@ -17,7 +17,11 @@ imposed at the outer boundary throughout.
 Operators of interest have the shifted Schroedinger form
 L = -Delta_l - lam - q(r); `min_singular_value` measures the distance
 from lam to the Dirichlet spectrum of -Delta_l - q in the lumped-mass
-inner product, which is the quantity protecting linear solves.
+inner product.  It is the one spectral-distance routine: it guards the
+Dirichlet solves and gives the sector gaps of the non-degeneracy report.
+It needs only the two eigenvalues that bracket lam, found by Sturm-count
+bisection (LAPACK stebz) on the symmetric pencil, never the full
+spectrum.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
 
 from .errors import NearSingularError, NotConvergedError
-from .grid import RadialFn, RadialGrid, differentiate
+from .grid import RadialFn, RadialGrid, differentiate, hat_moments
 
 NEAR_SINGULAR_RTOL = 1e-8
+# absolute bisection tolerance of the Sturm-count eigensolves: twice the
+# safe minimum, LAPACK stebz's most accurate setting
+STURM_TOL = 2 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,20 +70,6 @@ class OperatorSpec:
         return np.asarray(q, dtype=float)
 
 
-def _hat_moments(nodes: np.ndarray, p: int) -> np.ndarray:
-    """Exact per-node moments int phi_i(r) r^p dr of the linear hats."""
-    n = len(nodes) - 1
-    out = np.zeros(n + 1)
-    for i in range(n):
-        a, b = nodes[i], nodes[i + 1]
-        h = b - a
-        m0 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-        m1 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
-        out[i] += (b * m0 - m1) / h
-        out[i + 1] += (m1 - a * m0) / h
-    return out
-
-
 class _Assembled:
     """Tridiagonal form of -Delta_l - q restricted to the unknown nodes.
 
@@ -99,7 +92,7 @@ class _Assembled:
         masses_full = grid.cell_masses()
         cent_full = np.zeros(ncells + 1)
         if l > 0:
-            cent_full = l * (l + N - 2) * _hat_moments(nodes, N - 3)
+            cent_full = l * (l + N - 2) * hat_moments(nodes, N - 3)
         qvals = op.potential_values()
 
         istart = 0 if l == 0 else 1
@@ -126,18 +119,16 @@ class _Assembled:
         """diag/upper of A0 - lam M."""
         return self.diag - lam * self.masses, self.upper
 
-    def eigenvalues(self, lam: float = 0.0, count: int | None = None) -> np.ndarray:
-        """Eigenvalues of A0 z = nu M z, optionally only the lowest `count`."""
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the symmetric form M^{-1/2} A0 M^{-1/2}."""
         sm = np.sqrt(self.masses)
-        d = self.diag / self.masses
-        e = self.upper / (sm[:-1] * sm[1:])
-        if count is None:
-            vals = eigvalsh_tridiagonal(d, e)
-        else:
-            count = min(count, len(d))
-            vals = eigvalsh_tridiagonal(d, e, select="i",
-                                        select_range=(0, count - 1))
-        return vals - lam
+        return self.diag / self.masses, self.upper / (sm[:-1] * sm[1:])
+
+    def eigenvalues(self, count: int) -> np.ndarray:
+        """Lowest `count` eigenvalues of A0 z = nu M z."""
+        d, e = self.pencil()
+        count = min(count, len(d))
+        return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
 
     def factor(self, lam: float):
         """LU factor of A0 - lam M; returns a solve closure, raising
@@ -168,43 +159,44 @@ class _Assembled:
 
         return solve
 
-    def min_singular(self, lam: float, iterations: int = 8) -> float:
-        """Smallest |nu - lam| over the pencil spectrum, by inverse iteration.
+    def min_singular(self, lam: float) -> float:
+        """Distance from lam to the pencil spectrum, by Sturm bisection.
 
-        Deterministic start vector; cheap enough for per-solve guards.
-        Falls back to the full spectrum when inverse iteration stalls.
+        The eigenvalues in the window (below the Gershgorin bound, lam]
+        come first; their number k is the Sturm count of A0 - lam M, so
+        the nearest eigenvalue above lam is eigenvalue k.  The window's
+        lower end stays strictly below lam, since stebz rejects an empty
+        interval.
         """
-        try:
-            solve = self.factor(lam)
-        except NearSingularError:
-            return 0.0
-        rng = np.random.default_rng(20260815)
-        y = rng.standard_normal(len(self.diag))
-        nu = np.inf
-        for _ in range(iterations):
-            z = solve(self.masses * y)
-            nz = np.sqrt(np.dot(z, self.masses * z))
-            if not np.isfinite(nz) or nz == 0.0:
-                return 0.0
-            z /= nz
-            d, u = self.shifted(lam)
-            az = d * z
-            az[:-1] += u * z[1:]
-            az[1:] += u * z[:-1]
-            nu_new = float(np.dot(z, az))
-            converged = abs(nu_new - nu) <= 1e-10 * max(1.0, abs(nu_new))
-            nu = nu_new
-            y = z
-            if converged:
-                break
-        return abs(nu)
+        d, e = self.pencil()
+        below = eigvalsh_tridiagonal(
+            d, e, select="v", select_range=(min(-self.scale(), lam) - 1.0, lam),
+            tol=STURM_TOL)
+        k = len(below)
+        nearest = list(below[-1:])
+        if k < len(d):
+            nearest += list(eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k),
+                                                 tol=STURM_TOL))
+        return float(min(abs(nu - lam) for nu in nearest))
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Lumped weak action (M^{-1} A) u at every node (`weak_apply`),
+        with A = A0 - lam M; boundary entries are zeroed."""
+        flux = self.k * np.diff(u)                  # k_i (u_{i+1} - u_i) per cell
+        inflow = np.concatenate(([0.0], flux))      # k_{i-1}(u_i - u_{i-1})
+        outflow = np.concatenate((flux, [0.0]))     # k_i (u_{i+1} - u_i)
+        out = ((inflow - outflow + self.cent_full * u) / self.masses_full
+               - (self.op.lam + self.qvals) * u)
+        out[-1] = 0.0
+        if self.istart == 1:
+            out[0] = 0.0
+        return out
 
     def scale(self) -> float:
         """Gershgorin-type magnitude of the pencil, for singularity thresholds."""
-        d = np.abs(self.diag / self.masses)
-        sm = np.sqrt(self.masses)
-        e = np.abs(self.upper / (sm[:-1] * sm[1:]))
-        rad = d.copy()
+        d, e = self.pencil()
+        e = np.abs(e)
+        rad = np.abs(d)
         rad[:-1] += e
         rad[1:] += e
         return float(np.max(rad))
@@ -250,10 +242,9 @@ def solve_dirichlet(op: OperatorSpec, g: RadialFn,
 
 
 def min_singular_value(op: OperatorSpec) -> float:
-    """Distance from lam to the sector spectrum (authoritative full solve)."""
-    asm = assemble(op)
-    vals = asm.eigenvalues(lam=op.lam)
-    return float(np.min(np.abs(vals)))
+    """Distance from lam to the sector spectrum of -Delta_l - q
+    (`_Assembled.min_singular`)."""
+    return assemble(op).min_singular(op.lam)
 
 
 def sector_eigenvalues(grid: RadialGrid, sector: int, count: int,
@@ -307,17 +298,7 @@ def weak_apply(op: OperatorSpec, f: RadialFn) -> np.ndarray:
     counterpart of `apply_operator`, and the residual the Dirichlet and
     Newton solvers actually drive to zero.
     """
-    asm = assemble(op)
-    u = f.values
-    k, cent, masses, q = asm.k, asm.cent_full, asm.masses_full, asm.qvals
-    flux = k * np.diff(u)                       # k_i (u_{i+1} - u_i) per cell
-    inflow = np.concatenate(([0.0], flux))      # k_{i-1}(u_i - u_{i-1})
-    outflow = np.concatenate((flux, [0.0]))     # k_i (u_{i+1} - u_i)
-    out = (inflow - outflow + cent * u) / masses - (op.lam + q) * u
-    out[-1] = 0.0
-    if asm.istart == 1:
-        out[0] = 0.0
-    return out
+    return assemble(op).apply(f.values)
 
 
 def dirichlet_eigenvalue(dimension: int, index: int = 1, sector: int = 0,

@@ -116,17 +116,6 @@ class _SplineSet:
                 + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
 
 
-_SPLINE_CACHE: dict[int, _SplineSet] = {}
-
-
-def _splines(profiles: AuxProfiles) -> _SplineSet:
-    key = id(profiles)
-    if key not in _SPLINE_CACHE:
-        _SPLINE_CACHE.clear()
-        _SPLINE_CACHE[key] = _SplineSet(profiles)
-    return _SPLINE_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # panel quadrature: exact on spline products, geometric at the bubble core
 
@@ -244,7 +233,7 @@ def assemble_z(profiles: AuxProfiles, eps: float,
         derivs = (profiles.u0.derivative + eps * profiles.v.derivative
                   + eps ** 2 * profiles.w.derivative)
         return RadialFn(profiles.grid, vals, derivs, regular_origin=True)
-    S = _splines(profiles)
+    S = _SplineSet(profiles)
     return RadialFn(grid, S.z(grid.nodes, eps), S.dz(grid.nodes, eps),
                     regular_origin=True)
 
@@ -277,7 +266,7 @@ def assemble_ansatz(spec: AnsatzSpec,
     mu, beta = bubble.mu, bubble.beta
     if grid is None:
         grid = make_core_grid(6, mu)
-    S = _splines(profiles)
+    S = _SplineSet(profiles)
     r = grid.nodes
     w_vals = talenti_u(r, mu) - boundary_trace(mu)
     vals = S.z(r, spec.eps) + beta * w_vals
@@ -683,7 +672,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
     if mu_values is None:
         mu_values = np.geomspace(4e-4, 4e-3, 6)
     mu_values = np.asarray(sorted(mu_values), dtype=float)
-    S = _splines(profiles)
+    S = _SplineSet(profiles)
     c2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
     lam0 = profiles.lam0
     ratios = []
@@ -741,7 +730,7 @@ def expansion_check(profiles: AuxProfiles,
         raise ConfigError("at least 6 eps magnitudes are required")
     if len(set(mags)) != len(mags):
         raise ConfigError("eps magnitudes must be distinct")
-    S = _splines(profiles)
+    S = _SplineSet(profiles)
     lam0 = profiles.lam0
     u00, v00 = S.u00, S.v00
     sign, tau0 = case1_parameters(profiles)

@@ -355,16 +355,12 @@ def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
     """
     grid = guess.grid
     p = critical_exponent(grid.dimension)
-    asm0 = assemble(OperatorSpec(grid, sector=0))
+    asm0 = assemble(OperatorSpec(grid, sector=0, lam=lam))
     idx = asm0.idx
     masses = asm0.masses
 
     def weak_residual(u_full: np.ndarray) -> np.ndarray:
-        flux = asm0.k * np.diff(u_full)
-        inflow = np.concatenate(([0.0], flux))
-        outflow = np.concatenate((flux, [0.0]))
-        lap = (inflow - outflow) / asm0.masses_full
-        return (lap - lam * u_full - _fnl(u_full, p))[idx]
+        return (asm0.apply(u_full) - _fnl(u_full, p))[idx]
 
     def norm(vec: np.ndarray) -> float:
         return math.sqrt(float(np.dot(masses, vec ** 2)))

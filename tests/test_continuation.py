@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
+from bn6 import continuation
 from bn6.continuation import (
     RESIDUAL_TOL,
     Branch,
@@ -16,7 +17,7 @@ from bn6.continuation import (
 )
 from bn6.errors import BranchLostError
 from bn6.operators import dirichlet_eigenvalue
-from bn6.shooting import BranchPoint, solve_bvp
+from bn6.shooting import BranchPoint, solve_bvp, zero_position
 
 # m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N: squared m-th
 # zero of J_{N/2-1}.  N = 3 gives (m pi)^2; N = 5 needs brentq on the
@@ -157,3 +158,18 @@ def test_trace_branch_raises_when_window_is_hopeless():
     # the loss instead of returning junk
     with pytest.raises(BranchLostError):
         trace_branch(4, 2, a_start=1e7, a_end=4e7, points=2)
+
+
+def test_match_lambda_shoots_each_lambda_once(monkeypatch):
+    # the bracket test and brentq share the window endpoints; each
+    # distinct lambda costs one IVP
+    calls = []
+
+    def counting(dimension, lam, amplitude, m):
+        calls.append(lam)
+        return zero_position(dimension, lam, amplitude, m)
+
+    monkeypatch.setattr(continuation, "zero_position", counting)
+    lam = continuation._match_lambda(3, 4.0, 1, 1.0, 0.9999 * math.pi ** 2)
+    assert lam is not None
+    assert len(calls) == len(set(calls)) > 2

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
@@ -155,6 +158,46 @@ def test_min_singular_value_matches_spectrum():
     assert min_singular_value(OperatorSpec(g, lam=lam)) == pytest.approx(expect, rel=1e-9)
     asm = assemble(OperatorSpec(g, lam=lam))
     assert asm.min_singular(lam) == pytest.approx(expect, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(16, 512), dim=st.integers(3, 6), sector=st.integers(0, 5),
+       ratio=st.one_of(st.just(1.0), st.floats(1.5, 200.0)),
+       depth=st.floats(0.0, 200.0), width=st.floats(0.05, 1.0),
+       where=st.sampled_from(["below", "inside", "above"]),
+       pick=st.floats(0.0, 1.0), frac=st.floats(0.0, 1.0))
+def test_min_singular_value_matches_full_spectrum(n, dim, sector, ratio, depth,
+                                                  width, where, pick, frac):
+    grading = "uniform" if ratio == 1.0 else "geometric"
+    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    q = depth * np.exp(-(g.nodes / width) ** 2)
+    asm = assemble(OperatorSpec(g, sector=sector, potential=q))
+    vals = eigvalsh_tridiagonal(*asm.pencil())
+    if where == "below":
+        lam = vals[0] - pick * asm.scale()
+    elif where == "above":
+        lam = vals[-1] + pick * asm.scale()
+    else:
+        j = min(int(pick * (len(vals) - 1)), len(vals) - 2)
+        lam = vals[j] + frac * (vals[j + 1] - vals[j])
+    lam = float(lam)
+    # oracle: every eigenvalue of the pencil, then the nearest to lam
+    expect = float(np.min(np.abs(vals - lam)))
+    got = min_singular_value(OperatorSpec(g, sector=sector, lam=lam, potential=q))
+    assert abs(got - expect) <= 1e-12 * asm.scale()
+
+
+@pytest.mark.parametrize("where", ["below", "above"])
+def test_min_singular_value_outside_spectrum(where):
+    # lam below every eigenvalue has Sturm count k = 0 (only the upper
+    # neighbour exists); lam above the top one has k = n (only the lower)
+    g = make_grid(6, 16)
+    q = np.cos(g.nodes)
+    asm = assemble(OperatorSpec(g, sector=1, potential=q))
+    vals = eigvalsh_tridiagonal(*asm.pencil())
+    lam = float(vals[0] - 3.0) if where == "below" else float(vals[-1] + 3.0)
+    got = min_singular_value(OperatorSpec(g, sector=1, lam=lam, potential=q))
+    assert abs(got - 3.0) <= 1e-12 * asm.scale()
 
 
 def test_input_validation():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bn6.auxiliary import survey_concentration_points
+from bn6.auxiliary import AuxProfiles, survey_concentration_points
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
 from bn6.errors import AllPointsExcludedError, ConfigError
+from bn6.grid import RadialFn, make_grid
 from bn6.reduction import (
     MU3_RATIO,
     PAPER_MU3_RATIO,
@@ -161,6 +162,21 @@ def test_assemble_z_native_grid(profiles):
     assert np.array_equal(z.values, expect)
     # the boundary value inherits the shooting residual of u_0, nothing more
     assert abs(z.values[-1]) < 1e-12
+
+
+def test_assemble_z_splines_follow_their_profiles():
+    # each AuxProfiles is freed before the next is built, so CPython
+    # hands the next one the same id; the resampled z must still come
+    # from the new values
+    grid = make_grid(6, 64)
+    finer = make_grid(6, 256)
+    fns = [RadialFn.from_values(grid, k * (1.0 - grid.nodes ** 2))
+           for k in range(1, 9)]
+    for k, fn in enumerate(fns, 1):
+        p = AuxProfiles(6, 20.0, float(k), fn, fn, fn)
+        z = assemble_z(p, 0.0, grid=finer)
+        del p
+        assert np.max(np.abs(z.values - k * (1.0 - finer.nodes ** 2))) < 1e-12
 
 
 def test_assemble_ansatz_structure(profiles):
