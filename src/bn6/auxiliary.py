@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RadialModeViolationError
 from .grid import RadialFn, RadialGrid, lp_norm, make_grid
 from .operators import (
     OperatorSpec,
@@ -105,21 +104,6 @@ def build_profiles(dimension: int = 6,
                        u0, v, w)
 
 
-def sector_spectrum(profiles: AuxProfiles, l_max: int = DEFAULT_L_MAX,
-                    count: int = 4) -> np.ndarray:
-    """Lowest eigenvalues of -Delta_l - 2|u_0| for l = 0..l_max.
-
-    Returns an (l_max+1, count) array; row l is the ascending head of the
-    sector-l Dirichlet spectrum.
-    """
-    if l_max < 1:
-        raise RadialModeViolationError("l_max must cover at least sector 1")
-    q = profiles.linearized_potential()
-    rows = [sector_eigenvalues(profiles.grid, l, count, potential=q)
-            for l in range(l_max + 1)]
-    return np.vstack(rows)
-
-
 @dataclass(frozen=True)
 class ConcentrationPoint:
     """A critical point of u_0 sitting on the level +lam_0/2 or -lam_0/2.
@@ -155,9 +139,6 @@ class ConcentrationSurvey:
     two_v_minus_one: float
     two_v_error: float
     essential: bool
-
-    def points_at(self, level: int) -> tuple:
-        return tuple(p for p in self.points if p.level == level)
 
     def as_dict(self) -> dict:
         return {
@@ -258,8 +239,8 @@ class NondegeneracyReport:
     nu_1(sector 0) + l(l+N-2) > lam_0 takes over, making the finite scan
     exhaustive (cutoff_certified).  hessian_witness is Delta u_0(0) =
     -(lam_0 u_0(0) + u_0(0)^2), strictly negative iff the center is a
-    non-degenerate maximum.  survey carries the critical-level enumeration
-    feeding the construction selector.
+    non-degenerate maximum.  survey carries the critical-level enumeration,
+    which finds the center as the one point the construction uses.
     """
 
     dimension: int

@@ -10,11 +10,7 @@ constant boundary trace, so
 
     W_mu = U_mu - c(mu),   c(mu) = U_mu(1) = 24 mu^2 / (1 + mu^2)^2,
 
-satisfies -Delta W = U^2 with W(1) = 0.  For off-center bubbles the
-correction is alpha_6 mu^2 H(x, xi) + O(mu^4) with H the Kelvin-image
-regular part of the Green's function,
-
-    H(x, xi) = (|xi| |x - xi / |xi|^2|)^{-4},  H(x, 0) = 1.
+satisfies -Delta W = U^2 with W(1) = 0.
 
 Every ball integral of a power of U reduces, via t = r^2 and u = mu^2 + t,
 to an exact rational/log antiderivative; those closed forms are what the
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import RadialFn, RadialGrid, ball_volume, sphere_area
+from .grid import RadialFn, RadialGrid, sphere_area
 
 ALPHA6 = 24.0
 N6 = 6
@@ -70,27 +66,6 @@ def kernel_psi0(r, mu: float):
     return 2.0 * ALPHA6 * mu * (r ** 2 - mu ** 2) / (mu ** 2 + r ** 2) ** 3
 
 
-def kernel_psi1(r, mu: float):
-    """Radial factor of the translation kernel elements Psi^i =
-    4 alpha_6 mu^2 (x^i - xi^i)(mu^2 + |x - xi|^2)^{-3}: the coefficient of
-    the l = 1 harmonic x^i / r."""
-    r = np.asarray(r, dtype=float)
-    return 4.0 * ALPHA6 * mu ** 2 * r / (mu ** 2 + r ** 2) ** 3
-
-
-def robin_h_ball(x, xi) -> float:
-    """Regular part H(x, xi) of the Dirichlet Green's function on B_1 at
-    N = 6, Kelvin image form; harmonic in x, equal to |x - xi|^{-4} on the
-    boundary sphere."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s = float(np.dot(xi, xi))
-    if s == 0.0:
-        return 1.0
-    image = xi / s
-    return float((math.sqrt(s) * np.linalg.norm(x - image)) ** -4)
-
-
 def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
     """H^1_0(B_1) projection of the centered bubble: W = U - c(mu), exact.
 
@@ -113,11 +88,6 @@ def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
 def _f2(u: float, m: float) -> float:
     # antiderivative of (u-m)^2 / u^2
     return u - 2.0 * m * math.log(u) - m ** 2 / u
-
-
-def _f3(u: float, m: float) -> float:
-    # antiderivative of (u-m)^2 / u^3
-    return math.log(u) + 2.0 * m / u - m ** 2 / (2.0 * u ** 2)
 
 
 def _f4(u: float, m: float) -> float:
@@ -149,13 +119,6 @@ def ball_integral_u3(mu: float) -> float:
     m = mu ** 2
     val = _f6(m + 1.0, m) - (-1.0 / (30.0 * m ** 3))
     return sphere_area(N6) * ALPHA6 ** 3 * m ** 3 / 2.0 * val
-
-
-def ball_integral_u32(mu: float) -> float:
-    """int_{B_1} U_mu^{3/2} dx, exact (the L^{3/2} mass, mu^3 log mu scale)."""
-    m = mu ** 2
-    val = _f3(m + 1.0, m) - (math.log(m) + 1.5)
-    return sphere_area(N6) * ALPHA6 ** 1.5 * m ** 1.5 / 2.0 * val
 
 
 def d1_closed_form() -> float:

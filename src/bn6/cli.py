@@ -28,9 +28,8 @@ from .bubbles import constants
 from .continuation import extract_limit, trace_branch
 from .errors import BN6Error, ConfigError
 from .reduction import (
-    DEFAULT_S,
+    DEFAULT_EPS_MAGNITUDES,
     AnsatzSpec,
-    BubbleParams,
     assemble_ansatz,
     case1_parameters,
     expansion_check,
@@ -70,7 +69,6 @@ class RunConfig:
                      the dimension default of trace_branch
     eps_grid         "start:ratio:count" magnitudes; None means the
                      expansion module default
-    s                inner-region exponent of the ansatz (default 0.75)
     lmax             angular sectors scanned by nondeg (default 24)
     fit_min_points   tail length used by limits (default 8)
     out              output directory (default $BN6_OUT, else ".")
@@ -86,7 +84,6 @@ class RunConfig:
     a_start: float = 1.0
     a_end: float | None = None
     eps_grid: str | None = None
-    s: float = DEFAULT_S
     lmax: int = DEFAULT_L_MAX
     fit_min_points: int = 8
     out: str | None = None
@@ -108,7 +105,7 @@ class RunConfig:
 
 _FIELD_TYPES = {
     "dimension": int, "grid_n": int, "lam": float, "m": int,
-    "a_start": float, "a_end": float, "eps_grid": str, "s": float,
+    "a_start": float, "a_end": float, "eps_grid": str,
     "lmax": int, "fit_min_points": int, "out": str, "format": str,
 }
 _KEY_ALIASES = {"n": "dimension", "lambda": "lam"}
@@ -183,7 +180,6 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--eps-grid", metavar="START:RATIO:COUNT",
                         dest="eps_grid")
-    common.add_argument("--s", type=float)
     common.add_argument("--lmax", type=int)
     parser = _Parser(prog="bn6", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -331,15 +327,12 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
 def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
     profiles = _profiles(cfg)
     sign, tau = case1_parameters(profiles)
-    magnitudes = parse_eps_grid(cfg.eps_grid)
-    if magnitudes is None:
-        magnitudes = tuple(np.geomspace(0.02, 0.25, 8))
+    magnitudes = parse_eps_grid(cfg.eps_grid) or DEFAULT_EPS_MAGNITUDES
     rows = []
     for mag in magnitudes:
         eps = sign * mag
-        spec = AnsatzSpec(profiles, eps,
-                          (BubbleParams(tau * mag, beta=-1),), s=cfg.s)
-        rows.append((eps, spec.mu_bar,
+        spec = AnsatzSpec(profiles, eps, tau * mag)
+        rows.append((eps, spec.mu,
                      residual_norm(assemble_ansatz(spec), spec.lam)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)

@@ -49,9 +49,8 @@ class BranchLostError(BN6Error):
 class AllPointsExcludedError(BN6Error):
     """No critical-level point supports a bubble construction.
 
-    Raised when every surveyed point lies in an excluded set, or when
-    v(0) = 1/2 leaves the fixed-center construction at the center
-    without a parameter sign.
+    Raised by reduction.case1_parameters when v(0) = 1/2 leaves the
+    fixed-center construction at the center without a parameter sign.
     """
 
 

@@ -17,7 +17,8 @@ origin, where concentrating profiles live.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,12 @@ class RadialGrid:
     def cell_masses(self) -> np.ndarray:
         """Lumped masses m_i = int r^{N-1} phi_i dr (no omega_N factor)."""
         return self.quad_weights / sphere_area(self.dimension)
+
+    @cached_property
+    def centrifugal_moments(self) -> np.ndarray:
+        """Hat moments int phi_i r^{N-3} dr; sector l scales them by
+        l(l + N - 2).  Computed once per grid, shared by every sector."""
+        return hat_moments(self.nodes, self.dimension - 3)
 
 
 def _validate_nodes(nodes: np.ndarray) -> None:
@@ -252,13 +259,6 @@ class RadialFn:
             derivative = np.asarray(derivative, dtype=float)
         return cls(grid, values, derivative, regular_origin)
 
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, f, df=None,
-                      regular_origin: bool = True) -> "RadialFn":
-        values = np.asarray([f(r) for r in grid.nodes], dtype=float)
-        deriv = None if df is None else np.asarray([df(r) for r in grid.nodes], dtype=float)
-        return cls.from_values(grid, values, deriv, regular_origin)
-
 
 def integrate(f: RadialFn) -> float:
     """Volume integral of f over B_1 (product trapezoid)."""
@@ -281,33 +281,3 @@ def h1_norm(f: RadialFn, lam_weight: float = 1.0) -> float:
     mass = float(np.dot(w, f.values ** 2))
     return math.sqrt(grad + lam_weight * mass)
 
-
-def integrate_composed(f: RadialFn, g) -> float:
-    """Volume integral of g(f) with one cell bisection at sign changes of f.
-
-    g is a scalar callable applied to linearly interpolated values of f;
-    cells where f changes sign are split at the interpolated zero so kinks
-    of g at 0 (|s|^3 and friends) do not degrade the trapezoid rule.
-    """
-    nodes, vals = f.grid.nodes, f.values
-    dim = f.grid.dimension
-    total = 0.0
-    p = dim - 1
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa * fb < 0.0:
-            rz = a + (b - a) * fa / (fa - fb)
-            pieces = [(a, rz, fa, 0.0), (rz, b, 0.0, fb)]
-        else:
-            pieces = [(a, b, fa, fb)]
-        for (x0, x1, f0, f1) in pieces:
-            h = x1 - x0
-            if h <= 0.0:
-                continue
-            m0 = _moment(x0, x1, p)
-            m1 = _moment(x0, x1, p + 1)
-            wl = (x1 * m0 - m1) / h
-            wr = (m1 - x0 * m0) / h
-            total += wl * g(f0) + wr * g(f1)
-    return sphere_area(dim) * total

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
 
 from .errors import NearSingularError, NotConvergedError
-from .grid import RadialFn, RadialGrid, differentiate, hat_moments
+from .grid import RadialFn, RadialGrid, differentiate
 
 NEAR_SINGULAR_RTOL = 1e-8
 # absolute bisection tolerance of the Sturm-count eigensolves: twice the
@@ -92,7 +92,7 @@ class _Assembled:
         masses_full = grid.cell_masses()
         cent_full = np.zeros(ncells + 1)
         if l > 0:
-            cent_full = l * (l + N - 2) * hat_moments(nodes, N - 3)
+            cent_full = l * (l + N - 2) * grid.centrifugal_moments
         qvals = op.potential_values()
 
         istart = 0 if l == 0 else 1

@@ -1,9 +1,10 @@
 """Ansatz assembly, residual scaling, and the reduced-energy expansion.
 
-The construction perturbs the ground state u_0 at lam_0 by a boundary-
-corrected bubble and the two auxiliary profiles:
+The construction perturbs the ground state u_0 at lam_0 by the two
+auxiliary profiles and one negative boundary-corrected bubble fixed at
+the center, where u_0(0) = lam_0/2:
 
-    V = z + beta W_mu,    z = u_0 + eps v + eps^2 w,    lam = lam_0 + eps.
+    V = z - W_mu,    z = u_0 + eps v + eps^2 w,    lam = lam_0 + eps.
 
 Everything quantitative about V rests on three exact cancellations:
 
@@ -33,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .auxiliary import AuxProfiles, ConcentrationSurvey
+from .auxiliary import AuxProfiles
 from .bubbles import (
     ALPHA6,
     ball_integral_u,
@@ -42,6 +43,8 @@ from .bubbles import (
     boundary_trace,
     d1_closed_form,
     d2_value,
+    kernel_psi0,
+    project_bubble,
     talenti_du,
     talenti_u,
 )
@@ -65,8 +68,9 @@ from .operators import OperatorSpec, apply_operator
 from .shooting import newton_refine
 
 GAUSS_ORDER = 12
-DEFAULT_S = 0.75
 RESOLUTION_FACTOR = 20.0
+# the constant term of J(V) - J(z): the bubble energy (1/6) int_{R^6} U^3
+C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,60 +155,28 @@ def _ball_quad(f, edges: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # ansatz types
 
-@dataclass(frozen=True)
-class BubbleParams:
-    """One bubble of the construction: rate mu, sign beta, center offset
-    from the concentration point (nonzero only in the shifted-center case),
-    and the case tag (1 fixed center, 2 shifted)."""
+@dataclass(frozen=True, eq=False)
+class AnsatzSpec:
+    """Parameters of V = u_0 + eps v + eps^2 w - W_mu, one negative bubble
+    of rate mu at the center."""
 
+    profiles: AuxProfiles
+    eps: float
     mu: float
-    beta: int
-    center_offset: float = 0.0
-    case: int = 1
 
     def __post_init__(self):
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.beta not in (-1, 1):
-            raise ValueError(f"beta must be -1 or +1, got {self.beta}")
-        if self.case not in (1, 2):
-            raise ValueError(f"case must be 1 or 2, got {self.case}")
-        if self.case == 1 and self.center_offset != 0.0:
-            raise ValueError("fixed-center bubbles cannot carry an offset")
-
-
-@dataclass(frozen=True, eq=False)
-class AnsatzSpec:
-    """Parameters of V = u_0 + eps v + eps^2 w + sum beta_j W_j."""
-
-    profiles: AuxProfiles
-    eps: float
-    bubbles: tuple
-    s: float = DEFAULT_S
-
-    def __post_init__(self):
-        if not self.bubbles:
-            raise ConfigError("at least one bubble is required")
-        if not 0.5 < self.s < 1.0:
-            raise ConfigError(f"s must lie in (1/2, 1), got {self.s}")
         if self.eps != 0.0:
-            v0 = self.profiles.v0
-            for b in self.bubbles:
-                if b.case != 1 or b.center_offset != 0.0:
-                    continue
-                required = -math.copysign(1.0, 0.5 + b.beta * v0)
-                if math.copysign(1.0, self.eps) != required:
-                    raise ConfigError(
-                        "sign of eps is inconsistent with the fixed-center "
-                        f"rule -sgn(1/2 + beta v(0)) = {required:+.0f}")
+            required = -math.copysign(1.0, 0.5 - self.profiles.v0)
+            if math.copysign(1.0, self.eps) != required:
+                raise ConfigError(
+                    "sign of eps is inconsistent with the fixed-center "
+                    f"rule -sgn(1/2 - v(0)) = {required:+.0f}")
 
     @property
     def lam(self) -> float:
         return self.profiles.lam0 + self.eps
-
-    @property
-    def mu_bar(self) -> float:
-        return max(b.mu for b in self.bubbles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +186,6 @@ class AnsatzProfile:
     fn: RadialFn = field(repr=False)
     eps: float
     mu: float
-    beta: int
     lam: float
     crossing: float
     splines: _SplineSet = field(repr=False)
@@ -239,7 +210,7 @@ def assemble_z(profiles: AuxProfiles, eps: float,
 
 
 def _sign_crossing(S: _SplineSet, eps: float, mu: float) -> float:
-    """Radius where z = W (the ansatz changes sign for beta = -1)."""
+    """Radius where z = W, the sign change of the ansatz."""
     def gap(r):
         return S.z(r, eps) - (talenti_u(r, mu) - boundary_trace(mu))
     lo, hi = mu, 0.999
@@ -251,34 +222,23 @@ def _sign_crossing(S: _SplineSet, eps: float, mu: float) -> float:
 
 def assemble_ansatz(spec: AnsatzSpec,
                     grid: RadialGrid | None = None) -> AnsatzProfile:
-    """Sample V on a core-refined grid (radial mode: one fixed-center
-    bubble)."""
-    if len(spec.bubbles) != 1:
-        raise RadialModeViolationError(
-            "radial sampling supports exactly one bubble")
-    bubble = spec.bubbles[0]
-    if bubble.center_offset != 0.0 or bubble.case != 1:
-        raise RadialModeViolationError(
-            "radial sampling requires a fixed-center bubble")
+    """Sample V on a core-refined grid."""
     profiles = spec.profiles
     if profiles.dimension != 6:
         raise RadialModeViolationError("the ansatz is specific to N = 6")
-    mu, beta = bubble.mu, bubble.beta
+    mu = spec.mu
     if grid is None:
         grid = make_core_grid(6, mu)
     S = _SplineSet(profiles)
     r = grid.nodes
-    w_vals = talenti_u(r, mu) - boundary_trace(mu)
-    vals = S.z(r, spec.eps) + beta * w_vals
-    derivs = S.dz(r, spec.eps) + beta * talenti_du(r, mu)
-    crossing = _sign_crossing(S, spec.eps, mu) if beta == -1 else math.nan
+    W, _ = project_bubble(grid, mu)
     return AnsatzProfile(
-        fn=RadialFn(grid, vals, derivs, regular_origin=True),
+        fn=RadialFn(grid, S.z(r, spec.eps) - W.values,
+                    S.dz(r, spec.eps) - W.derivative, regular_origin=True),
         eps=spec.eps,
         mu=mu,
-        beta=beta,
         lam=spec.lam,
-        crossing=crossing,
+        crossing=_sign_crossing(S, spec.eps, mu),
         splines=S,
     )
 
@@ -296,52 +256,41 @@ def _check_resolved(grid: RadialGrid, mu: float) -> None:
 
 
 def _residual_fields(S: _SplineSet, eps: float, mu: float, lam: float):
-    """Pointwise residual of V per sign region, in cancellation-free form.
+    """Pointwise residual of V inside and outside the sign change, in
+    cancellation-free form.
 
     With G := -Delta z, the residual -Delta V - lam V - f(V) equals
-    (G - lam z) + beta U^2 - lam beta W - f(z + beta W); the source
-    identity replaces G - lam z, and the U^2-vs-f(V) difference is
-    expanded so no large squares survive.
+    (G - lam z) - U^2 + lam W - f(z - W); the source identity replaces
+    G - lam z, and the U^2-vs-f(V) difference is expanded so no large
+    squares survive.
     """
     c = boundary_trace(mu)
 
-    def negative_region(r):
-        # beta = -1, V = z - W < 0: f(V) = -(W - z)^2
+    def inner(r):
+        # V = z - W < 0: f(V) = -(W - z)^2
         z = S.z(r, eps)
         u = talenti_u(r, mu)
         w = u - c
         return (S.source(r, eps) + lam * w
                 - 2.0 * u * (z + c) + (z + c) ** 2)
 
-    def positive_region_minus(r):
-        # beta = -1, V = z - W > 0: f(V) = (z - W)^2
+    def outer(r):
+        # V = z - W > 0: f(V) = (z - W)^2
         z = S.z(r, eps)
         u = talenti_u(r, mu)
         w = u - c
         return (S.source(r, eps) + lam * w - u ** 2 - (z - w) ** 2)
 
-    def positive_region_plus(r):
-        # beta = +1, V = z + W > 0 everywhere: f(V) = (z + W)^2
-        z = S.z(r, eps)
-        u = talenti_u(r, mu)
-        w = u - c
-        return (S.source(r, eps) + u ** 2 - lam * w - (z + w) ** 2)
-
-    return negative_region, positive_region_minus, positive_region_plus
+    return inner, outer
 
 
-def _residual_l32(S: _SplineSet, eps: float, mu: float, beta: int,
-                  lam: float, crossing: float) -> float:
-    neg, pos_minus, pos_plus = _residual_fields(S, eps, mu, lam)
-    if beta == -1:
-        inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
-        outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
-        total = (_ball_quad(lambda r: np.abs(neg(r)) ** 1.5, inner_edges)
-                 + _ball_quad(lambda r: np.abs(pos_minus(r)) ** 1.5,
-                              outer_edges))
-    else:
-        edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0)
-        total = _ball_quad(lambda r: np.abs(pos_plus(r)) ** 1.5, edges)
+def _residual_l32(S: _SplineSet, eps: float, mu: float, lam: float,
+                  crossing: float) -> float:
+    inner, outer = _residual_fields(S, eps, mu, lam)
+    inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
+    outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
+    total = (_ball_quad(lambda r: np.abs(inner(r)) ** 1.5, inner_edges)
+             + _ball_quad(lambda r: np.abs(outer(r)) ** 1.5, outer_edges))
     return total ** (2.0 / 3.0)
 
 
@@ -354,7 +303,7 @@ def residual_norm(v, lam: float) -> float:
     """
     if isinstance(v, AnsatzProfile):
         _check_resolved(v.fn.grid, v.mu)
-        return _residual_l32(v.splines, v.eps, v.mu, v.beta, lam, v.crossing)
+        return _residual_l32(v.splines, v.eps, v.mu, lam, v.crossing)
     if isinstance(v, RadialFn):
         op = OperatorSpec(v.grid, sector=0, lam=lam)
         vals = apply_operator(op, v) - np.abs(v.values) * v.values
@@ -425,47 +374,6 @@ def expansion_E(u_xi: float, v_xi: float, beta: int, mu: float, eps: float,
             - MU3_RATIO * d2 * mu ** 3)
 
 
-def select_construction(survey: ConcentrationSurvey, profiles: AuxProfiles,
-                        eps_magnitude: float, s: float = DEFAULT_S,
-                        ) -> AnsatzSpec:
-    """Choose bubble signs, the parameter sign, and the rate schedule.
-
-    Fixed-center points require sign(eps) = -sgn(1/2 + beta v(xi)) and get
-    mu = |eps| tau*; shifted-center points (v on an excluded level but
-    dv/dr != 0) get mu = |eps|^{1+s} tau* and an |eps|^s offset, and adapt
-    to either parameter sign through the choice of shift direction.
-    """
-    if eps_magnitude <= 0.0:
-        raise ValueError("eps_magnitude must be positive")
-    usable = [p for p in survey.points if p.case in (1, 2)]
-    if not usable:
-        raise AllPointsExcludedError(
-            "every critical-level point falls in the excluded sets")
-    d1 = d1_closed_form()
-    signs = {-math.copysign(1.0, 0.5 + p.beta * p.v_value)
-             for p in usable if p.case == 1}
-    if len(signs) > 1:
-        raise ConfigError("no single parameter sign serves every "
-                          "fixed-center point")
-    sign = signs.pop() if signs else -1.0
-    bubbles = []
-    for p in usable:
-        d2 = d2_value(p.u_value)
-        if p.case == 1:
-            tau = tau_star(d1 * abs(0.5 + p.beta * p.v_value), d2)
-            bubbles.append(BubbleParams(mu=eps_magnitude * tau, beta=p.beta))
-        else:
-            tau = tau_star(d1 * abs(p.dv_dr), d2)
-            bubbles.append(BubbleParams(
-                mu=eps_magnitude ** (1.0 + s) * tau,
-                beta=p.beta,
-                center_offset=eps_magnitude ** s,
-                case=2,
-            ))
-    return AnsatzSpec(profiles=profiles, eps=sign * eps_magnitude,
-                      bubbles=tuple(bubbles), s=s)
-
-
 # ---------------------------------------------------------------------------
 # energies
 
@@ -496,8 +404,8 @@ def _base_energy(S: _SplineSet, eps: float, lam: float) -> float:
     return _ball_quad(integrand, edges)
 
 
-def _energy_gap(S: _SplineSet, eps: float, mu: float, beta: int,
-                lam: float, crossing: float) -> float:
+def _energy_gap(S: _SplineSet, eps: float, mu: float, lam: float,
+                crossing: float) -> float:
     """J(V) - J(z) assembled from pointwise-small differences.
 
     Quadratic groups use the exact bubble integrals; the cubic group is
@@ -520,42 +428,35 @@ def _energy_gap(S: _SplineSet, eps: float, mu: float, beta: int,
         return S.z(r, eps) * wfield(r)
 
     full_edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0)
-    grad_gap = beta * _ball_quad(zu2, full_edges) + 0.5 * (iu3 - c * iu2)
-    mass_gap = -lam * beta * _ball_quad(zw, full_edges) - 0.5 * lam * w_l2
+    grad_gap = -_ball_quad(zu2, full_edges) + 0.5 * (iu3 - c * iu2)
+    mass_gap = lam * _ball_quad(zw, full_edges) - 0.5 * lam * w_l2
 
-    if beta == -1:
-        def cubic_inner(r):
-            z, w = S.z(r, eps), wfield(r)
-            return -w ** 3 / 3.0 + w ** 2 * z - w * z ** 2 + 2.0 * z ** 3 / 3.0
+    def cubic_inner(r):
+        z, w = S.z(r, eps), wfield(r)
+        return -w ** 3 / 3.0 + w ** 2 * z - w * z ** 2 + 2.0 * z ** 3 / 3.0
 
-        def cubic_outer(r):
-            z, w = S.z(r, eps), wfield(r)
-            return z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
+    def cubic_outer(r):
+        z, w = S.z(r, eps), wfield(r)
+        return z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
 
-        inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
-        outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
-        cubic_gap = (_ball_quad(cubic_inner, inner_edges)
-                     + _ball_quad(cubic_outer, outer_edges))
-    else:
-        def cubic_whole(r):
-            z, w = S.z(r, eps), wfield(r)
-            return -(z ** 2 * w + z * w ** 2 + w ** 3 / 3.0)
-
-        cubic_gap = _ball_quad(cubic_whole, full_edges)
+    inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
+    outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
+    cubic_gap = (_ball_quad(cubic_inner, inner_edges)
+                 + _ball_quad(cubic_outer, outer_edges))
 
     return grad_gap + mass_gap + cubic_gap
 
 
-def _direct_ansatz_energy(S: _SplineSet, eps: float, mu: float, beta: int,
-                          lam: float, crossing: float) -> float:
+def _direct_ansatz_energy(S: _SplineSet, eps: float, mu: float, lam: float,
+                          crossing: float) -> float:
     """Single-shot J(V) by quadrature, used to audit the assembled gap."""
     c = boundary_trace(mu)
 
     def kinetic(r):
-        return 0.5 * (S.dz(r, eps) + beta * talenti_du(r, mu)) ** 2
+        return 0.5 * (S.dz(r, eps) - talenti_du(r, mu)) ** 2
 
     def vfield(r):
-        return S.z(r, eps) + beta * (talenti_u(r, mu) - c)
+        return S.z(r, eps) - (talenti_u(r, mu) - c)
 
     def quadratic(r):
         return -0.5 * lam * vfield(r) ** 2
@@ -563,11 +464,7 @@ def _direct_ansatz_energy(S: _SplineSet, eps: float, mu: float, beta: int,
     def cubic(r):
         return -np.abs(vfield(r)) ** 3 / 3.0
 
-    if beta == -1 and not math.isnan(crossing):
-        extra = (crossing,)
-    else:
-        extra = ()
-    edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0, extra=extra)
+    edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0, extra=(crossing,))
     return (_ball_quad(kinetic, edges) + _ball_quad(quadratic, edges)
             + _ball_quad(cubic, edges))
 
@@ -673,13 +570,12 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
         mu_values = np.geomspace(4e-4, 4e-3, 6)
     mu_values = np.asarray(sorted(mu_values), dtype=float)
     S = _SplineSet(profiles)
-    c2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
     lam0 = profiles.lam0
     ratios = []
     for mu in mu_values:
         crossing = _sign_crossing(S, 0.0, mu)
-        delta = _energy_gap(S, 0.0, mu, -1, lam0, crossing)
-        ratios.append((delta - c2) / mu ** 3)
+        delta = _energy_gap(S, 0.0, mu, lam0, crossing)
+        ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
     # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
     # extrapolant
@@ -734,7 +630,6 @@ def expansion_check(profiles: AuxProfiles,
     lam0 = profiles.lam0
     u00, v00 = S.u00, S.v00
     sign, tau0 = case1_parameters(profiles)
-    beta = -1
 
     rows = []
     audit_set = {0, len(mags) - 1} if audit_rows >= 2 else set()
@@ -745,13 +640,11 @@ def expansion_check(profiles: AuxProfiles,
         for t in tau_multipliers:
             mu = t * tau0 * mag
             crossing = _sign_crossing(S, eps, mu)
-            delta = _energy_gap(S, eps, mu, beta, lam, crossing)
-            e_pred = expansion_E(u00, v00, beta, mu, eps, lam0)
-            resid = _residual_l32(S, eps, mu, beta, lam, crossing)
-            c2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
+            delta = _energy_gap(S, eps, mu, lam, crossing)
+            e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
+            resid = _residual_l32(S, eps, mu, lam, crossing)
             if i in audit_set and t == 1.0:
-                direct = _direct_ansatz_energy(S, eps, mu, beta, lam,
-                                               crossing)
+                direct = _direct_ansatz_energy(S, eps, mu, lam, crossing)
                 audit = abs(direct - j_base - delta)
             else:
                 audit = math.nan
@@ -763,7 +656,7 @@ def expansion_check(profiles: AuxProfiles,
                 j_base=j_base,
                 delta=delta,
                 e_pred=e_pred,
-                defect=delta - c2 + e_pred,
+                defect=delta - C2 + e_pred,
                 residual_l32=resid,
                 audit_gap=audit,
             ))
@@ -808,8 +701,8 @@ def expansion_check(profiles: AuxProfiles,
         coef_mu3=float(coef[3]),
         coef_eps2_mu2=float(coef[4]),
         coef_eps_mu3=float(coef[5]),
-        c2_closed=ALPHA6 ** 3 * sphere_area(6) / 360.0,
-        target_eps_mu2=-d1 * (0.5 + beta * v00),
+        c2_closed=C2,
+        target_eps_mu2=-d1 * (0.5 - v00),
         target_mu3=MU3_RATIO * d2_value(u00),
         paper_mu3=PAPER_MU3_RATIO * d2_value(u00),
         remainder_exponent=rem_slope,
@@ -846,11 +739,11 @@ class RefinementRow:
 class RefinementReport:
     """Newton-refinement sweep with the fitted decay of the correction.
 
-    distance_exponent fits ||u* - V||_{H^1} against mu_bar after dividing
-    out the slowly varying factor |ln mu_bar|^{2/3} that multiplies the
+    distance_exponent fits ||u* - V||_{H^1} against mu after dividing
+    out the slowly varying factor |ln mu|^{2/3} that multiplies the
     quadratic term of the remainder bound; distance_exponent_raw fits the
-    distances as they are.  Over any finite mu_bar window the raw fit
-    sits below the adjusted one by roughly (2/3)/|ln mu_bar|.
+    distances as they are.  Over any finite mu window the raw fit
+    sits below the adjusted one by roughly (2/3)/|ln mu|.
     """
 
     rows: tuple
@@ -897,16 +790,14 @@ def refinement_sweep(profiles: AuxProfiles,
     for mag in sorted(float(m) for m in eps_magnitudes):
         eps = sign * mag
         mu = tau_mult * tau0 * mag
-        spec = AnsatzSpec(profiles=profiles, eps=eps,
-                          bubbles=(BubbleParams(mu=mu, beta=-1),))
+        spec = AnsatzSpec(profiles=profiles, eps=eps, mu=mu)
         grid = make_core_grid(6, mu, h_over_scale=h_over_scale, h_max=h_max)
         ansatz = assemble_ansatz(spec, grid=grid)
         core_grid = rescale_grid(grid, 1.0 / mu)
         guess = RadialFn(core_grid, mu ** 2 * ansatz.fn.values,
                          mu ** 3 * ansatz.fn.derivative)
-        y = core_grid.nodes
-        pin = RadialFn.from_values(
-            core_grid, 48.0 * (1.0 - y ** 2) / (1.0 + y ** 2) ** 3)
+        pin = RadialFn.from_values(core_grid,
+                                   -kernel_psi0(core_grid.nodes, 1.0))
         result = newton_refine(guess, spec.lam * mu ** 2,
                                max_iter=max_iter, pin=pin)
         err = RadialFn(grid,

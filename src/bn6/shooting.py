@@ -54,7 +54,7 @@ from .errors import (
     NotConvergedError,
     RadialModeViolationError,
 )
-from .grid import RadialFn, RadialGrid, make_core_grid, make_grid, lp_norm
+from .grid import RadialFn, RadialGrid, make_core_grid, make_grid
 from .operators import OperatorSpec, assemble
 
 RTOL = 1e-10
@@ -319,7 +319,6 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
 class NewtonResult:
     profile: RadialFn = field(repr=False)
     distance_h1: float
-    initial_residual_l32: float
     iterations: int
     residual_history: tuple
     multiplier: float = 0.0
@@ -457,10 +456,7 @@ def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
     refined = RadialFn.from_values(grid, u)
     err = refined.values - guess.values
     dist = h1_distance_values(grid, err)
-    res0 = RadialFn.from_values(grid, np.concatenate((weak_residual(guess.values),
-                                                      [0.0])))
-    return NewtonResult(refined, dist, lp_norm(res0, 1.5),
-                        it + 1, tuple(history),
+    return NewtonResult(refined, dist, it + 1, tuple(history),
                         a / pin_scale if pin is not None else 0.0)
 
 

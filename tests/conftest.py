@@ -1,8 +1,11 @@
 """Session-wide fixtures: the expensive solves are shared across modules."""
 
+import time
+
 import pytest
 
 from bn6.auxiliary import build_profiles
+from bn6.reduction import expansion_check
 from bn6.shooting import find_lambda0
 
 
@@ -19,3 +22,11 @@ def profiles(certificate):
 @pytest.fixture(scope="session")
 def profiles_coarse(certificate):
     return build_profiles(6, certificate, grid_n=2048)
+
+
+@pytest.fixture(scope="session")
+def expansion(profiles):
+    """(report, seconds): one default expansion_check and its wall time."""
+    start = time.perf_counter()
+    report = expansion_check(profiles)
+    return report, time.perf_counter() - start

@@ -12,16 +12,13 @@ from bn6.bubbles import (
     ball_integral_u,
     ball_integral_u2,
     ball_integral_u3,
-    ball_integral_u32,
     boundary_trace,
     constants,
     d1_closed_form,
     d1_quadrature,
     d2_value,
     kernel_psi0,
-    kernel_psi1,
     project_bubble,
-    robin_h_ball,
     talenti_du,
     talenti_u,
 )
@@ -92,7 +89,6 @@ def test_ball_integrals_match_quadrature(mu):
         (ball_integral_u, 1.0),
         (ball_integral_u2, 2.0),
         (ball_integral_u3, 3.0),
-        (ball_integral_u32, 1.5),
     )
     for closed_form, power in cases:
         ref = sphere_area(6) * quad(
@@ -120,29 +116,6 @@ def test_dilation_kernel_is_mu_derivative():
     fd = (talenti_u(r, 1.0 + h) - talenti_u(r, 1.0 - h)) / (2.0 * h)
     assert np.max(np.abs(fd - kernel_psi0(r, 1.0))) < 1e-8
     assert kernel_psi0(0.0, 1.0) == -48.0
-
-
-def test_translation_kernel_positive_and_decaying():
-    r = np.geomspace(1e-3, 10.0, 40)
-    vals = kernel_psi1(r, 0.5)
-    assert np.all(vals > 0.0)
-    assert vals[-1] < vals[20] and np.argmax(vals) < 30
-
-
-def test_robin_kernel_properties():
-    rng = np.random.default_rng(5)
-    assert robin_h_ball(rng.normal(size=6), np.zeros(6)) == 1.0
-    for _ in range(20):
-        x = rng.normal(size=6)
-        x /= np.linalg.norm(x)          # on the boundary sphere
-        xi = rng.uniform(-0.4, 0.4, 6)  # inside the ball
-        expect = float(np.linalg.norm(x - xi) ** -4)
-        assert robin_h_ball(x, xi) == pytest.approx(expect, rel=1e-12)
-    for _ in range(10):
-        a = rng.uniform(-0.5, 0.5, 6)
-        b = rng.uniform(-0.5, 0.5, 6)
-        assert robin_h_ball(a, b) == pytest.approx(robin_h_ball(b, a),
-                                                   rel=1e-12)
 
 
 def test_constants_registry():

@@ -51,6 +51,14 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     assert "N = 6" in capsys.readouterr().err
 
 
+def test_removed_s_key_exits_3(tmp_path, capsys):
+    # the ansatz has no inner-region exponent; s is an unknown key
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("s = 0.75\n")
+    assert run("constants", "--config", str(cfg)) == 3
+    assert "'s'" in capsys.readouterr().err
+
+
 def test_missing_required_lambda_exits_3(tmp_path):
     assert run("ground-state", "--N", "3", "--out", str(tmp_path)) == 3
 
@@ -215,3 +223,24 @@ def test_expansion_fit_carries_rows(tmp_path):
     finite = [a for a in audits if a != "nan"]
     assert len(finite) == 2
     assert all(math.isfinite(a) and a < 1e-5 for a in finite)
+
+
+def test_ansatz_check_artifacts(tmp_path):
+    out = tmp_path / "ans"
+    assert run("ansatz-check", "--out", str(out)) == 0
+    payload = json.loads(read(out / "ansatz_check.json"))
+    rows = payload["rows"]
+    assert len(rows) == 8
+    csv = (out / "ansatz_check.csv").read_text().splitlines()
+    body = [ln for ln in csv if not ln.startswith("#")]
+    assert body[0] == "eps,mu_bar,residual_L32"
+    assert len(body) == 1 + 8
+    assert 1.8 <= payload["residual_exponent"] <= 2.2
+    # one centred bubble on the fixed-center schedule mu = tau* |eps|
+    for row in rows:
+        assert row["mu_bar"] == payload["tau_star"] * abs(row["eps"])
+    first = {name: read(out / name)
+             for name in ("ansatz_check.json", "ansatz_check.csv")}
+    assert run("ansatz-check", "--out", str(out)) == 0
+    for name, data in first.items():
+        assert read(out / name) == data

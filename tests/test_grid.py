@@ -12,7 +12,6 @@ from bn6.grid import (
     differentiate,
     h1_norm,
     integrate,
-    integrate_composed,
     lp_norm,
     make_core_grid,
     make_grid,
@@ -52,7 +51,7 @@ def test_quadrature_second_order():
     errs = []
     for n in (64, 128, 256):
         g = make_grid(6, n)
-        f = RadialFn.from_callable(g, lambda r: math.sin(3 * r))
+        f = RadialFn.from_values(g, np.sin(3 * g.nodes))
         errs.append(abs(integrate(f) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -155,12 +154,3 @@ def test_h1_norm_against_closed_form():
     u = RadialFn.from_values(g, 1.0 - g.nodes ** 2, -2.0 * g.nodes)
     assert h1_norm(u, lam_weight=1.0) ** 2 == pytest.approx(
         math.pi ** 3 / 2.0 + math.pi ** 3 / 60.0, rel=1e-6)
-
-
-def test_integrate_composed_kink():
-    # f = 1 - 2r changes sign at r = 1/2; with the bisected cell the rule is
-    # exact: int_{B_1} |1 - 2r| dx = pi^3 * 23/192 at N = 6
-    g = make_grid(6, 64)
-    f = RadialFn.from_values(g, 1.0 - 2.0 * g.nodes)
-    got = integrate_composed(f, abs)
-    assert got == pytest.approx(math.pi ** 3 * 23.0 / 192.0, rel=1e-13)

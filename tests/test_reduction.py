@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from bn6.auxiliary import AuxProfiles, survey_concentration_points
+from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
-from bn6.errors import AllPointsExcludedError, ConfigError
+from bn6.errors import ConfigError, RadialModeViolationError
 from bn6.grid import RadialFn, make_grid
 from bn6.reduction import (
     MU3_RATIO,
     PAPER_MU3_RATIO,
     AnsatzSpec,
-    BubbleParams,
     assemble_ansatz,
     assemble_z,
     case1_parameters,
@@ -24,23 +23,10 @@ from bn6.reduction import (
     reduced_energy_polynomial,
     refinement_sweep,
     residual_norm,
-    select_construction,
     tau_star,
 )
 
 TAU_STAR_FROZEN = 0.04409647622292704
-
-
-def test_bubble_params_validation():
-    with pytest.raises(ValueError):
-        BubbleParams(mu=0.0, beta=-1)
-    with pytest.raises(ValueError):
-        BubbleParams(mu=0.1, beta=0)
-    with pytest.raises(ValueError):
-        BubbleParams(mu=0.1, beta=-1, case=3)
-    with pytest.raises(ValueError):
-        BubbleParams(mu=0.1, beta=-1, center_offset=0.2, case=1)
-    BubbleParams(mu=0.1, beta=-1, center_offset=0.2, case=2)
 
 
 def test_tau_star_formula_and_validation():
@@ -142,16 +128,13 @@ def test_mu3_ratio_derivation():
 
 
 def test_ansatz_spec_validation(profiles):
-    bubble = BubbleParams(mu=1e-3, beta=-1)
     with pytest.raises(ConfigError):
-        AnsatzSpec(profiles=profiles, eps=0.1, bubbles=(bubble,))  # wrong sign
-    with pytest.raises(ConfigError):
-        AnsatzSpec(profiles=profiles, eps=-0.1, bubbles=())
-    with pytest.raises(ConfigError):
-        AnsatzSpec(profiles=profiles, eps=-0.1, bubbles=(bubble,), s=0.4)
-    spec = AnsatzSpec(profiles=profiles, eps=-0.1, bubbles=(bubble,))
+        AnsatzSpec(profiles=profiles, eps=0.1, mu=1e-3)  # wrong sign
+    with pytest.raises(ValueError):
+        AnsatzSpec(profiles=profiles, eps=-0.1, mu=0.0)
+    spec = AnsatzSpec(profiles=profiles, eps=-0.1, mu=1e-3)
     assert spec.lam == pytest.approx(profiles.lam0 - 0.1, rel=1e-15)
-    assert spec.mu_bar == 1e-3
+    assert spec.mu == 1e-3
 
 
 def test_assemble_z_native_grid(profiles):
@@ -183,12 +166,10 @@ def test_assemble_ansatz_structure(profiles):
     sign, tau = case1_parameters(profiles)
     mag = 0.1
     mu = mag * tau
-    spec = AnsatzSpec(profiles=profiles, eps=sign * mag,
-                      bubbles=(BubbleParams(mu=mu, beta=-1),))
+    spec = AnsatzSpec(profiles=profiles, eps=sign * mag, mu=mu)
     ansatz = assemble_ansatz(spec)
     assert ansatz.eps == spec.eps
     assert ansatz.mu == mu
-    assert ansatz.beta == -1
     assert mu < ansatz.crossing < 1.0
     # center: the bubble dominates with its negative sign
     z0 = (profiles.u0.values[0] + spec.eps * profiles.v0
@@ -202,14 +183,22 @@ def test_assemble_ansatz_structure(profiles):
     assert int(np.sum(signs[1:] != signs[:-1])) == 1
 
 
+def test_assemble_ansatz_requires_n6():
+    grid = make_grid(4, 64)
+    fn = RadialFn.from_values(grid, 1.0 - grid.nodes ** 2)
+    spec = AnsatzSpec(profiles=AuxProfiles(4, 20.0, 1.0, fn, fn, fn),
+                      eps=0.0, mu=1e-2)
+    with pytest.raises(RadialModeViolationError):
+        assemble_ansatz(spec)
+
+
 def test_residual_routes_agree_in_magnitude(profiles):
     # the analytic route (exact bubble Laplacian + splines) and the
     # finite-difference route measure the same defect; the FD route
     # carries stencil noise at the spike and the kink, so the comparison
     # is order-of-magnitude
     sign, tau = case1_parameters(profiles)
-    spec = AnsatzSpec(profiles=profiles, eps=sign * 0.1,
-                      bubbles=(BubbleParams(mu=0.1 * tau, beta=-1),))
+    spec = AnsatzSpec(profiles=profiles, eps=sign * 0.1, mu=0.1 * tau)
     ansatz = assemble_ansatz(spec)
     analytic = residual_norm(ansatz, spec.lam)
     fd = residual_norm(ansatz.fn, spec.lam)
@@ -228,28 +217,6 @@ def test_ground_state_energy_identity(profiles):
         cube / 6.0, rel=1e-4)
 
 
-def test_select_construction(profiles, profiles_coarse):
-    survey = survey_concentration_points(profiles,
-                                         coarse_v0=profiles_coarse.v0)
-    spec = select_construction(survey, profiles, 0.08)
-    assert len(spec.bubbles) == 1
-    bubble = spec.bubbles[0]
-    assert bubble.case == 1
-    assert bubble.beta == -1
-    assert bubble.center_offset == 0.0
-    assert spec.eps == pytest.approx(-0.08, rel=1e-15)
-    assert bubble.mu == pytest.approx(0.08 * TAU_STAR_FROZEN, rel=1e-8)
-
-    empty = survey.__class__(lam0=survey.lam0, points=(),
-                             two_v_minus_one=survey.two_v_minus_one,
-                             two_v_error=survey.two_v_error,
-                             essential=False)
-    with pytest.raises(AllPointsExcludedError):
-        select_construction(empty, profiles, 0.08)
-    with pytest.raises(ValueError):
-        select_construction(survey, profiles, -0.1)
-
-
 def test_cubic_coefficient_probe(profiles):
     probe = cubic_coefficient_probe(profiles)
     # the fitted mu^3 coefficient of the energy gap sits at the derived
@@ -262,8 +229,8 @@ def test_cubic_coefficient_probe(profiles):
         probe["mu3_coefficient"])
 
 
-def test_expansion_check_report(profiles):
-    report = expansion_check(profiles)
+def test_expansion_check_report(profiles, expansion):
+    report, _ = expansion
     assert len(report.rows) == 40  # 8 magnitudes x 5 multipliers
     assert report.tau_star_value == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
 
