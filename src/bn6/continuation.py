@@ -3,10 +3,17 @@
 At fixed amplitude a = u(0), the m-region Dirichlet solution on the unit
 ball selects lambda through the matching condition z_m(lam; a) = 1, where
 z_m is the m-th zero of the shooting trajectory.  Sturm comparison makes
-z_m strictly decreasing in lam, so the matching is a bracketed scalar
-root find, and amplitude is a fold-free continuation parameter: each a
-on the branch determines exactly one lambda, while lambda(a) is free to
-approach its large-amplitude limit from either side.
+z_m strictly decreasing in lam, so amplitude is a fold-free continuation
+parameter: each a on the branch determines exactly one lambda, while
+lambda(a) is free to approach its large-amplitude limit from either side.
+
+By the critical dilation (bn6.shooting), z_m(lam, a) = Z_m(mu) a^{-2/(N-2)}
+with mu = lam a^{-4/(N-2)}, so lambda is smooth in ln a along a branch.
+The branch is therefore matched by predictor-corrector continuation: the
+last accepted points extrapolate lambda in ln a, and a secant corrector on
+z_m - 1 lands on the root in a few IVPs, the last of which is kept dense
+as the point's profile.  A bracketed scalar root find starts the trace
+and is the corrector's fallback.
 
 As a -> infinity the positive part of the profile concentrates and
 lambda(a) tends to a dimension-dependent value strictly below the m-th
@@ -18,7 +25,6 @@ with the rate gamma fitted rather than assumed.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,10 +38,23 @@ from .errors import (
     NotConvergedError,
 )
 from .operators import dirichlet_eigenvalue
-from .shooting import BranchPoint, nodal_count, shoot, zero_position
+from .shooting import (
+    RTOL,
+    BranchPoint,
+    nodal_count,
+    shoot,
+    shoot_to_zero,
+    zero_position,
+)
 
 LAMBDA_FLOOR = 1e-2
 RESIDUAL_TOL = 1e-6
+# The secant converges in 3-5 shots from the predictor; a corrector still
+# short of RTOL after this many is chasing IVP noise or a poor guess.
+CORRECTOR_SHOTS = 6
+# Relative offset of the corrector's second shot when no slope is known:
+# the forward-difference step that balances truncation against IVP noise.
+KICK = math.sqrt(RTOL)
 BOOTSTRAP_SAMPLES = 200
 BOOTSTRAP_SEED = 20260815
 
@@ -108,30 +127,78 @@ class LimitEstimate:
         }
 
 
-def _match_lambda(dimension: int, amplitude: float, m: int,
-                  lo: float, hi: float) -> float | None:
-    """lambda in [lo, hi] with the m-th trajectory zero at r = 1, or None.
+def _match_lambda(dimension: int, amplitude: float, m: int, lo: float,
+                  hi: float, guess: float | None = None,
+                  slope: float | None = None):
+    """Solution with lambda in [lo, hi] and its m-th zero at r = 1, or None.
 
-    The zero position is strictly decreasing in lambda (module
-    docstring), so z_m - 1 has at most one root in the window, and it is
-    bracketed exactly when the endpoints have opposite signs: two IVPs
-    decide, one brentq finds it.  brentq starts from the same endpoints,
-    so excess is cached and each distinct lambda is shot once.
+    Returns (shot, slope): the ShootResult at the matched lambda and the
+    corrector's last secant slope d z_m / d lambda, which seeds the next
+    branch point (None when the bracket found the root).
+
+    From a guess inside the window, secant steps on z_m - 1 (the first
+    along `slope`, or a relative KICK without one) stop at |z_m - 1| <=
+    RTOL, the IVP's own tolerance.  These shots are dense, so the accepted
+    one is the profile.  A corrector that leaves the window or has not
+    converged in CORRECTOR_SHOTS shots hands over to the bracket.
+
+    z_m is strictly decreasing in lambda (module docstring), so z_m - 1
+    has at most one root in the window, bracketed exactly when the
+    endpoints have opposite signs.  The endpoints are the nearest shots on
+    either side of the root, else the window ends; brentq finds the root
+    and shoot samples it.  Shots are cached, so no lambda is shot twice.
     """
+    shots = {}
 
-    @functools.cache
-    def excess(lam: float) -> float:
+    def fire(lam: float, dense: bool):
+        sample = None
         try:
-            z = zero_position(dimension, lam, amplitude, m)
+            if dense:
+                z, sample = shoot_to_zero(dimension, lam, amplitude, m)
+            else:
+                z = zero_position(dimension, lam, amplitude, m)
         except (BlowUpBeforeOneError, NotConvergedError):
             z = None
-        if z is None:
-            return 10.0
-        return z - 1.0
+        shots[lam] = 10.0 if z is None else z - 1.0
+        return shots[lam], sample
 
-    if not (excess(lo) > 0.0 >= excess(hi)):
+    def excess(lam: float) -> float:
+        if lam not in shots:
+            fire(lam, dense=False)
+        return shots[lam]
+
+    if guess is not None and lo < guess < hi:
+        lam = guess
+        res, sample = fire(lam, dense=True)
+        for _ in range(CORRECTOR_SHOTS - 1):
+            if abs(res) <= RTOL:
+                break
+            step = -res / slope if slope else KICK * lam
+            if not lo < lam + step < hi:
+                break
+            res_next, sample = fire(lam + step, dense=True)
+            slope = (res_next - res) / step
+            lam, res = lam + step, res_next
+        if abs(res) <= RTOL:
+            return sample(), slope
+
+    right = min((lam for lam, res in shots.items() if res <= 0.0),
+                default=hi)
+    left = max((lam for lam, res in shots.items()
+                if res > 0.0 and lam < right), default=lo)
+    if not (excess(left) > 0.0 >= excess(right)):
         return None
-    return float(brentq(excess, lo, hi, xtol=1e-13, rtol=1e-14))
+    lam = float(brentq(excess, left, right, xtol=1e-13, rtol=1e-14))
+    return shoot(dimension, lam, amplitude), None
+
+
+def _predict(rows, amplitude: float) -> float:
+    """lambda at `amplitude`, extrapolated in ln a through the last accepted
+    points: quadratic from three, linear from two, constant from one."""
+    x = np.log([p.amplitude for p in rows[-3:]])
+    lams = [p.lam for p in rows[-3:]]
+    return float(np.polyval(np.polyfit(x, lams, len(x) - 1),
+                            math.log(amplitude)))
 
 
 def trace_branch(dimension: int, m: int, a_start: float = 1.0,
@@ -141,9 +208,13 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
 
     Defaults follow the amplitude ranges that expose the limits at desk
     scale: ratio-2 growth up to 1e4, or 1e5 in dimension 6 where the
-    approach to the limit is slower.  Raises BranchLostError when no
-    schedule entry admits a matched solution; partial failures are
-    reported through Branch.diagnostics instead.
+    approach to the limit is slower.  The first point is bracketed over
+    the whole window (LAMBDA_FLOOR, 0.9999 lambda_m); each later one is
+    predicted from the accepted points and corrected inside (0.6, 1.5)
+    times the previous lambda, with the whole window as the last resort.
+    Raises BranchLostError when no schedule entry admits a matched
+    solution; partial failures are reported through Branch.diagnostics
+    instead.
     """
     if a_end is None:
         a_end = 1e5 if dimension == 6 else 1e4
@@ -155,19 +226,21 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
     schedule = np.geomspace(a_start, a_end, points)
     rows = []
     diagnostics = []
-    lam_prev = None
+    slope = None
     for a in schedule:
-        lam = None
-        if lam_prev is not None:
-            lam = _match_lambda(dimension, a, m,
-                                max(LAMBDA_FLOOR, 0.6 * lam_prev),
-                                min(lam_hi, 1.5 * lam_prev))
-        if lam is None:
-            lam = _match_lambda(dimension, a, m, LAMBDA_FLOOR, lam_hi)
-        if lam is None:
+        match = None
+        if rows:
+            lam_prev = rows[-1].lam
+            match = _match_lambda(dimension, a, m,
+                                  max(LAMBDA_FLOOR, 0.6 * lam_prev),
+                                  min(lam_hi, 1.5 * lam_prev),
+                                  _predict(rows, a), slope)
+        if match is None:
+            match = _match_lambda(dimension, a, m, LAMBDA_FLOOR, lam_hi)
+        if match is None:
             diagnostics.append((float(a), "no matching lambda in window"))
             continue
-        sol = shoot(dimension, lam, a)
+        sol, point_slope = match
         residual = abs(sol.boundary_value) / np.max(np.abs(sol.profile.values))
         if residual > RESIDUAL_TOL:
             diagnostics.append((float(a), f"residual {residual:.3e}"))
@@ -176,10 +249,10 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
         if regions != m:
             diagnostics.append((float(a), f"{regions} nodal regions"))
             continue
-        rows.append(BranchPoint(dimension, lam, float(a), m,
+        rows.append(BranchPoint(dimension, sol.lam, float(a), m,
                                 float(residual), sol.profile.grid.n_cells,
                                 sol.profile))
-        lam_prev = lam
+        slope = point_slope
     if not rows:
         raise BranchLostError(
             f"no (N={dimension}, m={m}) solution in [{a_start:g}, {a_end:g}]")

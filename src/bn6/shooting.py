@@ -36,6 +36,7 @@ records the matching residuals of both readings of the relation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,15 +202,43 @@ def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> Radial
                           h_max=1.0 / grid_n)
 
 
+def _mth_zero(sol, m: int) -> float | None:
+    zeros = sol.t_events[0]
+    if len(zeros) < m:
+        return None
+    return float(zeros[m - 1])
+
+
 def zero_position(dimension: int, lam: float, amplitude: float, m: int,
                   r_max: float = 10.0) -> float | None:
     """Position of the m-th zero of the trajectory, or None if it does not
     occur before r_max."""
     sol, _, _ = _integrate(dimension, lam, amplitude, r_max, max_zeros=m)
-    zeros = sol.t_events[0]
-    if len(zeros) < m:
-        return None
-    return float(zeros[m - 1])
+    return _mth_zero(sol, m)
+
+
+def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int,
+                  r_max: float = 10.0):
+    """zero_position's IVP with dense output, so it can also be the profile.
+
+    Returns the m-th zero (None if it does not occur before r_max) and a
+    function that samples the trajectory on profile_grid as shoot does.
+    Dense output does not change the steps, so the zero is
+    zero_position's to the bit.  At a matched lambda the zero lies within
+    the IVP tolerance of r = 1; when it falls short, the last step's
+    interpolant carries the profile over the remaining distance.
+    """
+    sol, r0, p = _integrate(dimension, lam, amplitude, r_max, dense=True,
+                            max_zeros=m)
+
+    def sample() -> ShootResult:
+        grid = profile_grid(dimension, amplitude)
+        profile = _sample(sol, r0, dimension, lam, amplitude, p, grid)
+        interior = int(np.sum(sol.t_events[0] < 1.0 - 1e-13))
+        return ShootResult(profile, float(profile.values[-1]), interior,
+                           float(amplitude), float(lam))
+
+    return _mth_zero(sol, m), sample
 
 
 def nodal_count(f: RadialFn, tol: float = SIGN_TOL) -> int:
@@ -243,11 +272,13 @@ def solve_bvp(dimension: int, lam: float, m: int,
 
     Matches the m-th zero position to 1 by a bracketed solve in ln(a);
     raises NoSignChangeError when no amplitude in the bracket brackets the
-    matching condition.
+    matching condition.  brentq starts from the scan's last two points,
+    so psi is cached and each ln(a) is shot once.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
 
+    @functools.cache
     def psi(x):
         z = zero_position(dimension, lam, math.exp(x), m)
         return (z if z is not None else 10.0 * (1.0 + abs(x))) - 1.0

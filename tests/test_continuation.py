@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
-from bn6 import continuation
+from bn6 import continuation, shooting
 from bn6.continuation import (
     RESIDUAL_TOL,
     Branch,
@@ -17,7 +17,13 @@ from bn6.continuation import (
 )
 from bn6.errors import BranchLostError
 from bn6.operators import dirichlet_eigenvalue
-from bn6.shooting import BranchPoint, solve_bvp, zero_position
+from bn6.shooting import (
+    BranchPoint,
+    nodal_count,
+    shoot_to_zero,
+    solve_bvp,
+    zero_position,
+)
 
 # m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N: squared m-th
 # zero of J_{N/2-1}.  N = 3 gives (m pi)^2; N = 5 needs brentq on the
@@ -173,3 +179,85 @@ def test_match_lambda_shoots_each_lambda_once(monkeypatch):
     lam = continuation._match_lambda(3, 4.0, 1, 1.0, 0.9999 * math.pi ** 2)
     assert lam is not None
     assert len(calls) == len(set(calls)) > 2
+
+
+def _counting_shots(monkeypatch):
+    """Record the lambda of every bracket and corrector shot."""
+    calls = []
+
+    def bracket(dimension, lam, amplitude, m):
+        calls.append(lam)
+        return zero_position(dimension, lam, amplitude, m)
+
+    def corrector(dimension, lam, amplitude, m):
+        calls.append(lam)
+        return shoot_to_zero(dimension, lam, amplitude, m)
+
+    monkeypatch.setattr(continuation, "zero_position", bracket)
+    monkeypatch.setattr(continuation, "shoot_to_zero", corrector)
+    return calls
+
+
+def test_match_lambda_corrector_lands_on_bracketed_root(monkeypatch):
+    lo, hi = continuation.LAMBDA_FLOOR, 0.9999 * RADIAL_EV[(6, 2)]
+    bracketed, slope = continuation._match_lambda(6, 100.0, 2, lo, hi)
+    assert slope is None
+    calls = _counting_shots(monkeypatch)
+    # no slope: the second shot is a kick, then secant steps
+    shot, slope = continuation._match_lambda(6, 100.0, 2, lo, hi,
+                                             1.001 * bracketed.lam)
+    assert shot.lam == pytest.approx(bracketed.lam, rel=1e-9)
+    assert len(calls) == len(set(calls)) <= continuation.CORRECTOR_SHOTS
+    assert slope < 0.0  # z_m decreases in lambda
+    # the accepted shot is the profile: its zero sits at r = 1
+    assert shot.profile.values[0] == 100.0
+    assert abs(shot.boundary_value) <= 1e-6 * 100.0
+    assert nodal_count(shot.profile) == 2
+
+    calls.clear()
+    again, _ = continuation._match_lambda(6, 100.0, 2, lo, hi,
+                                          0.999 * bracketed.lam, slope)
+    assert again.lam == pytest.approx(bracketed.lam, rel=1e-9)
+    assert len(calls) == len(set(calls)) <= continuation.CORRECTOR_SHOTS
+
+
+def test_match_lambda_guess_outside_window_is_bracketed():
+    lo, hi = 20.0, 0.9999 * RADIAL_EV[(6, 2)]
+    plain, plain_slope = continuation._match_lambda(6, 100.0, 2, lo, hi)
+    for guess in (0.5 * lo, lo, hi, 2.0 * hi):
+        shot, slope = continuation._match_lambda(6, 100.0, 2, lo, hi, guess,
+                                                 -0.02)
+        assert shot.lam == plain.lam
+        assert slope is plain_slope is None
+
+
+def test_trace_branch_corrects_in_few_ivps(monkeypatch):
+    # after the bracketed start every point is predicted and corrected:
+    # at most 6 IVPs each, dense profile included
+    ivps = [0]
+    solve_ivp = shooting.solve_ivp
+
+    def counting_ivp(*args, **kwargs):
+        ivps[0] += 1
+        return solve_ivp(*args, **kwargs)
+
+    spent = []
+    match_lambda = continuation._match_lambda
+
+    def recording(dimension, amplitude, m, lo, hi, guess=None, slope=None):
+        before = ivps[0]
+        match = match_lambda(dimension, amplitude, m, lo, hi, guess, slope)
+        spent.append((guess is not None, ivps[0] - before))
+        return match
+
+    monkeypatch.setattr(shooting, "solve_ivp", counting_ivp)
+    monkeypatch.setattr(continuation, "_match_lambda", recording)
+    branch = trace_branch(6, 2, a_start=1.0, a_end=2.0 ** 12)
+    assert branch.diagnostics == ((1.0, "3 nodal regions"),)
+    assert len(branch.points) == 12
+    assert all(p.residual <= RESIDUAL_TOL for p in branch.points)
+    predicted = [n for guessed, n in spent if guessed]
+    assert len(predicted) == 11
+    assert max(predicted) <= 6
+    # every IVP belongs to a match: the accepted shot is the profile
+    assert sum(n for _, n in spent) == ivps[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from bn6 import shooting
 from bn6.errors import BN6Error, NoSignChangeError
 from bn6.grid import RadialFn
 from bn6.shooting import (
@@ -15,6 +16,7 @@ from bn6.shooting import (
     newton_refine,
     nodal_count,
     shoot,
+    shoot_to_zero,
     solve_bvp,
     zero_position,
 )
@@ -68,6 +70,25 @@ def test_zero_position_decreasing_in_lambda():
     assert zs[0] > zs[1] > zs[2]
 
 
+def test_shoot_to_zero_is_zero_position_kept_dense():
+    lam = 25.0
+    a = solve_bvp(6, lam, 2).amplitude
+    for amplitude in (0.9 * a, 1.1 * a, a):
+        zero, sample = shoot_to_zero(6, lam, amplitude, 2)
+        assert zero == zero_position(6, lam, amplitude, 2)
+    # at the matched amplitude the profile is shoot's, sampled up to the
+    # zero instead of integrated to r = 1
+    got, want = sample(), shoot(6, lam, a)
+    assert np.array_equal(got.profile.grid.nodes, want.profile.grid.nodes)
+    scale = np.max(np.abs(want.profile.values))
+    assert np.max(np.abs(got.profile.values - want.profile.values)) <= (
+        1e-8 * scale)
+    assert abs(got.boundary_value) <= 1e-8 * scale
+    assert got.zero_count == want.zero_count
+    assert (got.lam, got.amplitude) == (want.lam, want.amplitude)
+    assert nodal_count(got.profile) == 2
+
+
 def test_nodal_count_synthetic():
     res = shoot(3, 0.0, 10.0)
     grid = res.profile.grid
@@ -100,6 +121,21 @@ def test_solve_bvp_two_region_n6():
     v = pt.profile.values
     signs = np.sign(v[np.abs(v) > 1e-10 * np.max(np.abs(v))])
     assert int(np.sum(signs[1:] != signs[:-1])) == 1
+
+
+def test_solve_bvp_shoots_each_amplitude_once(monkeypatch):
+    # brentq starts from the last two scan points; each distinct ln a
+    # costs one IVP
+    calls = []
+
+    def counting(dimension, lam, amplitude, m):
+        calls.append(amplitude)
+        return zero_position(dimension, lam, amplitude, m)
+
+    monkeypatch.setattr(shooting, "zero_position", counting)
+    pt = solve_bvp(6, 20.0, 1)
+    assert pt.nodal_count == 1
+    assert len(calls) == len(set(calls)) > 2
 
 
 def test_solve_bvp_below_window_raises():
