@@ -7,7 +7,8 @@ configuration and the package version are embedded in every artifact;
 no timestamps or machine identifiers, so identical configuration gives
 byte-identical output.
 
-Exit codes: 0 success, 2 solver failure, 3 configuration error.
+Exit codes: 0 success, 2 solver failure, 3 configuration error (which
+includes an input a solver rejects as a precondition, a ValueError).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .auxiliary import (
 from .bubbles import constants
 from .continuation import extract_limit, trace_branch
 from .errors import BN6Error, ConfigError
+from .grid import MIN_CELLS
 from .reduction import (
     DEFAULT_EPS_MAGNITUDES,
     AnsatzSpec,
@@ -221,8 +223,9 @@ def _require_lambda(cfg: RunConfig) -> float:
     return cfg.lam
 
 
-def _profiles(cfg: RunConfig):
-    cert = find_lambda0(cfg.dimension)
+def _profiles(cfg: RunConfig, cert=None):
+    if cert is None:
+        cert = find_lambda0(cfg.dimension)
     return build_profiles(cfg.dimension, cert,
                           **({} if cfg.grid_n is None
                              else {"grid_n": cfg.grid_n}))
@@ -313,8 +316,15 @@ def cmd_aux_solve(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
-    profiles = _profiles(cfg)
-    report = essential_nondegeneracy(profiles, l_max=cfg.lmax)
+    cert = find_lambda0(cfg.dimension)
+    profiles = _profiles(cfg, cert)
+    # 2 v(0) - 1 gets its grid-refinement error bar from half the cells;
+    # below two minimal grids it has none (nan)
+    half = profiles.grid.n_cells // 2
+    coarse_v0 = (build_profiles(cfg.dimension, cert, grid_n=half).v0
+                 if half >= MIN_CELLS else None)
+    report = essential_nondegeneracy(profiles, l_max=cfg.lmax,
+                                     coarse_v0=coarse_v0)
     out = cfg.resolved_out()
     write_atomic(os.path.join(out, "nondeg.json"),
                  json_text(report.as_dict(), prov))
@@ -381,7 +391,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         prov = cfg.as_provenance(args.command)
         _DISPATCH[args.command](cfg, prov)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"bn6: config error: {exc}", file=sys.stderr)
         return 3
     except BN6Error as exc:

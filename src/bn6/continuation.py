@@ -12,15 +12,18 @@ with mu = lam a^{-4/(N-2)}, so lambda is smooth in ln a along a branch.
 The branch is therefore matched by predictor-corrector continuation: the
 last accepted points extrapolate lambda in ln a, and a secant corrector on
 z_m - 1 lands on the root in a few IVPs, the last of which is kept dense
-as the point's profile.  A bracketed scalar root find starts the trace
-and is the corrector's fallback.
+as the point's profile.  Every match searches the one admissible window
+(LAMBDA_FLOOR, 0.9999 lambda_m); a bracketed scalar root find in it
+starts the trace and is the corrector's fallback.
 
 As a -> infinity the positive part of the profile concentrates and
 lambda(a) tends to a dimension-dependent value strictly below the m-th
 radial eigenvalue.  The branch is sampled on a geometric amplitude
 schedule; the limit is recovered by fitting the tail with a power law
     lambda(a) = lambda_inf + C a^{-gamma},
-with the rate gamma fitted rather than assumed.
+with the rate gamma fitted rather than assumed; its error bar is the
+larger of the jackknife spread and the drift under a one-point window
+shift.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ CORRECTOR_SHOTS = 6
 # Relative offset of the corrector's second shot when no slope is known:
 # the forward-difference step that balances truncation against IVP noise.
 KICK = math.sqrt(RTOL)
-BOOTSTRAP_SAMPLES = 200
-BOOTSTRAP_SEED = 20260815
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,11 @@ class LimitEstimate:
     lam_inf + C a^{-gamma} (exponent = gamma) or "log" for
     lam_inf + C / (ln a - s) (exponent = 1, the decay order in ln a),
     the latter kept only when it beats the power law decisively.
-    uncertainty is the bootstrap spread of the extrapolation over
-    resampled tails; poor_fit flags a tail the selected model does not
-    describe, and a tail that is neither monotone nor alternating is a
-    warning carried by the flags, not a failure.
+    uncertainty is the larger of the jackknife spread of the
+    extrapolation and its drift when the tail window slides back one
+    point (inf when the jackknife fails); poor_fit flags a tail the
+    selected model does not describe, and a tail that is neither monotone
+    nor alternating is a warning carried by the flags, not a failure.
     """
 
     lam_infinity: float
@@ -208,13 +210,12 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
 
     Defaults follow the amplitude ranges that expose the limits at desk
     scale: ratio-2 growth up to 1e4, or 1e5 in dimension 6 where the
-    approach to the limit is slower.  The first point is bracketed over
-    the whole window (LAMBDA_FLOOR, 0.9999 lambda_m); each later one is
-    predicted from the accepted points and corrected inside (0.6, 1.5)
-    times the previous lambda, with the whole window as the last resort.
-    Raises BranchLostError when no schedule entry admits a matched
-    solution; partial failures are reported through Branch.diagnostics
-    instead.
+    approach to the limit is slower.  Each schedule entry is matched once
+    in the window (LAMBDA_FLOOR, 0.9999 lambda_m): the first point is
+    bracketed, each later one predicted from the accepted points and
+    corrected from the previous point's slope.  Raises BranchLostError
+    when no schedule entry admits a matched solution; partial failures
+    are reported through Branch.diagnostics instead.
     """
     if a_end is None:
         a_end = 1e5 if dimension == 6 else 1e4
@@ -228,15 +229,8 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
     diagnostics = []
     slope = None
     for a in schedule:
-        match = None
-        if rows:
-            lam_prev = rows[-1].lam
-            match = _match_lambda(dimension, a, m,
-                                  max(LAMBDA_FLOOR, 0.6 * lam_prev),
-                                  min(lam_hi, 1.5 * lam_prev),
-                                  _predict(rows, a), slope)
-        if match is None:
-            match = _match_lambda(dimension, a, m, LAMBDA_FLOOR, lam_hi)
+        match = _match_lambda(dimension, a, m, LAMBDA_FLOOR, lam_hi,
+                              _predict(rows, a) if rows else None, slope)
         if match is None:
             diagnostics.append((float(a), "no matching lambda in window"))
             continue
@@ -316,9 +310,10 @@ def extract_limit(branch: Branch, tail_length: int = 8) -> LimitEstimate:
     fitted alongside and kept only when its tail residual is decisively
     (2x) smaller: some branches close their spectral gap at a
     logarithmic rate, slower than any power, and the power fit then
-    stalls visibly above the limit.  The uncertainty is the spread of
-    lam_inf over bootstrap resamples of the tail under the selected
-    model.
+    stalls visibly above the limit.  The uncertainty is the jackknife
+    spread of lam_inf under the selected model, or 1.25 times its drift
+    when the tail window slides back one branch point, whichever is
+    larger.
     """
     if tail_length < 8:
         raise ValueError(f"tail must keep >= 8 points, got {tail_length}")
@@ -372,22 +367,8 @@ def extract_limit(branch: Branch, tail_length: int = 8) -> LimitEstimate:
     lam_inf, coeff = float(popt[0]), float(popt[1])
     exponent = float(popt[2]) if name == "power" else 1.0
 
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    resampled = []
-    for _ in range(BOOTSTRAP_SAMPLES):
-        pick = np.sort(rng.integers(0, tail_length, tail_length))
-        if len(np.unique(pick)) < 4:
-            continue
-        try:
-            resampled.append(_fit(model, amps[pick], lams[pick],
-                                  popt, bounds)[0])
-        except (RuntimeError, ValueError):
-            continue
-    uncertainty = float(np.std(resampled)) if len(resampled) >= 10 else math.inf
-
-    # Bootstrap-with-replacement understates single-point leverage on
-    # an 8-point tail; fold in the jackknife spread so the error bar
-    # covers what removing one tail point actually does to lam_inf.
+    # Dropping one tail point at a time measures single-point leverage
+    # on the short tail.
     jack = []
     for i in range(tail_length):
         keep = np.delete(np.arange(tail_length), i)
@@ -395,11 +376,11 @@ def extract_limit(branch: Branch, tail_length: int = 8) -> LimitEstimate:
             jack.append(_fit(model, amps[keep], lams[keep], popt, bounds)[0])
         except (RuntimeError, ValueError):
             continue
+    uncertainty = math.inf
     if len(jack) >= 4:
         n = len(jack)
-        jk = math.sqrt((n - 1) / n * np.sum((np.array(jack)
-                                             - np.mean(jack)) ** 2))
-        uncertainty = max(uncertainty, float(jk))
+        uncertainty = math.sqrt((n - 1) / n * np.sum((np.array(jack)
+                                                      - np.mean(jack)) ** 2))
 
     # Sliding the tail window back one branch point probes model drift
     # (the local rate is rarely settled); with the 1.25 coverage factor

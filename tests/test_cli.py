@@ -63,6 +63,34 @@ def test_missing_required_lambda_exits_3(tmp_path):
     assert run("ground-state", "--N", "3", "--out", str(tmp_path)) == 3
 
 
+def _config_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bn6: config error:")
+    return err[0]
+
+
+def test_short_limits_window_exits_3(tmp_path, capsys):
+    # a 1..64 window holds 7 points, one short of the 8-point tail
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("a_end = 64\n")
+    assert run("limits", "--N", "3", "--m", "1", "--config", str(cfg),
+               "--out", str(tmp_path)) == 3
+    assert "got 7" in _config_error_line(capsys)
+
+
+def test_short_fit_tail_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text("fit_min_points = 5\na_end = 256\n")
+    assert run("limits", "--N", "3", "--m", "1", "--config", str(cfg),
+               "--out", str(tmp_path)) == 3
+    assert "got 5" in _config_error_line(capsys)
+
+
+def test_too_coarse_nondeg_grid_exits_3(tmp_path, capsys):
+    assert run("nondeg", "--grid-n", "8", "--out", str(tmp_path)) == 3
+    assert "got 8" in _config_error_line(capsys)
+
+
 # ---------------------------------------------------------- config handling
 
 def test_parse_config_file_aliases_and_comments(tmp_path):
@@ -208,6 +236,16 @@ def test_limits_artifacts(tmp_path):
     assert est["lam_infinity"] == pytest.approx(math.pi ** 2 / 4.0, rel=0.08)
     assert len(est["tail"]) == 8
     assert (out / "limits_N3_m1_branch.csv").exists()
+
+
+def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
+    out = tmp_path / "nd"
+    assert run("nondeg", "--out", str(out)) == 0
+    doc = json.loads(read(out / "nondeg.json"))
+    survey = doc["survey"]
+    err = survey["two_v_error"]
+    assert math.isfinite(err) and err > 0.0
+    assert err < abs(survey["two_v_minus_one"])
 
 
 def test_expansion_fit_carries_rows(tmp_path):

@@ -261,3 +261,55 @@ def test_trace_branch_corrects_in_few_ivps(monkeypatch):
     assert max(predicted) <= 6
     # every IVP belongs to a match: the accepted shot is the profile
     assert sum(n for _, n in spent) == ivps[0]
+
+
+def test_trace_branch_matches_each_amplitude_once(monkeypatch):
+    # one match per schedule entry, over the whole admissible window: the
+    # first bracketed, every later one predicted and corrected
+    seen = []
+    match_lambda = continuation._match_lambda
+
+    def recording(dimension, amplitude, m, lo, hi, guess=None, slope=None):
+        seen.append((amplitude, lo, hi, guess is None))
+        return match_lambda(dimension, amplitude, m, lo, hi, guess, slope)
+
+    monkeypatch.setattr(continuation, "_match_lambda", recording)
+    branch = trace_branch(3, 1, a_end=256.0)
+    assert len(branch.points) == 9 and branch.diagnostics == ()
+    assert [a for a, *_ in seen] == list(branch.amplitudes)
+    hi = 0.9999 * dirichlet_eigenvalue(3, 1, n=1024)
+    assert all(lo == continuation.LAMBDA_FLOOR and top == hi
+               for _, lo, top, _ in seen)
+    assert [bracketed for *_, bracketed in seen] == [True] + [False] * 8
+
+
+def test_uncertainty_is_jackknife_or_window_shift(monkeypatch):
+    # record lam_inf of every tail fit: two full-tail fits (power, log),
+    # one per dropped point, then the window slid back one point
+    fits = []
+    fit = continuation._fit
+
+    def recording(model, a, y, p0, bounds):
+        popt = fit(model, a, y, p0, bounds)
+        fits.append((len(a), float(a[-1]), float(popt[0])))
+        return popt
+
+    monkeypatch.setattr(continuation, "_fit", recording)
+    for count in (11, 8):
+        fits.clear()
+        amps = np.geomspace(1e2, 1e5, count)
+        # a second, slower correction keeps the fitted rate drifting
+        lams = 5.0 + 3.0 * amps ** -0.6 + 0.5 * amps ** -0.25
+        est = extract_limit(_synthetic_branch(amps, lams))
+        jack = np.array([lam for n, _, lam in fits if n == 7])
+        assert len(jack) == 8
+        spread = math.sqrt(7 / 8 * np.sum((jack - jack.mean()) ** 2))
+        shifted = [lam for n, last, lam in fits[2:]
+                   if n == 8 and last == amps[-2]]
+        if count == 8:
+            assert shifted == []
+            assert est.uncertainty == pytest.approx(spread, rel=1e-12)
+        else:
+            drift = 1.25 * abs(shifted[0] - est.lam_infinity)
+            assert drift > spread  # the window shift binds, as on branches
+            assert est.uncertainty == pytest.approx(drift, rel=1e-12)
