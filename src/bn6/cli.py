@@ -26,7 +26,7 @@ from .auxiliary import (
     essential_nondegeneracy,
 )
 from .bubbles import constants
-from .continuation import extract_limit, trace_branch
+from .continuation import MIN_TAIL_POINTS, extract_limit, trace_branch
 from .errors import BN6Error, ConfigError
 from .grid import MIN_CELLS
 from .reduction import (
@@ -63,7 +63,7 @@ class RunConfig:
     """Resolved run parameters; every field has a documented default.
 
     dimension        space dimension N (default 6)
-    grid_n           grid cells; None defers to each solver's own default
+    grid_n           grid cells (>= 16); None defers to each solver's default
     lam              fixed lambda for ground-state (no default: required
                      there), optional center value lam for constants
     m                nodal region count (default 1)
@@ -72,7 +72,7 @@ class RunConfig:
     eps_grid         "start:ratio:count" magnitudes; None means the
                      expansion module default
     lmax             angular sectors scanned by nondeg (default 24)
-    fit_min_points   tail length used by limits (default 8)
+    fit_min_points   tail length used by limits (default and minimum 8)
     out              output directory (default $BN6_OUT, else ".")
     format           "csv" or "json"; table artifacts with a pinned CSV
                      header are always written as CSV, and "json" adds a
@@ -87,7 +87,7 @@ class RunConfig:
     a_end: float | None = None
     eps_grid: str | None = None
     lmax: int = DEFAULT_L_MAX
-    fit_min_points: int = 8
+    fit_min_points: int = MIN_TAIL_POINTS
     out: str | None = None
     format: str = "csv"
 
@@ -201,6 +201,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             overrides[f.name] = value
     if overrides:
         cfg = replace(cfg, **overrides)
+    # reject what a solver would refuse only after the solves before it
+    if cfg.fit_min_points < MIN_TAIL_POINTS:
+        raise ConfigError(f"fit_min_points must be >= {MIN_TAIL_POINTS}, "
+                          f"got {cfg.fit_min_points}")
+    if cfg.grid_n is not None and cfg.grid_n < MIN_CELLS:
+        raise ConfigError(f"--grid-n (grid_n) must be >= {MIN_CELLS}, "
+                          f"got {cfg.grid_n}")
     return cfg
 
 

@@ -58,6 +58,8 @@ CORRECTOR_SHOTS = 6
 # Relative offset of the corrector's second shot when no slope is known:
 # the forward-difference step that balances truncation against IVP noise.
 KICK = math.sqrt(RTOL)
+# Shortest tail extract_limit fits (cli checks fit_min_points against it).
+MIN_TAIL_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def _log_seed(x, lams):
     return lam0, ga * (x[0] - s0), s0
 
 
-def extract_limit(branch: Branch, tail_length: int = 8) -> LimitEstimate:
+def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEstimate:
     """Extrapolate the large-amplitude limit of lambda from the tail.
 
     The default tail law is lambda(a) = lam_inf + C a^{-gamma} with the
@@ -315,8 +317,8 @@ def extract_limit(branch: Branch, tail_length: int = 8) -> LimitEstimate:
     when the tail window slides back one branch point, whichever is
     larger.
     """
-    if tail_length < 8:
-        raise ValueError(f"tail must keep >= 8 points, got {tail_length}")
+    if tail_length < MIN_TAIL_POINTS:
+        raise ValueError(f"tail must keep >= {MIN_TAIL_POINTS} points, got {tail_length}")
     if len(branch.points) < tail_length:
         raise ValueError(
             f"limit extraction needs >= {tail_length} branch points, "

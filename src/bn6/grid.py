@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,30 +36,22 @@ def ball_volume(dimension: int) -> float:
     return sphere_area(dimension) / dimension
 
 
-def _moment(a: float, b: float, p: int) -> float:
-    # integral_a^b r^p dr, exact
-    return (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-
-
 def hat_moments(nodes: np.ndarray, p: int) -> np.ndarray:
     """Exact per-node moments int phi_i(r) r^p dr of the linear hats.
 
     With p = N - 1 these are the lumped masses, and sum_i w_i f(r_i) is
-    int_0^1 f r^{N-1} dr exactly for piecewise-linear f.  The per-cell
-    loop is deliberate: numpy's vectorised ** differs from the scalar
-    power in the last bit at a few percent of the nodes, and the weights
-    are kept bit-stable.
+    int_0^1 f r^{N-1} dr exactly for piecewise-linear f.  On the cell
+    [a, b] of width h the hats are (b - r)/h and (r - a)/h, so the left
+    node gets (b m0 - m1)/h and the right node (m1 - a m0)/h, with
+    m0 = int_a^b r^p dr and m1 = int_a^b r^{p+1} dr.
     """
-    n = len(nodes) - 1
-    out = np.zeros(n + 1)
-    for i in range(n):
-        a, b = nodes[i], nodes[i + 1]
-        h = b - a
-        m0 = _moment(a, b, p)          # int r^p
-        m1 = _moment(a, b, p + 1)      # int r^{p+1}
-        # linear hat parts: f ~ f_a (b-r)/h + f_b (r-a)/h
-        out[i] += (b * m0 - m1) / h
-        out[i + 1] += (m1 - a * m0) / h
+    a, b = nodes[:-1], nodes[1:]
+    m0 = np.diff(nodes ** (p + 1)) / (p + 1)
+    m1 = np.diff(nodes ** (p + 2)) / (p + 2)
+    h = b - a
+    out = np.zeros(len(nodes))
+    out[:-1] += (b * m0 - m1) / h
+    out[1:] += (m1 - a * m0) / h
     return out
 
 
@@ -104,12 +95,6 @@ class RadialGrid:
     def cell_masses(self) -> np.ndarray:
         """Lumped masses m_i = int r^{N-1} phi_i dr (no omega_N factor)."""
         return self.quad_weights / sphere_area(self.dimension)
-
-    @cached_property
-    def centrifugal_moments(self) -> np.ndarray:
-        """Hat moments int phi_i r^{N-3} dr; sector l scales them by
-        l(l + N - 2).  Computed once per grid, shared by every sector."""
-        return hat_moments(self.nodes, self.dimension - 3)
 
 
 def _validate_nodes(nodes: np.ndarray) -> None:

@@ -76,18 +76,20 @@ def _fnl_prime(u, p):
     return p * np.abs(u) ** (p - 1.0)
 
 
-def _series_start(dimension: int, lam: float, a: float, p: float):
-    """Start point (r0, u, u') from the regular series u = a + c r^2 + d r^4.
-
-    Matching orders r^0 and r^2 of the equation gives
-    c = -(lam a + f(a)) / (2N) and d = -(lam + f'(a)) c / (4 (N + 2));
-    r0 is chosen so the neglected r^6 term is far below the integrator
-    tolerance.
+def _series(dimension: int, lam: float, a: float, p: float):
+    """Coefficients (c, d) of the regular series u = a + c r^2 + d r^4:
+    orders r^0 and r^2 of the equation give c = -(lam a + f(a)) / (2N)
+    and d = -(lam + f'(a)) c / (4 (N + 2)).
     """
-    N = dimension
-    fa = _fnl(a, p)
-    c = -(lam * a + fa) / (2.0 * N)
-    d = -(lam + _fnl_prime(a, p)) * c / (4.0 * (N + 2.0))
+    c = -(lam * a + _fnl(a, p)) / (2.0 * dimension)
+    d = -(lam + _fnl_prime(a, p)) * c / (4.0 * (dimension + 2.0))
+    return c, d
+
+
+def _series_start(dimension: int, lam: float, a: float, p: float):
+    """Start point (r0, u, u') on the regular series (`_series`), with r0
+    so small that the neglected r^6 term is far below the IVP tolerance."""
+    c, d = _series(dimension, lam, a, p)
     scale = math.sqrt(abs(a) / max(abs(c), 1e-300))
     r0 = max(min(1e-3, 0.01 * scale), 1e-250)
     u0 = a + c * r0 ** 2 + d * r0 ** 4
@@ -164,8 +166,7 @@ def _sample(sol, r0: float, dimension: int, lam: float, a: float, p: float,
     derivs = np.empty_like(r)
     below = r < r0
     if np.any(below):
-        c = -(lam * a + _fnl(a, p)) / (2.0 * dimension)
-        d = -(lam + _fnl_prime(a, p)) * c / (4.0 * (dimension + 2.0))
+        c, d = _series(dimension, lam, a, p)
         rb = r[below]
         vals[below] = a + c * rb ** 2 + d * rb ** 4
         derivs[below] = 2.0 * c * rb + 4.0 * d * rb ** 3

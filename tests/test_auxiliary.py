@@ -8,10 +8,14 @@ import pytest
 from bn6.auxiliary import (
     build_profiles,
     essential_nondegeneracy,
+    solve_v,
     survey_concentration_points,
     w_eta,
 )
-from bn6.operators import OperatorSpec, sector_eigenvalues, weak_apply
+from bn6.errors import NotConvergedError
+from bn6.grid import make_grid
+from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues, weak_apply
+from bn6.shooting import shoot
 
 V0_FROZEN = -3.2284188994808511
 W0_FROZEN = 0.10573771048525127
@@ -44,6 +48,30 @@ def test_v_and_w_solve_their_equations(profiles):
     rhs = profiles.v.values + np.sign(profiles.u0.values) * profiles.v.values ** 2
     res_w = weak_apply(op, profiles.w) - rhs
     assert np.max(np.abs(res_w[1:-1])) / np.max(np.abs(rhs)) < 1e-7
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
+    # a relative error of 1e-13 in the solution of the v equation is
+    # caught; the solve itself passes
+    u0 = shoot(6, certificate.lam0, certificate.amplitude,
+               grid=make_grid(6, n)).profile
+    solve_v(u0, certificate.lam0)
+    factor = _Assembled.factor
+
+    def corrupted(self, lam):
+        solve = factor(self, lam)
+
+        def noisy(rhs):
+            x = solve(rhs)
+            noise = np.random.default_rng(0).standard_normal(len(x))
+            return x * (1.0 + 1e-13 * noise)
+
+        return noisy
+
+    monkeypatch.setattr(_Assembled, "factor", corrupted)
+    with pytest.raises(NotConvergedError):
+        solve_v(u0, certificate.lam0)
 
 
 def test_v_grid_refinement(profiles, profiles_coarse):

@@ -78,17 +78,26 @@ def test_short_limits_window_exits_3(tmp_path, capsys):
     assert "got 7" in _config_error_line(capsys)
 
 
-def test_short_fit_tail_exits_3(tmp_path, capsys):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a solver ran before the config was checked")
+
+
+def test_short_fit_tail_exits_3(tmp_path, capsys, monkeypatch):
+    # rejected before a single branch point is traced
+    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
     cfg = tmp_path / "tail.cfg"
-    cfg.write_text("fit_min_points = 5\na_end = 256\n")
+    cfg.write_text("fit_min_points = 5\n")
     assert run("limits", "--N", "3", "--m", "1", "--config", str(cfg),
                "--out", str(tmp_path)) == 3
-    assert "got 5" in _config_error_line(capsys)
+    line = _config_error_line(capsys)
+    assert "got 5" in line and "fit_min_points" in line
 
 
-def test_too_coarse_nondeg_grid_exits_3(tmp_path, capsys):
+def test_too_coarse_nondeg_grid_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
     assert run("nondeg", "--grid-n", "8", "--out", str(tmp_path)) == 3
-    assert "got 8" in _config_error_line(capsys)
+    line = _config_error_line(capsys)
+    assert "got 8" in line and "--grid-n" in line
 
 
 # ---------------------------------------------------------- config handling

@@ -1,9 +1,12 @@
 """Grid construction, exact-moment quadrature, and norms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bn6.grid import (
@@ -11,6 +14,7 @@ from bn6.grid import (
     ball_volume,
     differentiate,
     h1_norm,
+    hat_moments,
     integrate,
     lp_norm,
     make_core_grid,
@@ -44,6 +48,41 @@ def test_linear_integrand_exact():
     g = make_grid(6, 64, grading="geometric", ratio=50.0)
     f = RadialFn.from_values(g, g.nodes.copy())
     assert integrate(f) == pytest.approx(sphere_area(6) / 7.0, rel=1e-14)
+
+
+def _exact_hat_moments(nodes, p):
+    # the per-cell moments of the linear hats in rational arithmetic on
+    # the same (binary) nodes
+    r = [Fraction(x) for x in nodes]
+    out = [Fraction(0)] * len(r)
+    for i, (a, b) in enumerate(zip(r, r[1:])):
+        m0 = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        m1 = (b ** (p + 2) - a ** (p + 2)) / (p + 2)
+        out[i] += (b * m0 - m1) / (b - a)
+        out[i + 1] += (m1 - a * m0) / (b - a)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(16, 256), dim=st.integers(3, 6),
+       ratio=st.one_of(st.just(1.0), st.floats(1.5, 200.0)),
+       centrifugal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_hat_moments_integrate_piecewise_linear_exactly(n, dim, ratio,
+                                                         centrifugal, seed):
+    grading = "uniform" if ratio == 1.0 else "geometric"
+    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    p = dim - 3 if centrifugal else dim - 1
+    exact = _exact_hat_moments(g.nodes, p)
+    f = np.random.default_rng(seed).standard_normal(len(g.nodes))
+    # int f r^p dr for the piecewise-linear f through the node values
+    want = sum(Fraction(fi) * wi for fi, wi in zip(f, exact))
+    got = Fraction(float(np.dot(hat_moments(g.nodes, p), f)))
+    # b^{p+1} - a^{p+1} and b m0 - m1 cancel in a cell [a, b] of width
+    # h, so a weight carries a rounding error of about u (b/h)^2
+    u = np.finfo(float).eps / 2
+    amplification = float(np.max(g.nodes[1:] / g.spacings)) ** 2
+    size = sum(abs(Fraction(fi)) * wi for fi, wi in zip(f, exact))
+    assert abs(got - want) <= 4 * u * amplification * size
 
 
 def test_quadrature_second_order():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
@@ -13,6 +13,8 @@ from scipy.special import jn_zeros, jv
 from bn6.errors import NearSingularError
 from bn6.grid import RadialFn, make_grid
 from bn6.operators import (
+    BACKWARD_ERROR_TOL,
+    NEAR_SINGULAR_RTOL,
     OperatorSpec,
     apply_operator,
     assemble,
@@ -140,6 +142,63 @@ def test_discrete_duality():
         rhs = float(np.dot(m * a, lb))
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-12
+
+
+# random operators for the property suites: a uniform or geometric grid,
+# a Gaussian well, and lam below, inside or (on coarse grids) above the
+# spectrum
+random_operators = dict(
+    n=st.integers(16, 256), dim=st.integers(3, 6), sector=st.integers(0, 4),
+    ratio=st.one_of(st.just(1.0), st.floats(1.5, 200.0)),
+    depth=st.floats(0.0, 200.0), width=st.floats(0.05, 1.0),
+    lam=st.floats(-1e4, 1e5), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _random_operator(n, dim, sector, ratio, depth, width, lam):
+    grading = "uniform" if ratio == 1.0 else "geometric"
+    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    q = depth * np.exp(-(g.nodes / width) ** 2)
+    return OperatorSpec(g, sector=sector, lam=lam, potential=q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_operators)
+def test_discrete_duality_random_grids(n, dim, sector, ratio, depth, width,
+                                       lam, seed):
+    op = _random_operator(n, dim, sector, ratio, depth, width, lam)
+    m = op.grid.cell_masses()
+    a, b = np.random.default_rng(seed).standard_normal((2, n + 1))
+    a[-1] = b[-1] = 0.0
+    if sector > 0:
+        a[0] = b[0] = 0.0
+    la = weak_apply(op, RadialFn.from_values(op.grid, a))
+    lb = weak_apply(op, RadialFn.from_values(op.grid, b))
+    # <M L a, b> = <a, M L b> up to the rounding of two length-n sums
+    size = np.dot(m * np.abs(la), np.abs(b)) + np.dot(m * np.abs(a), np.abs(lb))
+    u = np.finfo(float).eps / 2
+    assert abs(np.dot(m * la, b) - np.dot(m * a, lb)) <= n * u * size
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_operators)
+def test_solve_then_weak_apply_round_trip(n, dim, sector, ratio, depth, width,
+                                          lam, seed):
+    op = _random_operator(n, dim, sector, ratio, depth, width, lam)
+    asm = assemble(op)
+    assume(asm.min_singular(lam) >= 2 * NEAR_SINGULAR_RTOL * asm.scale())
+    g = np.random.default_rng(seed).standard_normal(n + 1)
+    x = solve_dirichlet(op, RadialFn.from_values(op.grid, g))
+    # weak_apply's flux form recomputes A x by another route; at the
+    # unknown nodes M (L x - g) is the residual of a backward-stable solve
+    idx = asm.idx
+    m = asm.masses
+    res = m * (weak_apply(op, x) - g)[idx]
+    d, e = asm.shifted(lam)
+    row = np.abs(d)
+    row[:-1] += np.abs(e)
+    row[1:] += np.abs(e)
+    size = np.max(row) * np.max(np.abs(x.values)) + np.max(np.abs(m * g[idx]))
+    assert np.max(np.abs(res)) <= BACKWARD_ERROR_TOL * size
 
 
 def test_near_singular_raises():
