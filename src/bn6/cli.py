@@ -66,12 +66,12 @@ class RunConfig:
     grid_n           grid cells (>= 16); None defers to each solver's default
     lam              fixed lambda for ground-state (no default: required
                      there), optional center value lam for constants
-    m                nodal region count (default 1)
+    m                nodal region count (>= 1, default 1)
     a_start, a_end   amplitude window for branch/limits; a_end None means
                      the dimension default of trace_branch
-    eps_grid         "start:ratio:count" magnitudes; None means the
-                     expansion module default
-    lmax             angular sectors scanned by nondeg (default 24)
+    eps_grid         "start:ratio:count" magnitudes (count >= 2, ratio
+                     != 1); None means the expansion module default
+    lmax             angular sectors scanned by nondeg (>= 0, default 24)
     fit_min_points   tail length used by limits (default and minimum 8)
     out              output directory (default $BN6_OUT, else ".")
     format           "csv" or "json"; table artifacts with a pinned CSV
@@ -147,19 +147,21 @@ def parse_config_file(path: str) -> dict:
 
 
 def parse_eps_grid(spec: str | None):
-    """Magnitude schedule "start:ratio:count" -> tuple of floats."""
+    """Magnitude schedule "start:ratio:count" -> tuple of floats; at least
+    two distinct magnitudes, so that a rate can be fitted."""
     if spec is None:
         return None
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"eps grid must be start:ratio:count, got {spec!r}")
+        raise ConfigError(f"--eps-grid must be start:ratio:count, "
+                          f"got {spec!r}")
     try:
         start, ratio, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad eps grid {spec!r}") from exc
-    if start <= 0.0 or ratio <= 0.0 or count < 1:
-        raise ConfigError(f"eps grid needs start>0, ratio>0, count>=1, "
-                          f"got {spec!r}")
+        raise ConfigError(f"bad --eps-grid {spec!r}") from exc
+    if start <= 0.0 or ratio <= 0.0 or ratio == 1.0 or count < 2:
+        raise ConfigError(f"--eps-grid needs start > 0, ratio > 0 and != 1, "
+                          f"count >= 2, got {spec!r}")
     return tuple(start * ratio ** k for k in range(count))
 
 
@@ -208,6 +210,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.grid_n is not None and cfg.grid_n < MIN_CELLS:
         raise ConfigError(f"--grid-n (grid_n) must be >= {MIN_CELLS}, "
                           f"got {cfg.grid_n}")
+    if cfg.lmax < 0:
+        raise ConfigError(f"--lmax (lmax) must be >= 0, got {cfg.lmax}")
+    if cfg.m < 1:
+        raise ConfigError(f"--m (m) must be >= 1, got {cfg.m}")
     return cfg
 
 
@@ -342,9 +348,9 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
+    magnitudes = parse_eps_grid(cfg.eps_grid) or DEFAULT_EPS_MAGNITUDES
     profiles = _profiles(cfg)
     sign, tau = case1_parameters(profiles)
-    magnitudes = parse_eps_grid(cfg.eps_grid) or DEFAULT_EPS_MAGNITUDES
     rows = []
     for mag in magnitudes:
         eps = sign * mag
@@ -364,8 +370,8 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
-    profiles = _profiles(cfg)
     magnitudes = parse_eps_grid(cfg.eps_grid)
+    profiles = _profiles(cfg)
     report = expansion_check(profiles,
                              **({} if magnitudes is None
                                 else {"eps_magnitudes": magnitudes}))

@@ -21,7 +21,10 @@ as O(1) quantities and loses the cubic coefficient to roundoff at small
 mu.  Quadrature is composite Gauss on panels aligned with the spline
 knots and refined geometrically at the bubble scale, which integrates
 spline-by-spline products exactly and resolves the mu-core without
-adaptive overhead.
+adaptive overhead.  The sign change of V is the only kink of the
+integrands of an (eps, mu) row, so each row has one panel set, split
+there: the energy gap, the residual norm and the single-shot J(V) that
+audits the gap are integrated together on it.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ from .operators import OperatorSpec, apply_operator
 from .shooting import newton_refine
 
 GAUSS_ORDER = 12
+# Gauss nodes per evaluation of a panel integrand; bounds the memory that
+# a stack of integrands and its temporaries take
+QUAD_CHUNK = 6144
 RESOLUTION_FACTOR = 20.0
 # the constant term of J(V) - J(z): the bubble energy (1/6) int_{R^6} U^3
 C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
@@ -105,12 +111,14 @@ class _SplineSet:
     def dz(self, r, eps: float):
         return self.du0(r) + eps * self.dv(r) + eps ** 2 * self.dw(r)
 
-    def source(self, r, eps: float):
-        """-Delta z - lam z with lam = lam0 + eps, via the defining
+    def fields(self, r, eps: float):
+        """z, z' and the source -Delta z - lam z (lam = lam0 + eps), with
+        u_0, v, w evaluated once.  The source follows from the defining
         equations: (u_0 + eps v)^2 + 2 eps^2 u_0 w - eps^3 w."""
-        u0 = self.u0(r)
-        w = self.w(r)
-        return (u0 + eps * self.v(r)) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+        u0, v, w = self.u0(r), self.v(r), self.w(r)
+        z = u0 + eps * v + eps ** 2 * w
+        source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+        return z, self.dz(r, eps), source
 
     def neg_laplacian_z(self, r, eps: float):
         u0, v, w = self.u0(r), self.v(r), self.w(r)
@@ -123,17 +131,21 @@ class _SplineSet:
 # ---------------------------------------------------------------------------
 # panel quadrature: exact on spline products, geometric at the bubble core
 
-def _panel_integral(f, edges: np.ndarray, order: int = GAUSS_ORDER) -> float:
+def _panel_integral(f, edges: np.ndarray, order: int = GAUSS_ORDER):
+    """Composite Gauss integral over the panels `edges`; f may return a
+    stack of integrands (one per row), which are integrated together,
+    QUAD_CHUNK nodes at a time."""
     nodes, weights = leggauss(order)
     a = edges[:-1]
     h = np.diff(edges)
     x = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
     w = (0.5 * h[:, None] * weights[None, :]).ravel()
-    return float(np.dot(w, f(x)))
+    return sum(f(x[k:k + QUAD_CHUNK]) @ w[k:k + QUAD_CHUNK]
+               for k in range(0, len(x), QUAD_CHUNK))
 
 
-def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float, hi: float,
-                      extra=()) -> np.ndarray:
+def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
+                      hi: float) -> np.ndarray:
     pts = [lo, hi]
     pts.extend(knots[(knots > lo) & (knots < hi)])
     scale = mu / 16.0
@@ -141,15 +153,9 @@ def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float, hi: float,
         if lo < scale:
             pts.append(scale)
         scale *= 2.0
-    pts.extend(p for p in extra if lo < p < hi)
     edges = np.unique(np.asarray(pts, dtype=float))
     keep = np.concatenate([[True], np.diff(edges) > 1e-14])
     return edges[keep]
-
-
-def _ball_quad(f, edges: np.ndarray) -> float:
-    """Integral over the ball of a radial integrand: omega_6 int f r^5 dr."""
-    return sphere_area(6) * _panel_integral(lambda r: f(r) * r ** 5, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +199,6 @@ class AnsatzProfile:
     @property
     def grid(self) -> RadialGrid:
         return self.fn.grid
-
-
-def assemble_z(profiles: AuxProfiles, eps: float,
-               grid: RadialGrid | None = None) -> RadialFn:
-    """The smooth part z = u_0 + eps v + eps^2 w."""
-    if grid is None or grid is profiles.grid:
-        vals = (profiles.u0.values + eps * profiles.v.values
-                + eps ** 2 * profiles.w.values)
-        derivs = (profiles.u0.derivative + eps * profiles.v.derivative
-                  + eps ** 2 * profiles.w.derivative)
-        return RadialFn(profiles.grid, vals, derivs, regular_origin=True)
-    S = _SplineSet(profiles)
-    return RadialFn(grid, S.z(grid.nodes, eps), S.dz(grid.nodes, eps),
-                    regular_origin=True)
 
 
 def _sign_crossing(S: _SplineSet, eps: float, mu: float) -> float:
@@ -255,45 +247,6 @@ def _check_resolved(grid: RadialGrid, mu: float) -> None:
             f"(need spacing <= mu/{RESOLUTION_FACTOR:.0f} near the origin)")
 
 
-def _residual_fields(S: _SplineSet, eps: float, mu: float, lam: float):
-    """Pointwise residual of V inside and outside the sign change, in
-    cancellation-free form.
-
-    With G := -Delta z, the residual -Delta V - lam V - f(V) equals
-    (G - lam z) - U^2 + lam W - f(z - W); the source identity replaces
-    G - lam z, and the U^2-vs-f(V) difference is expanded so no large
-    squares survive.
-    """
-    c = boundary_trace(mu)
-
-    def inner(r):
-        # V = z - W < 0: f(V) = -(W - z)^2
-        z = S.z(r, eps)
-        u = talenti_u(r, mu)
-        w = u - c
-        return (S.source(r, eps) + lam * w
-                - 2.0 * u * (z + c) + (z + c) ** 2)
-
-    def outer(r):
-        # V = z - W > 0: f(V) = (z - W)^2
-        z = S.z(r, eps)
-        u = talenti_u(r, mu)
-        w = u - c
-        return (S.source(r, eps) + lam * w - u ** 2 - (z - w) ** 2)
-
-    return inner, outer
-
-
-def _residual_l32(S: _SplineSet, eps: float, mu: float, lam: float,
-                  crossing: float) -> float:
-    inner, outer = _residual_fields(S, eps, mu, lam)
-    inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
-    outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
-    total = (_ball_quad(lambda r: np.abs(inner(r)) ** 1.5, inner_edges)
-             + _ball_quad(lambda r: np.abs(outer(r)) ** 1.5, outer_edges))
-    return total ** (2.0 / 3.0)
-
-
 def residual_norm(v, lam: float) -> float:
     """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V.
 
@@ -303,7 +256,7 @@ def residual_norm(v, lam: float) -> float:
     """
     if isinstance(v, AnsatzProfile):
         _check_resolved(v.fn.grid, v.mu)
-        return _residual_l32(v.splines, v.eps, v.mu, lam, v.crossing)
+        return _row_integrals(v.splines, v.eps, v.mu, lam, v.crossing)[1]
     if isinstance(v, RadialFn):
         op = OperatorSpec(v.grid, sector=0, lam=lam)
         vals = apply_operator(op, v) - np.abs(v.values) * v.values
@@ -391,82 +344,71 @@ def energy(u, lam: float) -> float:
 
 def _base_energy(S: _SplineSet, eps: float, lam: float) -> float:
     """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3."""
-    edges = S.knots
-
     def integrand(r):
         z = S.z(r, eps)
         if np.any(z < 0.0):
             raise ConfigError("z must stay positive on the ball for the "
                               "base-energy formula; reduce |eps|")
         return (0.5 * z * S.neg_laplacian_z(r, eps)
-                - 0.5 * lam * z ** 2 - z ** 3 / 3.0)
+                - 0.5 * lam * z ** 2 - z ** 3 / 3.0) * r ** 5
 
-    return _ball_quad(integrand, edges)
+    return sphere_area(6) * float(_panel_integral(integrand, S.knots))
 
 
-def _energy_gap(S: _SplineSet, eps: float, mu: float, lam: float,
-                crossing: float) -> float:
-    """J(V) - J(z) assembled from pointwise-small differences.
+def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
+                   crossing: float) -> tuple[float, float, float]:
+    """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, J(V)) of one
+    ansatz row, from one pass of panel quadrature.
 
-    Quadratic groups use the exact bubble integrals; the cubic group is
-    split at the sign change and expanded so each integrand is evaluated
-    without subtracting O(1) totals.
+    The sign change of V is the only kink of these integrands, so the
+    mu-refined panels of [0, crossing] and [crossing, 1] serve all of
+    them, and z, U and the source are evaluated once on their nodes.
+
+    The gap is assembled from pointwise-small differences: the quadratic
+    groups use the exact bubble integrals, and the cubic group is
+    expanded on each side of the sign change, so no O(1) totals are
+    subtracted.  The residual is in cancellation-free form: with
+    G := -Delta z it equals (G - lam z) - U^2 + lam W - f(z - W), the
+    source identity replaces G - lam z, and the U^2-vs-f(V) difference is
+    expanded so no large squares survive.  J(V) is the single-shot
+    quadrature of its kinetic, quadratic and cubic integrands, which
+    audits the assembled gap.
     """
     c = boundary_trace(mu)
-    iu = ball_integral_u(mu)
+
+    def integrands(inside: bool):
+        def f(r):
+            z, dz, source = S.fields(r, eps)
+            u = talenti_u(r, mu)
+            w = u - c
+            v = z - w
+            if inside:
+                # V = z - W < 0: f(V) = -(W - z)^2
+                cubic = (-w ** 3 / 3.0 + w ** 2 * z - w * z ** 2
+                         + 2.0 * z ** 3 / 3.0)
+                resid = source + lam * w - 2.0 * u * (z + c) + (z + c) ** 2
+            else:
+                # V = z - W > 0: f(V) = (z - W)^2
+                cubic = z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
+                resid = source + lam * w - u ** 2 - (z - w) ** 2
+            direct = (0.5 * (dz - talenti_du(r, mu)) ** 2
+                      - 0.5 * lam * v ** 2 - np.abs(v) ** 3 / 3.0)
+            return np.stack((z * u ** 2, z * w, cubic, np.abs(resid) ** 1.5,
+                             direct)) * r ** 5
+        return f
+
+    inner = _panel_integral(integrands(True),
+                            _mu_refined_edges(S.knots, mu, 0.0, crossing))
+    outer = _panel_integral(integrands(False),
+                            _mu_refined_edges(S.knots, mu, crossing, 1.0))
+    zu2, zw, cubic_gap, resid, direct = sphere_area(6) * (inner + outer)
+
     iu2 = ball_integral_u2(mu)
-    iu3 = ball_integral_u3(mu)
-    w_l2 = iu2 - 2.0 * c * iu + c ** 2 * ball_volume(6)
-
-    def wfield(r):
-        return talenti_u(r, mu) - c
-
-    def zu2(r):
-        return S.z(r, eps) * talenti_u(r, mu) ** 2
-
-    def zw(r):
-        return S.z(r, eps) * wfield(r)
-
-    full_edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0)
-    grad_gap = -_ball_quad(zu2, full_edges) + 0.5 * (iu3 - c * iu2)
-    mass_gap = lam * _ball_quad(zw, full_edges) - 0.5 * lam * w_l2
-
-    def cubic_inner(r):
-        z, w = S.z(r, eps), wfield(r)
-        return -w ** 3 / 3.0 + w ** 2 * z - w * z ** 2 + 2.0 * z ** 3 / 3.0
-
-    def cubic_outer(r):
-        z, w = S.z(r, eps), wfield(r)
-        return z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
-
-    inner_edges = _mu_refined_edges(S.knots, mu, 0.0, crossing)
-    outer_edges = _mu_refined_edges(S.knots, mu, crossing, 1.0)
-    cubic_gap = (_ball_quad(cubic_inner, inner_edges)
-                 + _ball_quad(cubic_outer, outer_edges))
-
-    return grad_gap + mass_gap + cubic_gap
-
-
-def _direct_ansatz_energy(S: _SplineSet, eps: float, mu: float, lam: float,
-                          crossing: float) -> float:
-    """Single-shot J(V) by quadrature, used to audit the assembled gap."""
-    c = boundary_trace(mu)
-
-    def kinetic(r):
-        return 0.5 * (S.dz(r, eps) - talenti_du(r, mu)) ** 2
-
-    def vfield(r):
-        return S.z(r, eps) - (talenti_u(r, mu) - c)
-
-    def quadratic(r):
-        return -0.5 * lam * vfield(r) ** 2
-
-    def cubic(r):
-        return -np.abs(vfield(r)) ** 3 / 3.0
-
-    edges = _mu_refined_edges(S.knots, mu, 0.0, 1.0, extra=(crossing,))
-    return (_ball_quad(kinetic, edges) + _ball_quad(quadratic, edges)
-            + _ball_quad(cubic, edges))
+    w_l2 = iu2 - 2.0 * c * ball_integral_u(mu) + c ** 2 * ball_volume(6)
+    grad_gap = -zu2 + 0.5 * (ball_integral_u3(mu) - c * iu2)
+    mass_gap = lam * zw - 0.5 * lam * w_l2
+    return (float(grad_gap + mass_gap + cubic_gap),
+            float(resid ** (2.0 / 3.0)), float(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +515,8 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
     lam0 = profiles.lam0
     ratios = []
     for mu in mu_values:
-        crossing = _sign_crossing(S, 0.0, mu)
-        delta = _energy_gap(S, 0.0, mu, lam0, crossing)
+        delta, _, _ = _row_integrals(S, 0.0, mu, lam0,
+                                     _sign_crossing(S, 0.0, mu))
         ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
     # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
@@ -613,13 +555,13 @@ def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
 
 def expansion_check(profiles: AuxProfiles,
                     eps_magnitudes=DEFAULT_EPS_MAGNITUDES,
-                    tau_multipliers=DEFAULT_TAU_MULTIPLIERS,
-                    audit_rows: int = 2) -> ExpansionReport:
+                    tau_multipliers=DEFAULT_TAU_MULTIPLIERS) -> ExpansionReport:
     """Sweep (eps, mu) on the fixed-center schedule and fit the expansion.
 
     Every row carries J(V), J(z), their gap, the three-term prediction,
-    and the residual norm; audit_rows rows are recomputed by single-shot
-    quadrature of J(V) to bound the assembly error of the gap route.
+    and the residual norm.  Every row is audited: audit_gap is the
+    distance of the single-shot quadrature of J(V) from J(z) + gap, a
+    bound on the assembly error of the gap route.
     """
     mags = sorted(float(m) for m in eps_magnitudes)
     if len(mags) < 6:
@@ -632,22 +574,15 @@ def expansion_check(profiles: AuxProfiles,
     sign, tau0 = case1_parameters(profiles)
 
     rows = []
-    audit_set = {0, len(mags) - 1} if audit_rows >= 2 else set()
-    for i, mag in enumerate(mags):
+    for mag in mags:
         eps = sign * mag
         lam = lam0 + eps
         j_base = _base_energy(S, eps, lam)
         for t in tau_multipliers:
             mu = t * tau0 * mag
-            crossing = _sign_crossing(S, eps, mu)
-            delta = _energy_gap(S, eps, mu, lam, crossing)
+            delta, resid, direct = _row_integrals(
+                S, eps, mu, lam, _sign_crossing(S, eps, mu))
             e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
-            resid = _residual_l32(S, eps, mu, lam, crossing)
-            if i in audit_set and t == 1.0:
-                direct = _direct_ansatz_energy(S, eps, mu, lam, crossing)
-                audit = abs(direct - j_base - delta)
-            else:
-                audit = math.nan
             rows.append(ExpansionRow(
                 eps=eps,
                 tau_mult=t,
@@ -658,7 +593,7 @@ def expansion_check(profiles: AuxProfiles,
                 e_pred=e_pred,
                 defect=delta - C2 + e_pred,
                 residual_l32=resid,
-                audit_gap=audit,
+                audit_gap=abs(direct - j_base - delta),
             ))
 
     eps_arr = np.array([row.eps for row in rows])

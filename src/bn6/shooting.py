@@ -350,7 +350,6 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
 @dataclass(frozen=True, eq=False)
 class NewtonResult:
     profile: RadialFn = field(repr=False)
-    distance_h1: float
     iterations: int
     residual_history: tuple
     multiplier: float = 0.0
@@ -485,18 +484,5 @@ def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
         raise NotConvergedError(
             f"Newton did not converge in {max_iter} iterations "
             f"(last residual {history[-1]:.3e})")
-    refined = RadialFn.from_values(grid, u)
-    err = refined.values - guess.values
-    dist = h1_distance_values(grid, err)
-    return NewtonResult(refined, dist, it + 1, tuple(history),
+    return NewtonResult(RadialFn.from_values(grid, u), it + 1, tuple(history),
                         a / pin_scale if pin is not None else 0.0)
-
-
-def h1_distance_values(grid: RadialGrid, err: np.ndarray) -> float:
-    """H^1(B_1) norm of a nodal error function via the stiffness form."""
-    asm = assemble(OperatorSpec(grid, sector=0))
-    flux = asm.k * np.diff(err)
-    grad = float(np.dot(np.diff(err), flux))
-    mass = float(np.dot(grid.cell_masses(), err ** 2))
-    from .grid import sphere_area
-    return math.sqrt(sphere_area(grid.dimension) * (grad + mass))

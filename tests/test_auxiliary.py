@@ -30,6 +30,8 @@ def test_profile_structure(profiles):
     assert profiles.u0.values[0] == pytest.approx(profiles.amplitude,
                                                   rel=1e-12)
     assert np.all(profiles.u0.values[:-1] > 0.0)
+    # the boundary value inherits the shooting residual of u_0, nothing more
+    assert abs(profiles.u0.values[-1]) < 1e-12
     assert profiles.v.values[-1] == 0.0
     assert profiles.w.values[-1] == 0.0
     assert profiles.v0 == pytest.approx(V0_FROZEN, rel=1e-8)

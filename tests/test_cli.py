@@ -100,6 +100,31 @@ def test_too_coarse_nondeg_grid_exits_3(tmp_path, capsys, monkeypatch):
     assert "got 8" in line and "--grid-n" in line
 
 
+def test_negative_lmax_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
+    assert run("nondeg", "--lmax", "-1", "--out", str(tmp_path)) == 3
+    line = _config_error_line(capsys)
+    assert "--lmax (lmax) must be >= 0, got -1" in line
+
+
+def test_zero_nodal_count_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
+    assert run("limits", "--m", "0", "--out", str(tmp_path)) == 3
+    line = _config_error_line(capsys)
+    assert "--m (m) must be >= 1, got 0" in line
+
+
+@pytest.mark.parametrize("command,grid", [
+    ("ansatz-check", "0.05:2:1"), ("expansion-check", "0.05:1:3")])
+def test_degenerate_eps_grid_exits_3(tmp_path, capsys, monkeypatch,
+                                     command, grid):
+    # one magnitude, or several equal ones, cannot fit an exponent
+    monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
+    assert run(command, "--eps-grid", grid, "--out", str(tmp_path)) == 3
+    line = _config_error_line(capsys)
+    assert "--eps-grid" in line and grid in line
+
+
 # ---------------------------------------------------------- config handling
 
 def test_parse_config_file_aliases_and_comments(tmp_path):
@@ -144,7 +169,8 @@ def test_parse_eps_grid():
     got = parse_eps_grid("0.2:0.5:4")
     assert got == pytest.approx((0.2, 0.1, 0.05, 0.025))
     assert parse_eps_grid(None) is None
-    for bad in ("0.2:0.5", "a:b:c", "0.2:0.5:0", "-0.1:0.5:3"):
+    for bad in ("0.2:0.5", "a:b:c", "0.2:0.5:0", "-0.1:0.5:3",
+                "0.05:2:1", "0.05:1:3"):
         with pytest.raises(ConfigError):
             parse_eps_grid(bad)
 
@@ -265,11 +291,10 @@ def test_expansion_fit_carries_rows(tmp_path):
             "e_pred", "defect", "residual_l32", "audit_gap"}
     assert fit["rows"]
     assert all(set(row) == keys for row in fit["rows"])
-    # two rows are audited by direct quadrature; the rest carry NaN
+    # every row is audited by direct quadrature
     audits = [row["audit_gap"] for row in fit["rows"]]
-    finite = [a for a in audits if a != "nan"]
-    assert len(finite) == 2
-    assert all(math.isfinite(a) and a < 1e-5 for a in finite)
+    assert all(isinstance(a, float) and math.isfinite(a) and a < 1e-5
+               for a in audits)
 
 
 def test_ansatz_check_artifacts(tmp_path):

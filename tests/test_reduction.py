@@ -1,12 +1,10 @@
 """Bubble ansatz assembly, reduced energies, expansion and refinement sweeps."""
 
-import math
-
 import numpy as np
 import pytest
 
 from bn6.auxiliary import AuxProfiles
-from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
+from bn6.bubbles import boundary_trace, d1_closed_form, d2_value, project_bubble
 from bn6.errors import ConfigError, RadialModeViolationError
 from bn6.grid import RadialFn, make_grid
 from bn6.reduction import (
@@ -14,7 +12,6 @@ from bn6.reduction import (
     PAPER_MU3_RATIO,
     AnsatzSpec,
     assemble_ansatz,
-    assemble_z,
     case1_parameters,
     cubic_coefficient_probe,
     energy,
@@ -137,29 +134,22 @@ def test_ansatz_spec_validation(profiles):
     assert spec.mu == 1e-3
 
 
-def test_assemble_z_native_grid(profiles):
-    eps = -0.05
-    z = assemble_z(profiles, eps)
-    expect = (profiles.u0.values + eps * profiles.v.values
-              + eps ** 2 * profiles.w.values)
-    assert np.array_equal(z.values, expect)
-    # the boundary value inherits the shooting residual of u_0, nothing more
-    assert abs(z.values[-1]) < 1e-12
-
-
 def test_assemble_z_splines_follow_their_profiles():
     # each AuxProfiles is freed before the next is built, so CPython
-    # hands the next one the same id; the resampled z must still come
-    # from the new values
+    # hands the next one the same id; the resampled z = V + W of the
+    # eps = 0 ansatz must still come from the new values
     grid = make_grid(6, 64)
     finer = make_grid(6, 256)
+    mu = 0.1
+    W, _ = project_bubble(finer, mu)
     fns = [RadialFn.from_values(grid, k * (1.0 - grid.nodes ** 2))
            for k in range(1, 9)]
     for k, fn in enumerate(fns, 1):
         p = AuxProfiles(6, 20.0, float(k), fn, fn, fn)
-        z = assemble_z(p, 0.0, grid=finer)
+        ansatz = assemble_ansatz(AnsatzSpec(p, 0.0, mu), grid=finer)
         del p
-        assert np.max(np.abs(z.values - k * (1.0 - finer.nodes ** 2))) < 1e-12
+        z = ansatz.fn.values + W.values
+        assert np.max(np.abs(z - k * (1.0 - finer.nodes ** 2))) < 1e-12
 
 
 def test_assemble_ansatz_structure(profiles):
@@ -234,7 +224,7 @@ def test_expansion_check_report(profiles, expansion):
     assert len(report.rows) == 40  # 8 magnitudes x 5 multipliers
     assert report.tau_star_value == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
 
-    # row bookkeeping: mu schedule, defect definition, audit rows
+    # row bookkeeping: mu schedule, defect definition
     for row in report.rows:
         assert row.mu == pytest.approx(
             row.tau_mult * TAU_STAR_FROZEN * abs(row.eps), rel=1e-8)
@@ -242,10 +232,8 @@ def test_expansion_check_report(profiles, expansion):
             row.delta - report.c2_closed + row.e_pred, abs=1e-12)
         assert row.j_ansatz == pytest.approx(row.j_base + row.delta,
                                              rel=1e-12)
-    audits = [row.audit_gap for row in report.rows
-              if not math.isnan(row.audit_gap)]
-    assert len(audits) == 2
-    assert all(a < 1e-5 for a in audits)
+    # every row is audited by single-shot quadrature of J(V)
+    assert all(row.audit_gap < 1e-5 for row in report.rows)
 
     # the constant term of the fit recovers the closed-form c2
     assert report.coef_const == pytest.approx(report.c2_closed, rel=1e-6)

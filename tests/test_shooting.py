@@ -8,7 +8,7 @@ from scipy.special import jn_zeros
 
 from bn6 import shooting
 from bn6.errors import BN6Error, NoSignChangeError
-from bn6.grid import RadialFn
+from bn6.grid import RadialFn, h1_norm
 from bn6.shooting import (
     BranchPoint,
     critical_exponent,
@@ -207,4 +207,8 @@ def test_newton_refine_is_a_local_contraction(certificate):
     again = newton_refine(pert, certificate.lam0)
     disagreement = np.max(np.abs(base.profile.values - again.profile.values))
     assert disagreement <= 1e-8 * certificate.amplitude
-    assert again.distance_h1 > base.distance_h1  # it had farther to travel
+
+    def travel(result, guess):
+        return h1_norm(RadialFn.from_values(
+            prof.grid, result.profile.values - guess.values))
+    assert travel(again, pert) > travel(base, prof)  # it had farther to travel
