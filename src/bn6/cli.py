@@ -31,6 +31,7 @@ from .errors import BN6Error, ConfigError
 from .grid import MIN_CELLS
 from .reduction import (
     DEFAULT_EPS_MAGNITUDES,
+    MIN_EPS_MAGNITUDES,
     AnsatzSpec,
     assemble_ansatz,
     case1_parameters,
@@ -371,6 +372,9 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
 
 def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
     magnitudes = parse_eps_grid(cfg.eps_grid)
+    if magnitudes is not None and len(magnitudes) < MIN_EPS_MAGNITUDES:
+        raise ConfigError(f"expansion-check needs --eps-grid count >= "
+                          f"{MIN_EPS_MAGNITUDES}, got {cfg.eps_grid!r}")
     profiles = _profiles(cfg)
     report = expansion_check(profiles,
                              **({} if magnitudes is None

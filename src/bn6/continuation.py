@@ -11,8 +11,9 @@ By the critical dilation (bn6.shooting), z_m(lam, a) = Z_m(mu) a^{-2/(N-2)}
 with mu = lam a^{-4/(N-2)}, so lambda is smooth in ln a along a branch.
 The branch is therefore matched by predictor-corrector continuation: the
 last accepted points extrapolate lambda in ln a, and a secant corrector on
-z_m - 1 lands on the root in a few IVPs, the last of which is kept dense
-as the point's profile.  Every match searches the one admissible window
+z_m - 1 lands on the root in a few IVPs.  Only the shot expected to be
+accepted carries dense output, and it is the point's profile; the others
+only locate the zero.  Every match searches the one admissible window
 (LAMBDA_FLOOR, 0.9999 lambda_m); a bracketed scalar root find in it
 starts the trace and is the corrector's fallback.
 
@@ -58,6 +59,12 @@ CORRECTOR_SHOTS = 6
 # Relative offset of the corrector's second shot when no slope is known:
 # the forward-difference step that balances truncation against IVP noise.
 KICK = math.sqrt(RTOL)
+# Corrector shots only locate the zero, except the one fired once
+# |z_m - 1| is below DENSE_BELOW: the secant is then expected to land
+# within RTOL, so that shot is dense and becomes the profile.  The last
+# allowed shot is dense too.  On the N = 3-6, m = 1, 2 traces the largest
+# residual a secant step brought within RTOL was 6.7e-6.
+DENSE_BELOW = 1e-5
 # Shortest tail extract_limit fits (cli checks fit_min_points against it).
 MIN_TAIL_POINTS = 8
 
@@ -141,10 +148,15 @@ def _match_lambda(dimension: int, amplitude: float, m: int, lo: float,
     branch point (None when the bracket found the root).
 
     From a guess inside the window, secant steps on z_m - 1 (the first
-    along `slope`, or a relative KICK without one) stop at |z_m - 1| <=
-    RTOL, the IVP's own tolerance.  These shots are dense, so the accepted
-    one is the profile.  A corrector that leaves the window or has not
-    converged in CORRECTOR_SHOTS shots hands over to the bracket.
+    along `slope`, or a relative KICK without one) stop at a dense shot
+    with |z_m - 1| <= RTOL, the IVP's own tolerance; that shot is the
+    profile.  Shots are plain zero_position IVPs until |z_m - 1| <=
+    DENSE_BELOW, and the shot after that, like the last allowed one, is
+    shoot_to_zero: the same steps and the same zero, with dense output.
+    A plain shot that already meets RTOL is followed by one more secant
+    step, fired dense, so no lambda is shot twice.  A corrector that
+    leaves the window or has not converged in CORRECTOR_SHOTS shots hands
+    over to the bracket.
 
     z_m is strictly decreasing in lambda (module docstring), so z_m - 1
     has at most one root in the window, bracketed exactly when the
@@ -173,17 +185,21 @@ def _match_lambda(dimension: int, amplitude: float, m: int, lo: float,
 
     if guess is not None and lo < guess < hi:
         lam = guess
-        res, sample = fire(lam, dense=True)
-        for _ in range(CORRECTOR_SHOTS - 1):
-            if abs(res) <= RTOL:
+        res, sample = fire(lam, dense=False)
+        for shot in range(2, CORRECTOR_SHOTS + 1):  # the guess was shot 1
+            if sample is not None and abs(res) <= RTOL:
                 break
             step = -res / slope if slope else KICK * lam
+            if lam + step == lam:
+                # a plain shot on the root: fire the dense one an ulp away
+                step = math.nextafter(lam, hi) - lam
             if not lo < lam + step < hi:
                 break
-            res_next, sample = fire(lam + step, dense=True)
+            res_next, sample = fire(lam + step, dense=abs(res) <= DENSE_BELOW
+                                    or shot == CORRECTOR_SHOTS)
             slope = (res_next - res) / step
             lam, res = lam + step, res_next
-        if abs(res) <= RTOL:
+        if sample is not None and abs(res) <= RTOL:
             return sample(), slope
 
     right = min((lam for lam, res in shots.items() if res <= 0.0),

@@ -356,9 +356,10 @@ def _base_energy(S: _SplineSet, eps: float, lam: float) -> float:
 
 
 def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
-                   crossing: float) -> tuple[float, float, float]:
-    """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, J(V)) of one
-    ansatz row, from one pass of panel quadrature.
+                   crossing: float) -> tuple[float, float, float, float]:
+    """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, the
+    single-shot J(V) - J(z), the single-shot J(z)) of one ansatz row, from
+    one pass of panel quadrature.
 
     The sign change of V is the only kink of these integrands, so the
     mu-refined panels of [0, crossing] and [crossing, 1] serve all of
@@ -370,9 +371,10 @@ def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
     subtracted.  The residual is in cancellation-free form: with
     G := -Delta z it equals (G - lam z) - U^2 + lam W - f(z - W), the
     source identity replaces G - lam z, and the U^2-vs-f(V) difference is
-    expanded so no large squares survive.  J(V) is the single-shot
-    quadrature of its kinetic, quadratic and cubic integrands, which
-    audits the assembled gap.
+    expanded so no large squares survive.  The single-shot J(V) - J(z)
+    integrates the difference of the two functionals' kinetic, quadratic
+    and cubic integrands pointwise, which audits the assembled gap; the
+    single-shot J(z) checks _base_energy's form of J(z).
     """
     c = boundary_trace(mu)
 
@@ -391,24 +393,27 @@ def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
                 # V = z - W > 0: f(V) = (z - W)^2
                 cubic = z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
                 resid = source + lam * w - u ** 2 - (z - w) ** 2
-            direct = (0.5 * (dz - talenti_du(r, mu)) ** 2
-                      - 0.5 * lam * v ** 2 - np.abs(v) ** 3 / 3.0)
+            direct_z = (0.5 * dz ** 2 - 0.5 * lam * z ** 2
+                        - np.abs(z) ** 3 / 3.0)
+            direct_v = (0.5 * (dz - talenti_du(r, mu)) ** 2
+                        - 0.5 * lam * v ** 2 - np.abs(v) ** 3 / 3.0)
             return np.stack((z * u ** 2, z * w, cubic, np.abs(resid) ** 1.5,
-                             direct)) * r ** 5
+                             direct_v - direct_z, direct_z)) * r ** 5
         return f
 
     inner = _panel_integral(integrands(True),
                             _mu_refined_edges(S.knots, mu, 0.0, crossing))
     outer = _panel_integral(integrands(False),
                             _mu_refined_edges(S.knots, mu, crossing, 1.0))
-    zu2, zw, cubic_gap, resid, direct = sphere_area(6) * (inner + outer)
+    zu2, zw, cubic_gap, resid, direct_gap, direct_z = (
+        sphere_area(6) * (inner + outer))
 
     iu2 = ball_integral_u2(mu)
     w_l2 = iu2 - 2.0 * c * ball_integral_u(mu) + c ** 2 * ball_volume(6)
     grad_gap = -zu2 + 0.5 * (ball_integral_u3(mu) - c * iu2)
     mass_gap = lam * zw - 0.5 * lam * w_l2
     return (float(grad_gap + mass_gap + cubic_gap),
-            float(resid ** (2.0 / 3.0)), float(direct))
+            float(resid ** (2.0 / 3.0)), float(direct_gap), float(direct_z))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +433,7 @@ class ExpansionRow:
     defect: float
     residual_l32: float
     audit_gap: float
+    base_form_gap: float
 
     def as_dict(self) -> dict:
         return {
@@ -441,6 +447,7 @@ class ExpansionRow:
             "defect": self.defect,
             "residual_l32": self.residual_l32,
             "audit_gap": self.audit_gap,
+            "base_form_gap": self.base_form_gap,
         }
 
 
@@ -497,6 +504,9 @@ class ExpansionReport:
 
 
 DEFAULT_EPS_MAGNITUDES = tuple(np.geomspace(0.02, 0.25, 8))
+# Fewest eps magnitudes expansion_check fits (cli checks --eps-grid
+# against it).
+MIN_EPS_MAGNITUDES = 6
 DEFAULT_TAU_MULTIPLIERS = (0.6, 0.8, 1.0, 1.25, 1.5)
 REFINEMENT_EPS_MAGNITUDES = tuple(np.geomspace(0.05, 0.4, 6))
 
@@ -515,8 +525,8 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
     lam0 = profiles.lam0
     ratios = []
     for mu in mu_values:
-        delta, _, _ = _row_integrals(S, 0.0, mu, lam0,
-                                     _sign_crossing(S, 0.0, mu))
+        delta, *_ = _row_integrals(S, 0.0, mu, lam0,
+                                   _sign_crossing(S, 0.0, mu))
         ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
     # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
@@ -560,12 +570,15 @@ def expansion_check(profiles: AuxProfiles,
 
     Every row carries J(V), J(z), their gap, the three-term prediction,
     and the residual norm.  Every row is audited: audit_gap is the
-    distance of the single-shot quadrature of J(V) from J(z) + gap, a
-    bound on the assembly error of the gap route.
+    distance of the single-shot quadrature of J(V) - J(z) from the gap,
+    a bound on the assembly error of the gap route, and base_form_gap is
+    the distance of the single-shot J(z) from j_base, which comes from
+    the -Delta z form of _base_energy.
     """
     mags = sorted(float(m) for m in eps_magnitudes)
-    if len(mags) < 6:
-        raise ConfigError("at least 6 eps magnitudes are required")
+    if len(mags) < MIN_EPS_MAGNITUDES:
+        raise ConfigError(f"at least {MIN_EPS_MAGNITUDES} eps magnitudes "
+                          f"are required")
     if len(set(mags)) != len(mags):
         raise ConfigError("eps magnitudes must be distinct")
     S = _SplineSet(profiles)
@@ -580,7 +593,7 @@ def expansion_check(profiles: AuxProfiles,
         j_base = _base_energy(S, eps, lam)
         for t in tau_multipliers:
             mu = t * tau0 * mag
-            delta, resid, direct = _row_integrals(
+            delta, resid, direct_gap, direct_z = _row_integrals(
                 S, eps, mu, lam, _sign_crossing(S, eps, mu))
             e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
             rows.append(ExpansionRow(
@@ -593,7 +606,8 @@ def expansion_check(profiles: AuxProfiles,
                 e_pred=e_pred,
                 defect=delta - C2 + e_pred,
                 residual_l32=resid,
-                audit_gap=abs(direct - j_base - delta),
+                audit_gap=abs(direct_gap - delta),
+                base_form_gap=abs(direct_z - j_base),
             ))
 
     eps_arr = np.array([row.eps for row in rows])

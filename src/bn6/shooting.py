@@ -98,11 +98,15 @@ def _series_start(dimension: int, lam: float, a: float, p: float):
 
 
 def _make_rhs(dimension: int, lam: float, p: float):
+    """Right-hand side of the first-order system, on Python floats: the
+    operations of `_fnl` in the same order, so the value is bit-identical
+    and the per-step cost of numpy scalars is avoided."""
     nm1 = dimension - 1.0
+    q = p - 1.0
 
     def rhs(r, y):
-        u, du = y
-        return (du, -nm1 / r * du - lam * u - _fnl(u, p))
+        u, du = y.tolist()
+        return (du, -nm1 / r * du - lam * u - abs(u) ** q * u)
 
     return rhs
 

@@ -115,10 +115,12 @@ def test_zero_nodal_count_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,grid", [
-    ("ansatz-check", "0.05:2:1"), ("expansion-check", "0.05:1:3")])
+    ("ansatz-check", "0.05:2:1"), ("expansion-check", "0.05:1:3"),
+    ("expansion-check", "0.05:1.5:3")])
 def test_degenerate_eps_grid_exits_3(tmp_path, capsys, monkeypatch,
                                      command, grid):
-    # one magnitude, or several equal ones, cannot fit an exponent
+    # one magnitude, or several equal ones, cannot fit an exponent, and
+    # the expansion fit needs MIN_EPS_MAGNITUDES
     monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
     assert run(command, "--eps-grid", grid, "--out", str(tmp_path)) == 3
     line = _config_error_line(capsys)
@@ -288,12 +290,13 @@ def test_expansion_fit_carries_rows(tmp_path):
     assert run("expansion-check", "--out", str(out)) == 0
     fit = json.loads(read(out / "expansion_fit.json"))
     keys = {"eps", "tau_mult", "mu", "j_ansatz", "j_base", "delta",
-            "e_pred", "defect", "residual_l32", "audit_gap"}
+            "e_pred", "defect", "residual_l32", "audit_gap",
+            "base_form_gap"}
     assert fit["rows"]
     assert all(set(row) == keys for row in fit["rows"])
-    # every row is audited by direct quadrature
+    # every row's gap is audited by direct quadrature of J(V) - J(z)
     audits = [row["audit_gap"] for row in fit["rows"]]
-    assert all(isinstance(a, float) and math.isfinite(a) and a < 1e-5
+    assert all(isinstance(a, float) and math.isfinite(a) and a < 1e-10
                for a in audits)
 
 

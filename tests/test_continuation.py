@@ -233,13 +233,21 @@ def test_match_lambda_guess_outside_window_is_bracketed():
 
 def test_trace_branch_corrects_in_few_ivps(monkeypatch):
     # after the bracketed start every point is predicted and corrected:
-    # at most 6 IVPs each, dense profile included
+    # at most 6 IVPs each, dense profile included, and only the shot
+    # expected to be accepted is dense
     ivps = [0]
     solve_ivp = shooting.solve_ivp
 
     def counting_ivp(*args, **kwargs):
         ivps[0] += 1
         return solve_ivp(*args, **kwargs)
+
+    dense = []
+    shoot_dense = continuation.shoot_to_zero
+
+    def counting_dense(dimension, lam, amplitude, m):
+        dense.append(lam)
+        return shoot_dense(dimension, lam, amplitude, m)
 
     spent = []
     match_lambda = continuation._match_lambda
@@ -251,6 +259,7 @@ def test_trace_branch_corrects_in_few_ivps(monkeypatch):
         return match
 
     monkeypatch.setattr(shooting, "solve_ivp", counting_ivp)
+    monkeypatch.setattr(continuation, "shoot_to_zero", counting_dense)
     monkeypatch.setattr(continuation, "_match_lambda", recording)
     branch = trace_branch(6, 2, a_start=1.0, a_end=2.0 ** 12)
     assert branch.diagnostics == ((1.0, "3 nodal regions"),)
@@ -259,6 +268,7 @@ def test_trace_branch_corrects_in_few_ivps(monkeypatch):
     predicted = [n for guessed, n in spent if guessed]
     assert len(predicted) == 11
     assert max(predicted) <= 6
+    assert len(dense) < 1.5 * len(predicted)
     # every IVP belongs to a match: the accepted shot is the profile
     assert sum(n for _, n in spent) == ivps[0]
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from bn6 import shooting
@@ -70,7 +72,36 @@ def test_zero_position_decreasing_in_lambda():
     assert zs[0] > zs[1] > zs[2]
 
 
+def _signed(lo_exp: float, hi_exp: float):
+    return st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from((-1.0, 1.0)), st.floats(lo_exp, hi_exp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(3, 6), lam=st.floats(0.0, 100.0),
+       r=st.floats(-250.0, 1.0).map(lambda e: 10.0 ** e),
+       u=st.one_of(st.just(0.0), _signed(-300.0, 8.0)),
+       du=st.one_of(st.just(0.0), _signed(-300.0, 8.0)))
+def test_rhs_is_the_numpy_formula_bit_for_bit(dim, lam, r, u, du):
+    # the float kernel performs _fnl's operations in the same order, so
+    # every IVP takes the same steps as with numpy scalars
+    p = critical_exponent(dim)
+    y = np.array([u, du])
+    yu, ydu = y
+    want = (ydu, -(dim - 1) / r * ydu - lam * yu - shooting._fnl(yu, p))
+    got = shooting._make_rhs(dim, lam, p)(r, y)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 def test_shoot_to_zero_is_zero_position_kept_dense():
+    # dense output does not change the steps: the same zero to the bit,
+    # also on the noisy N = 4 tail and on the N = 3 ground state
+    for dim, lam, amplitude, m in ((4, 15.870007, 1e6, 2),
+                                   (4, 15.87, 1e6, 2),
+                                   (3, 4.0, 0.5, 1), (3, 4.0, 8.0, 1)):
+        zero, _ = shoot_to_zero(dim, lam, amplitude, m)
+        assert zero is not None
+        assert zero == zero_position(dim, lam, amplitude, m)
     lam = 25.0
     a = solve_bvp(6, lam, 2).amplitude
     for amplitude in (0.9 * a, 1.1 * a, a):
