@@ -221,6 +221,31 @@ def test_match_lambda_corrector_lands_on_bracketed_root(monkeypatch):
     assert len(calls) == len(set(calls)) <= continuation.CORRECTOR_SHOTS
 
 
+def test_plain_shot_on_the_root_is_not_shot_again(monkeypatch):
+    # a plain shot that already meets RTOL is followed by one dense shot;
+    # when the secant step rounds to zero it goes one ulp up, so the same
+    # lambda is not shot twice
+    lo, hi = continuation.LAMBDA_FLOOR, 0.9999 * RADIAL_EV[(6, 2)]
+    root = continuation._match_lambda(6, 100.0, 2, lo, hi)[0].lam
+    plain, dense = [], []
+
+    def exact_at_root(dimension, lam, amplitude, m):
+        plain.append(lam)
+        return 1.0 if lam == root else zero_position(dimension, lam,
+                                                     amplitude, m)
+
+    def counting_dense(dimension, lam, amplitude, m):
+        dense.append(lam)
+        return shoot_to_zero(dimension, lam, amplitude, m)
+
+    monkeypatch.setattr(continuation, "zero_position", exact_at_root)
+    monkeypatch.setattr(continuation, "shoot_to_zero", counting_dense)
+    shot, _ = continuation._match_lambda(6, 100.0, 2, lo, hi, root, -0.02)
+    assert plain == [root]
+    assert dense == [math.nextafter(root, hi)] == [shot.lam]
+    assert nodal_count(shot.profile) == 2
+
+
 def test_match_lambda_guess_outside_window_is_bracketed():
     lo, hi = 20.0, 0.9999 * RADIAL_EV[(6, 2)]
     plain, plain_slope = continuation._match_lambda(6, 100.0, 2, lo, hi)
