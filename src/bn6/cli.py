@@ -14,6 +14,7 @@ includes an input a solver rejects as a precondition, a ValueError).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -63,13 +64,15 @@ ANSATZ_HEADER = "eps,mu_bar,residual_L32"
 class RunConfig:
     """Resolved run parameters; every field has a documented default.
 
-    dimension        space dimension N (default 6)
+    dimension        space dimension N (>= 3, default 6)
     grid_n           grid cells (>= 16); None defers to each solver's default
     lam              fixed lambda for ground-state (no default: required
-                     there), optional center value lam for constants
+                     there), optional center value lam for constants;
+                     finite
     m                nodal region count (>= 1, default 1)
-    a_start, a_end   amplitude window for branch/limits; a_end None means
-                     the dimension default of trace_branch
+    a_start, a_end   amplitude window for branch/limits, finite with
+                     0 < a_start < a_end; a_end None means the dimension
+                     default of trace_branch
     eps_grid         "start:ratio:count" magnitudes (count >= 2, ratio
                      != 1); None means the expansion module default
     lmax             angular sectors scanned by nondeg (>= 0, default 24)
@@ -215,6 +218,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--lmax (lmax) must be >= 0, got {cfg.lmax}")
     if cfg.m < 1:
         raise ConfigError(f"--m (m) must be >= 1, got {cfg.m}")
+    if cfg.dimension < 3:
+        raise ConfigError(f"--N (dimension) must be >= 3, "
+                          f"got {cfg.dimension}")
+    if cfg.lam is not None and not math.isfinite(cfg.lam):
+        raise ConfigError(f"--lambda (lam) must be finite, got {cfg.lam}")
+    if not (math.isfinite(cfg.a_start) and cfg.a_start > 0.0):
+        raise ConfigError(f"a_start must be finite and > 0, "
+                          f"got {cfg.a_start}")
+    if cfg.a_end is not None and not (math.isfinite(cfg.a_end)
+                                      and cfg.a_end > cfg.a_start):
+        raise ConfigError(f"a_end must be finite and > a_start "
+                          f"({cfg.a_start}), got {cfg.a_end}")
     return cfg
 
 

@@ -114,6 +114,50 @@ def test_zero_nodal_count_exits_3(tmp_path, capsys, monkeypatch):
     assert "--m (m) must be >= 1, got 0" in line
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (("ground-state", "--N", "2", "--lambda", "5"), None,
+     "--N (dimension) must be >= 3, got 2"),
+    (("branch",), "a_start = 0", "a_start must be finite and > 0, got 0.0"),
+    (("branch",), "a_start = -1",
+     "a_start must be finite and > 0, got -1.0"),
+    (("limits",), "a_start = nan", "a_start must be finite and > 0, got nan"),
+    (("branch",), "a_end = inf",
+     "a_end must be finite and > a_start (1.0), got inf"),
+    (("limits",), "a_start = 4\na_end = 2",
+     "a_end must be finite and > a_start (4.0), got 2.0")])
+def test_bad_dimension_or_amplitude_window_exits_3(tmp_path, capsys,
+                                                   monkeypatch, argv, config,
+                                                   message):
+    # rejected by name before any solve, not by a ZeroDivisionError,
+    # OverflowError or math domain error inside one
+    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
+    monkeypatch.setattr("bn6.cli.solve_bvp", _must_not_run)
+    args = list(argv) + ["--out", str(tmp_path)]
+    if config is not None:
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(config + "\n")
+        args += ["--config", str(cfg)]
+    assert run(*args) == 3
+    assert message in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_exits_3(tmp_path, capsys, monkeypatch, lam):
+    monkeypatch.setattr("bn6.cli.solve_bvp", _must_not_run)
+    assert run("ground-state", "--lambda", lam, "--out", str(tmp_path)) == 3
+    line = _config_error_line(capsys)
+    assert f"--lambda (lam) must be finite, got {lam}" in line
+
+
+def test_overflowing_lambda_exits_3(tmp_path, capsys):
+    # 1e300 is finite, but the regular series at the first amplitude
+    # overflows and the IVP driver refuses the non-finite start
+    with pytest.warns(RuntimeWarning):
+        code = run("ground-state", "--lambda", "1e300", "--out", str(tmp_path))
+    assert code == 3
+    assert "is not finite" in _config_error_line(capsys)
+
+
 @pytest.mark.parametrize("command,grid", [
     ("ansatz-check", "0.05:2:1"), ("expansion-check", "0.05:1:3"),
     ("expansion-check", "0.05:1.5:3")])

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from bn6 import shooting
-from bn6.errors import BN6Error, NoSignChangeError
+from bn6.errors import BlowUpBeforeOneError, BN6Error, NoSignChangeError
 from bn6.grid import RadialFn, h1_norm
 from bn6.shooting import (
     BranchPoint,
@@ -89,8 +90,109 @@ def test_rhs_is_the_numpy_formula_bit_for_bit(dim, lam, r, u, du):
     y = np.array([u, du])
     yu, ydu = y
     want = (ydu, -(dim - 1) / r * ydu - lam * yu - shooting._fnl(yu, p))
-    got = shooting._make_rhs(dim, lam, p)(r, y)
+    got = shooting._make_rhs(dim, lam, p)(r, u, du)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def _scipy_ivp(dim, lam, a, r_end, dense, max_zeros):
+    """The reference: scipy.integrate.solve_ivp with the zero and blow-up
+    events, as _integrate called it before bn6 drove DOP853 itself."""
+    p = critical_exponent(dim)
+    r0, u0, du0 = shooting._series_start(dim, lam, a, p)
+    rhs = shooting._make_rhs(dim, lam, p)
+
+    def zero(r, y):
+        return y[0]
+
+    zero.direction = 0.0
+    if max_zeros is not None:
+        zero.terminal = max_zeros
+
+    def blowup(r, y):
+        return abs(y[0]) - shooting.BLOWUP_FACTOR * abs(a)
+
+    blowup.terminal = True
+    sol = scipy.integrate.solve_ivp(
+        lambda r, y: rhs(r, *y.tolist()), (r0, r_end), (u0, du0),
+        method="DOP853", rtol=shooting.RTOL, atol=shooting.ATOL,
+        events=(zero, blowup), dense_output=dense)
+    assert sol.success
+    return sol, r0, p
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_same_ivp(dim, lam, a, max_zeros, dense):
+    r_end = 1.0 if max_zeros is None else 10.0
+    want, r0, p = _scipy_ivp(dim, lam, a, r_end, dense, max_zeros)
+    got, _, _ = shooting._integrate(dim, lam, a, r_end, dense, max_zeros)
+    assert _hex(got.zeros) == _hex(want.t_events[0])
+    assert got.nfev == want.nfev
+    assert _hex((got.r_end, *got.y_end)) == _hex((want.t[-1],
+                                                  *want.y[:, -1]))
+    if dense:
+        grid = shooting.profile_grid(dim, a)
+        f_want = shooting._sample(want, r0, dim, lam, a, p, grid)
+        f_got = shooting._sample(got, r0, dim, lam, a, p, grid)
+        assert _hex(f_got.values) == _hex(f_want.values)
+        assert _hex(f_got.derivative) == _hex(f_want.derivative)
+    return got
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(3, 6), lam=st.floats(0.01, 80.0),
+       ln_a=st.floats(-5.0, 18.0), max_zeros=st.sampled_from((1, 2, None)),
+       dense=st.booleans())
+def test_ivp_driver_is_scipy_solve_ivp_bit_for_bit(dim, lam, ln_a, max_zeros,
+                                                   dense):
+    # zeros, RHS count, end point and state, and the sampled profile of
+    # bn6's DOP853 loop equal scipy's to the last bit; max_zeros None is
+    # shoot's run to r = 1
+    _assert_same_ivp(dim, lam, math.exp(ln_a), max_zeros, dense)
+
+
+def test_ivp_driver_runs_out_without_the_mth_zero():
+    # the first zero lies beyond r_max: both reach r = 10 and report none
+    for dense in (False, True):
+        got = _assert_same_ivp(3, 0.05, 1e-3, 1, dense)
+        assert got.zeros == [] and got.r_end == 10.0
+    assert zero_position(3, 0.05, 1e-3, 1) is None
+
+
+def test_ivp_driver_trips_the_blowup_guard_where_scipy_does(monkeypatch):
+    # below the amplitude the guard trips as u first falls through
+    # 0.999 a; scipy records the same terminal event, so both raise
+    monkeypatch.setattr(shooting, "BLOWUP_FACTOR", 0.999)
+    driver = shooting.solve_ivp
+    seen = []
+
+    def recording(*args):
+        seen.append(driver(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(shooting, "solve_ivp", recording)
+    for dense, max_zeros in ((False, 2), (True, None)):
+        r_end = 1.0 if max_zeros is None else 10.0
+        want, _, _ = _scipy_ivp(6, 20.0, 30.0, r_end, dense, max_zeros)
+        [r_blowup] = want.t_events[1]
+        assert max_zeros is None or len(want.t_events[0]) < max_zeros
+        with pytest.raises(BlowUpBeforeOneError, match=f"r={r_blowup:.6f} "):
+            shooting._integrate(6, 20.0, 30.0, r_end, dense, max_zeros)
+        assert seen[-1].blowup.hex() == r_blowup.hex()
+        assert seen[-1].nfev == want.nfev
+
+
+@pytest.mark.parametrize("y0", [(math.nan, 0.0), (math.inf, 0.0),
+                                (1.0, -math.inf)])
+def test_ivp_driver_rejects_a_non_finite_start(y0):
+    rhs = shooting._make_rhs(6, 20.0, 2.0)
+    with pytest.raises(ValueError):
+        scipy.integrate.solve_ivp(lambda r, y: rhs(r, *y.tolist()),
+                                  (1e-3, 1.0), y0, method="DOP853")
+    with pytest.raises(ValueError, match="not finite"):
+        shooting.solve_ivp(rhs, 1e-3, 1.0, y0, 4.0)
 
 
 def test_shoot_to_zero_is_zero_position_kept_dense():
