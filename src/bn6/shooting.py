@@ -35,13 +35,14 @@ records the matching residuals of both readings of the relation.
 
 Every IVP runs on this module's own DOP853 loop, `solve_ivp`: the
 tableau of the public scipy.integrate.DOP853 class attributes with
-scipy's step control, event location and dense output, bit-identical
-to scipy.integrate.solve_ivp(method="DOP853") on the same host at
-about a third of its cost per IVP.  The stage, solution and error sums
-stay numpy's BLAS dots on the same arrays: OpenBLAS fuses
-multiply-adds that no Python float sum reproduces, and a pure-float
-DOP853 moved the N = 4, m = 2 branch tail by up to 9.996e-9 relative,
-because the matched lambda there sits in the IVP's noise band.
+scipy's step control and event location, bit-identical to
+scipy.integrate.solve_ivp(method="DOP853") on the same host at about a
+third of its cost per IVP.  Its dense output is built only when a
+profile is sampled.  The stage, solution and error sums stay numpy's
+BLAS dots on the same arrays: OpenBLAS fuses multiply-adds that no
+Python float sum reproduces, and a pure-float DOP853 moved the N = 4,
+m = 2 branch tail by up to 9.996e-9 relative (its matched lambda sits
+in the IVP's noise band).
 """
 
 from __future__ import annotations
@@ -90,21 +91,30 @@ def _fnl_prime(u, p):
 def _series(dimension: int, lam: float, a: float, p: float):
     """Coefficients (c, d) of the regular series u = a + c r^2 + d r^4:
     orders r^0 and r^2 of the equation give c = -(lam a + f(a)) / (2N)
-    and d = -(lam + f'(a)) c / (4 (N + 2)).
-    """
-    c = -(lam * a + _fnl(a, p)) / (2.0 * dimension)
-    d = -(lam + _fnl_prime(a, p)) * c / (4.0 * (dimension + 2.0))
+    and d = -(lam + f'(a)) c / (4 (N + 2)).  On Python floats, with the
+    operations of `_fnl` and `_fnl_prime` in the same order."""
+    lam, a = float(lam), float(a)
+    power = abs(a) ** (p - 1.0)
+    c = -(lam * a + power * a) / (2.0 * dimension)
+    d = -(lam + p * power) * c / (4.0 * (dimension + 2.0))
     return c, d
 
 
 def _series_start(dimension: int, lam: float, a: float, p: float):
     """Start point (r0, u, u') on the regular series (`_series`), with r0
-    so small that the neglected r^6 term is far below the IVP tolerance."""
-    c, d = _series(dimension, lam, a, p)
+    so small that the neglected r^6 term is far below the IVP tolerance.
+    A start that is not finite raises ValueError naming lam and a."""
+    try:
+        c, d = _series(dimension, lam, a, p)
+    except OverflowError:  # |a|^(p-1) is not a float
+        c = d = math.nan
     scale = math.sqrt(abs(a) / max(abs(c), 1e-300))
     r0 = max(min(1e-3, 0.01 * scale), 1e-250)
     u0 = a + c * r0 ** 2 + d * r0 ** 4
     u1 = 2.0 * c * r0 + 4.0 * d * r0 ** 3
+    if not (math.isfinite(u0) and math.isfinite(u1)):
+        raise ValueError(f"the regular series start is not finite at "
+                         f"lam={float(lam)!r}, a={float(a)!r}")
     return r0, u0, u1
 
 
@@ -161,18 +171,27 @@ class _Dop853Interpolant(DenseOutput):
 
 @dataclass(frozen=True, eq=False)
 class IVPResult:
-    """One radial IVP: the zeros of u found (in order), the r where |u|
-    reached the guard (None if it did not), the end point and state
-    (the terminating zero's when the solve stopped there), the RHS
-    evaluations, counted as solve_ivp counts them, and the dense
-    solution (None unless asked for)."""
+    """One radial IVP: the zeros of u found (in order), the end point and
+    state (the terminating zero's when the solve stopped there), the RHS
+    evaluations, counted as solve_ivp counts them, the breakpoints rs and
+    each accepted step's end points, states and stage rows.  The dense
+    solution `sol` is built when first asked for: steps that located a
+    zero reuse their interpolant, the others evaluate 3 extra stages."""
 
     zeros: list
-    blowup: float | None
     r_end: float
     y_end: tuple
     nfev: int
-    sol: OdeSolution | None
+    rhs: object = field(repr=False)
+    rs: list = field(repr=False)
+    steps: list = field(repr=False)
+    pieces: list = field(repr=False)
+
+    @functools.cached_property
+    def sol(self) -> OdeSolution:
+        return OdeSolution(np.array(self.rs), [
+            _interpolant(self.rhs, *step) if piece is None else piece
+            for step, piece in zip(self.steps, self.pieces)])
 
 
 def _initial_step(rhs, r0, r_bound, y, f):
@@ -195,14 +214,15 @@ def _initial_step(rhs, r0, r_bound, y, f):
 
 
 def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
-              max_zeros: int | None = None, dense: bool = False) -> IVPResult:
+              max_zeros: int | None = None) -> IVPResult:
     """DOP853 from r0 to r_bound for y = (u, u'), y' = rhs(r, u, u').
 
-    Bit for bit the steps, events, end state, nfev and dense output of
-    scipy.integrate.solve_ivp(method="DOP853", rtol=RTOL, atol=ATOL) with
-    two events: the zeros of u (terminal at the max_zeros-th when given)
-    and the terminal guard |u| = u_max.  Step collapse raises
-    NotConvergedError; a non-finite start raises ValueError.
+    Bit for bit the steps, zeros, end state, nfev and (on demand) dense
+    output of scipy.integrate.solve_ivp(method="DOP853", rtol=RTOL,
+    atol=ATOL) with the zeros of u as event, terminal at the max_zeros-th
+    when given.  The first accepted step that ends with |u| >= u_max
+    raises BlowUpBeforeOneError, step collapse NotConvergedError and a
+    non-finite start ValueError.
     """
     u, du = y0
     if not (math.isfinite(u) and math.isfinite(du)):
@@ -214,15 +234,13 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
     # written through flat memoryviews.
     K = np.empty((_EXTENDED, 2))
     kv = memoryview(K.reshape(-1))
-    KT = [K[:s].T for s in range(len(K) + 1)]
+    KT = [K[:s].T for s in range(_STAGES + 2)]
     f0, f1 = rhs(r0, u, du)
     h_abs = _initial_step(rhs, r0, r_bound, (u, du), (f0, f1))
     nfev = 2
     r = r0
-    g_blow = abs(u) - u_max
     zeros = []
-    blowup = None
-    rs, pieces = [r0], []
+    rs, steps, pieces = [r0], [], []
     scale = np.empty(2)
     sv = memoryview(scale)
     while True:
@@ -271,60 +289,43 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
 
-        zero_hit = u <= 0 <= u_new or u >= 0 >= u_new
-        g_new = abs(u_new) - u_max
-        blow_hit = g_blow <= 0 <= g_new or g_blow >= 0 >= g_new
-        piece = None
-        if dense or zero_hit or blow_hit:
-            piece = _interpolant(rhs, K, KT, kv, r, r_new, h, (u, du),
-                                 (f0, f1), (u_new, du_new), f_new)
+        if abs(u_new) >= u_max:
+            raise BlowUpBeforeOneError(
+                f"trajectory left trust region at r={r_new:.6f}")
+        # the stage rows are overwritten by the next step: keep a copy
+        step = (r, r_new, (u, du), (u_new, du_new), K.copy())
+        steps.append(step)
+        pieces.append(None)
+        if u <= 0 <= u_new or u >= 0 >= u_new:
+            piece = pieces[-1] = _interpolant(rhs, *step)
             nfev += len(_EXTRA_ROWS)
-            if dense:
-                pieces.append(piece)
-        stop = None
-        if zero_hit or blow_hit:
-            # solve_ivp's handle_events: roots in order of r, recorded up
-            # to the first terminal one
-            events = []
-            if zero_hit:
-                events.append((_event_root(piece, r, r_new), False,
-                               max_zeros is not None
-                               and len(zeros) + 1 >= max_zeros))
-            if blow_hit:
-                events.append((_event_root(piece, r, r_new, u_max), True,
-                               True))
-            events.sort(key=lambda event: event[0])
-            for root, is_blowup, terminal in events:
-                if is_blowup:
-                    blowup = root
+            root = _event_root(piece, r, r_new)
+            zeros.append(root)
+            if max_zeros is not None and len(zeros) >= max_zeros:
+                # solve_ivp's dense output drops a step its root empties
+                if len(rs) > 1 and rs[-1] == root:
+                    del steps[-1], pieces[-1]
                 else:
-                    zeros.append(root)
-                if terminal:
-                    stop = root
-                    break
-        if stop is not None:
-            if dense and len(rs) > 1 and rs[-1] == stop:
-                pieces.pop()
-            else:
-                rs.append(stop)
-                u, du = piece(stop).tolist()
-            r = stop
-            break
-        r, u, du, f0, f1, g_blow = r_new, u_new, du_new, *f_new, g_new
+                    rs.append(root)
+                    u, du = piece(root).tolist()
+                r = root
+                break
+        r, u, du, f0, f1 = r_new, u_new, du_new, *f_new
         rs.append(r)
         if r >= r_bound:
             break
-    sol = OdeSolution(np.array(rs), pieces) if dense else None
-    return IVPResult(zeros, blowup, r, (u, du), nfev, sol)
+    return IVPResult(zeros, r, (u, du), nfev, rhs, rs, steps, pieces)
 
 
-def _interpolant(rhs, K, KT, kv, r, r_new, h, y, f, y_new, f_new):
-    """The step's dense output: three extra stages and the coefficients
-    of solve_ivp's DOP853 interpolant."""
+def _interpolant(rhs, r, r_new, y, y_new, K):
+    """The step's dense output: three extra stages, written into the
+    step's stage rows K, and the coefficients of solve_ivp's DOP853
+    interpolant."""
+    h = r_new - r
     for s, a, c in _EXTRA_ROWS:
-        d0, d1 = KT[s].dot(a).tolist()
-        kv[2 * s], kv[2 * s + 1] = rhs(r + c * h, y[0] + d0 * h,
-                                       y[1] + d1 * h)
+        d0, d1 = K[:s].T.dot(a).tolist()
+        K[s] = rhs(r + c * h, y[0] + d0 * h, y[1] + d1 * h)
+    f, f_new = K[0].tolist(), K[_STAGES].tolist()
     F = np.empty((len(DOP853.D) + 3, 2))
     for j in range(2):
         delta = y_new[j] - y[j]
@@ -335,12 +336,10 @@ def _interpolant(rhs, K, KT, kv, r, r_new, h, y, f, y_new, f_new):
     return _Dop853Interpolant(r, r_new, np.array(y), F)
 
 
-def _event_root(piece, r_old, r_new, u_max=None):
-    """Root of u (of |u| - u_max when given) on one step's interpolant,
-    located as solve_ivp locates events; the polynomial is evaluated on
-    Python floats in _Dop853Interpolant's order.  It calls
-    optimize.brentq, so the module's brentq stays the matching root
-    finder alone."""
+def _event_root(piece, r_old, r_new):
+    """Root of u on one step's interpolant, located as solve_ivp locates
+    events, on Python floats in _Dop853Interpolant's order.  It calls
+    optimize.brentq: the module's brentq is the matching root finder."""
     F = piece.F[::-1, 0].tolist()
     u_old = float(piece.y_old[0])
     h = piece.h
@@ -352,7 +351,7 @@ def _event_root(piece, r_old, r_new, u_max=None):
             y += f
             y *= x if i % 2 == 0 else 1 - x
         y += u_old
-        return y if u_max is None else abs(y) - u_max
+        return y
 
     return optimize.brentq(event, r_old, r_new, xtol=_EVENT_TOL,
                            rtol=_EVENT_TOL)
@@ -368,12 +367,12 @@ class ShootResult:
 
 
 def _integrate(dimension: int, lam: float, a: float, r_end: float,
-               dense: bool = False, max_zeros: int | None = None):
+               max_zeros: int | None = None):
     """Integrate the IVP to r_end, or to the max_zeros-th zero of u.
 
     Blow-up beyond BLOWUP_FACTOR x |a| raises BlowUpBeforeOneError (the
     radial energy  u'^2/2 + lam u^2/2 + F(u) decreases in r, so
-    trajectories are a-priori bounded and the guard only trips on
+    trajectories are a-priori bounded by |a| and the guard only trips on
     integrator runaway).
     """
     if a == 0.0:
@@ -383,12 +382,11 @@ def _integrate(dimension: int, lam: float, a: float, r_end: float,
     # Flat absolute tolerance: the spike region is governed by the
     # relative tolerance, while the far field of a concentrated profile
     # carries amplitude ~ 1/a that an |a|-scaled floor would drown.
-    sol = solve_ivp(_make_rhs(dimension, lam, p), r0, r_end, (u0, du0),
-                    BLOWUP_FACTOR * abs(a), max_zeros, dense)
-    if sol.blowup is not None:
-        raise BlowUpBeforeOneError(
-            f"trajectory left trust region at r={sol.blowup:.6f} "
-            f"(lam={lam}, a={a})")
+    try:
+        sol = solve_ivp(_make_rhs(dimension, lam, p), r0, r_end, (u0, du0),
+                        BLOWUP_FACTOR * abs(a), max_zeros)
+    except BlowUpBeforeOneError as exc:
+        raise BlowUpBeforeOneError(f"{exc} (lam={lam}, a={a})") from None
     return sol, r0, p
 
 
@@ -405,9 +403,7 @@ def _sample(sol, r0: float, dimension: int, lam: float, a: float, p: float,
         vals[below] = a + c * rb ** 2 + d * rb ** 4
         derivs[below] = 2.0 * c * rb + 4.0 * d * rb ** 3
     above = ~below
-    y = sol.sol(r[above])
-    vals[above] = y[0]
-    derivs[above] = y[1]
+    vals[above], derivs[above] = sol.sol(r[above])
     return RadialFn(grid, vals, derivs, regular_origin=True)
 
 
@@ -419,7 +415,7 @@ def shoot(dimension: int, lam: float, amplitude: float,
     """
     if grid is None:
         grid = profile_grid(dimension, amplitude, grid_n)
-    sol, r0, p = _integrate(dimension, lam, amplitude, 1.0, dense=True)
+    sol, r0, p = _integrate(dimension, lam, amplitude, 1.0)
     profile = _sample(sol, r0, dimension, lam, amplitude, p, grid)
     return ShootResult(profile, sol.y_end[0], _interior_zeros(sol),
                        float(amplitude), float(lam))
@@ -439,31 +435,15 @@ def _interior_zeros(sol) -> int:
     return sum(z < 1.0 - 1e-13 for z in sol.zeros)
 
 
-def _mth_zero(sol, m: int) -> float | None:
-    return sol.zeros[m - 1] if len(sol.zeros) >= m else None
-
-
-def zero_position(dimension: int, lam: float, amplitude: float, m: int,
-                  r_max: float = 10.0) -> float | None:
-    """Position of the m-th zero of the trajectory, or None if it does not
-    occur before r_max."""
-    sol, _, _ = _integrate(dimension, lam, amplitude, r_max, max_zeros=m)
-    return _mth_zero(sol, m)
-
-
 def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int,
                   r_max: float = 10.0):
-    """zero_position's IVP with dense output, so it can also be the profile.
-
-    Returns the m-th zero (None if it does not occur before r_max) and a
-    function that samples the trajectory on profile_grid as shoot does.
-    Dense output does not change the steps, so the zero is
-    zero_position's to the bit.  At a matched lambda the zero lies within
-    the IVP tolerance of r = 1; when it falls short, the last step's
-    interpolant carries the profile over the remaining distance.
-    """
-    sol, r0, p = _integrate(dimension, lam, amplitude, r_max, dense=True,
-                            max_zeros=m)
+    """The m-th zero of the trajectory (None if it does not occur before
+    r_max) and a function that samples the trajectory on profile_grid as
+    shoot does, building the dense output only if called.  At a matched
+    lambda the zero lies within the IVP tolerance of r = 1; when it falls
+    short, the last step's interpolant carries the profile the rest of
+    the way."""
+    sol, r0, p = _integrate(dimension, lam, amplitude, r_max, max_zeros=m)
 
     def sample() -> ShootResult:
         grid = profile_grid(dimension, amplitude)
@@ -472,7 +452,7 @@ def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int,
                            _interior_zeros(sol),
                            float(amplitude), float(lam))
 
-    return _mth_zero(sol, m), sample
+    return sol.zeros[m - 1] if len(sol.zeros) >= m else None, sample
 
 
 def nodal_count(f: RadialFn, tol: float = SIGN_TOL) -> int:
@@ -514,7 +494,7 @@ def solve_bvp(dimension: int, lam: float, m: int,
 
     @functools.cache
     def psi(x):
-        z = zero_position(dimension, lam, math.exp(x), m)
+        z = shoot_to_zero(dimension, lam, math.exp(x), m)[0]
         return (z if z is not None else 10.0 * (1.0 + abs(x))) - 1.0
 
     lo, hi = math.log(amp_bracket[0]), math.log(amp_bracket[1])
@@ -571,7 +551,7 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
     if dimension != 6:
         raise RadialModeViolationError(
             f"2u(0) = lambda_0 is specific to N = 6, got N = {dimension}")
-    z = zero_position(6, 2.0, 1.0, 1)
+    z = shoot_to_zero(6, 2.0, 1.0, 1)[0]
     lam0 = 2.0 * z * z
     branch = solve_bvp(dimension, lam0, 1, grid_n=grid_n)
     u0 = branch.amplitude

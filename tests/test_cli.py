@@ -151,11 +151,24 @@ def test_non_finite_lambda_exits_3(tmp_path, capsys, monkeypatch, lam):
 
 def test_overflowing_lambda_exits_3(tmp_path, capsys):
     # 1e300 is finite, but the regular series at the first amplitude
-    # overflows and the IVP driver refuses the non-finite start
-    with pytest.warns(RuntimeWarning):
-        code = run("ground-state", "--lambda", "1e300", "--out", str(tmp_path))
+    # overflows: the start is refused, without numpy warnings, by a
+    # message that names lambda
+    code = run("ground-state", "--lambda", "1e300", "--out", str(tmp_path))
     assert code == 3
-    assert "is not finite" in _config_error_line(capsys)
+    line = _config_error_line(capsys)
+    assert "is not finite" in line and "lam=1e+300" in line
+
+
+def test_overflowing_amplitude_exits_3(tmp_path, capsys):
+    # at N = 3 the series term |a|^4 a is past the float range for
+    # a > 1.3e77: the start is refused by a message that names a
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("a_start = 1e78\na_end = 1e79\n")
+    code = run("branch", "--N", "3", "--config", str(cfg),
+               "--out", str(tmp_path))
+    assert code == 3
+    line = _config_error_line(capsys)
+    assert "is not finite" in line and "a=1e+78" in line
 
 
 @pytest.mark.parametrize("command,grid", [

@@ -18,11 +18,11 @@ from bn6.continuation import (
 from bn6.errors import BranchLostError
 from bn6.operators import dirichlet_eigenvalue
 from bn6.shooting import (
+    RTOL,
     BranchPoint,
     nodal_count,
     shoot_to_zero,
     solve_bvp,
-    zero_position,
 )
 
 # m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N: squared m-th
@@ -173,9 +173,9 @@ def test_match_lambda_shoots_each_lambda_once(monkeypatch):
 
     def counting(dimension, lam, amplitude, m):
         calls.append(lam)
-        return zero_position(dimension, lam, amplitude, m)
+        return shoot_to_zero(dimension, lam, amplitude, m)
 
-    monkeypatch.setattr(continuation, "zero_position", counting)
+    monkeypatch.setattr(continuation, "shoot_to_zero", counting)
     lam = continuation._match_lambda(3, 4.0, 1, 1.0, 0.9999 * math.pi ** 2)
     assert lam is not None
     assert len(calls) == len(set(calls)) > 2
@@ -185,16 +185,11 @@ def _counting_shots(monkeypatch):
     """Record the lambda of every bracket and corrector shot."""
     calls = []
 
-    def bracket(dimension, lam, amplitude, m):
-        calls.append(lam)
-        return zero_position(dimension, lam, amplitude, m)
-
-    def corrector(dimension, lam, amplitude, m):
+    def counting(dimension, lam, amplitude, m):
         calls.append(lam)
         return shoot_to_zero(dimension, lam, amplitude, m)
 
-    monkeypatch.setattr(continuation, "zero_position", bracket)
-    monkeypatch.setattr(continuation, "shoot_to_zero", corrector)
+    monkeypatch.setattr(continuation, "shoot_to_zero", counting)
     return calls
 
 
@@ -221,28 +216,25 @@ def test_match_lambda_corrector_lands_on_bracketed_root(monkeypatch):
     assert len(calls) == len(set(calls)) <= continuation.CORRECTOR_SHOTS
 
 
-def test_plain_shot_on_the_root_is_not_shot_again(monkeypatch):
-    # a plain shot that already meets RTOL is followed by one dense shot;
-    # when the secant step rounds to zero it goes one ulp up, so the same
-    # lambda is not shot twice
+def test_shot_on_the_root_is_accepted_after_one_ivp(monkeypatch):
+    # a guess whose zero already meets RTOL is the point: one IVP, no
+    # secant step, and that trajectory sampled is the profile
     lo, hi = continuation.LAMBDA_FLOOR, 0.9999 * RADIAL_EV[(6, 2)]
     root = continuation._match_lambda(6, 100.0, 2, lo, hi)[0].lam
-    plain, dense = [], []
+    assert abs(shoot_to_zero(6, root, 100.0, 2)[0] - 1.0) <= RTOL
+    ivps = []
+    solve_ivp = shooting.solve_ivp
 
-    def exact_at_root(dimension, lam, amplitude, m):
-        plain.append(lam)
-        return 1.0 if lam == root else zero_position(dimension, lam,
-                                                     amplitude, m)
+    def counting_ivp(*args):
+        ivps.append(args)
+        return solve_ivp(*args)
 
-    def counting_dense(dimension, lam, amplitude, m):
-        dense.append(lam)
-        return shoot_to_zero(dimension, lam, amplitude, m)
-
-    monkeypatch.setattr(continuation, "zero_position", exact_at_root)
-    monkeypatch.setattr(continuation, "shoot_to_zero", counting_dense)
-    shot, _ = continuation._match_lambda(6, 100.0, 2, lo, hi, root, -0.02)
-    assert plain == [root]
-    assert dense == [math.nextafter(root, hi)] == [shot.lam]
+    calls = _counting_shots(monkeypatch)
+    monkeypatch.setattr(shooting, "solve_ivp", counting_ivp)
+    shot, slope = continuation._match_lambda(6, 100.0, 2, lo, hi, root, -0.02)
+    assert calls == [root] == [shot.lam]
+    assert len(ivps) == 1
+    assert slope == -0.02
     assert nodal_count(shot.profile) == 2
 
 
@@ -258,44 +250,47 @@ def test_match_lambda_guess_outside_window_is_bracketed():
 
 def test_trace_branch_corrects_in_few_ivps(monkeypatch):
     # after the bracketed start every point is predicted and corrected:
-    # at most 6 IVPs each, dense profile included, and only the shot
-    # expected to be accepted is dense
-    ivps = [0]
+    # at most 6 IVPs each, and exactly one shot per point is sampled
+    ivps, samples = [0], [0]
     solve_ivp = shooting.solve_ivp
 
     def counting_ivp(*args, **kwargs):
         ivps[0] += 1
         return solve_ivp(*args, **kwargs)
 
-    dense = []
-    shoot_dense = continuation.shoot_to_zero
+    shoot = continuation.shoot_to_zero
 
-    def counting_dense(dimension, lam, amplitude, m):
-        dense.append(lam)
-        return shoot_dense(dimension, lam, amplitude, m)
+    def counting_samples(dimension, lam, amplitude, m):
+        zero, sample = shoot(dimension, lam, amplitude, m)
+
+        def counted():
+            samples[0] += 1
+            return sample()
+        return zero, counted
 
     spent = []
     match_lambda = continuation._match_lambda
 
     def recording(dimension, amplitude, m, lo, hi, guess=None, slope=None):
-        before = ivps[0]
+        before = ivps[0], samples[0]
         match = match_lambda(dimension, amplitude, m, lo, hi, guess, slope)
-        spent.append((guess is not None, ivps[0] - before))
+        spent.append((guess is not None, ivps[0] - before[0],
+                      samples[0] - before[1]))
         return match
 
     monkeypatch.setattr(shooting, "solve_ivp", counting_ivp)
-    monkeypatch.setattr(continuation, "shoot_to_zero", counting_dense)
+    monkeypatch.setattr(continuation, "shoot_to_zero", counting_samples)
     monkeypatch.setattr(continuation, "_match_lambda", recording)
     branch = trace_branch(6, 2, a_start=1.0, a_end=2.0 ** 12)
     assert branch.diagnostics == ((1.0, "3 nodal regions"),)
     assert len(branch.points) == 12
     assert all(p.residual <= RESIDUAL_TOL for p in branch.points)
-    predicted = [n for guessed, n in spent if guessed]
+    predicted = [(n, sampled) for guessed, n, sampled in spent if guessed]
     assert len(predicted) == 11
-    assert max(predicted) <= 6
-    assert len(dense) < 1.5 * len(predicted)
+    assert max(n for n, _ in predicted) <= 6
+    assert all(sampled == 1 for _, sampled in predicted)
     # every IVP belongs to a match: the accepted shot is the profile
-    assert sum(n for _, n in spent) == ivps[0]
+    assert sum(n for _, n, _ in spent) == ivps[0]
 
 
 def test_trace_branch_matches_each_amplitude_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Shooting integration, branch solves, the self-consistent parameter."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from bn6.shooting import (
     shoot,
     shoot_to_zero,
     solve_bvp,
-    zero_position,
 )
 
 LAMBDA0_FROZEN = 22.469107870851314
@@ -60,16 +60,16 @@ def test_zero_positions_near_linear_limit():
     # amplitude 1e-3 makes the nonlinear correction (a^4 in N = 3)
     # negligible while keeping the trajectory well above the integrator's
     # absolute-tolerance floor; zeros sit at k pi / sqrt(lam)
-    z1 = zero_position(3, 4.0, 1e-3, 1)
-    z2 = zero_position(3, 4.0, 1e-3, 2)
+    z1 = shoot_to_zero(3, 4.0, 1e-3, 1)[0]
+    z2 = shoot_to_zero(3, 4.0, 1e-3, 2)[0]
     assert z1 == pytest.approx(math.pi / 2.0, rel=1e-6)
     assert z2 == pytest.approx(math.pi, rel=1e-6)
     # first zero beyond the trust radius: no m-th zero to report
-    assert zero_position(3, 0.05, 1e-3, 1) is None
+    assert shoot_to_zero(3, 0.05, 1e-3, 1)[0] is None
 
 
 def test_zero_position_decreasing_in_lambda():
-    zs = [zero_position(6, lam, 30.0, 1) for lam in (5.0, 10.0, 20.0)]
+    zs = [shoot_to_zero(6, lam, 30.0, 1)[0] for lam in (5.0, 10.0, 20.0)]
     assert zs[0] > zs[1] > zs[2]
 
 
@@ -124,64 +124,75 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _assert_same_ivp(dim, lam, a, max_zeros, dense):
+def _assert_same_ivp(dim, lam, a, max_zeros):
+    """bn6's IVP against scipy's: zeros, RHS count, end point and state of
+    a plain run, then the dense profile, built on demand, against scipy's
+    dense_output run, and the on-demand stages against its extra nfev."""
     r_end = 1.0 if max_zeros is None else 10.0
-    want, r0, p = _scipy_ivp(dim, lam, a, r_end, dense, max_zeros)
-    got, _, _ = shooting._integrate(dim, lam, a, r_end, dense, max_zeros)
+    want, r0, p = _scipy_ivp(dim, lam, a, r_end, False, max_zeros)
+    got, _, _ = shooting._integrate(dim, lam, a, r_end, max_zeros)
+    assert len(want.t_events[1]) == 0  # the blow-up event never fires
     assert _hex(got.zeros) == _hex(want.t_events[0])
     assert got.nfev == want.nfev
     assert _hex((got.r_end, *got.y_end)) == _hex((want.t[-1],
                                                   *want.y[:, -1]))
-    if dense:
-        grid = shooting.profile_grid(dim, a)
-        f_want = shooting._sample(want, r0, dim, lam, a, p, grid)
-        f_got = shooting._sample(got, r0, dim, lam, a, p, grid)
-        assert _hex(f_got.values) == _hex(f_want.values)
-        assert _hex(f_got.derivative) == _hex(f_want.derivative)
+    dense, _, _ = _scipy_ivp(dim, lam, a, r_end, True, max_zeros)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return got.rhs(*args)
+
+    grid = shooting.profile_grid(dim, a)
+    f_want = shooting._sample(dense, r0, dim, lam, a, p, grid)
+    f_got = shooting._sample(dataclasses.replace(got, rhs=counting), r0,
+                             dim, lam, a, p, grid)
+    assert _hex(f_got.values) == _hex(f_want.values)
+    assert _hex(f_got.derivative) == _hex(f_want.derivative)
+    assert got.nfev + len(calls) == dense.nfev
     return got
 
 
 @settings(max_examples=50, deadline=None)
 @given(dim=st.integers(3, 6), lam=st.floats(0.01, 80.0),
-       ln_a=st.floats(-5.0, 18.0), max_zeros=st.sampled_from((1, 2, None)),
-       dense=st.booleans())
-def test_ivp_driver_is_scipy_solve_ivp_bit_for_bit(dim, lam, ln_a, max_zeros,
-                                                   dense):
+       ln_a=st.floats(-5.0, 18.0), max_zeros=st.sampled_from((1, 2, None)))
+def test_ivp_driver_is_scipy_solve_ivp_bit_for_bit(dim, lam, ln_a, max_zeros):
     # zeros, RHS count, end point and state, and the sampled profile of
     # bn6's DOP853 loop equal scipy's to the last bit; max_zeros None is
     # shoot's run to r = 1
-    _assert_same_ivp(dim, lam, math.exp(ln_a), max_zeros, dense)
+    _assert_same_ivp(dim, lam, math.exp(ln_a), max_zeros)
 
 
 def test_ivp_driver_runs_out_without_the_mth_zero():
     # the first zero lies beyond r_max: both reach r = 10 and report none
-    for dense in (False, True):
-        got = _assert_same_ivp(3, 0.05, 1e-3, 1, dense)
-        assert got.zeros == [] and got.r_end == 10.0
-    assert zero_position(3, 0.05, 1e-3, 1) is None
+    got = _assert_same_ivp(3, 0.05, 1e-3, 1)
+    assert got.zeros == [] and got.r_end == 10.0
+    assert shoot_to_zero(3, 0.05, 1e-3, 1)[0] is None
 
 
-def test_ivp_driver_trips_the_blowup_guard_where_scipy_does(monkeypatch):
-    # below the amplitude the guard trips as u first falls through
-    # 0.999 a; scipy records the same terminal event, so both raise
+def test_blowup_guard_trips_on_the_first_step_past_u_max(monkeypatch):
+    # u'' = u from (1, 0) grows like cosh r; with u_max = 10 the driver
+    # raises right after accepting the first step that ends with
+    # |u| >= 10: its last RHS call is that step's end
+    def logging(calls):
+        def rhs(r, u, du):
+            calls.append((r, u, du))
+            return du, u
+        return rhs
+
+    free_calls, calls = [], []
+    free = shooting.solve_ivp(logging(free_calls), 0.0, 5.0, (1.0, 0.0),
+                              math.inf)
+    r_new, y_new = next((r_new, y_new) for _, r_new, _, y_new, _
+                        in free.steps if abs(y_new[0]) >= 10.0)
+    with pytest.raises(BlowUpBeforeOneError, match=f"r={r_new:.6f}"):
+        shooting.solve_ivp(logging(calls), 0.0, 5.0, (1.0, 0.0), 10.0)
+    assert calls == free_calls[:len(calls)]
+    assert calls[-1] == (r_new, *y_new)
+    # _integrate's message names the IVP's lambda and amplitude
     monkeypatch.setattr(shooting, "BLOWUP_FACTOR", 0.999)
-    driver = shooting.solve_ivp
-    seen = []
-
-    def recording(*args):
-        seen.append(driver(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(shooting, "solve_ivp", recording)
-    for dense, max_zeros in ((False, 2), (True, None)):
-        r_end = 1.0 if max_zeros is None else 10.0
-        want, _, _ = _scipy_ivp(6, 20.0, 30.0, r_end, dense, max_zeros)
-        [r_blowup] = want.t_events[1]
-        assert max_zeros is None or len(want.t_events[0]) < max_zeros
-        with pytest.raises(BlowUpBeforeOneError, match=f"r={r_blowup:.6f} "):
-            shooting._integrate(6, 20.0, 30.0, r_end, dense, max_zeros)
-        assert seen[-1].blowup.hex() == r_blowup.hex()
-        assert seen[-1].nfev == want.nfev
+    with pytest.raises(BlowUpBeforeOneError, match=r"lam=20.0, a=30.0"):
+        shooting._integrate(6, 20.0, 30.0, 10.0, max_zeros=2)
 
 
 @pytest.mark.parametrize("y0", [(math.nan, 0.0), (math.inf, 0.0),
@@ -195,20 +206,54 @@ def test_ivp_driver_rejects_a_non_finite_start(y0):
         shooting.solve_ivp(rhs, 1e-3, 1.0, y0, 4.0)
 
 
-def test_shoot_to_zero_is_zero_position_kept_dense():
-    # dense output does not change the steps: the same zero to the bit,
-    # also on the noisy N = 4 tail and on the N = 3 ground state
-    for dim, lam, amplitude, m in ((4, 15.870007, 1e6, 2),
-                                   (4, 15.87, 1e6, 2),
-                                   (3, 4.0, 0.5, 1), (3, 4.0, 8.0, 1)):
-        zero, _ = shoot_to_zero(dim, lam, amplitude, m)
-        assert zero is not None
-        assert zero == zero_position(dim, lam, amplitude, m)
+def test_dense_output_is_built_on_demand_once(monkeypatch):
+    # an unsampled shot builds interpolants only on the steps where u
+    # changes sign; the dense output then reuses them, builds the other
+    # steps' once, and asking again builds nothing
+    built = []
+    interpolant = shooting._interpolant
+
+    def counting(*args):
+        built.append(args[1])
+        return interpolant(*args)
+
+    monkeypatch.setattr(shooting, "_interpolant", counting)
+    sol, _, _ = shooting._integrate(6, 20.0, 30.0, 10.0, max_zeros=2)
+    crossing = [r for r, _, (u, _), (u_new, _), _ in sol.steps
+                if u * u_new <= 0.0]
+    assert len(sol.zeros) == 2
+    assert built == crossing and len(crossing) == 2
+    first = sol.sol
+    assert len(built) == len(sol.steps) == len(first.interpolants)
+    for piece, used in zip(sol.pieces, first.interpolants):
+        assert piece is None or piece is used
+    assert sol.sol is first
+    built.clear()
+    _, sample = shoot_to_zero(6, 20.0, 30.0, 2)
+    assert len(built) == 2
+    once = sample()
+    n = len(built)
+    assert n > 2
+    again = sample()
+    assert len(built) == n
+    assert np.array_equal(once.profile.values, again.profile.values)
+
+
+def test_shoot_to_zero_samples_the_profile_shoot_integrates():
+    # stopping at the m-th zero does not change the steps before it: the
+    # zero is the one a run on to r_max records, to the bit, also on the
+    # noisy N = 4 tail, on the N = 3 ground state and around a match
     lam = 25.0
     a = solve_bvp(6, lam, 2).amplitude
-    for amplitude in (0.9 * a, 1.1 * a, a):
-        zero, sample = shoot_to_zero(6, lam, amplitude, 2)
-        assert zero == zero_position(6, lam, amplitude, 2)
+    for dim, lam_m, amplitude, m in ((4, 15.870007, 1e6, 2),
+                                     (4, 15.87, 1e6, 2),
+                                     (3, 4.0, 0.5, 1), (3, 4.0, 8.0, 1),
+                                     (6, lam, 0.9 * a, 2),
+                                     (6, lam, 1.1 * a, 2), (6, lam, a, 2)):
+        zero, sample = shoot_to_zero(dim, lam_m, amplitude, m)
+        run_on, _, _ = shooting._integrate(dim, lam_m, amplitude, 10.0)
+        assert zero is not None
+        assert zero == run_on.zeros[m - 1]
     # at the matched amplitude the profile is shoot's, sampled up to the
     # zero instead of integrated to r = 1
     got, want = sample(), shoot(6, lam, a)
@@ -263,9 +308,9 @@ def test_solve_bvp_shoots_each_amplitude_once(monkeypatch):
 
     def counting(dimension, lam, amplitude, m):
         calls.append(amplitude)
-        return zero_position(dimension, lam, amplitude, m)
+        return shoot_to_zero(dimension, lam, amplitude, m)
 
-    monkeypatch.setattr(shooting, "zero_position", counting)
+    monkeypatch.setattr(shooting, "shoot_to_zero", counting)
     pt = solve_bvp(6, 20.0, 1)
     assert pt.nodal_count == 1
     assert len(calls) == len(set(calls)) > 2
@@ -322,8 +367,8 @@ def test_lambda0_matches_mpmath(certificate):
     (5, 30.0, 3.0, 2), (6, 20.0, 10.0, 1), (6, 40.0, 50.0, 2)])
 def test_zero_position_dilation_identity(dim, lam, a, m):
     # u(r) = a phi(a^{2/(N-2)} r) maps (lam, a) to (lam a^{-4/(N-2)}, 1)
-    scaled = zero_position(dim, lam * a ** (-4.0 / (dim - 2)), 1.0, m)
-    got = zero_position(dim, lam, a, m)
+    scaled = shoot_to_zero(dim, lam * a ** (-4.0 / (dim - 2)), 1.0, m)[0]
+    got = shoot_to_zero(dim, lam, a, m)[0]
     assert got == pytest.approx(a ** (-2.0 / (dim - 2)) * scaled, rel=1e-8)
 
 
