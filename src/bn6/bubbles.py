@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import RadialFn, RadialGrid, sphere_area
 
@@ -129,6 +128,8 @@ def d1_closed_form() -> float:
 def d1_quadrature(R: float = 50.0) -> float:
     """Same constant by quadrature on [0, R] plus the analytic r^{-8} tail
     of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1."""
+    from scipy.integrate import quad  # only `constants` needs it
+
     integrand = lambda r: talenti_u(r, 1.0) ** 2 * r ** 5
     head = quad(integrand, 0.0, R, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
     # exact tail: int_R^inf 24^2 r^5 (1+r^2)^{-4} dr with u = 1 + r^2

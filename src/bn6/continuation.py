@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from .errors import (
     BlowUpBeforeOneError,
@@ -42,6 +41,7 @@ from .errors import (
     NotConvergedError,
 )
 from .operators import dirichlet_eigenvalue
+from .roots import brentq
 from .shooting import (
     RTOL,
     BranchPoint,
@@ -212,14 +212,19 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
     bracketed, each later one predicted from the accepted points and
     corrected from the previous point's slope.  Raises BranchLostError
     when no schedule entry admits a matched solution; partial failures
-    are reported through Branch.diagnostics instead.
+    are reported through Branch.diagnostics instead.  A window too narrow
+    for 2 schedule points raises ValueError naming a_start and a_end.
     """
+    default = ""
     if a_end is None:
         a_end = 1e5 if dimension == 6 else 1e4
+        default = f" (the N = {dimension} default)"
     if points is None:
         points = int(round(math.log2(a_end / a_start))) + 1
     if points < 2:
-        raise ValueError(f"schedule needs at least 2 points, got {points}")
+        raise ValueError(
+            f"amplitude schedule needs at least 2 points, got {points} from "
+            f"a_start = {a_start!r} and a_end = {a_end!r}{default}")
     lam_hi = 0.9999 * dirichlet_eigenvalue(dimension, m, n=1024)
     schedule = np.geomspace(a_start, a_end, points)
     rows = []
@@ -268,12 +273,20 @@ def _log_model(a, lam_inf, c, s):
     return lam_inf + c / (np.log(a) - s)
 
 
-def _fit(model, a, y, p0, bounds):
-    p0 = np.clip(p0, *bounds)
+def curve_fit(model, a, y, p0, bounds):
+    """The parameters scipy.optimize.curve_fit fits, with OptimizeWarning
+    silenced.  scipy.optimize is imported on the first call: only the
+    tail fits need it."""
+    from scipy.optimize import OptimizeWarning
+    from scipy.optimize import curve_fit as fit
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, a, y, p0=p0, bounds=bounds, maxfev=20000)
-    return popt
+        return fit(model, a, y, p0=p0, bounds=bounds, maxfev=20000)[0]
+
+
+def _fit(model, a, y, p0, bounds):
+    return curve_fit(model, a, y, np.clip(p0, *bounds), bounds)
 
 
 def _rms(model, a, y, popt) -> float:

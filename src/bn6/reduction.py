@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .auxiliary import AuxProfiles
 from .bubbles import (
@@ -68,6 +66,7 @@ from .grid import (
     sphere_area,
 )
 from .operators import OperatorSpec, apply_operator
+from .roots import brentq
 from .shooting import newton_refine
 
 GAUSS_ORDER = 12
@@ -86,6 +85,10 @@ class _SplineSet:
     """Cubic-spline views of u_0, v, w with clamped center derivative."""
 
     def __init__(self, profiles: AuxProfiles):
+        # only the ansatz commands build splines: import scipy.interpolate
+        # (and with it scipy.optimize) here, not on every command's path
+        from scipy.interpolate import CubicSpline
+
         grid = profiles.grid
         x = grid.nodes
         self.knots = x
@@ -94,7 +97,7 @@ class _SplineSet:
         self.v00 = float(profiles.v.values[0])
         self.w00 = float(profiles.w.values[0])
 
-        def _fit(f: RadialFn) -> CubicSpline:
+        def _fit(f: RadialFn):
             return CubicSpline(x, f.values,
                                bc_type=((1, 0.0), (1, float(f.derivative[-1]))))
 

@@ -33,14 +33,13 @@ from a single IVP.  The certificate then solves the Dirichlet problem
 at lam_0 in the original variables, independently of the dilation, and
 records the matching residuals of both readings of the relation.
 
-Every IVP runs on this module's own DOP853 loop, `solve_ivp`: the
-tableau of the public scipy.integrate.DOP853 class attributes with
-scipy's step control and event location, bit-identical to
-scipy.integrate.solve_ivp(method="DOP853") on the same host at about a
-third of its cost per IVP.  Its dense output is built only when a
-profile is sampled.  The stage, solution and error sums stay numpy's
-BLAS dots on the same arrays: OpenBLAS fuses multiply-adds that no
-Python float sum reproduces, and a pure-float DOP853 moved the N = 4,
+Every IVP runs on this module's own DOP853 loop, `solve_ivp`: Hairer's
+dop853 tableau with scipy's step control and event location,
+bit-identical to scipy.integrate.solve_ivp(method="DOP853") on the same
+host at about a third of its cost per IVP.  Its dense output is built
+only when a profile is sampled.  The stage, solution and error sums stay
+numpy's BLAS dots on the same arrays: OpenBLAS fuses multiply-adds that
+no Python float sum reproduces, and a pure-float DOP853 moved the N = 4,
 m = 2 branch tail by up to 9.996e-9 relative (its matched lambda sits
 in the IVP's noise band).
 """
@@ -48,16 +47,13 @@ in the IVP's noise band).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import DOP853, DenseOutput, OdeSolution
-from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
+from . import roots
 from .errors import (
     BlowUpBeforeOneError,
     DivergedError,
@@ -69,6 +65,7 @@ from .errors import (
 )
 from .grid import RadialFn, RadialGrid, make_core_grid, make_grid
 from .operators import OperatorSpec, assemble
+from .roots import brentq
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -131,32 +128,206 @@ def _make_rhs(dimension: int, lam: float, p: float):
     return rhs
 
 
-# scipy's DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
-# and step control; error_estimator_order 7 gives the step exponent -1/8.
-_STAGES = DOP853.n_stages
-_STAGE_ROWS = tuple((s, DOP853.A[s, :s], float(DOP853.C[s]))
-                    for s in range(1, _STAGES))
-# stage rows: 12 stages, the FSAL derivative, 3 interpolant stages
-_EXTENDED = _STAGES + 1 + len(DOP853.C_EXTRA)
-_EXTRA_ROWS = tuple((s, DOP853.A_EXTRA[i, :s], float(DOP853.C_EXTRA[i]))
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the literals
+# of Hairer's dop853.f as scipy/integrate/_ivp/dop853_coefficients.py
+# (BSD) writes them, in its layout: the 12 stages, the FSAL row (the
+# weights B) and the interpolant's 3 extra stages share one 16 x 16
+# array, and E3 is B minus literals, so every array is scipy's to the bit.
+_STAGES = 12
+_EXTENDED = 16
+
+
+def _sparse(shape, rows):
+    table = np.zeros(shape)
+    for i, row in rows.items():
+        for j, value in row.items():
+            table[i, j] = value
+    return table
+
+
+_A_EXT = _sparse((_EXTENDED, _EXTENDED), {
+    1: {0: 5.26001519587677318785587544488e-2},
+    2: {0: 1.97250569845378994544595329183e-2,
+        1: 5.91751709536136983633785987549e-2},
+    3: {0: 2.95875854768068491816892993775e-2,
+        2: 8.87627564304205475450678981324e-2},
+    4: {0: 2.41365134159266685502369798665e-1,
+        2: -8.84549479328286085344864962717e-1,
+        3: 9.24834003261792003115737966543e-1},
+    5: {0: 3.7037037037037037037037037037e-2,
+        3: 1.70828608729473871279604482173e-1,
+        4: 1.25467687566822425016691814123e-1},
+    6: {0: 3.7109375e-2,
+        3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2,
+        5: -1.7578125e-2},
+    7: {0: 3.70920001185047927108779319836e-2,
+        3: 1.70383925712239993810214054705e-1,
+        4: 1.07262030446373284651809199168e-1,
+        5: -1.53194377486244017527936158236e-2,
+        6: 8.27378916381402288758473766002e-3},
+    8: {0: 6.24110958716075717114429577812e-1,
+        3: -3.36089262944694129406857109825,
+        4: -8.68219346841726006818189891453e-1,
+        5: 2.75920996994467083049415600797e1,
+        6: 2.01540675504778934086186788979e1,
+        7: -4.34898841810699588477366255144e1},
+    9: {0: 4.77662536438264365890433908527e-1,
+        3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1,
+        5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1,
+        7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2},
+    10: {0: -9.3714243008598732571704021658e-1,
+         3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654,
+         5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1,
+         7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762,
+         9: -3.0467644718982195003823669022},
+    11: {0: 2.27331014751653820792359768449,
+         3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444,
+         5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1,
+         7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258,
+         9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+    12: {0: 5.42937341165687622380535766363e-2,
+         5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044,
+         7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1,
+         9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1,
+         11: 4.47106157277725905176885569043e-2},
+    13: {0: 5.61675022830479523392909219681e-2,
+         6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1,
+         8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1,
+         10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3,
+         12: -8.298e-3},
+    14: {0: 3.18346481635021405060768473261e-2,
+         5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2,
+         7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4,
+         11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4,
+         13: 1.41312443674632500278074618366e-1},
+    15: {0: -4.28896301583791923408573538692e-1,
+         5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878,
+         7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1,
+         12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149,
+         14: -9.15095847217987001081870187138},
+})
+_C_EXT = np.array([0.0, 0.526001519587677318785587544488e-01,
+                   0.789002279381515978178381316732e-01,
+                   0.118350341907227396726757197510,
+                   0.281649658092772603273242802490,
+                   0.333333333333333333333333333333, 0.25,
+                   0.307692307692307692307692307692,
+                   0.651282051282051282051282051282, 0.6,
+                   0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+                   0.777777777777777777777777777778])
+_A, _C = _A_EXT[:_STAGES, :_STAGES], _C_EXT[:_STAGES]
+_A_EXTRA, _C_EXTRA = _A_EXT[_STAGES + 1:], _C_EXT[_STAGES + 1:]
+_B = _A_EXT[_STAGES, :_STAGES]
+_E3 = np.zeros(_STAGES + 1)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290,
+                0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1, 0.0])
+# the last 4 rows of the interpolant's coefficients F (`_interpolant`
+# forms the first 3 from the step's end points and derivatives)
+_D = _sparse((4, _EXTENDED), {
+    0: {0: -0.84289382761090128651353491142e+1,
+        5: 0.56671495351937776962531783590,
+        6: -0.30689499459498916912797304727e+1,
+        7: 0.23846676565120698287728149680e+1,
+        8: 0.21170345824450282767155149946e+1,
+        9: -0.87139158377797299206789907490,
+        10: 0.22404374302607882758541771650e+1,
+        11: 0.63157877876946881815570249290,
+        12: -0.88990336451333310820698117400e-1,
+        13: 0.18148505520854727256656404962e+2,
+        14: -0.91946323924783554000451984436e+1,
+        15: -0.44360363875948939664310572000e+1},
+    1: {0: 0.10427508642579134603413151009e+2,
+        5: 0.24228349177525818288430175319e+3,
+        6: 0.16520045171727028198505394887e+3,
+        7: -0.37454675472269020279518312152e+3,
+        8: -0.22113666853125306036270938578e+2,
+        9: 0.77334326684722638389603898808e+1,
+        10: -0.30674084731089398182061213626e+2,
+        11: -0.93321305264302278729567221706e+1,
+        12: 0.15697238121770843886131091075e+2,
+        13: -0.31139403219565177677282850411e+2,
+        14: -0.93529243588444783865713862664e+1,
+        15: 0.35816841486394083752465898540e+2},
+    2: {0: 0.19985053242002433820987653617e+2,
+        5: -0.38703730874935176555105901742e+3,
+        6: -0.18917813819516756882830838328e+3,
+        7: 0.52780815920542364900561016686e+3,
+        8: -0.11573902539959630126141871134e+2,
+        9: 0.68812326946963000169666922661e+1,
+        10: -0.10006050966910838403183860980e+1,
+        11: 0.77771377980534432092869265740,
+        12: -0.27782057523535084065932004339e+1,
+        13: -0.60196695231264120758267380846e+2,
+        14: 0.84320405506677161018159903784e+2,
+        15: 0.11992291136182789328035130030e+2},
+    3: {0: -0.25693933462703749003312586129e+2,
+        5: -0.15418974869023643374053993627e+3,
+        6: -0.23152937917604549567536039109e+3,
+        7: 0.35763911791061412378285349910e+3,
+        8: 0.93405324183624310003907691704e+2,
+        9: -0.37458323136451633156875139351e+2,
+        10: 0.10409964950896230045147246184e+3,
+        11: 0.29840293426660503123344363579e+2,
+        12: -0.43533456590011143754432175058e+2,
+        13: 0.96324553959188282948394950600e+2,
+        14: -0.39177261675615439165231486172e+2,
+        15: -0.14972683625798562581422125276e+3},
+})
+_STAGE_ROWS = tuple((s, _A[s, :s], float(_C[s])) for s in range(1, _STAGES))
+_EXTRA_ROWS = tuple((s, _A_EXTRA[i, :s], float(_C_EXTRA[i]))
                     for i, s in enumerate(range(_STAGES + 1, _EXTENDED)))
+# scipy's step control; error_estimator_order 7 gives the exponent -1/8
 _ERROR_EXPONENT = -1.0 / 8.0
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EVENT_TOL = 4.0 * np.finfo(float).eps
+_EVENT_TOL = roots.RTOL_MIN  # solve_ivp locates events at 4 eps
 
 
-class _Dop853Interpolant(DenseOutput):
+class _Dop853Interpolant:
     """DOP853's degree-7 interpolant over one step, evaluated with scipy's
     operations in scipy's order."""
 
     def __init__(self, r_old, r, y_old, F):
-        super().__init__(r_old, r)
+        self.r_old = r_old
         self.h = r - r_old
         self.F = F
         self.y_old = y_old
 
-    def _call_impl(self, r):
-        x = (r - self.t_old) / self.h
+    def __call__(self, r):
+        r = np.asarray(r)
+        x = (r - self.r_old) / self.h
         if r.ndim == 0:
             y = np.zeros_like(self.y_old)
         else:
@@ -167,6 +338,31 @@ class _Dop853Interpolant(DenseOutput):
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
         return y.T
+
+
+class _Piecewise:
+    """The dense solution over breakpoints rs, one interpolant per step.
+    Sample points are assigned as scipy's OdeSolution assigns them: a
+    breakpoint belongs to the step it ends, points outside rs to the end
+    steps, and each run of sorted points is one interpolant call."""
+
+    def __init__(self, rs, interpolants):
+        self.rs = rs
+        self.interpolants = interpolants
+
+    def __call__(self, r):
+        order = np.argsort(r)
+        r_sorted = r[order]
+        segments = np.searchsorted(self.rs, r_sorted, side="left") - 1
+        segments = np.clip(segments, 0, len(self.interpolants) - 1)
+        y = np.empty((2, len(r)))
+        start = 0
+        for segment, run in itertools.groupby(segments.tolist()):
+            stop = start + len(list(run))
+            y[:, order[start:stop]] = self.interpolants[segment](
+                r_sorted[start:stop])
+            start = stop
+        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +384,8 @@ class IVPResult:
     pieces: list = field(repr=False)
 
     @functools.cached_property
-    def sol(self) -> OdeSolution:
-        return OdeSolution(np.array(self.rs), [
+    def sol(self) -> _Piecewise:
+        return _Piecewise(np.array(self.rs), [
             _interpolant(self.rhs, *step) if piece is None else piece
             for step, piece in zip(self.steps, self.pieces)])
 
@@ -262,16 +458,16 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
                 d0, d1 = KT[s].dot(a).tolist()
                 kv[2 * s], kv[2 * s + 1] = rhs(r + c * h, u + d0 * h,
                                                du + d1 * h)
-            b0, b1 = KT[_STAGES].dot(DOP853.B).tolist()
+            b0, b1 = KT[_STAGES].dot(_B).tolist()
             u_new, du_new = u + h * b0, du + h * b1
             f_new = rhs(r + h, u_new, du_new)
             kv[2 * _STAGES], kv[2 * _STAGES + 1] = f_new
             nfev += _STAGES
             sv[0] = ATOL + max(abs(u), abs(u_new)) * RTOL
             sv[1] = ATOL + max(abs(du), abs(du_new)) * RTOL
-            err5 = KT[_STAGES + 1].dot(DOP853.E5)
+            err5 = KT[_STAGES + 1].dot(_E5)
             err5 /= scale
-            err3 = KT[_STAGES + 1].dot(DOP853.E3)
+            err3 = KT[_STAGES + 1].dot(_E3)
             err3 /= scale
             n5 = math.sqrt(err5.dot(err5)) ** 2
             n3 = math.sqrt(err3.dot(err3)) ** 2
@@ -326,20 +522,21 @@ def _interpolant(rhs, r, r_new, y, y_new, K):
         d0, d1 = K[:s].T.dot(a).tolist()
         K[s] = rhs(r + c * h, y[0] + d0 * h, y[1] + d1 * h)
     f, f_new = K[0].tolist(), K[_STAGES].tolist()
-    F = np.empty((len(DOP853.D) + 3, 2))
+    F = np.empty((len(_D) + 3, 2))
     for j in range(2):
         delta = y_new[j] - y[j]
         F[0, j] = delta
         F[1, j] = h * f[j] - delta
         F[2, j] = 2 * delta - h * (f_new[j] + f[j])
-    F[3:] = h * np.dot(DOP853.D, K)
+    F[3:] = h * np.dot(_D, K)
     return _Dop853Interpolant(r, r_new, np.array(y), F)
 
 
 def _event_root(piece, r_old, r_new):
     """Root of u on one step's interpolant, located as solve_ivp locates
     events, on Python floats in _Dop853Interpolant's order.  It calls
-    optimize.brentq: the module's brentq is the matching root finder."""
+    roots.brentq through the module: the name brentq here is the
+    matching root finder."""
     F = piece.F[::-1, 0].tolist()
     u_old = float(piece.y_old[0])
     h = piece.h
@@ -353,8 +550,8 @@ def _event_root(piece, r_old, r_new):
         y += u_old
         return y
 
-    return optimize.brentq(event, r_old, r_new, xtol=_EVENT_TOL,
-                           rtol=_EVENT_TOL)
+    return roots.brentq(event, r_old, r_new, xtol=_EVENT_TOL,
+                        rtol=_EVENT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -596,6 +793,10 @@ def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
     Failure to contract raises DivergedError, a singular Jacobian raises
     JacobianSingularError.
     """
+    # the bordered system's sparse LU; no command path refines
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     grid = guess.grid
     p = critical_exponent(grid.dimension)
     asm0 = assemble(OperatorSpec(grid, sector=0, lam=lam))

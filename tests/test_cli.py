@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +142,24 @@ def test_bad_dimension_or_amplitude_window_exits_3(tmp_path, capsys,
         args += ["--config", str(cfg)]
     assert run(*args) == 3
     assert message in _config_error_line(capsys)
+
+
+@pytest.mark.parametrize("config,message", [
+    ("a_start = 1e9",
+     "got -12 from a_start = 1000000000.0 and a_end = 100000.0 "
+     "(the N = 6 default)"),
+    ("a_start = 1\na_end = 1.2",
+     "got 1 from a_start = 1.0 and a_end = 1.2")])
+def test_amplitude_window_without_a_schedule_exits_3(tmp_path, capsys,
+                                                     config, message):
+    # a window too narrow for two ratio-2 schedule points is refused by
+    # a message that names both bounds, the default a_end included
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(config + "\n")
+    assert run("limits", "--N", "6", "--m", "2", "--config", str(cfg),
+               "--out", str(tmp_path)) == 3
+    line = _config_error_line(capsys)
+    assert message in line and "at least 2 points" in line
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])
@@ -376,3 +397,33 @@ def test_ansatz_check_artifacts(tmp_path):
     assert run("ansatz-check", "--out", str(out)) == 0
     for name, data in first.items():
         assert read(out / name) == data
+
+
+# ------------------------------------------------------------ import footprint
+
+_FOOTPRINT = """
+import sys
+import bn6.cli
+from bn6 import continuation, shooting
+kernels = [callable(getattr(module, name, None)) for module, name in
+           ((continuation, "curve_fit"), (shooting, "brentq"),
+            (shooting, "solve_ivp"))]
+code = bn6.cli.main(["lambda0", "--out", sys.argv[1]])
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+         "scipy.sparse")
+print(code, kernels, [name for name in heavy if name in sys.modules])
+"""
+
+
+def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
+    # a fresh interpreter: the CLI and a shooting command stay on numpy
+    # and scipy.linalg, while the names the benchmark's traced kernels
+    # wrap exist from the import on
+    src = os.path.dirname(os.path.dirname(bn6.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "0 [True, True, True] []"

@@ -94,6 +94,25 @@ def test_rhs_is_the_numpy_formula_bit_for_bit(dim, lam, r, u, du):
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
+def test_dop853_tableau_is_scipys():
+    # the literal tableau equals the DOP853 class attributes to the bit,
+    # and the stage rows the loop uses are their slices
+    DOP853 = scipy.integrate.DOP853
+    assert shooting._STAGES == DOP853.n_stages
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, theirs = getattr(shooting, "_" + name), getattr(DOP853, name)
+        assert ours.dtype == theirs.dtype == np.float64, name
+        assert np.array_equal(ours, theirs), name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert [s for s, _, _ in shooting._STAGE_ROWS] == list(range(1, 12))
+    for s, a, c in shooting._STAGE_ROWS:
+        assert np.array_equal(a, DOP853.A[s, :s]) and c == DOP853.C[s]
+    assert [s for s, _, _ in shooting._EXTRA_ROWS] == [13, 14, 15]
+    for i, (s, a, c) in enumerate(shooting._EXTRA_ROWS):
+        assert np.array_equal(a, DOP853.A_EXTRA[i, :s])
+        assert c == DOP853.C_EXTRA[i]
+
+
 def _scipy_ivp(dim, lam, a, r_end, dense, max_zeros):
     """The reference: scipy.integrate.solve_ivp with the zero and blow-up
     events, as _integrate called it before bn6 drove DOP853 itself."""
