@@ -22,15 +22,22 @@ lambda(a) tends to a dimension-dependent value strictly below the m-th
 radial eigenvalue.  The branch is sampled on a geometric amplitude
 schedule; the limit is recovered by fitting the tail with a power law
     lambda(a) = lambda_inf + C a^{-gamma},
-with the rate gamma fitted rather than assumed; its error bar is the
-larger of the jackknife spread and the drift under a one-point window
-shift.
+with the rate gamma fitted rather than assumed, or with a shifted-log
+law lambda_inf + C/(ln a - s) when that fits decisively better; its
+error bar is the larger of the jackknife spread and the drift under a
+one-point window shift.
+
+Both laws are lambda_inf + C g(a; theta), linear in (lambda_inf, C) once
+theta is fixed, so each fit is by variable projection (Golub & Pereyra
+1973): (lambda_inf, C) is solved in closed form for every theta, and the
+one-dimensional profiled residual is scanned on a fixed grid of theta
+and refined by a Brent root of its derivative.  No starting guess and no
+iterative three-parameter search are involved.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +67,16 @@ CORRECTOR_SHOTS = 6
 KICK = math.sqrt(RTOL)
 # Shortest tail extract_limit fits (cli checks fit_min_points against it).
 MIN_TAIL_POINTS = 8
+# Each tail fit scans its law's one nonlinear parameter theta on
+# SCAN_POINTS geometric grid points, then refines the best one to
+# THETA_XTOL + THETA_RTOL |theta| (the smallest rtol brentq accepts).
+SCAN_POINTS = 129
+THETA_XTOL = 1e-16
+THETA_RTOL = 4 * np.finfo(float).eps
+# The power law's rates gamma, and the farthest the log law's pole s sits
+# below the first fitted point in ln a (the nearest is 0.25).
+POWER_RATES = np.geomspace(1e-3, 20.0, SCAN_POINTS)
+LOG_POLE_FAR = 1e4
 
 
 @dataclass(frozen=True)
@@ -265,65 +282,103 @@ def _tail_signature(diffs: np.ndarray) -> tuple[bool, bool]:
     return monotone, alternating
 
 
-def _power_model(a, lam_inf, c, gamma):
-    return lam_inf + c * a ** -gamma
+def _power_law(a, gamma):
+    """a^-gamma and its gamma-derivative."""
+    g = a ** -gamma
+    return g, -np.log(a) * g
 
 
-def _log_model(a, lam_inf, c, s):
-    return lam_inf + c / (np.log(a) - s)
+def _log_law(a, s):
+    """1/(ln a - s) and its s-derivative."""
+    g = 1.0 / (np.log(a) - s)
+    return g, g * g
 
 
-def curve_fit(model, a, y, p0, bounds):
-    """The parameters scipy.optimize.curve_fit fits, with OptimizeWarning
-    silenced.  scipy.optimize is imported on the first call: only the
-    tail fits need it."""
-    from scipy.optimize import OptimizeWarning
-    from scipy.optimize import curve_fit as fit
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        return fit(model, a, y, p0=p0, bounds=bounds, maxfev=20000)[0]
+def _log_poles(x_first: float) -> np.ndarray:
+    """The log law's scan grid of poles s, even in ln(x_first - s) from
+    LOG_POLE_FAR to 0.25: the pole stays 0.25 in ln a below x_first."""
+    return x_first - np.geomspace(LOG_POLE_FAR, 0.25, SCAN_POINTS)
 
 
-def _fit(model, a, y, p0, bounds):
-    return curve_fit(model, a, y, np.clip(p0, *bounds), bounds)
+def _profile(g, y, lam_box):
+    """lam_inf, C and the residuals of the least-squares fit
+    y ~ lam_inf + C g, one per row of g, with lam_inf held in lam_box.
 
-
-def _rms(model, a, y, popt) -> float:
-    return float(np.sqrt(np.mean((y - model(a, *popt)) ** 2)))
-
-
-def _log_seed(x, lams):
-    """Starting point for the shifted-log tail law.
-
-    lam_inf is seeded by Aitken acceleration on the last three tail
-    values (exact for the power law, adequate for 1/ln); the shift s
-    then comes from matching the first and last residual gaps.
+    The free fit solves the two-column problem by centred sums.  The
+    objective is a convex quadratic in (lam_inf, C), so when lam_inf
+    leaves the box the violated bound is active at the constrained
+    minimum: lam_inf sits on it and C solves the one-column problem left.
+    A row whose basis under- or overflows gives NaN.
     """
-    d1, d2 = lams[-2] - lams[-3], lams[-1] - lams[-2]
-    lam0 = lams[-1] + (d2 * d2 / (d1 - d2) if abs(d1 - d2) > 0.0 else 0.0)
-    ga, gb = lams[0] - lam0, lams[-1] - lam0
-    if ga * gb > 0.0 and abs(ga - gb) > 0.0:
-        s0 = (ga * x[0] - gb * x[-1]) / (ga - gb)
-    else:
-        s0 = x[0] - 5.0
-    s0 = min(s0, x[0] - 0.5)
-    return lam0, ga * (x[0] - s0), s0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gm = np.mean(g, axis=-1, keepdims=True)
+        dg = g - gm
+        dy = y - np.mean(y)
+        c = np.sum(dg * dy, axis=-1, keepdims=True) / np.sum(
+            dg * dg, axis=-1, keepdims=True)
+        lam = np.mean(y) - c * gm
+        held = np.clip(lam, *lam_box)
+        r = y - held
+        c_held = np.sum(g * r, axis=-1, keepdims=True) / np.sum(
+            g * g, axis=-1, keepdims=True)
+        out = held != lam
+        c = np.where(out, c_held, c)
+        return held, c, np.where(out, r - c * g, dy - c * dg)
+
+
+def curve_fit(law, a, y, thetas, lam_box=(-np.inf, np.inf)):
+    """(lam_inf, C, theta) minimising sum (y - lam_inf - C g(a; theta))^2
+    with theta in [thetas[0], thetas[-1]] and lam_inf in lam_box, where
+    law(a, theta) gives g and its theta-derivative.
+
+    The model is linear in (lam_inf, C) at fixed theta, so the fit
+    searches theta alone (variable projection, Golub & Pereyra 1973): the
+    profiled residual sum of squares is scanned on the grid thetas, and
+    when its theta-derivative changes sign across the two cells beside
+    the smallest grid value, Brent's method finds the zero.  By the
+    envelope theorem that derivative is -2 C sum r dg/dtheta at the
+    profiled (lam_inf, C), bound or not.  Raises ValueError when no theta
+    of the grid gives a finite residual, RuntimeError when brentq does
+    not converge.
+    """
+    def slope(theta):
+        g, dg = law(a, theta)
+        lam, c, r = _profile(g, y, lam_box)
+        if lam_box[0] < lam[0] < lam_box[1]:
+            # free residuals sum to zero: centring dg drops the rounding
+            # of mean(y), which shifts every residual alike
+            dg = dg - np.mean(dg)
+        return float(-2.0 * c[0] * np.sum(r * dg))
+
+    r = _profile(law(a, thetas[:, None])[0], y, lam_box)[2]
+    k = int(np.nanargmin(np.sum(r * r, axis=-1)))
+    lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+    theta = float(thetas[k])
+    if slope(lo) < 0.0 < slope(hi):
+        theta = brentq(slope, lo, hi, xtol=THETA_XTOL, rtol=THETA_RTOL)
+    lam, c, _ = _profile(law(a, theta)[0], y, lam_box)
+    return np.array([float(lam[0]), float(c[0]), theta])
+
+
+def _rms(law, a, y, popt) -> float:
+    lam_inf, c, theta = popt
+    return float(np.sqrt(np.mean((y - lam_inf - c * law(a, theta)[0]) ** 2)))
 
 
 def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEstimate:
     """Extrapolate the large-amplitude limit of lambda from the tail.
 
     The default tail law is lambda(a) = lam_inf + C a^{-gamma} with the
-    rate gamma fitted, seeded from the log-log slope of successive
-    lambda differences.  A shifted-log law lam_inf + C/(ln a - s) is
-    fitted alongside and kept only when its tail residual is decisively
-    (2x) smaller: some branches close their spectral gap at a
+    rate gamma in [1e-3, 20] fitted.  A shifted-log law lam_inf + C/(ln a
+    - s) is fitted alongside and kept only when its tail residual is
+    decisively (2x) smaller: some branches close their spectral gap at a
     logarithmic rate, slower than any power, and the power fit then
-    stalls visibly above the limit.  The uncertainty is the jackknife
-    spread of lam_inf under the selected model, or 1.25 times its drift
-    when the tail window slides back one branch point, whichever is
-    larger.
+    stalls visibly above the limit.  Every log fit keeps its pole s at
+    least 0.25 in ln a below the first point of both the tail and the
+    points it fits, so the pole never falls inside the fitted data.  The
+    uncertainty is the jackknife spread of lam_inf under the selected
+    model, or 1.25 times its drift when the tail window slides back one
+    branch point, whichever is larger.
     """
     if tail_length < MIN_TAIL_POINTS:
         raise ValueError(f"tail must keep >= {MIN_TAIL_POINTS} points, got {tail_length}")
@@ -333,15 +388,8 @@ def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEs
             f"got {len(branch.points)}")
     amps = branch.amplitudes[-tail_length:]
     lams = branch.lambdas[-tail_length:]
-    x = np.log(amps)
-    diffs = np.diff(lams)
-    monotone, alternating = _tail_signature(diffs)
-
-    live = np.abs(diffs) > 0.0
-    slope = np.polyfit(x[:-1][live], np.log(np.abs(diffs[live])), 1)[0]
-    gamma0 = max(0.2, -float(slope))
-    c0 = float(lams[0] - lams[-1]) / max(amps[0] ** -gamma0
-                                         - amps[-1] ** -gamma0, 1e-300)
+    x_tail = np.log(amps[0])
+    monotone, alternating = _tail_signature(np.diff(lams))
 
     # A decaying-correction fit cannot honestly place the limit much
     # beyond one tail-span of the data; boxing lam_inf removes the
@@ -349,22 +397,21 @@ def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEs
     # in ln a and the extrapolation becomes arbitrary.  The log law is
     # exempt: its remaining distance C/(ln a - s) is legitimately large.
     span = max(float(np.max(lams) - np.min(lams)), 1e-12)
-    box_lo = float(np.min(lams)) - span
-    box_hi = float(np.max(lams)) + span
-    candidates = {
-        "power": (_power_model, (float(lams[-1]), c0, gamma0),
-                  ([box_lo, -np.inf, 1e-3], [box_hi, np.inf, 20.0])),
-        "log": (_log_model, _log_seed(x, lams),
-                ([-np.inf, -np.inf, -np.inf],
-                 [np.inf, np.inf, float(x[0]) - 0.25])),
-    }
+    box = (float(np.min(lams)) - span, float(np.max(lams)) + span)
+
+    def fit(name, a, y):
+        if name == "power":
+            return curve_fit(_power_law, a, y, POWER_RATES, box)
+        return curve_fit(_log_law, a, y,
+                         _log_poles(min(x_tail, np.log(a[0]))))
+
     fits = {}
-    for name, (model, p0, bounds) in candidates.items():
+    for name, law in (("power", _power_law), ("log", _log_law)):
         try:
-            popt = _fit(model, amps, lams, p0, bounds)
-            fits[name] = (popt, _rms(model, amps, lams, popt))
+            popt = fit(name, amps, lams)
         except (RuntimeError, ValueError):
             continue
+        fits[name] = (popt, _rms(law, amps, lams, popt))
     if not fits:
         raise NotConvergedError("no tail model fits the branch tail")
     name = "power"
@@ -372,7 +419,6 @@ def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEs
         name = "log"
     elif "log" in fits and fits["log"][1] < 0.5 * fits["power"][1]:
         name = "log"
-    model, p0, bounds = candidates[name]
     popt, rms = fits[name]
     lam_inf, coeff = float(popt[0]), float(popt[1])
     exponent = float(popt[2]) if name == "power" else 1.0
@@ -383,7 +429,7 @@ def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEs
     for i in range(tail_length):
         keep = np.delete(np.arange(tail_length), i)
         try:
-            jack.append(_fit(model, amps[keep], lams[keep], popt, bounds)[0])
+            jack.append(fit(name, amps[keep], lams[keep])[0])
         except (RuntimeError, ValueError):
             continue
     uncertainty = math.inf
@@ -397,8 +443,8 @@ def extract_limit(branch: Branch, tail_length: int = MIN_TAIL_POINTS) -> LimitEs
     # the quoted bar dominates the drop-last-point sensitivity.
     if len(branch.points) > tail_length:
         try:
-            shifted = _fit(model, branch.amplitudes[-tail_length - 1:-1],
-                           branch.lambdas[-tail_length - 1:-1], popt, bounds)
+            shifted = fit(name, branch.amplitudes[-tail_length - 1:-1],
+                          branch.lambdas[-tail_length - 1:-1])
             uncertainty = max(uncertainty, 1.25 * abs(float(shifted[0])
                                                       - lam_inf))
         except (RuntimeError, ValueError):

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import get_lapack_funcs
 
 from .auxiliary import AuxProfiles
 from .bubbles import (
@@ -81,50 +82,95 @@ C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 # ---------------------------------------------------------------------------
 # spline context for the smooth fields
 
+def _clamped_cubic(x: np.ndarray, y: np.ndarray,
+                   end_slope: float) -> np.ndarray:
+    """Coefficients, shape (4, len(x) - 1) with the cubic first, of the C2
+    cubic spline through (x, y) with slope 0 at x[0] and end_slope at x[-1].
+
+    They are scipy's CubicSpline(x, y, bc_type=((1, 0.0), (1, end_slope))).c
+    to the bit: the same banded system for the knot slopes, solved by the
+    LAPACK gtsv that solve_banded((1, 1), ...) calls, and the same Hermite
+    coefficient formulas.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = np.ones(len(x))
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    b = np.empty(len(x))
+    b[0], b[-1] = 0.0, end_slope
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    (gtsv,) = get_lapack_funcs(("gtsv",), (d, b))
+    *_, s, info = gtsv(np.append(dx[1:], 0.0), d, np.append(0.0, dx[:-1]),
+                       b, True, True, True, True)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular spline slope system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class _SplineSet:
-    """Cubic-spline views of u_0, v, w with clamped center derivative."""
+    """Cubic-spline views of u_0, v, w with clamped center derivative.
+
+    Values and first derivatives are those of scipy's CubicSpline and its
+    derivative() to the bit: each r is placed in the cell x[i] <= r <
+    x[i + 1] (the end cells extended outward), and each polynomial is
+    summed in powers of s = r - x[i] as scipy's PPoly sums it.
+    """
 
     def __init__(self, profiles: AuxProfiles):
-        # only the ansatz commands build splines: import scipy.interpolate
-        # (and with it scipy.optimize) here, not on every command's path
-        from scipy.interpolate import CubicSpline
-
-        grid = profiles.grid
-        x = grid.nodes
+        x = profiles.grid.nodes
         self.knots = x
         self.lam0 = profiles.lam0
         self.u00 = float(profiles.u0.values[0])
         self.v00 = float(profiles.v.values[0])
         self.w00 = float(profiles.w.values[0])
+        # rows u_0, v, w, and their derivatives' coefficients c * (3, 2, 1);
+        # PPoly adds the constant term to 0.0 first, turning a value of
+        # -0.0 into +0.0
+        c = np.stack([_clamped_cubic(x, f.values, float(f.derivative[-1]))
+                      for f in (profiles.u0, profiles.v, profiles.w)])
+        self._dcoef = c[:, :3] * np.array([3.0, 2.0, 1.0])[:, None]
+        c[:, 3] += 0.0
+        self._coef = c
 
-        def _fit(f: RadialFn):
-            return CubicSpline(x, f.values,
-                               bc_type=((1, 0.0), (1, float(f.derivative[-1]))))
+    def _cell(self, r):
+        i = np.clip(np.searchsorted(self.knots, r, "right") - 1, 0,
+                    len(self.knots) - 2)
+        return i, r - self.knots[i]
 
-        self.u0 = _fit(profiles.u0)
-        self.v = _fit(profiles.v)
-        self.w = _fit(profiles.w)
-        self.du0 = self.u0.derivative()
-        self.dv = self.v.derivative()
-        self.dw = self.w.derivative()
+    def _values(self, i, s):
+        c = self._coef[:, :, i]
+        s2 = s * s
+        return c[:, 3] + c[:, 2] * s + c[:, 1] * s2 + c[:, 0] * (s2 * s)
+
+    def _slopes(self, i, s):
+        c = self._dcoef[:, :, i]
+        return c[:, 2] + c[:, 1] * s + c[:, 0] * (s * s)
+
+    @staticmethod
+    def _z(fields, eps: float):
+        u0, v, w = fields
+        return u0 + eps * v + eps ** 2 * w
 
     def z(self, r, eps: float):
-        return self.u0(r) + eps * self.v(r) + eps ** 2 * self.w(r)
+        return self._z(self._values(*self._cell(r)), eps)
 
     def dz(self, r, eps: float):
-        return self.du0(r) + eps * self.dv(r) + eps ** 2 * self.dw(r)
+        return self._z(self._slopes(*self._cell(r)), eps)
 
     def fields(self, r, eps: float):
         """z, z' and the source -Delta z - lam z (lam = lam0 + eps), with
-        u_0, v, w evaluated once.  The source follows from the defining
-        equations: (u_0 + eps v)^2 + 2 eps^2 u_0 w - eps^3 w."""
-        u0, v, w = self.u0(r), self.v(r), self.w(r)
-        z = u0 + eps * v + eps ** 2 * w
+        u_0, v, w and their derivatives evaluated once.  The source follows
+        from the defining equations: (u_0 + eps v)^2 + 2 eps^2 u_0 w -
+        eps^3 w."""
+        i, s = self._cell(r)
+        u0, v, w = self._values(i, s)
+        z = self._z((u0, v, w), eps)
         source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
-        return z, self.dz(r, eps), source
+        return z, self._z(self._slopes(i, s), eps), source
 
     def neg_laplacian_z(self, r, eps: float):
-        u0, v, w = self.u0(r), self.v(r), self.w(r)
+        u0, v, w = self._values(*self._cell(r))
         lam0 = self.lam0
         return (lam0 * u0 + u0 ** 2
                 + eps * ((lam0 + 2.0 * u0) * v + u0)

@@ -408,22 +408,39 @@ from bn6 import continuation, shooting
 kernels = [callable(getattr(module, name, None)) for module, name in
            ((continuation, "curve_fit"), (shooting, "brentq"),
             (shooting, "solve_ivp"))]
-code = bn6.cli.main(["lambda0", "--out", sys.argv[1]])
+codes = [bn6.cli.main(argv.split() + ["--out", sys.argv[1]])
+         for argv in sys.argv[2:]]
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
          "scipy.sparse")
-print(code, kernels, [name for name in heavy if name in sys.modules])
+print(codes, kernels, [name for name in heavy if name in sys.modules])
 """
+
+
+def _footprint(*argv: str) -> str:
+    """The last line _FOOTPRINT prints after running the bn6 commands
+    argv in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(bn6.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    return done.stdout.splitlines()[-1]
 
 
 def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
     # a fresh interpreter: the CLI and a shooting command stay on numpy
     # and scipy.linalg, while the names the benchmark's traced kernels
     # wrap exist from the import on
-    src = os.path.dirname(os.path.dirname(bn6.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.splitlines()[-1] == "0 [True, True, True] []"
+    assert _footprint(str(tmp_path), "lambda0") == "[0] [True, True, True] []"
+
+
+def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
+    # limits fits its tails and ansatz-check builds its splines on numpy
+    # and scipy.linalg alone
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("a_end = 256\n")
+    assert _footprint(str(tmp_path), f"limits --N 3 --m 1 --config {cfg}",
+                      "ansatz-check --eps-grid 0.05:0.5:2") == (
+        "[0, 0] [True, True, True] []")

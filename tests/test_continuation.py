@@ -1,10 +1,15 @@
 """Branch tracing over amplitude and large-amplitude limit extraction."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning, brentq
+from scipy.optimize import curve_fit as scipy_curve_fit
 from scipy.special import jn_zeros, jv
 
 from bn6 import continuation, shooting
@@ -84,13 +89,21 @@ def test_power_tail_recovered_exactly():
     lams = 5.0 + 3.0 * amps ** -1.5
     est = extract_limit(_synthetic_branch(amps, lams))
     assert est.model == "power"
-    # exact data, so the floor is curve_fit's own stopping tolerance
-    assert est.lam_infinity == pytest.approx(5.0, abs=1e-6)
-    assert est.exponent == pytest.approx(1.5, rel=1e-4)
-    assert est.coefficient == pytest.approx(3.0, rel=1e-3)
+    # exact data: the profiled residual has its zero at gamma = 1.5
+    assert est.lam_infinity == pytest.approx(5.0, abs=1e-10)
+    assert est.exponent == pytest.approx(1.5, rel=1e-9)
+    assert est.coefficient == pytest.approx(3.0, rel=1e-8)
     assert est.monotone and not est.alternating
     assert not est.poor_fit
     assert est.uncertainty < 1e-4
+
+
+def test_flat_tail_extrapolates_to_its_value():
+    # no rate can be read off a constant tail, and the fit needs none
+    amps = np.geomspace(1.0, 128.0, 8)
+    est = extract_limit(_synthetic_branch(amps, np.full(8, 5.0)))
+    assert est.model == "power"
+    assert est.lam_infinity == 5.0 and est.uncertainty == 0.0
 
 
 def test_log_tail_selects_log_model():
@@ -103,6 +116,135 @@ def test_log_tail_selects_log_model():
     assert est.exponent == 1.0
     assert est.lam_infinity == pytest.approx(10.0, abs=1e-6)
     assert est.coefficient == pytest.approx(-12.0, rel=1e-4)
+
+
+def test_log_pole_stays_below_every_fitted_window(monkeypatch):
+    # the window slid back one point starts a schedule step (0.69 in ln a)
+    # before the tail, so a pole just below the tail lies inside it unless
+    # every fit is bounded by its own first point as well as the tail's
+    seen = []
+    fit = continuation.curve_fit
+
+    def recording(law, a, y, thetas, lam_box=(-np.inf, np.inf)):
+        popt = fit(law, a, y, thetas, lam_box)
+        seen.append((law, np.log(a[0]), thetas, popt))
+        return popt
+
+    monkeypatch.setattr(continuation, "curve_fit", recording)
+    amps = np.geomspace(1e3, 1e6, 11)
+    x_tail = np.log(amps[-8])
+    lams = 10.0 - 2.0 / (np.log(amps) - (x_tail - 0.3))
+    est = extract_limit(_synthetic_branch(amps, lams))
+    assert est.model == "log"
+    logs = [(x_first, thetas, popt) for law, x_first, thetas, popt in seen
+            if law is continuation._log_law]
+    assert len(logs) == 1 + 8 + 1  # full tail, jackknife, shifted window
+    for x_first, thetas, popt in logs:
+        bound = min(x_tail, x_first) - 0.25
+        assert thetas.max() == bound
+        assert thetas.min() <= popt[2] <= bound
+    x_window = np.log(amps[-9])
+    assert logs[-1][0] == x_window and logs[-1][2][2] <= x_window - 0.25
+
+
+def _reference_fit(name, a, y):
+    """scipy.optimize.curve_fit (trust-region reflective) on the same law
+    and bounds, started from a log-log-slope rate for the power law and
+    an Aitken-accelerated limit for the log law."""
+    x = np.log(a)
+    span = max(float(np.max(y) - np.min(y)), 1e-12)
+    if name == "power":
+        diffs = np.diff(y)
+        rate = -np.polyfit(x[:-1], np.log(np.abs(diffs)), 1)[0]
+        gamma0 = max(0.2, float(rate))
+        c0 = float(y[0] - y[-1]) / max(a[0] ** -gamma0 - a[-1] ** -gamma0,
+                                       1e-300)
+        model = _power_model
+        p0 = (float(y[-1]), c0, gamma0)
+        bounds = ([float(np.min(y)) - span, -np.inf, 1e-3],
+                  [float(np.max(y)) + span, np.inf, 20.0])
+    else:
+        d1, d2 = y[-2] - y[-3], y[-1] - y[-2]
+        lam0 = y[-1] + (d2 * d2 / (d1 - d2) if abs(d1 - d2) > 0.0 else 0.0)
+        ga, gb = y[0] - lam0, y[-1] - lam0
+        s0 = x[0] - 5.0
+        if ga * gb > 0.0 and abs(ga - gb) > 0.0:
+            s0 = (ga * x[0] - gb * x[-1]) / (ga - gb)
+        s0 = min(s0, x[0] - 0.5)
+        model = _log_model
+        p0 = (lam0, ga * (x[0] - s0), s0)
+        bounds = ([-np.inf] * 3, [np.inf, np.inf, float(x[0]) - 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        return scipy_curve_fit(model, a, y, p0=np.clip(p0, *bounds),
+                               bounds=bounds, maxfev=20000)[0]
+
+
+def _power_model(a, lam_inf, c, gamma):
+    return lam_inf + c * a ** -gamma
+
+
+def _log_model(a, lam_inf, c, s):
+    return lam_inf + c / (np.log(a) - s)
+
+
+def _exact_rss(name, a, y, popt) -> float:
+    """Residual sum of squares of the double parameters popt, in 40-digit
+    arithmetic, so rounding in the residuals cannot decide a comparison."""
+    with mpmath.workdps(40):
+        lam_inf, c, theta = (mpmath.mpf(float(p)) for p in popt)
+        total = mpmath.mpf(0)
+        for ai, yi in zip(a, y):
+            ai = mpmath.mpf(float(ai))
+            g = ai ** -theta if name == "power" else 1 / (mpmath.log(ai)
+                                                          - theta)
+            total += (mpmath.mpf(float(yi)) - lam_inf - c * g) ** 2
+        return float(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(("power", "log")), n=st.integers(7, 12),
+       a0=st.floats(1.0, 1e4), ratio=st.floats(1.6, 2.5),
+       lam=st.floats(-1.0, 30.0), c=st.floats(0.1, 20.0),
+       sign=st.sampled_from((-1.0, 1.0)), rate=st.floats(0.02, 3.0),
+       gap=st.floats(0.3, 10.0), noise=st.floats(0.0, 1e-6),
+       seed=st.integers(0, 2 ** 32 - 1))
+# the lam_inf box binds (a slow rate puts the limit beyond one tail span
+# of the data) and does not
+@example(law="power", n=8, a0=100.0, ratio=2.0, lam=5.0, c=3.0, sign=1.0,
+         rate=0.05, gap=1.0, noise=1e-7, seed=1)
+@example(law="power", n=8, a0=100.0, ratio=2.0, lam=5.0, c=3.0, sign=1.0,
+         rate=1.5, gap=1.0, noise=0.0, seed=1)
+# exact data where rounding of mean(y) in the residuals would bias theta
+@example(law="log", n=7, a0=1.0, ratio=1.6, lam=1.0, c=5.1875, sign=1.0,
+         rate=1.0, gap=5.1875, noise=0.0, seed=0)
+def test_tail_fit_residual_at_most_curve_fits(law, n, a0, ratio, lam, c,
+                                              sign, rate, gap, noise, seed):
+    # both laws are fitted to every drawn tail, as extract_limit fits them
+    a = a0 * ratio ** np.arange(n)
+    x = np.log(a)
+    if law == "power":
+        y = lam + sign * c * a ** -rate
+    else:
+        y = lam + sign * c / (x - (x[0] - gap))
+    y = y + noise * np.random.default_rng(seed).standard_normal(n)
+    assume(np.all(np.diff(y) != 0.0))  # the reference's rate seed
+    span = float(np.max(y) - np.min(y))
+    box = (float(np.min(y)) - span, float(np.max(y)) + span)
+    ours = {"power": continuation.curve_fit(
+                continuation._power_law, a, y, continuation.POWER_RATES, box),
+            "log": continuation.curve_fit(
+                continuation._log_law, a, y, continuation._log_poles(x[0]))}
+    # exact data leave residuals at rounding level: four ulps of the data
+    floor = n * (4.0 * np.finfo(float).eps * np.max(np.abs(y))) ** 2
+    for name, popt in ours.items():
+        ref = _reference_fit(name, a, y)
+        assert (_exact_rss(name, a, y, popt)
+                <= (1.0 + 1e-9) * _exact_rss(name, a, y, ref) + floor)
+        if name == "power":
+            assert box[0] <= popt[0] <= box[1] and 1e-3 <= popt[2] <= 20.0
+        else:
+            assert popt[2] <= x[0] - 0.25
 
 
 def test_alternating_tail_flagged():
@@ -317,14 +459,14 @@ def test_uncertainty_is_jackknife_or_window_shift(monkeypatch):
     # record lam_inf of every tail fit: two full-tail fits (power, log),
     # one per dropped point, then the window slid back one point
     fits = []
-    fit = continuation._fit
+    fit = continuation.curve_fit
 
-    def recording(model, a, y, p0, bounds):
-        popt = fit(model, a, y, p0, bounds)
+    def recording(model, a, y, thetas, lam_box=(-np.inf, np.inf)):
+        popt = fit(model, a, y, thetas, lam_box)
         fits.append((len(a), float(a[-1]), float(popt[0])))
         return popt
 
-    monkeypatch.setattr(continuation, "_fit", recording)
+    monkeypatch.setattr(continuation, "curve_fit", recording)
     for count in (11, 8):
         fits.clear()
         amps = np.geomspace(1e2, 1e5, count)

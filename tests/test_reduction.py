@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value, project_bubble
 from bn6.errors import ConfigError, RadialModeViolationError
-from bn6.grid import RadialFn, make_grid
+from bn6.grid import RadialFn, RadialGrid, make_grid
 from bn6.reduction import (
     MU3_RATIO,
     PAPER_MU3_RATIO,
@@ -20,6 +23,7 @@ from bn6.reduction import (
     reduced_energy_polynomial,
     refinement_sweep,
     residual_norm,
+    _SplineSet,
     tau_star,
 )
 
@@ -132,6 +136,50 @@ def test_ansatz_spec_validation(profiles):
     spec = AnsatzSpec(profiles=profiles, eps=-0.1, mu=1e-3)
     assert spec.lam == pytest.approx(profiles.lam0 - 0.1, rel=1e-15)
     assert spec.mu == 1e-3
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 40), clustered=st.booleans(), data=st.data())
+def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
+    # knots from random cell widths, or cells growing geometrically away
+    # from r = 0 as on the profile grids; values and end slopes random
+    if clustered:
+        widths = data.draw(st.floats(1.0, 1.5)) ** np.arange(n - 1)
+    else:
+        widths = np.array(data.draw(st.lists(st.floats(0.01, 1.0),
+                                             min_size=n - 1, max_size=n - 1)))
+    cum = np.cumsum(widths)
+    x = np.concatenate(([0.0], cum / cum[-1]))
+    # signed zeros are frequent, and some rows hold nothing else, so
+    # -0.0 + -0.0 sums show
+    zero = st.sampled_from((0.0, -0.0))
+    finite = st.one_of(zero, st.floats(-10.0, 10.0))
+    row = st.one_of(st.lists(finite, min_size=n, max_size=n),
+                    st.lists(zero, min_size=n, max_size=n))
+    values = [np.array(data.draw(row)) for _ in range(3)]
+    slopes = [data.draw(finite) for _ in range(3)]
+    grid = RadialGrid(6, x, np.zeros(n), "uniform")
+    fns = [RadialFn(grid, y, np.append(np.zeros(n - 1), e))
+           for y, e in zip(values, slopes)]
+    S = _SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
+
+    fracs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                        max_size=4)))
+    inside = (x[:-1, None] + fracs * np.diff(x)[:, None]).ravel()
+    r = np.concatenate((x, inside, [0.0, 1.0, -1e-3, np.nextafter(0.0, -1.0),
+                                    np.nextafter(1.0, 2.0), 1.0 + 1e-3]))
+    scalars = (0.0, float(inside[0]), 1.0, -1e-3, 1.0 + 1e-3)
+    for k, (y, e) in enumerate(zip(values, slopes)):
+        spline = CubicSpline(x, y, bc_type=((1, 0.0), (1, e)))
+        for ours, ref in ((S._values, spline), (S._slopes,
+                                                 spline.derivative())):
+            assert _hex(ours(*S._cell(r))[k]) == _hex(ref(r))
+            assert _hex([ours(*S._cell(t))[k] for t in scalars]) == _hex(
+                [ref(t) for t in scalars])
 
 
 def test_assemble_z_splines_follow_their_profiles():
