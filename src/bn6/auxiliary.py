@@ -140,26 +140,6 @@ class ConcentrationSurvey:
     two_v_error: float
     essential: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda0": self.lam0,
-            "points": [
-                {
-                    "radius": p.radius,
-                    "level": p.level,
-                    "u_value": p.u_value,
-                    "v_value": p.v_value,
-                    "dv_dr": p.dv_dr,
-                    "beta": p.beta,
-                    "case": p.case,
-                }
-                for p in self.points
-            ],
-            "two_v_minus_one": self.two_v_minus_one,
-            "two_v_error": self.two_v_error,
-            "essential": self.essential,
-        }
-
 
 LEVEL_RTOL = 1e-6
 V_EXCLUSION_TOL = 1e-8
@@ -253,20 +233,6 @@ class NondegeneracyReport:
     hessian_witness: float
     origin_value_gap: float
     survey: ConcentrationSurvey | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "lambda0": self.lam0,
-            "l_max": self.l_max,
-            "sector_gaps": list(self.sector_gaps),
-            "min_gap": self.min_gap,
-            "comparison_l": self.comparison_l,
-            "cutoff_certified": self.cutoff_certified,
-            "hessian_witness": self.hessian_witness,
-            "origin_value_gap": self.origin_value_gap,
-            "survey": None if self.survey is None else self.survey.as_dict(),
-        }
 
 
 def essential_nondegeneracy(profiles: AuxProfiles,

@@ -150,21 +150,10 @@ class ConstantsRegistry:
     alpha6: float
     omega6: float
     d1: float
-    d1_quad: float
+    d1_quadrature: float
     d2: float
     u_center: float
     d2_formula: str = "alpha6^(3/2) * omega6 * |u(center)|^(3/2)"
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha6": self.alpha6,
-            "omega6": self.omega6,
-            "d1": self.d1,
-            "d1_quadrature": self.d1_quad,
-            "d2": self.d2,
-            "u_center": self.u_center,
-            "d2_formula": self.d2_formula,
-        }
 
 
 def constants(u_center: float) -> ConstantsRegistry:
@@ -174,7 +163,7 @@ def constants(u_center: float) -> ConstantsRegistry:
         alpha6=ALPHA6,
         omega6=sphere_area(N6),
         d1=d1_closed_form(),
-        d1_quad=d1_quadrature(),
+        d1_quadrature=d1_quadrature(),
         d2=d2_value(u_center),
         u_center=float(u_center),
     )

@@ -46,6 +46,7 @@ from .serialize import (
     expansion_rows,
     json_text,
     radial_fn_rows,
+    record,
     rows_as_json,
     write_atomic,
 )
@@ -152,7 +153,8 @@ def parse_config_file(path: str) -> dict:
 
 def parse_eps_grid(spec: str | None):
     """Magnitude schedule "start:ratio:count" -> tuple of floats; at least
-    two distinct magnitudes, so that a rate can be fitted."""
+    two distinct magnitudes, so that a rate can be fitted, each finite and
+    > 0 (neither overflowed nor underflowed)."""
     if spec is None:
         return None
     parts = spec.split(":")
@@ -163,10 +165,21 @@ def parse_eps_grid(spec: str | None):
         start, ratio, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad --eps-grid {spec!r}") from exc
-    if start <= 0.0 or ratio <= 0.0 or ratio == 1.0 or count < 2:
-        raise ConfigError(f"--eps-grid needs start > 0, ratio > 0 and != 1, "
-                          f"count >= 2, got {spec!r}")
-    return tuple(start * ratio ** k for k in range(count))
+    if not (0.0 < start < math.inf and 0.0 < ratio < math.inf
+            and ratio != 1.0 and count >= 2):
+        raise ConfigError(f"--eps-grid needs finite start > 0, finite "
+                          f"ratio > 0 and != 1, count >= 2, got {spec!r}")
+    magnitudes = []
+    for k in range(count):
+        try:
+            magnitude = start * ratio ** k
+        except OverflowError:
+            magnitude = math.inf
+        if not 0.0 < magnitude < math.inf:
+            raise ConfigError(f"--eps-grid magnitude {k} of {spec!r} is "
+                              f"{magnitude}, not finite and > 0")
+        magnitudes.append(magnitude)
+    return tuple(magnitudes)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,13 +250,17 @@ def _write_table(cfg: RunConfig, prov: dict, stem: str, header: str,
                  rows, pinned_csv: bool = True) -> None:
     """CSV (always, when the header is a pinned interface) and, under
     --format json, a row-objects twin."""
-    out = cfg.resolved_out()
     if pinned_csv or cfg.format == "csv":
-        write_atomic(os.path.join(out, stem + ".csv"),
+        write_atomic(os.path.join(cfg.resolved_out(), stem + ".csv"),
                      csv_text(header, rows, prov))
     if cfg.format == "json":
-        write_atomic(os.path.join(out, stem + ".rows.json"),
-                     json_text({"rows": rows_as_json(header, rows)}, prov))
+        _write_json(cfg, prov, stem + ".rows.json",
+                    {"rows": rows_as_json(header, rows)})
+
+
+def _write_json(cfg: RunConfig, prov: dict, name: str, payload: dict) -> None:
+    write_atomic(os.path.join(cfg.resolved_out(), name),
+                 json_text(payload, prov))
 
 
 def _require_lambda(cfg: RunConfig) -> float:
@@ -265,9 +282,7 @@ def cmd_constants(cfg: RunConfig, prov: dict) -> None:
         u_center = 0.5 * cfg.lam
     else:
         u_center = 0.5 * find_lambda0(cfg.dimension).lam0
-    registry = constants(u_center)
-    write_atomic(os.path.join(cfg.resolved_out(), "constants.json"),
-                 json_text(registry.as_dict(), prov))
+    _write_json(cfg, prov, "constants.json", record(constants(u_center)))
 
 
 def cmd_ground_state(cfg: RunConfig, prov: dict) -> None:
@@ -275,9 +290,7 @@ def cmd_ground_state(cfg: RunConfig, prov: dict) -> None:
     point = solve_bvp(cfg.dimension, lam, cfg.m,
                       **({} if cfg.grid_n is None
                          else {"grid_n": cfg.grid_n}))
-    out = cfg.resolved_out()
-    write_atomic(os.path.join(out, "ground_state.json"),
-                 json_text(branch_point_dict(point), prov))
+    _write_json(cfg, prov, "ground_state.json", branch_point_dict(point))
     _write_table(cfg, prov, "ground_state_profile", PROFILE_HEADER,
                  radial_fn_rows(point.profile))
 
@@ -286,16 +299,9 @@ def cmd_lambda0(cfg: RunConfig, prov: dict) -> None:
     cert = find_lambda0(cfg.dimension,
                         **({} if cfg.grid_n is None
                            else {"grid_n": cfg.grid_n}))
-    payload = {
-        "dimension": cert.dimension,
-        "lambda0": cert.lam0,
-        "amplitude": cert.amplitude,
-        "gap": cert.gap,
-        "gap_alt": cert.gap_alt,
-        "branch_point": branch_point_dict(cert.branch),
-    }
-    out = cfg.resolved_out()
-    write_atomic(os.path.join(out, "lambda0.json"), json_text(payload, prov))
+    _write_json(cfg, prov, "lambda0.json",
+                {**record(cert),
+                 "branch_point": branch_point_dict(cert.branch)})
     _write_table(cfg, prov, "lambda0_profile", PROFILE_HEADER,
                  radial_fn_rows(cert.branch.profile))
 
@@ -309,12 +315,9 @@ def cmd_branch(cfg: RunConfig, prov: dict) -> None:
     branch = _trace(cfg)
     stem = f"branch_N{cfg.dimension}_m{cfg.m}"
     _write_table(cfg, prov, stem, BRANCH_HEADER, branch_rows(branch))
-    payload = {
-        "points": [branch_point_dict(p) for p in branch.points],
-        "diagnostics": [list(d) for d in branch.diagnostics],
-    }
-    write_atomic(os.path.join(cfg.resolved_out(), stem + ".json"),
-                 json_text(payload, prov))
+    _write_json(cfg, prov, stem + ".json",
+                {"points": [branch_point_dict(p) for p in branch.points],
+                 "diagnostics": [list(d) for d in branch.diagnostics]})
 
 
 def cmd_limits(cfg: RunConfig, prov: dict) -> None:
@@ -323,25 +326,17 @@ def cmd_limits(cfg: RunConfig, prov: dict) -> None:
     stem = f"limits_N{cfg.dimension}_m{cfg.m}"
     _write_table(cfg, prov, stem + "_branch", BRANCH_HEADER,
                  branch_rows(branch))
-    write_atomic(os.path.join(cfg.resolved_out(), stem + ".json"),
-                 json_text(estimate.as_dict(), prov))
+    _write_json(cfg, prov, stem + ".json", record(estimate))
 
 
 def cmd_aux_solve(cfg: RunConfig, prov: dict) -> None:
     profiles = _profiles(cfg)
-    out = cfg.resolved_out()
     for name, fn in (("u0", profiles.u0), ("v", profiles.v),
                      ("w", profiles.w)):
         _write_table(cfg, prov, f"aux_{name}", PROFILE_HEADER,
                      radial_fn_rows(fn))
-    payload = {
-        "dimension": profiles.dimension,
-        "lambda0": profiles.lam0,
-        "amplitude": profiles.amplitude,
-        "v0": profiles.v0,
-        "w0": profiles.w0,
-    }
-    write_atomic(os.path.join(out, "aux.json"), json_text(payload, prov))
+    _write_json(cfg, prov, "aux.json",
+                {**record(profiles), "v0": profiles.v0, "w0": profiles.w0})
 
 
 def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
@@ -354,9 +349,7 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
                  if half >= MIN_CELLS else None)
     report = essential_nondegeneracy(profiles, l_max=cfg.lmax,
                                      coarse_v0=coarse_v0)
-    out = cfg.resolved_out()
-    write_atomic(os.path.join(out, "nondeg.json"),
-                 json_text(report.as_dict(), prov))
+    _write_json(cfg, prov, "nondeg.json", record(report))
     _write_table(cfg, prov, "nondeg_v", PROFILE_HEADER,
                  radial_fn_rows(profiles.v))
     _write_table(cfg, prov, "nondeg_w", PROFILE_HEADER,
@@ -378,11 +371,10 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
     mu = np.array([row[1] for row in rows])
     res = np.array([row[2] for row in rows])
     exponent = float(np.polyfit(np.log(mu), np.log(res), 1)[0])
-    payload = {"tau_star": tau, "eps_sign": sign,
-               "residual_exponent": exponent,
-               "rows": rows_as_json(ANSATZ_HEADER, rows)}
-    write_atomic(os.path.join(cfg.resolved_out(), "ansatz_check.json"),
-                 json_text(payload, prov))
+    _write_json(cfg, prov, "ansatz_check.json",
+                {"tau_star": tau, "eps_sign": sign,
+                 "residual_exponent": exponent,
+                 "rows": rows_as_json(ANSATZ_HEADER, rows)})
 
 
 def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
@@ -396,8 +388,7 @@ def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
                                 else {"eps_magnitudes": magnitudes}))
     _write_table(cfg, prov, "expansion_check", EXPANSION_HEADER,
                  expansion_rows(report))
-    write_atomic(os.path.join(cfg.resolved_out(), "expansion_fit.json"),
-                 json_text(report.as_dict(), prov))
+    _write_json(cfg, prov, "expansion_fit.json", record(report))
 
 
 _DISPATCH = {

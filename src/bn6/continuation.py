@@ -134,19 +134,6 @@ class LimitEstimate:
     alternating: bool
     poor_fit: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lam_infinity": self.lam_infinity,
-            "model": self.model,
-            "exponent": self.exponent,
-            "coefficient": self.coefficient,
-            "uncertainty": self.uncertainty,
-            "tail": [list(pair) for pair in self.tail],
-            "monotone": self.monotone,
-            "alternating": self.alternating,
-            "poor_fit": self.poor_fit,
-        }
-
 
 def _match_lambda(dimension: int, amplitude: float, m: int, lo: float,
                   hi: float, guess: float | None = None,

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
 
 from .errors import NearSingularError, NotConvergedError
-from .grid import RadialFn, RadialGrid, hat_moments, make_grid
+from .grid import RadialFn, RadialGrid, differentiate, hat_moments, make_grid
 
 NEAR_SINGULAR_RTOL = 1e-8
 # Largest normwise backward error of a Dirichlet solve: 16u (u = eps/2).
@@ -279,8 +279,7 @@ def apply_operator(op: OperatorSpec, f: RadialFn) -> np.ndarray:
     hp = r[2:] - r[1:-1]
     upp = 2.0 * (hm * u[2:] - (hm + hp) * u[1:-1] + hp * u[:-2]) \
         / (hm * hp * (hm + hp))
-    up = (u[2:] * hm ** 2 - u[:-2] * hp ** 2 + u[1:-1] * (hp ** 2 - hm ** 2)) \
-        / (hm * hp * (hm + hp))
+    up = differentiate(r, u)[1:-1]
     ri = r[1:-1]
     lap = upp + (N - 1) / ri * up
     out[1:-1] = -lap + (l * (l + N - 2) / ri ** 2 - op.lam - q[1:-1]) * u[1:-1]

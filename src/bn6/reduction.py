@@ -484,21 +484,6 @@ class ExpansionRow:
     audit_gap: float
     base_form_gap: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "tau_mult": self.tau_mult,
-            "mu": self.mu,
-            "j_ansatz": self.j_ansatz,
-            "j_base": self.j_base,
-            "delta": self.delta,
-            "e_pred": self.e_pred,
-            "defect": self.defect,
-            "residual_l32": self.residual_l32,
-            "audit_gap": self.audit_gap,
-            "base_form_gap": self.base_form_gap,
-        }
-
 
 @dataclass(frozen=True)
 class ExpansionReport:
@@ -517,7 +502,7 @@ class ExpansionReport:
     """
 
     lam0: float
-    tau_star_value: float
+    tau_star: float
     rows: tuple
     coef_const: float
     coef_mu2: float
@@ -531,25 +516,6 @@ class ExpansionReport:
     paper_mu3: float
     remainder_exponent: float
     residual_exponent: float
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda0": self.lam0,
-            "tau_star": self.tau_star_value,
-            "rows": [row.as_dict() for row in self.rows],
-            "coef_const": self.coef_const,
-            "coef_mu2": self.coef_mu2,
-            "coef_eps_mu2": self.coef_eps_mu2,
-            "coef_mu3": self.coef_mu3,
-            "coef_eps2_mu2": self.coef_eps2_mu2,
-            "coef_eps_mu3": self.coef_eps_mu3,
-            "c2_closed": self.c2_closed,
-            "target_eps_mu2": self.target_eps_mu2,
-            "target_mu3": self.target_mu3,
-            "paper_mu3": self.paper_mu3,
-            "remainder_exponent": self.remainder_exponent,
-            "residual_exponent": self.residual_exponent,
-        }
 
 
 DEFAULT_EPS_MAGNITUDES = tuple(np.geomspace(0.02, 0.25, 8))
@@ -691,7 +657,7 @@ def expansion_check(profiles: AuxProfiles,
     d1 = d1_closed_form()
     return ExpansionReport(
         lam0=lam0,
-        tau_star_value=tau0,
+        tau_star=tau0,
         rows=tuple(rows),
         coef_const=float(coef[0]),
         coef_mu2=float(coef[1]),
@@ -722,16 +688,6 @@ class RefinementRow:
     residual_l32: float
     multiplier: float
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "mu": self.mu,
-            "distance_h1": self.distance_h1,
-            "iterations": self.iterations,
-            "residual_l32": self.residual_l32,
-            "multiplier": self.multiplier,
-        }
-
 
 @dataclass(frozen=True)
 class RefinementReport:
@@ -747,13 +703,6 @@ class RefinementReport:
     rows: tuple
     distance_exponent: float
     distance_exponent_raw: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [row.as_dict() for row in self.rows],
-            "distance_exponent": self.distance_exponent,
-            "distance_exponent_raw": self.distance_exponent_raw,
-        }
 
 
 def refinement_sweep(profiles: AuxProfiles,

@@ -5,6 +5,11 @@ exactly; JSON numbers use Python's shortest round-trip representation.
 Every artifact opens with the resolved configuration and the package
 version, so a file is traceable to the run that produced it without any
 timestamps (identical configuration must give identical bytes).
+
+A JSON artifact is its report dataclass, recorded by `record`: the keys
+are the field names, except that `lam0` is written as "lambda0", and a
+field declared `field(repr=False)` (a profile, a branch point) is left
+out.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields, is_dataclass
 
 from . import __version__
 
@@ -63,6 +69,22 @@ def csv_text(header: str, rows, config: dict | None = None) -> str:
             raise ValueError(f"row width {len(row)} != header width {ncols}")
         lines.append(",".join(fmt(cell) for cell in row))
     return "\n".join(lines) + "\n"
+
+
+# field name -> artifact key, wherever the field appears
+_KEYS = {"lam0": "lambda0"}
+
+
+def record(obj):
+    """A report as its artifact: a dataclass becomes a dict of its repr
+    fields under their artifact keys, a tuple a list, each recorded in
+    turn; anything else is written as it is."""
+    if is_dataclass(obj):
+        return {_KEYS.get(f.name, f.name): record(getattr(obj, f.name))
+                for f in fields(obj) if f.repr}
+    if isinstance(obj, tuple):
+        return [record(item) for item in obj]
+    return obj
 
 
 def _sanitize(obj):

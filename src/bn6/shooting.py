@@ -317,27 +317,35 @@ _EVENT_TOL = roots.RTOL_MIN  # solve_ivp locates events at 4 eps
 
 class _Dop853Interpolant:
     """DOP853's degree-7 interpolant over one step, evaluated with scipy's
-    operations in scipy's order."""
+    operations in scipy's order: at an array of points by __call__, at one
+    point on Python floats by `at`, which does the same elementwise IEEE
+    operations and so gives the same bits."""
 
     def __init__(self, r_old, r, y_old, F):
         self.r_old = r_old
         self.h = r - r_old
         self.F = F
         self.y_old = y_old
+        self._horner = F[::-1].T.tolist()
+        self._start = y_old.tolist()
 
     def __call__(self, r):
-        r = np.asarray(r)
-        x = (r - self.r_old) / self.h
-        if r.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
+        x = ((r - self.r_old) / self.h)[:, None]
+        y = np.zeros((len(x), len(self.y_old)))
         for i, f in enumerate(reversed(self.F)):
             y += f
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
         return y.T
+
+    def at(self, r: float, j: int) -> float:
+        """Component j (0 for u, 1 for u') at the point r."""
+        x = (r - self.r_old) / self.h
+        y = 0.0
+        for i, f in enumerate(self._horner[j]):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return y + self._start[j]
 
 
 class _Piecewise:
@@ -503,7 +511,7 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
                     del steps[-1], pieces[-1]
                 else:
                     rs.append(root)
-                    u, du = piece(root).tolist()
+                    u, du = piece.at(root, 0), piece.at(root, 1)
                 r = root
                 break
         r, u, du, f0, f1 = r_new, u_new, du_new, *f_new
@@ -534,24 +542,10 @@ def _interpolant(rhs, r, r_new, y, y_new, K):
 
 def _event_root(piece, r_old, r_new):
     """Root of u on one step's interpolant, located as solve_ivp locates
-    events, on Python floats in _Dop853Interpolant's order.  It calls
-    roots.brentq through the module: the name brentq here is the
-    matching root finder."""
-    F = piece.F[::-1, 0].tolist()
-    u_old = float(piece.y_old[0])
-    h = piece.h
-
-    def event(r):
-        x = (r - r_old) / h
-        y = 0.0
-        for i, f in enumerate(F):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += u_old
-        return y
-
-    return roots.brentq(event, r_old, r_new, xtol=_EVENT_TOL,
-                        rtol=_EVENT_TOL)
+    events.  It calls roots.brentq through the module: the name brentq
+    here is the matching root finder."""
+    return roots.brentq(lambda r: piece.at(r, 0), r_old, r_new,
+                        xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ def test_criterion_01_constants():
     reg = constants(u_center=22.469107870851314 / 2.0)
     d1_target = 96.0 * math.pi ** 3
     rel_d1 = abs(reg.d1 - d1_target) / d1_target
-    rel_d1q = abs(reg.d1_quad - d1_target) / d1_target
+    rel_d1q = abs(reg.d1_quadrature - d1_target) / d1_target
     rel_om = abs(reg.omega6 - math.pi ** 3) / math.pi ** 3
     elapsed = time.perf_counter() - start
     assert rel_d1 <= 1e-8, f"d1 off by {rel_d1:.3e}"

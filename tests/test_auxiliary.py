@@ -15,6 +15,7 @@ from bn6.auxiliary import (
 from bn6.errors import NotConvergedError
 from bn6.grid import make_grid
 from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues, weak_apply
+from bn6.serialize import record
 from bn6.shooting import shoot
 
 V0_FROZEN = -3.2284188994808511
@@ -175,7 +176,7 @@ def test_nondegeneracy_report(profiles, profiles_coarse):
     assert rep.origin_value_gap <= 1e-8
     assert rep.survey is not None and rep.survey.essential
 
-    d = rep.as_dict()
+    d = record(rep)
     assert d["lambda0"] == rep.lam0
     assert d["min_gap"] == rep.min_gap
     assert d["cutoff_certified"] is True

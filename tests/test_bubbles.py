@@ -24,6 +24,7 @@ from bn6.bubbles import (
 )
 from bn6.grid import RadialFn, make_grid, sphere_area
 from bn6.operators import OperatorSpec, apply_operator
+from bn6.serialize import record
 
 
 def test_alpha_values():
@@ -121,7 +122,7 @@ def test_dilation_kernel_is_mu_derivative():
 def test_constants_registry():
     u_center = 22.469107870851314 / 2.0
     reg = constants(u_center)
-    d = reg.as_dict()
+    d = record(reg)
     assert d["alpha6"] == 24.0
     assert d["omega6"] == pytest.approx(math.pi ** 3, rel=1e-15)
     assert d["d1"] == pytest.approx(96.0 * math.pi ** 3, rel=1e-15)

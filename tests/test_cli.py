@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -18,6 +19,7 @@ from bn6.cli import (
     build_parser,
 )
 from bn6.errors import ConfigError
+from bn6.serialize import record
 
 
 def run(*argv):
@@ -194,11 +196,16 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,grid", [
     ("ansatz-check", "0.05:2:1"), ("expansion-check", "0.05:1:3"),
-    ("expansion-check", "0.05:1.5:3")])
+    ("expansion-check", "0.05:1.5:3"), ("ansatz-check", "0.05:10:400"),
+    ("expansion-check", "0.05:10:400"), ("expansion-check", "nan:2:6"),
+    ("expansion-check", "0.05:nan:6"), ("ansatz-check", "nan:2:3"),
+    ("expansion-check", "0.05:1e-300:6")])
 def test_degenerate_eps_grid_exits_3(tmp_path, capsys, monkeypatch,
                                      command, grid):
     # one magnitude, or several equal ones, cannot fit an exponent, and
-    # the expansion fit needs MIN_EPS_MAGNITUDES
+    # the expansion fit needs MIN_EPS_MAGNITUDES; a nan start or ratio,
+    # and magnitudes that overflow to inf or underflow to 0, are refused
+    # by name before any solve, not by an OverflowError or a nan inside one
     monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
     assert run(command, "--eps-grid", grid, "--out", str(tmp_path)) == 3
     line = _config_error_line(capsys)
@@ -275,6 +282,8 @@ def test_constants_artifact_and_determinism(tmp_path):
                "--out", str(out)) == 0
     first = read(out / "constants.json")
     payload = json.loads(first)
+    assert set(payload) == {"provenance", "alpha6", "omega6", "d1",
+                            "d1_quadrature", "d2", "u_center", "d2_formula"}
     assert payload["alpha6"] == 24.0
     assert payload["omega6"] == pytest.approx(math.pi ** 3, rel=1e-15)
     assert payload["d1"] == pytest.approx(96.0 * math.pi ** 3, rel=1e-12)
@@ -302,6 +311,8 @@ def test_ground_state_artifacts(tmp_path):
     assert float(d0) == 0.0
 
     meta = json.loads(read(out / "ground_state.json"))
+    assert set(meta) == {"provenance", "N", "lambda", "amplitude",
+                         "nodal_count", "residual", "grid_n"}
     assert meta["N"] == 3
     assert meta["nodal_count"] == 1
     assert 0.0 < meta["lambda"] < math.pi ** 2
@@ -347,6 +358,9 @@ def test_limits_artifacts(tmp_path):
     out = tmp_path / "lim"
     assert run("limits", "--config", str(cfg), "--out", str(out)) == 0
     est = json.loads(read(out / "limits_N3_m1.json"))
+    assert set(est) == {"provenance", "lam_infinity", "model", "exponent",
+                        "coefficient", "uncertainty", "tail", "monotone",
+                        "alternating", "poor_fit"}
     assert est["model"] in ("power", "log")
     assert est["lam_infinity"] == pytest.approx(math.pi ** 2 / 4.0, rel=0.08)
     assert len(est["tail"]) == 8
@@ -357,7 +371,17 @@ def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
     out = tmp_path / "nd"
     assert run("nondeg", "--out", str(out)) == 0
     doc = json.loads(read(out / "nondeg.json"))
+    assert set(doc) == {"provenance", "dimension", "lambda0", "l_max",
+                        "sector_gaps", "min_gap", "comparison_l",
+                        "cutoff_certified", "hessian_witness",
+                        "origin_value_gap", "survey"}
     survey = doc["survey"]
+    assert set(survey) == {"lambda0", "points", "two_v_minus_one",
+                           "two_v_error", "essential"}
+    assert survey["points"]
+    assert all(set(point) == {"radius", "level", "u_value", "v_value",
+                              "dv_dr", "beta", "case"}
+               for point in survey["points"])
     err = survey["two_v_error"]
     assert math.isfinite(err) and err > 0.0
     assert err < abs(survey["two_v_minus_one"])
@@ -367,6 +391,11 @@ def test_expansion_fit_carries_rows(tmp_path):
     out = tmp_path / "exp"
     assert run("expansion-check", "--out", str(out)) == 0
     fit = json.loads(read(out / "expansion_fit.json"))
+    assert set(fit) == {"provenance", "lambda0", "tau_star", "rows",
+                        "coef_const", "coef_mu2", "coef_eps_mu2", "coef_mu3",
+                        "coef_eps2_mu2", "coef_eps_mu3", "c2_closed",
+                        "target_eps_mu2", "target_mu3", "paper_mu3",
+                        "remainder_exponent", "residual_exponent"}
     keys = {"eps", "tau_mult", "mu", "j_ansatz", "j_base", "delta",
             "e_pred", "defect", "residual_l32", "audit_gap",
             "base_form_gap"}
@@ -397,6 +426,29 @@ def test_ansatz_check_artifacts(tmp_path):
     assert run("ansatz-check", "--out", str(out)) == 0
     for name, data in first.items():
         assert read(out / name) == data
+
+
+@dataclass(frozen=True)
+class _Inner:
+    lam0: float
+    profile: object = field(repr=False)
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    parts: tuple
+    pairs: tuple
+
+
+def test_record_renames_skips_and_nests():
+    doc = record(_Outer("x", (_Inner(2.0, "big"), _Inner(3.0, None)),
+                        ((1.0, 2.0),)))
+    # lam0 is written as lambda0, a repr=False field is left out, and
+    # tuples (of records or of numbers) become lists
+    assert doc == {"name": "x",
+                   "parts": [{"lambda0": 2.0}, {"lambda0": 3.0}],
+                   "pairs": [[1.0, 2.0]]}
 
 
 # ------------------------------------------------------------ import footprint

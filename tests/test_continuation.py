@@ -22,6 +22,7 @@ from bn6.continuation import (
 )
 from bn6.errors import BranchLostError
 from bn6.operators import dirichlet_eigenvalue
+from bn6.serialize import record
 from bn6.shooting import (
     RTOL,
     BranchPoint,
@@ -268,7 +269,7 @@ def test_extract_limit_is_deterministic():
 def test_limit_estimate_round_trips_to_dict():
     amps = np.geomspace(10.0, 1e4, 9)
     est = extract_limit(_synthetic_branch(amps, 2.0 + 0.7 * amps ** -0.8))
-    d = est.as_dict()
+    d = record(est)
     assert d["model"] == est.model
     assert d["tail"] == [list(pair) for pair in est.tail]
     assert len(d["tail"]) == 8

@@ -26,6 +26,7 @@ from bn6.reduction import (
     _SplineSet,
     tau_star,
 )
+from bn6.serialize import record
 
 TAU_STAR_FROZEN = 0.04409647622292704
 
@@ -270,7 +271,7 @@ def test_cubic_coefficient_probe(profiles):
 def test_expansion_check_report(profiles, expansion):
     report, _ = expansion
     assert len(report.rows) == 40  # 8 magnitudes x 5 multipliers
-    assert report.tau_star_value == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
+    assert report.tau_star == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
 
     # row bookkeeping: mu schedule, defect definition
     for row in report.rows:
@@ -295,8 +296,8 @@ def test_expansion_check_report(profiles, expansion):
     assert 1.5 < report.residual_exponent < 2.5
     assert report.remainder_exponent > 2.5
 
-    d = report.as_dict()
-    assert d["tau_star"] == report.tau_star_value
+    d = record(report)
+    assert d["tau_star"] == report.tau_star
     assert len(d["rows"]) == 40
     # the paper's coefficient stays in the report beside the derived one
     assert report.target_mu3 == MU3_RATIO * d2
@@ -325,6 +326,6 @@ def test_refinement_sweep(profiles):
     # logarithmic factor; raw fits sit slightly below
     assert report.distance_exponent >= 2.0
     assert report.distance_exponent > report.distance_exponent_raw
-    d = report.as_dict()
+    d = record(report)
     assert len(d["rows"]) == 6
     assert d["distance_exponent"] == report.distance_exponent
