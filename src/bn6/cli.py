@@ -34,6 +34,7 @@ from .reduction import (
     DEFAULT_EPS_MAGNITUDES,
     MIN_EPS_MAGNITUDES,
     AnsatzSpec,
+    SplineSet,
     assemble_ansatz,
     case1_parameters,
     expansion_check,
@@ -75,7 +76,7 @@ class RunConfig:
                      0 < a_start < a_end; a_end None means the dimension
                      default of trace_branch
     eps_grid         "start:ratio:count" magnitudes (count >= 2, ratio
-                     != 1); None means the expansion module default
+                     != 1, each >= 1e-11); None means the module default
     lmax             angular sectors scanned by nondeg (>= 0, default 24)
     fit_min_points   tail length used by limits (default and minimum 8)
     out              output directory (default $BN6_OUT, else ".")
@@ -154,7 +155,12 @@ def parse_config_file(path: str) -> dict:
 def parse_eps_grid(spec: str | None):
     """Magnitude schedule "start:ratio:count" -> tuple of floats; at least
     two distinct magnitudes, so that a rate can be fitted, each finite and
-    > 0 (neither overflowed nor underflowed)."""
+    >= 1e-11.
+
+    The floor: mu >= |eps|/40 (tau multiplier >= 0.6, tau* = 0.0441);
+    make_core_grid and _check_resolved serve mu >= 5.8e-43 (normal hat
+    moments (mu/50)^7), but _mu_refined_edges merges edges within 1e-14,
+    so it refines the core only while mu/16 > 1e-14: |eps| > 6.4e-12."""
     if spec is None:
         return None
     parts = spec.split(":")
@@ -175,9 +181,9 @@ def parse_eps_grid(spec: str | None):
             magnitude = start * ratio ** k
         except OverflowError:
             magnitude = math.inf
-        if not 0.0 < magnitude < math.inf:
+        if not 1e-11 <= magnitude < math.inf:
             raise ConfigError(f"--eps-grid magnitude {k} of {spec!r} is "
-                              f"{magnitude}, not finite and > 0")
+                              f"{magnitude}, not finite and >= 1e-11")
         magnitudes.append(magnitude)
     return tuple(magnitudes)
 
@@ -360,12 +366,13 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
     magnitudes = parse_eps_grid(cfg.eps_grid) or DEFAULT_EPS_MAGNITUDES
     profiles = _profiles(cfg)
     sign, tau = case1_parameters(profiles)
+    splines = SplineSet(profiles)
     rows = []
     for mag in magnitudes:
         eps = sign * mag
         spec = AnsatzSpec(profiles, eps, tau * mag)
-        rows.append((eps, spec.mu,
-                     residual_norm(assemble_ansatz(spec), spec.lam)))
+        ansatz = assemble_ansatz(spec, splines=splines)
+        rows.append((eps, spec.mu, residual_norm(ansatz, spec.lam)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)
     mu = np.array([row[1] for row in rows])

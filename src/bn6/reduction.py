@@ -24,7 +24,9 @@ spline-by-spline products exactly and resolves the mu-core without
 adaptive overhead.  The sign change of V is the only kink of the
 integrands of an (eps, mu) row, so each row has one panel set, split
 there: the energy gap, the residual norm and the single-shot J(V) that
-audits the gap are integrated together on it.
+audits the gap are integrated together on it.  u_0, v, w are tabulated
+once per SplineSet at the Gauss nodes of every knot cell, so a row
+evaluates them afresh only on the few panels that split a knot cell.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ from .roots import brentq
 from .shooting import newton_refine
 
 GAUSS_ORDER = 12
-# Gauss nodes per evaluation of a panel integrand; bounds the memory that
-# a stack of integrands and its temporaries take
-QUAD_CHUNK = 6144
+# Gauss nodes per evaluation of a panel integrand, whole panels; bounds the
+# memory that a stack of integrands and its temporaries take
+QUAD_CHUNK = 512 * GAUSS_ORDER
 RESOLUTION_FACTOR = 20.0
 # the constant term of J(V) - J(z): the bubble energy (1/6) int_{R^6} U^3
 C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
@@ -108,13 +110,14 @@ def _clamped_cubic(x: np.ndarray, y: np.ndarray,
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-class _SplineSet:
+class SplineSet:
     """Cubic-spline views of u_0, v, w with clamped center derivative.
 
     Values and first derivatives are those of scipy's CubicSpline and its
     derivative() to the bit: each r is placed in the cell x[i] <= r <
     x[i + 1] (the end cells extended outward), and each polynomial is
-    summed in powers of s = r - x[i] as scipy's PPoly sums it.
+    summed in powers of s = r - x[i] as scipy's PPoly sums it.  Panel
+    quadrature reads them from a table at every knot cell's Gauss nodes.
     """
 
     def __init__(self, profiles: AuxProfiles):
@@ -123,7 +126,6 @@ class _SplineSet:
         self.lam0 = profiles.lam0
         self.u00 = float(profiles.u0.values[0])
         self.v00 = float(profiles.v.values[0])
-        self.w00 = float(profiles.w.values[0])
         # rows u_0, v, w, and their derivatives' coefficients c * (3, 2, 1);
         # PPoly adds the constant term to 0.0 first, turning a value of
         # -0.0 into +0.0
@@ -132,6 +134,13 @@ class _SplineSet:
         self._dcoef = c[:, :3] * np.array([3.0, 2.0, 1.0])[:, None]
         c[:, 3] += 0.0
         self._coef = c
+        # not computed on import, where its LAPACK call adds 0.9 MB of RSS
+        self._rule = leggauss(GAUSS_ORDER)
+        # built QUAD_CHUNK nodes at a time, with a panel integral's temporaries
+        x, _ = self.gauss_panels(x)
+        self._table = np.empty((2, 3, len(x)))
+        for k in range(0, len(x), QUAD_CHUNK):
+            self._table[..., k:k + QUAD_CHUNK] = self._evaluate(x[k:k + QUAD_CHUNK])
 
     def _cell(self, r):
         i = np.clip(np.searchsorted(self.knots, r, "right") - 1, 0,
@@ -152,45 +161,60 @@ class _SplineSet:
         u0, v, w = fields
         return u0 + eps * v + eps ** 2 * w
 
+    @staticmethod
+    def _source(fields, eps: float):
+        """-Delta z - lam z (lam = lam0 + eps), by the defining equations."""
+        u0, v, w = fields
+        return (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+
     def z(self, r, eps: float):
         return self._z(self._values(*self._cell(r)), eps)
 
     def dz(self, r, eps: float):
         return self._z(self._slopes(*self._cell(r)), eps)
 
-    def fields(self, r, eps: float):
-        """z, z' and the source -Delta z - lam z (lam = lam0 + eps), with
-        u_0, v, w and their derivatives evaluated once.  The source follows
-        from the defining equations: (u_0 + eps v)^2 + 2 eps^2 u_0 w -
-        eps^3 w."""
-        i, s = self._cell(r)
-        u0, v, w = self._values(i, s)
-        z = self._z((u0, v, w), eps)
-        source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
-        return z, self._z(self._slopes(i, s), eps), source
+    def gauss_panels(self, edges: np.ndarray):
+        """Gauss nodes and weights of the panels `edges`, panel by panel."""
+        x, w = self._rule
+        h = 0.5 * np.diff(edges)[:, None]
+        return (edges[:-1, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 
-    def neg_laplacian_z(self, r, eps: float):
-        u0, v, w = self._values(*self._cell(r))
-        lam0 = self.lam0
-        return (lam0 * u0 + u0 ** 2
-                + eps * ((lam0 + 2.0 * u0) * v + u0)
-                + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
+    def _evaluate(self, r):
+        i, s = self._cell(r)
+        return np.stack((self._values(i, s), self._slopes(i, s)))
+
+    def panel_fields(self, r, cells):
+        """Values and slopes (2, 3, len(r)) of u_0, v, w at the Gauss
+        nodes r of panels that are the knot cells `cells` (-1: a split
+        cell); a run of whole cells is a view of the table."""
+        bounds = [0, *(np.flatnonzero(np.diff(cells) != 1) + 1), len(cells)]
+        g = GAUSS_ORDER
+        pieces = [self._table[..., g * cells[p]:g * (cells[p] + q - p)]
+                  if cells[p] >= 0 else self._evaluate(r[g * p:g * q])
+                  for p, q in zip(bounds[:-1], bounds[1:])]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, -1)
 
 
 # ---------------------------------------------------------------------------
 # panel quadrature: exact on spline products, geometric at the bubble core
 
-def _panel_integral(f, edges: np.ndarray, order: int = GAUSS_ORDER):
-    """Composite Gauss integral over the panels `edges`; f may return a
+def _panel_integral(f, edges: np.ndarray, splines: SplineSet,
+                    order: int = GAUSS_ORDER):
+    """Composite Gauss integral over the panels `edges` of f(r, fields),
+    fields those of splines.panel_fields at the nodes r; f may return a
     stack of integrands (one per row), which are integrated together,
-    QUAD_CHUNK nodes at a time."""
-    nodes, weights = leggauss(order)
-    a = edges[:-1]
-    h = np.diff(edges)
-    x = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * weights[None, :]).ravel()
-    return sum(f(x[k:k + QUAD_CHUNK]) @ w[k:k + QUAD_CHUNK]
-               for k in range(0, len(x), QUAD_CHUNK))
+    QUAD_CHUNK nodes at a time.  order is fixed at GAUSS_ORDER; the
+    benchmark's tracer reads it to count nodes."""
+    x, w = splines.gauss_panels(edges)
+    k = np.searchsorted(splines.knots, edges)
+    on_knot = splines.knots[np.minimum(k, len(splines.knots) - 1)] == edges
+    cells = np.where(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1), k[:-1], -1)
+    n = QUAD_CHUNK // GAUSS_ORDER
+    total = 0
+    for p in range(0, len(cells), n):
+        c = slice(GAUSS_ORDER * p, GAUSS_ORDER * (p + n))
+        total = total + f(x[c], splines.panel_fields(x[c], cells[p:p + n])) @ w[c]
+    return total
 
 
 def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
@@ -243,14 +267,14 @@ class AnsatzProfile:
     mu: float
     lam: float
     crossing: float
-    splines: _SplineSet = field(repr=False)
+    splines: SplineSet = field(repr=False)
 
     @property
     def grid(self) -> RadialGrid:
         return self.fn.grid
 
 
-def _sign_crossing(S: _SplineSet, eps: float, mu: float) -> float:
+def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
     """Radius where z = W, the sign change of the ansatz."""
     def gap(r):
         return S.z(r, eps) - (talenti_u(r, mu) - boundary_trace(mu))
@@ -261,16 +285,16 @@ def _sign_crossing(S: _SplineSet, eps: float, mu: float) -> float:
     return float(brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
-def assemble_ansatz(spec: AnsatzSpec,
-                    grid: RadialGrid | None = None) -> AnsatzProfile:
-    """Sample V on a core-refined grid."""
+def assemble_ansatz(spec: AnsatzSpec, grid: RadialGrid | None = None,
+                    splines: SplineSet | None = None) -> AnsatzProfile:
+    """Sample V on a core-refined grid; a sweep's rows share `splines`."""
     profiles = spec.profiles
     if profiles.dimension != 6:
         raise RadialModeViolationError("the ansatz is specific to N = 6")
     mu = spec.mu
     if grid is None:
         grid = make_core_grid(6, mu)
-    S = _SplineSet(profiles)
+    S = SplineSet(profiles) if splines is None else splines
     r = grid.nodes
     W, _ = project_bubble(grid, mu)
     return AnsatzProfile(
@@ -391,20 +415,26 @@ def energy(u, lam: float) -> float:
     return kinetic - mass - cubic
 
 
-def _base_energy(S: _SplineSet, eps: float, lam: float) -> float:
+def _base_energy(S: SplineSet, eps: float, lam: float) -> float:
     """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3."""
-    def integrand(r):
-        z = S.z(r, eps)
+    lam0 = S.lam0
+
+    def integrand(r, fields):
+        u0, v, w = fields[0]
+        z = S._z(fields[0], eps)
         if np.any(z < 0.0):
             raise ConfigError("z must stay positive on the ball for the "
                               "base-energy formula; reduce |eps|")
-        return (0.5 * z * S.neg_laplacian_z(r, eps)
+        neg_laplacian_z = (lam0 * u0 + u0 ** 2
+                           + eps * ((lam0 + 2.0 * u0) * v + u0)
+                           + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
+        return (0.5 * z * neg_laplacian_z
                 - 0.5 * lam * z ** 2 - z ** 3 / 3.0) * r ** 5
 
-    return sphere_area(6) * float(_panel_integral(integrand, S.knots))
+    return sphere_area(6) * float(_panel_integral(integrand, S.knots, S))
 
 
-def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
+def _row_integrals(S: SplineSet, eps: float, mu: float, lam: float,
                    crossing: float) -> tuple[float, float, float, float]:
     """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, the
     single-shot J(V) - J(z), the single-shot J(z)) of one ansatz row, from
@@ -428,8 +458,10 @@ def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
     c = boundary_trace(mu)
 
     def integrands(inside: bool):
-        def f(r):
-            z, dz, source = S.fields(r, eps)
+        def f(r, fields):
+            values, slopes = fields
+            z, dz = S._z(values, eps), S._z(slopes, eps)
+            source = S._source(values, eps)
             u = talenti_u(r, mu)
             w = u - c
             v = z - w
@@ -451,9 +483,9 @@ def _row_integrals(S: _SplineSet, eps: float, mu: float, lam: float,
         return f
 
     inner = _panel_integral(integrands(True),
-                            _mu_refined_edges(S.knots, mu, 0.0, crossing))
+                            _mu_refined_edges(S.knots, mu, 0.0, crossing), S)
     outer = _panel_integral(integrands(False),
-                            _mu_refined_edges(S.knots, mu, crossing, 1.0))
+                            _mu_refined_edges(S.knots, mu, crossing, 1.0), S)
     zu2, zw, cubic_gap, resid, direct_gap, direct_z = (
         sphere_area(6) * (inner + outer))
 
@@ -536,7 +568,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
     if mu_values is None:
         mu_values = np.geomspace(4e-4, 4e-3, 6)
     mu_values = np.asarray(sorted(mu_values), dtype=float)
-    S = _SplineSet(profiles)
+    S = SplineSet(profiles)
     lam0 = profiles.lam0
     ratios = []
     for mu in mu_values:
@@ -596,7 +628,7 @@ def expansion_check(profiles: AuxProfiles,
                           f"are required")
     if len(set(mags)) != len(mags):
         raise ConfigError("eps magnitudes must be distinct")
-    S = _SplineSet(profiles)
+    S = SplineSet(profiles)
     lam0 = profiles.lam0
     u00, v00 = S.u00, S.v00
     sign, tau0 = case1_parameters(profiles)
@@ -733,13 +765,14 @@ def refinement_sweep(profiles: AuxProfiles,
     multiplier.
     """
     sign, tau0 = case1_parameters(profiles)
+    S = SplineSet(profiles)
     rows = []
     for mag in sorted(float(m) for m in eps_magnitudes):
         eps = sign * mag
         mu = tau_mult * tau0 * mag
         spec = AnsatzSpec(profiles=profiles, eps=eps, mu=mu)
         grid = make_core_grid(6, mu, h_over_scale=h_over_scale, h_max=h_max)
-        ansatz = assemble_ansatz(spec, grid=grid)
+        ansatz = assemble_ansatz(spec, grid=grid, splines=S)
         core_grid = rescale_grid(grid, 1.0 / mu)
         guess = RadialFn(core_grid, mu ** 2 * ansatz.fn.values,
                          mu ** 3 * ansatz.fn.derivative)

@@ -199,13 +199,15 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys):
     ("expansion-check", "0.05:1.5:3"), ("ansatz-check", "0.05:10:400"),
     ("expansion-check", "0.05:10:400"), ("expansion-check", "nan:2:6"),
     ("expansion-check", "0.05:nan:6"), ("ansatz-check", "nan:2:3"),
-    ("expansion-check", "0.05:1e-300:6")])
+    ("expansion-check", "0.05:1e-300:6"), ("expansion-check", "1e-200:2:6"),
+    ("ansatz-check", "1e-310:2:3")])
 def test_degenerate_eps_grid_exits_3(tmp_path, capsys, monkeypatch,
                                      command, grid):
     # one magnitude, or several equal ones, cannot fit an exponent, and
     # the expansion fit needs MIN_EPS_MAGNITUDES; a nan start or ratio,
-    # and magnitudes that overflow to inf or underflow to 0, are refused
-    # by name before any solve, not by an OverflowError or a nan inside one
+    # and magnitudes that overflow to inf, underflow to 0 or fall below
+    # the smallest resolved bubble scale, are refused by name before any
+    # solve, not by an OverflowError or a nan inside one
     monkeypatch.setattr("bn6.cli.find_lambda0", _must_not_run)
     assert run(command, "--eps-grid", grid, "--out", str(tmp_path)) == 3
     line = _config_error_line(capsys)

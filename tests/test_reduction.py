@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
+from bn6 import reduction
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value, project_bubble
 from bn6.errors import ConfigError, RadialModeViolationError
 from bn6.grid import RadialFn, RadialGrid, make_grid
 from bn6.reduction import (
+    GAUSS_ORDER,
     MU3_RATIO,
     PAPER_MU3_RATIO,
+    QUAD_CHUNK,
     AnsatzSpec,
+    SplineSet,
     assemble_ansatz,
     case1_parameters,
     cubic_coefficient_probe,
@@ -23,8 +28,9 @@ from bn6.reduction import (
     reduced_energy_polynomial,
     refinement_sweep,
     residual_norm,
-    _SplineSet,
     tau_star,
+    _mu_refined_edges,
+    _panel_integral,
 )
 from bn6.serialize import record
 
@@ -166,7 +172,7 @@ def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
     grid = RadialGrid(6, x, np.zeros(n), "uniform")
     fns = [RadialFn(grid, y, np.append(np.zeros(n - 1), e))
            for y, e in zip(values, slopes)]
-    S = _SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
+    S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
 
     fracs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
                                         max_size=4)))
@@ -181,6 +187,85 @@ def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
             assert _hex(ours(*S._cell(r))[k]) == _hex(ref(r))
             assert _hex([ours(*S._cell(t))[k] for t in scalars]) == _hex(
                 [ref(t) for t in scalars])
+
+
+def _fresh_panel_integral(f, edges, S):
+    # the quadrature with every node's fields evaluated afresh, chunked
+    # and summed as _panel_integral chunks and sums
+    nodes, weights = leggauss(GAUSS_ORDER)
+    a, h = edges[:-1], np.diff(edges)
+    x = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
+    w = (0.5 * h[:, None] * weights[None, :]).ravel()
+    return sum(f(x[k:k + QUAD_CHUNK], S._evaluate(x[k:k + QUAD_CHUNK]))
+               @ w[k:k + QUAD_CHUNK] for k in range(0, len(x), QUAD_CHUNK))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
+    # 1200 random knot cells, so edge sets span three QUAD_CHUNKs
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(rng.uniform(0.2, 1.0, 1200))
+    x = np.concatenate(([0.0], cum / cum[-1]))
+    grid = RadialGrid(6, x, np.zeros(len(x)), "uniform")
+    fns = [RadialFn(grid, rng.normal(size=len(x)),
+                    np.append(np.zeros(len(x) - 1), rng.normal()))
+           for _ in range(3)]
+    S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
+
+    def f(r, fields):
+        # a C-ordered stack, as the reduction integrands build theirs: the
+        # matrix-vector sum of another layout sums in another order
+        return np.stack((*fields[0], *(fields[1] * r))) * r ** 5
+
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    splits = data.draw(st.lists(unit, max_size=6))
+    j = data.draw(st.integers(1, len(x) - 2))
+    near = x[j] + data.draw(st.floats(-1e-14, 1e-14))
+    # a split cell in the middle chunk, panels 512 to 1023
+    middle = data.draw(st.floats(float(x[600]), float(x[900])))
+    knot = float(x[data.draw(st.integers(1, len(x) - 2))])
+    crossing = data.draw(unit)
+    mu = data.draw(st.floats(1e-4, 0.05))
+    edge_sets = [np.unique(np.concatenate((x, splits, [near, middle])))]
+    for c in (knot, crossing):
+        edge_sets += [_mu_refined_edges(x, mu, 0.0, c),
+                      _mu_refined_edges(x, mu, c, 1.0)]
+    for edges in edge_sets:
+        assert _hex(_panel_integral(f, edges, S)) == _hex(
+            _fresh_panel_integral(f, edges, S))
+    # whole knot cells are read as a view of the table, not gathered
+    assert np.shares_memory(
+        S.panel_fields(None, np.arange(3, 3 + QUAD_CHUNK // GAUSS_ORDER)),
+        S._table)
+
+
+def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
+    # one SplineSet (which tabulates the knot cells) per run, and the rows
+    # evaluate afresh only the panels that split a knot cell
+    built, fresh, nodes = [], [], []
+    init, evaluate = SplineSet.__init__, SplineSet._evaluate
+    panel_integral = reduction._panel_integral
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    def counting_evaluate(self, r):
+        fresh.append(len(r))
+        return evaluate(self, r)
+
+    def counting_panel_integral(f, edges, splines):
+        nodes.append(GAUSS_ORDER * (len(edges) - 1))
+        return panel_integral(f, edges, splines)
+
+    monkeypatch.setattr(SplineSet, "__init__", counting_init)
+    monkeypatch.setattr(SplineSet, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(reduction, "_panel_integral", counting_panel_integral)
+    expansion_check(profiles, eps_magnitudes=np.geomspace(0.02, 0.25, 6))
+    assert len(built) == 1
+    table = GAUSS_ORDER * (len(profiles.grid.nodes) - 1)
+    assert 0 < sum(fresh) - table < 0.01 * sum(nodes)
 
 
 def test_assemble_z_splines_follow_their_profiles():
