@@ -122,10 +122,7 @@ class SplineSet:
 
     def __init__(self, profiles: AuxProfiles):
         x = profiles.grid.nodes
-        self.knots = x
-        self.lam0 = profiles.lam0
-        self.u00 = float(profiles.u0.values[0])
-        self.v00 = float(profiles.v.values[0])
+        self.profiles, self.knots = profiles, x
         # rows u_0, v, w, and their derivatives' coefficients c * (3, 2, 1);
         # PPoly adds the constant term to 0.0 first, turning a value of
         # -0.0 into +0.0
@@ -134,13 +131,14 @@ class SplineSet:
         self._dcoef = c[:, :3] * np.array([3.0, 2.0, 1.0])[:, None]
         c[:, 3] += 0.0
         self._coef = c
-        # not computed on import, where its LAPACK call adds 0.9 MB of RSS
+        # not computed on import, where its LAPACK call adds 0.75 MB of RSS
         self._rule = leggauss(GAUSS_ORDER)
-        # built QUAD_CHUNK nodes at a time, with a panel integral's temporaries
+        # filled QUAD_CHUNK nodes at a time; read-only, as every row shares it
         x, _ = self.gauss_panels(x)
         self._table = np.empty((2, 3, len(x)))
         for k in range(0, len(x), QUAD_CHUNK):
             self._table[..., k:k + QUAD_CHUNK] = self._evaluate(x[k:k + QUAD_CHUNK])
+        self._table.flags.writeable = False
 
     def _cell(self, r):
         i = np.clip(np.searchsorted(self.knots, r, "right") - 1, 0,
@@ -185,12 +183,13 @@ class SplineSet:
 
     def panel_fields(self, r, cells):
         """Values and slopes (2, 3, len(r)) of u_0, v, w at the Gauss
-        nodes r of panels that are the knot cells `cells` (-1: a split
-        cell); a run of whole cells is a view of the table."""
-        bounds = [0, *(np.flatnonzero(np.diff(cells) != 1) + 1), len(cells)]
-        g = GAUSS_ORDER
-        pieces = [self._table[..., g * cells[p]:g * (cells[p] + q - p)]
-                  if cells[p] >= 0 else self._evaluate(r[g * p:g * q])
+        nodes r of the panels `cells` (knot cells; -1: split); a run of
+        whole cells is a view of the table, a run of split ones fresh."""
+        g, split = GAUSS_ORDER, cells < 0
+        joined = (np.diff(cells) == 1) | (split[:-1] & split[1:])
+        bounds = [0, *(np.flatnonzero(~joined) + 1), len(cells)]
+        pieces = [self._evaluate(r[g * p:g * q]) if split[p]
+                  else self._table[..., g * cells[p]:g * (cells[p] + q - p)]
                   for p, q in zip(bounds[:-1], bounds[1:])]
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, -1)
 
@@ -202,9 +201,10 @@ def _panel_integral(f, edges: np.ndarray, splines: SplineSet,
                     order: int = GAUSS_ORDER):
     """Composite Gauss integral over the panels `edges` of f(r, fields),
     fields those of splines.panel_fields at the nodes r; f may return a
-    stack of integrands (one per row), which are integrated together,
-    QUAD_CHUNK nodes at a time.  order is fixed at GAUSS_ORDER; the
-    benchmark's tracer reads it to count nodes."""
+    stack of integrands (one per row), integrated together QUAD_CHUNK
+    nodes at a time.  order must be GAUSS_ORDER; perfbench counts by it."""
+    if order != GAUSS_ORDER:
+        raise ValueError(f"order must be GAUSS_ORDER = {GAUSS_ORDER}")
     x, w = splines.gauss_panels(edges)
     k = np.searchsorted(splines.knots, edges)
     on_knot = splines.knots[np.minimum(k, len(splines.knots) - 1)] == edges
@@ -287,7 +287,7 @@ def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
 
 def assemble_ansatz(spec: AnsatzSpec, grid: RadialGrid | None = None,
                     splines: SplineSet | None = None) -> AnsatzProfile:
-    """Sample V on a core-refined grid; a sweep's rows share `splines`."""
+    """Sample V on a core-refined grid; splines: SplineSet(spec.profiles)."""
     profiles = spec.profiles
     if profiles.dimension != 6:
         raise RadialModeViolationError("the ansatz is specific to N = 6")
@@ -295,6 +295,8 @@ def assemble_ansatz(spec: AnsatzSpec, grid: RadialGrid | None = None,
     if grid is None:
         grid = make_core_grid(6, mu)
     S = SplineSet(profiles) if splines is None else splines
+    if S.profiles is not profiles:
+        raise ValueError("splines are not built from spec.profiles")
     r = grid.nodes
     W, _ = project_bubble(grid, mu)
     return AnsatzProfile(
@@ -417,10 +419,9 @@ def energy(u, lam: float) -> float:
 
 def _base_energy(S: SplineSet, eps: float, lam: float) -> float:
     """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3."""
-    lam0 = S.lam0
-
     def integrand(r, fields):
         u0, v, w = fields[0]
+        lam0 = S.profiles.lam0
         z = S._z(fields[0], eps)
         if np.any(z < 0.0):
             raise ConfigError("z must stay positive on the ball for the "
@@ -569,10 +570,9 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
         mu_values = np.geomspace(4e-4, 4e-3, 6)
     mu_values = np.asarray(sorted(mu_values), dtype=float)
     S = SplineSet(profiles)
-    lam0 = profiles.lam0
     ratios = []
     for mu in mu_values:
-        delta, *_ = _row_integrals(S, 0.0, mu, lam0,
+        delta, *_ = _row_integrals(S, 0.0, mu, profiles.lam0,
                                    _sign_crossing(S, 0.0, mu))
         ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
@@ -589,7 +589,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
     return {
         "mu3_coefficient": value,
         "extrapolation_spread": spread,
-        "ratio_to_d2": value / d2_value(S.u00),
+        "ratio_to_d2": value / d2_value(float(profiles.u0.values[0])),
         "tail_exponent": tail_exponent,
         "mu_values": [float(m) for m in mu_values],
     }
@@ -630,7 +630,7 @@ def expansion_check(profiles: AuxProfiles,
         raise ConfigError("eps magnitudes must be distinct")
     S = SplineSet(profiles)
     lam0 = profiles.lam0
-    u00, v00 = S.u00, S.v00
+    u00, v00 = float(profiles.u0.values[0]), profiles.v0
     sign, tau0 = case1_parameters(profiles)
 
     rows = []

@@ -234,10 +234,14 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     for edges in edge_sets:
         assert _hex(_panel_integral(f, edges, S)) == _hex(
             _fresh_panel_integral(f, edges, S))
-    # whole knot cells are read as a view of the table, not gathered
-    assert np.shares_memory(
-        S.panel_fields(None, np.arange(3, 3 + QUAD_CHUNK // GAUSS_ORDER)),
-        S._table)
+    # whole knot cells are read as a view of the table, not gathered; the
+    # table is read-only, and its rule is the only one the route serves
+    view = S.panel_fields(None, np.arange(3, 3 + QUAD_CHUNK // GAUSS_ORDER))
+    assert np.shares_memory(view, S._table)
+    with pytest.raises(ValueError):
+        view[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        _panel_integral(f, x, S, order=GAUSS_ORDER - 4)
 
 
 def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
@@ -284,6 +288,19 @@ def test_assemble_z_splines_follow_their_profiles():
         del p
         z = ansatz.fn.values + W.values
         assert np.max(np.abs(z - k * (1.0 - finer.nodes ** 2))) < 1e-12
+
+
+def test_assemble_ansatz_refuses_splines_of_other_profiles():
+    # equal values are not enough: a shared SplineSet must be built from
+    # the spec's own profiles
+    grid = make_grid(6, 64)
+    fn = RadialFn.from_values(grid, 1.0 - grid.nodes ** 2)
+    p, q = (AuxProfiles(6, 20.0, 1.0, fn, fn, fn) for _ in range(2))
+    with pytest.raises(ValueError):
+        assemble_ansatz(AnsatzSpec(p, 0.0, 0.1), splines=SplineSet(q))
+    shared = SplineSet(p)
+    assert assemble_ansatz(AnsatzSpec(p, 0.0, 0.1), splines=shared).splines \
+        is shared
 
 
 def test_assemble_ansatz_structure(profiles):
