@@ -159,8 +159,10 @@ def parse_eps_grid(spec: str | None):
 
     The floor: mu >= |eps|/40 (tau multiplier >= 0.6, tau* = 0.0441);
     make_core_grid and _check_resolved serve mu >= 5.8e-43 (normal hat
-    moments (mu/50)^7), but _mu_refined_edges merges edges within 1e-14,
-    so it refines the core only while mu/16 > 1e-14: |eps| > 6.4e-12."""
+    moments (mu/50)^7), but _mu_refined_edges merges edges within
+    reduction.EDGE_MERGE_TOL = 1e-14 and refuses mu/16 <= EDGE_MERGE_TOL
+    (UnderResolvedError), so the core is resolved only while
+    |eps| > 6.4e-12."""
     if spec is None:
         return None
     parts = spec.split(":")

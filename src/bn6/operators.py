@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
 
 from .errors import NearSingularError, NotConvergedError
 from .grid import RadialFn, RadialGrid, differentiate, hat_moments, make_grid
+from .lapack import dgttrf, dgttrs, dstebz
 
 NEAR_SINGULAR_RTOL = 1e-8
 # Largest normwise backward error of a Dirichlet solve: 16u (u = eps/2).
@@ -42,6 +42,51 @@ BACKWARD_ERROR_TOL = 8 * np.finfo(float).eps
 # absolute bisection tolerance of the Sturm-count eigensolves: twice the
 # safe minimum, LAPACK stebz's most accurate setting
 STURM_TOL = 2 * np.finfo(float).tiny
+# stebz's RANGE argument for each `select`
+_SELECT = {"v": 1, "i": 2}
+
+
+def eigvalsh_tridiagonal(d, e, select: str, select_range,
+                         tol: float = 0.0) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: those in (lo, hi] for select "v",
+    those of 0-based index lo..hi for select "i" (lo, hi = select_range).
+
+    scipy.linalg.eigvalsh_tridiagonal's stebz route with its checks and
+    its ValueErrors (an empty interval lo = hi among them), to the bit;
+    a bisection that fails to converge raises NotConvergedError.
+    """
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if select not in _SELECT:
+        raise ValueError("invalid argument for select")
+    sr = np.asarray(select_range)
+    if sr.ndim != 1 or sr.size != 2 or sr[1] < sr[0]:
+        raise ValueError("select_range must be a 2-element array-like "
+                         "in nondecreasing order")
+    vl, vu, il, iu = 0.0, 1.0, 1, 1
+    if select == "v":
+        vl, vu = sr
+    else:
+        if sr.dtype.char.lower() not in "hilqp":
+            raise ValueError(
+                f'when using select="i", select_range must contain '
+                f'integers, got dtype {sr.dtype} ({sr.dtype.char})')
+        il, iu = sr + 1  # Fortran indices
+        if il < 1 or iu > d.size:
+            raise ValueError("select_range out of bounds")
+    if d.size == 1:
+        if select == "v" and not vl < d[0] <= vu:
+            return np.array([])
+        return np.array([d[0]], dtype=d.dtype)
+    m, w, _, _, info = dstebz(d, e, _SELECT[select], vl, vu, il, iu,
+                              float(tol), "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         f"stebz (eigh_tridiagonal)")
+    if info > 0:
+        raise NotConvergedError(f"stebz (eigh_tridiagonal) did not converge "
+                                f"(LAPACK info={info})")
+    return w[:m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +189,14 @@ class _Assembled:
         s = 1.0 / np.sqrt(np.maximum(np.abs(d), 1e-300))
         ds = d * s * s
         us = u * s[:-1] * s[1:]
-        dl = us.copy()
-        (gttrf,) = get_lapack_funcs(("gttrf",), (ds,))
-        fact = gttrf(dl, ds, us)
+        fact = dgttrf(us, ds, us)
         if fact[-1] > 0:
             raise NearSingularError(
                 f"zero pivot in sector {self.op.sector} factorization at lam={lam}")
         dlf, df, duf, du2f, ipiv, _ = fact
-        (gttrs,) = get_lapack_funcs(("gttrs",), (ds,))
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            x, info = gttrs(dlf, df, duf, du2f, ipiv, s * rhs)
+            x, info = dgttrs(dlf, df, duf, du2f, ipiv, s * rhs)
             if info != 0:
                 raise NearSingularError("tridiagonal back-substitution failed")
             return s * x

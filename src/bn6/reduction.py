@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import get_lapack_funcs
 
 from .auxiliary import AuxProfiles
 from .bubbles import (
@@ -55,6 +54,7 @@ from .bubbles import (
 from .errors import (
     AllPointsExcludedError,
     ConfigError,
+    NearSingularError,
     RadialModeViolationError,
     UnderResolvedError,
 )
@@ -68,6 +68,7 @@ from .grid import (
     rescale_grid,
     sphere_area,
 )
+from .lapack import dgtsv
 from .operators import OperatorSpec, apply_operator
 from .roots import brentq
 from .shooting import newton_refine
@@ -77,6 +78,9 @@ GAUSS_ORDER = 12
 # memory that a stack of integrands and its temporaries take
 QUAD_CHUNK = 512 * GAUSS_ORDER
 RESOLUTION_FACTOR = 20.0
+# panel edges closer than this are merged; the bubble core gets dyadic
+# panels from mu/16 up, so mu/16 must exceed it
+EDGE_MERGE_TOL = 1e-14
 # the constant term of J(V) - J(z): the bubble energy (1/6) int_{R^6} U^3
 C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 
@@ -101,11 +105,11 @@ def _clamped_cubic(x: np.ndarray, y: np.ndarray,
     b = np.empty(len(x))
     b[0], b[-1] = 0.0, end_slope
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    (gtsv,) = get_lapack_funcs(("gtsv",), (d, b))
-    *_, s, info = gtsv(np.append(dx[1:], 0.0), d, np.append(0.0, dx[:-1]),
-                       b, True, True, True, True)
+    *_, s, info = dgtsv(np.append(dx[1:], 0.0), d, np.append(0.0, dx[:-1]),
+                        b, True, True, True, True)
     if info != 0:
-        raise np.linalg.LinAlgError("singular spline slope system")
+        raise NearSingularError(f"singular spline slope system (LAPACK "
+                                f"info={info})")
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
@@ -219,15 +223,19 @@ def _panel_integral(f, edges: np.ndarray, splines: SplineSet,
 
 def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
                       hi: float) -> np.ndarray:
+    scale = mu / 16.0
+    if not scale > EDGE_MERGE_TOL:
+        raise UnderResolvedError(
+            f"mu = {mu:.3g} is below the panel quadrature's scale: its core "
+            f"panels start at mu/16 and edges merge within {EDGE_MERGE_TOL:g}")
     pts = [lo, hi]
     pts.extend(knots[(knots > lo) & (knots < hi)])
-    scale = mu / 16.0
     while scale < hi:
         if lo < scale:
             pts.append(scale)
         scale *= 2.0
     edges = np.unique(np.asarray(pts, dtype=float))
-    keep = np.concatenate([[True], np.diff(edges) > 1e-14])
+    keep = np.concatenate([[True], np.diff(edges) > EDGE_MERGE_TOL])
     return edges[keep]
 
 

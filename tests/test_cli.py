@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 import bn6
@@ -458,14 +459,14 @@ def test_record_renames_skips_and_nests():
 _FOOTPRINT = """
 import sys
 import bn6.cli
-from bn6 import continuation, shooting
+from bn6 import continuation, operators, shooting
 kernels = [callable(getattr(module, name, None)) for module, name in
            ((continuation, "curve_fit"), (shooting, "brentq"),
-            (shooting, "solve_ivp"))]
+            (shooting, "solve_ivp"), (operators, "eigvalsh_tridiagonal"))]
 codes = [bn6.cli.main(argv.split() + ["--out", sys.argv[1]])
          for argv in sys.argv[2:]]
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-         "scipy.sparse")
+         "scipy.sparse", "scipy.linalg", "scipy._lib")
 print(codes, kernels, [name for name in heavy if name in sys.modules])
 """
 
@@ -485,16 +486,55 @@ def _footprint(*argv: str) -> str:
 
 def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
     # a fresh interpreter: the CLI and a shooting command stay on numpy
-    # and scipy.linalg, while the names the benchmark's traced kernels
-    # wrap exist from the import on
-    assert _footprint(str(tmp_path), "lambda0") == "[0] [True, True, True] []"
+    # (LAPACK comes from scipy's _flapack, loaded by file, not from
+    # scipy.linalg), while the names the benchmark's traced kernels wrap
+    # exist from the import on
+    assert _footprint(str(tmp_path), "lambda0") == (
+        "[0] [True, True, True, True] []")
 
 
 def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
     # limits fits its tails and ansatz-check builds its splines on numpy
-    # and scipy.linalg alone
+    # alone
     cfg = tmp_path / "short.cfg"
     cfg.write_text("a_end = 256\n")
     assert _footprint(str(tmp_path), f"limits --N 3 --m 1 --config {cfg}",
                       "ansatz-check --eps-grid 0.05:0.5:2") == (
-        "[0, 0] [True, True, True] []")
+        "[0, 0] [True, True, True, True] []")
+
+
+def test_certify_and_expansion_load_no_scipy(tmp_path):
+    # with limits above, every benchmarked command runs on numpy alone
+    assert _footprint(str(tmp_path), "nondeg --grid-n 64",
+                      "expansion-check") == (
+        "[0, 0] [True, True, True, True] []")
+
+
+def test_missing_flapack_names_the_scipy_searched(tmp_path):
+    # a scipy without its compiled LAPACK: bn6 has no other route, and
+    # says which install it searched
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = os.path.dirname(os.path.dirname(bn6.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    done = subprocess.run([sys.executable, "-c", "import bn6.cli"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError") and "_flapack" in last
+    assert str(tmp_path / "scipy" / "linalg") in last
+
+
+def test_lapack_failures_exit_2(tmp_path, capsys, monkeypatch):
+    # a failed stebz or gtsv is a solver error with exit code 2
+    def stebz(d, e, *args):
+        return 0, np.zeros(len(d)), None, None, 1
+    monkeypatch.setattr("bn6.operators.dstebz", stebz)
+    assert run("nondeg", "--grid-n", "64", "--out", str(tmp_path)) == 2
+    assert "stebz" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr("bn6.reduction.dgtsv",
+                        lambda dl, d, du, b, *flags: (dl, d, du, b, 1))
+    assert run("ansatz-check", "--grid-n", "64", "--eps-grid", "0.05:0.5:2",
+               "--out", str(tmp_path)) == 2
+    assert "spline" in capsys.readouterr().err

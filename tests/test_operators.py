@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, get_lapack_funcs
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
-from bn6.errors import NearSingularError
+from bn6 import operators
+from bn6.errors import NearSingularError, NotConvergedError
 from bn6.grid import RadialFn, make_grid
 from bn6.operators import (
     BACKWARD_ERROR_TOL,
     NEAR_SINGULAR_RTOL,
+    STURM_TOL,
     OperatorSpec,
     apply_operator,
     assemble,
@@ -269,3 +271,92 @@ def test_input_validation():
     one = RadialFn.from_values(other, np.ones(len(other.nodes)))
     with pytest.raises(ValueError):
         solve_dirichlet(OperatorSpec(g), one)
+
+
+# ------------------------------------------- LAPACK kernels against scipy
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+       split=st.floats(0.0, 1.0), select=st.sampled_from(["v", "i"]),
+       tol=st.sampled_from([0.0, STURM_TOL]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_eigvalsh_tridiagonal_matches_scipy(n, seed, split, select, tol, ends):
+    # random symmetric tridiagonals, some off-diagonals zeroed so that the
+    # matrix splits into blocks (repeated eigenvalues across blocks)
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    e = rng.standard_normal(n - 1) * (rng.random(n - 1) >= split)
+    lo, hi = sorted(ends)
+    if select == "v":
+        bound = np.sum(np.abs(d)) + 2 * np.sum(np.abs(e)) + 1.0
+        select_range = (bound * (2 * lo - 1), bound * (2 * hi - 1))
+    else:
+        select_range = (int(lo * (n - 1)), int(hi * (n - 1)))
+    try:
+        want = eigvalsh_tridiagonal(d, e, select=select,
+                                    select_range=select_range, tol=tol)
+    except ValueError as exc:  # stebz refuses an empty interval (lo, lo]
+        with pytest.raises(ValueError) as got:
+            operators.eigvalsh_tridiagonal(d, e, select, select_range, tol=tol)
+        assert str(got.value) == str(exc)
+        return
+    got = operators.eigvalsh_tridiagonal(d, e, select, select_range, tol=tol)
+    assert got.dtype == want.dtype and _hex(got) == _hex(want)
+
+
+_ONES = (np.ones(4), np.ones(3))
+
+
+@pytest.mark.parametrize("d,e,select,select_range", [
+    (np.array([1.0, np.nan, 2.0]), np.ones(2), "v", (0.0, 1.0)),
+    (np.ones(3), np.array([1.0, np.inf]), "i", (0, 1)),
+    (np.array([np.inf]), np.ones(0), "i", (0, 0)),
+    (*_ONES, "v", (1.0, 0.0)),
+    (*_ONES, "v", (1.0, 1.0)),
+    (*_ONES, "i", (2, 1)),
+    (*_ONES, "v", (0.0, 1.0, 2.0)),
+    (*_ONES, "i", (0, 4)),
+    (*_ONES, "i", (-1, 0)),
+    (*_ONES, "i", (0.0, 1.0)),
+    (*_ONES, "x", (0, 1)),
+])
+def test_eigvalsh_tridiagonal_refuses_as_scipy(d, e, select, select_range):
+    with pytest.raises(ValueError) as want:
+        eigvalsh_tridiagonal(d, e, select=select, select_range=select_range)
+    with pytest.raises(ValueError) as got:
+        operators.eigvalsh_tridiagonal(d, e, select, select_range)
+    assert str(got.value) == str(want.value)
+
+
+def test_failed_stebz_raises_not_converged(monkeypatch):
+    def stebz(d, e, *args):
+        return 0, np.zeros(len(d)), None, None, 1
+    monkeypatch.setattr(operators, "dstebz", stebz)
+    with pytest.raises(NotConvergedError):
+        sector_eigenvalues(make_grid(6, 64), 0, 3)
+    with pytest.raises(NotConvergedError):
+        min_singular_value(OperatorSpec(make_grid(6, 64), lam=10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**random_operators)
+def test_factor_solve_matches_get_lapack_funcs(n, dim, sector, ratio, depth,
+                                               width, lam, seed):
+    # the Jacobi-scaled solve built from scipy's get_lapack_funcs routines
+    asm = assemble(_random_operator(n, dim, sector, ratio, depth, width, lam))
+    d, u = asm.shifted(lam)
+    s = 1.0 / np.sqrt(np.maximum(np.abs(d), 1e-300))
+    ds, us = d * s * s, u * s[:-1] * s[1:]
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ds,))
+    *fact, info = gttrf(us.copy(), ds, us)
+    if info > 0:
+        with pytest.raises(NearSingularError):
+            asm.factor(lam)
+        return
+    rhs = np.random.default_rng(seed).standard_normal(len(d))
+    x, _ = gttrs(*fact, s * rhs)
+    assert _hex(asm.factor(lam)(rhs)) == _hex(s * x)

@@ -10,9 +10,15 @@ from scipy.interpolate import CubicSpline
 from bn6 import reduction
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value, project_bubble
-from bn6.errors import ConfigError, RadialModeViolationError
+from bn6.errors import (
+    BN6Error,
+    ConfigError,
+    RadialModeViolationError,
+    UnderResolvedError,
+)
 from bn6.grid import RadialFn, RadialGrid, make_grid
 from bn6.reduction import (
+    EDGE_MERGE_TOL,
     GAUSS_ORDER,
     MU3_RATIO,
     PAPER_MU3_RATIO,
@@ -29,6 +35,7 @@ from bn6.reduction import (
     refinement_sweep,
     residual_norm,
     tau_star,
+    _clamped_cubic,
     _mu_refined_edges,
     _panel_integral,
 )
@@ -347,6 +354,31 @@ def test_residual_routes_agree_in_magnitude(profiles):
     assert 0.5 < fd / analytic < 2.0
     with pytest.raises(TypeError):
         residual_norm(3.14, spec.lam)
+
+
+def test_unresolvable_bubble_scale_raises(profiles):
+    # the core panels start at mu/16, so below 16 EDGE_MERGE_TOL they
+    # would merge away and the inner integrals read nearly 0
+    sign, _ = case1_parameters(profiles)
+    spec = AnsatzSpec(profiles=profiles, eps=sign * 40e-30, mu=1e-30)
+    with pytest.raises(UnderResolvedError):
+        residual_norm(assemble_ansatz(spec), spec.lam)
+    knots = profiles.grid.nodes
+    with pytest.raises(UnderResolvedError):
+        _mu_refined_edges(knots, 16 * EDGE_MERGE_TOL, 0.0, 1.0)
+    edges = _mu_refined_edges(knots, np.nextafter(16 * EDGE_MERGE_TOL, 1.0),
+                              0.0, 1.0)
+    assert edges[1] == np.nextafter(16 * EDGE_MERGE_TOL, 1.0) / 16
+
+
+def test_failed_gtsv_raises_a_solver_error(monkeypatch):
+    # a singular slope system is a solver failure (exit 2), not a
+    # LinAlgError traceback
+    monkeypatch.setattr(reduction, "dgtsv",
+                        lambda dl, d, du, b, *flags: (dl, d, du, b, 1))
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(BN6Error):
+        _clamped_cubic(x, x ** 2, 2.0)
 
 
 def test_ground_state_energy_identity(profiles):
