@@ -25,8 +25,12 @@ adaptive overhead.  The sign change of V is the only kink of the
 integrands of an (eps, mu) row, so each row has one panel set, split
 there: the energy gap, the residual norm and the single-shot J(V) that
 audits the gap are integrated together on it.  u_0, v, w are tabulated
-once per SplineSet at the Gauss nodes of every knot cell, so a row
-evaluates them afresh only on the few panels that split a knot cell.
+once per SplineSet at the Gauss nodes of every knot cell, and from that
+table an EpsTable derives, once per eps, what the rows of that eps share:
+z, z', the source -Delta z - lam z, J(z)'s integrand and r^5.  A row
+reads runs of whole knot cells as views of the eps table, derives those
+fields afresh only on the few panels that split a knot cell, and
+evaluates only what depends on mu.
 """
 
 from __future__ import annotations
@@ -114,7 +118,63 @@ def _clamped_cubic(x: np.ndarray, y: np.ndarray,
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-class SplineSet:
+class _CellTable:
+    """Fields tabulated at the Gauss nodes of every knot cell of `splines`.
+
+    The table is read-only, since every panel set shares it.  chunks()
+    reads a run of whole knot cells as a view of it, and computes the
+    fields on all the panels that split a knot cell in one call of
+    _evaluate, by the same formulas that filled the table, so each field
+    has one code path.
+    """
+
+    splines: SplineSet
+    _table: np.ndarray
+
+    def _tabulate(self, shape: tuple, chunk_fields) -> np.ndarray:
+        # filled QUAD_CHUNK nodes at a time, which bounds the temporaries;
+        # chunk_fields(c, r): the fields at the nodes r, columns c
+        g, knots = GAUSS_ORDER, self.splines.knots
+        lo, hi, n = knots[:-1], knots[1:], QUAD_CHUNK // g
+        table = np.empty((*shape, g * len(lo)))
+        for p in range(0, len(lo), n):
+            r, _ = self.splines.gauss_panels(lo[p:p + n], hi[p:p + n])
+            c = slice(g * p, g * p + len(r))
+            table[..., c] = chunk_fields(c, r)
+        table.flags.writeable = False
+        return table
+
+    def _evaluate(self, r):
+        raise NotImplementedError
+
+    def chunks(self, edges: np.ndarray):
+        """Gauss nodes r, weights and fields (..., len(r)) of the panels
+        `edges`, QUAD_CHUNK nodes (whole panels) at a time."""
+        g, knots = GAUSS_ORDER, self.splines.knots
+        lo, hi = edges[:-1], edges[1:]
+        k = np.searchsorted(knots, edges)
+        on_knot = knots[np.minimum(k, len(knots) - 1)] == edges
+        split = ~(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1))
+        fresh = self._evaluate(self.splines.gauss_panels(lo[split],
+                                                         hi[split])[0])
+        # each panel's block of g columns in its source: its knot cell in
+        # the table, or its place among the split panels in `fresh`
+        block = np.where(split, np.cumsum(split) - 1, k[:-1])
+        joined = (split[1:] == split[:-1]) & (np.diff(block) == 1)
+        breaks = np.flatnonzero(~joined) + 1
+        n = QUAD_CHUNK // g
+        for p0 in range(0, len(block), n):
+            p1 = min(p0 + n, len(block))
+            bounds = [p0, *breaks[(breaks > p0) & (breaks < p1)], p1]
+            pieces = [(fresh if split[p] else self._table)[
+                          ..., g * block[p]:g * (block[p] + q - p)]
+                      for p, q in zip(bounds[:-1], bounds[1:])]
+            r, w = self.splines.gauss_panels(lo[p0:p1], hi[p0:p1])
+            yield r, w, (pieces[0] if len(pieces) == 1
+                         else np.concatenate(pieces, -1))
+
+
+class SplineSet(_CellTable):
     """Cubic-spline views of u_0, v, w with clamped center derivative.
 
     Values and first derivatives are those of scipy's CubicSpline and its
@@ -137,16 +197,17 @@ class SplineSet:
         self._coef = c
         # not computed on import, where its LAPACK call adds 0.75 MB of RSS
         self._rule = leggauss(GAUSS_ORDER)
-        # filled QUAD_CHUNK nodes at a time; read-only, as every row shares it
-        x, _ = self.gauss_panels(x)
-        self._table = np.empty((2, 3, len(x)))
-        for k in range(0, len(x), QUAD_CHUNK):
-            self._table[..., k:k + QUAD_CHUNK] = self._evaluate(x[k:k + QUAD_CHUNK])
-        self._table.flags.writeable = False
+        self._table = self._tabulate((2, 3), lambda c, r: self._evaluate(r))
+
+    @property
+    def splines(self) -> SplineSet:
+        return self
 
     def _cell(self, r):
-        i = np.clip(np.searchsorted(self.knots, r, "right") - 1, 0,
-                    len(self.knots) - 2)
+        # np.minimum(np.maximum(...)): np.clip's argument checks cost more
+        # than the clipping on the scalars a crossing search passes
+        i = np.minimum(np.maximum(np.searchsorted(self.knots, r, "right") - 1,
+                                  0), len(self.knots) - 2)
         return i, r - self.knots[i]
 
     def _values(self, i, s):
@@ -163,61 +224,63 @@ class SplineSet:
         u0, v, w = fields
         return u0 + eps * v + eps ** 2 * w
 
-    @staticmethod
-    def _source(fields, eps: float):
-        """-Delta z - lam z (lam = lam0 + eps), by the defining equations."""
-        u0, v, w = fields
-        return (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
-
     def z(self, r, eps: float):
         return self._z(self._values(*self._cell(r)), eps)
 
     def dz(self, r, eps: float):
         return self._z(self._slopes(*self._cell(r)), eps)
 
-    def gauss_panels(self, edges: np.ndarray):
-        """Gauss nodes and weights of the panels `edges`, panel by panel."""
+    def gauss_panels(self, lo: np.ndarray, hi: np.ndarray):
+        """Gauss nodes and weights of the panels [lo, hi], panel by
+        panel."""
         x, w = self._rule
-        h = 0.5 * np.diff(edges)[:, None]
-        return (edges[:-1, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
+        h = 0.5 * (hi - lo)[:, None]
+        return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 
     def _evaluate(self, r):
         i, s = self._cell(r)
         return np.stack((self._values(i, s), self._slopes(i, s)))
 
-    def panel_fields(self, r, cells):
-        """Values and slopes (2, 3, len(r)) of u_0, v, w at the Gauss
-        nodes r of the panels `cells` (knot cells; -1: split); a run of
-        whole cells is a view of the table, a run of split ones fresh."""
-        g, split = GAUSS_ORDER, cells < 0
-        joined = (np.diff(cells) == 1) | (split[:-1] & split[1:])
-        bounds = [0, *(np.flatnonzero(~joined) + 1), len(cells)]
-        pieces = [self._evaluate(r[g * p:g * q]) if split[p]
-                  else self._table[..., g * cells[p]:g * (cells[p] + q - p)]
-                  for p, q in zip(bounds[:-1], bounds[1:])]
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, -1)
+
+class EpsTable(_CellTable):
+    """What the (eps, mu) rows of one eps need and that does not depend
+    on mu: the rows z = u_0 + eps v + eps^2 w, z', the source
+    -Delta z - lam z, J(z)'s integrand z'^2/2 - lam z^2/2 - |z|^3/3 and
+    r^5, derived from the SplineSet's table."""
+
+    def __init__(self, splines: SplineSet, eps: float, lam: float):
+        self.splines, self.eps, self.lam = splines, eps, lam
+        self._table = self._tabulate(
+            (5,), lambda c, r: self._derive(splines._table[..., c], r))
+
+    def _derive(self, fields, r):
+        values, slopes = fields
+        eps, lam = self.eps, self.lam
+        z, dz = SplineSet._z(values, eps), SplineSet._z(slopes, eps)
+        u0, v, w = values
+        source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+        direct_z = 0.5 * dz ** 2 - 0.5 * lam * z ** 2 - np.abs(z) ** 3 / 3.0
+        return np.stack((z, dz, source, direct_z, r ** 5))
+
+    def _evaluate(self, r):
+        return self._derive(self.splines._evaluate(r), r)
 
 
 # ---------------------------------------------------------------------------
 # panel quadrature: exact on spline products, geometric at the bubble core
 
-def _panel_integral(f, edges: np.ndarray, splines: SplineSet,
+def _panel_integral(f, edges: np.ndarray, table: _CellTable,
                     order: int = GAUSS_ORDER):
     """Composite Gauss integral over the panels `edges` of f(r, fields),
-    fields those of splines.panel_fields at the nodes r; f may return a
-    stack of integrands (one per row), integrated together QUAD_CHUNK
-    nodes at a time.  order must be GAUSS_ORDER; perfbench counts by it."""
+    fields those that table.chunks gives at the nodes r (a SplineSet's or
+    an EpsTable's); f may return a stack of integrands (one per row),
+    integrated together QUAD_CHUNK nodes at a time.  order must be
+    GAUSS_ORDER; perfbench counts by it."""
     if order != GAUSS_ORDER:
         raise ValueError(f"order must be GAUSS_ORDER = {GAUSS_ORDER}")
-    x, w = splines.gauss_panels(edges)
-    k = np.searchsorted(splines.knots, edges)
-    on_knot = splines.knots[np.minimum(k, len(splines.knots) - 1)] == edges
-    cells = np.where(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1), k[:-1], -1)
-    n = QUAD_CHUNK // GAUSS_ORDER
     total = 0
-    for p in range(0, len(cells), n):
-        c = slice(GAUSS_ORDER * p, GAUSS_ORDER * (p + n))
-        total = total + f(x[c], splines.panel_fields(x[c], cells[p:p + n])) @ w[c]
+    for r, w, fields in table.chunks(edges):
+        total = total + f(r, fields) @ w
     return total
 
 
@@ -229,12 +292,13 @@ def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
             f"mu = {mu:.3g} is below the panel quadrature's scale: its core "
             f"panels start at mu/16 and edges merge within {EDGE_MERGE_TOL:g}")
     pts = [lo, hi]
-    pts.extend(knots[(knots > lo) & (knots < hi)])
     while scale < hi:
         if lo < scale:
             pts.append(scale)
         scale *= 2.0
-    edges = np.unique(np.asarray(pts, dtype=float))
+    # np.sort, not np.unique, whose masked-array check imports numpy.ma;
+    # the merge below drops exact duplicates
+    edges = np.sort(np.concatenate((pts, knots[(knots > lo) & (knots < hi)])))
     keep = np.concatenate([[True], np.diff(edges) > EDGE_MERGE_TOL])
     return edges[keep]
 
@@ -339,7 +403,8 @@ def residual_norm(v, lam: float) -> float:
     """
     if isinstance(v, AnsatzProfile):
         _check_resolved(v.fn.grid, v.mu)
-        return _row_integrals(v.splines, v.eps, v.mu, lam, v.crossing)[1]
+        return _row_integrals(EpsTable(v.splines, v.eps, lam), v.mu,
+                              v.crossing)[1]
     if isinstance(v, RadialFn):
         op = OperatorSpec(v.grid, sector=0, lam=lam)
         vals = apply_operator(op, v) - np.abs(v.values) * v.values
@@ -443,15 +508,19 @@ def _base_energy(S: SplineSet, eps: float, lam: float) -> float:
     return sphere_area(6) * float(_panel_integral(integrand, S.knots, S))
 
 
-def _row_integrals(S: SplineSet, eps: float, mu: float, lam: float,
+def _row_integrals(T: EpsTable, mu: float,
                    crossing: float) -> tuple[float, float, float, float]:
     """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, the
-    single-shot J(V) - J(z), the single-shot J(z)) of one ansatz row, from
-    one pass of panel quadrature.
+    single-shot J(V) - J(z), the single-shot J(z)) of one ansatz row at
+    eps = T.eps, lam = T.lam, from one pass of panel quadrature.
 
     The sign change of V is the only kink of these integrands, so the
     mu-refined panels of [0, crossing] and [crossing, 1] serve all of
-    them, and z, U and the source are evaluated once on their nodes.
+    them.  What does not depend on mu (z, z', the source, J(z)'s
+    integrand and r^5) comes from the eps table T, which the rows of one
+    eps share: a run of whole knot cells reads it as a view, and only the
+    panels that split a knot cell derive it afresh.  The row evaluates U,
+    W, V, the cubic, the residual and the V side of the audit.
 
     The gap is assembled from pointwise-small differences: the quadratic
     groups use the exact bubble integrals, and the cubic group is
@@ -464,14 +533,13 @@ def _row_integrals(S: SplineSet, eps: float, mu: float, lam: float,
     and cubic integrands pointwise, which audits the assembled gap; the
     single-shot J(z) checks _base_energy's form of J(z).
     """
-    c = boundary_trace(mu)
+    lam, c = T.lam, boundary_trace(mu)
 
     def integrands(inside: bool):
         def f(r, fields):
-            values, slopes = fields
-            z, dz = S._z(values, eps), S._z(slopes, eps)
-            source = S._source(values, eps)
+            z, dz, source, direct_z, r5 = fields
             u = talenti_u(r, mu)
+            u2 = u ** 2
             w = u - c
             v = z - w
             if inside:
@@ -482,19 +550,18 @@ def _row_integrals(S: SplineSet, eps: float, mu: float, lam: float,
             else:
                 # V = z - W > 0: f(V) = (z - W)^2
                 cubic = z ** 2 * w - z * w ** 2 + w ** 3 / 3.0
-                resid = source + lam * w - u ** 2 - (z - w) ** 2
-            direct_z = (0.5 * dz ** 2 - 0.5 * lam * z ** 2
-                        - np.abs(z) ** 3 / 3.0)
+                resid = source + lam * w - u2 - v ** 2
             direct_v = (0.5 * (dz - talenti_du(r, mu)) ** 2
                         - 0.5 * lam * v ** 2 - np.abs(v) ** 3 / 3.0)
-            return np.stack((z * u ** 2, z * w, cubic, np.abs(resid) ** 1.5,
-                             direct_v - direct_z, direct_z)) * r ** 5
+            return np.stack((z * u2, z * w, cubic, np.abs(resid) ** 1.5,
+                             direct_v - direct_z, direct_z)) * r5
         return f
 
+    knots = T.splines.knots
     inner = _panel_integral(integrands(True),
-                            _mu_refined_edges(S.knots, mu, 0.0, crossing), S)
+                            _mu_refined_edges(knots, mu, 0.0, crossing), T)
     outer = _panel_integral(integrands(False),
-                            _mu_refined_edges(S.knots, mu, crossing, 1.0), S)
+                            _mu_refined_edges(knots, mu, crossing, 1.0), T)
     zu2, zw, cubic_gap, resid, direct_gap, direct_z = (
         sphere_area(6) * (inner + outer))
 
@@ -578,10 +645,10 @@ def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
         mu_values = np.geomspace(4e-4, 4e-3, 6)
     mu_values = np.asarray(sorted(mu_values), dtype=float)
     S = SplineSet(profiles)
+    T = EpsTable(S, 0.0, profiles.lam0)
     ratios = []
     for mu in mu_values:
-        delta, *_ = _row_integrals(S, 0.0, mu, profiles.lam0,
-                                   _sign_crossing(S, 0.0, mu))
+        delta, *_ = _row_integrals(T, mu, _sign_crossing(S, 0.0, mu))
         ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
     # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
@@ -646,10 +713,11 @@ def expansion_check(profiles: AuxProfiles,
         eps = sign * mag
         lam = lam0 + eps
         j_base = _base_energy(S, eps, lam)
+        T = EpsTable(S, eps, lam)
         for t in tau_multipliers:
             mu = t * tau0 * mag
             delta, resid, direct_gap, direct_z = _row_integrals(
-                S, eps, mu, lam, _sign_crossing(S, eps, mu))
+                T, mu, _sign_crossing(S, eps, mu))
             e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
             rows.append(ExpansionRow(
                 eps=eps,
@@ -664,6 +732,7 @@ def expansion_check(profiles: AuxProfiles,
                 audit_gap=abs(direct_gap - delta),
                 base_form_gap=abs(direct_z - j_base),
             ))
+        del T  # one eps table alive at a time
 
     eps_arr = np.array([row.eps for row in rows])
     mu_arr = np.array([row.mu for row in rows])

@@ -466,7 +466,7 @@ kernels = [callable(getattr(module, name, None)) for module, name in
 codes = [bn6.cli.main(argv.split() + ["--out", sys.argv[1]])
          for argv in sys.argv[2:]]
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-         "scipy.sparse", "scipy.linalg", "scipy._lib")
+         "scipy.sparse", "scipy.linalg", "scipy._lib", "numpy.ma")
 print(codes, kernels, [name for name in heavy if name in sys.modules])
 """
 
@@ -495,7 +495,7 @@ def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
 
 def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
     # limits fits its tails and ansatz-check builds its splines on numpy
-    # alone
+    # alone, and neither loads numpy.ma (np.unique would)
     cfg = tmp_path / "short.cfg"
     cfg.write_text("a_end = 256\n")
     assert _footprint(str(tmp_path), f"limits --N 3 --m 1 --config {cfg}",
@@ -504,7 +504,8 @@ def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
 
 
 def test_certify_and_expansion_load_no_scipy(tmp_path):
-    # with limits above, every benchmarked command runs on numpy alone
+    # with limits above, every benchmarked command runs on numpy alone,
+    # without numpy.ma
     assert _footprint(str(tmp_path), "nondeg --grid-n 64",
                       "expansion-check") == (
         "[0, 0] [True, True, True, True] []")

@@ -1,5 +1,7 @@
 """Bubble ansatz assembly, reduced energies, expansion and refinement sweeps."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from bn6.reduction import (
     PAPER_MU3_RATIO,
     QUAD_CHUNK,
     AnsatzSpec,
+    EpsTable,
     SplineSet,
     assemble_ansatz,
     case1_parameters,
@@ -196,15 +199,38 @@ def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
                 [ref(t) for t in scalars])
 
 
-def _fresh_panel_integral(f, edges, S):
-    # the quadrature with every node's fields evaluated afresh, chunked
-    # and summed as _panel_integral chunks and sums
+def _fresh_nodes(edges):
+    # Gauss nodes and weights of the panels `edges`, computed afresh
     nodes, weights = leggauss(GAUSS_ORDER)
     a, h = edges[:-1], np.diff(edges)
     x = (a[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * weights[None, :]).ravel()
-    return sum(f(x[k:k + QUAD_CHUNK], S._evaluate(x[k:k + QUAD_CHUNK]))
+    return x, (0.5 * h[:, None] * weights[None, :]).ravel()
+
+
+def _fresh_panel_integral(f, edges, evaluate):
+    # the quadrature with every node's fields evaluated afresh, chunked
+    # and summed as _panel_integral chunks and sums
+    x, w = _fresh_nodes(edges)
+    return sum(f(x[k:k + QUAD_CHUNK], evaluate(x[k:k + QUAD_CHUNK]))
                @ w[k:k + QUAD_CHUNK] for k in range(0, len(x), QUAD_CHUNK))
+
+
+def _bits(values) -> np.ndarray:
+    # the bit patterns of float64 values: equal iff float.hex is
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _fresh_eps_fields(S, eps, lam):
+    # z, z', the source, J(z)'s integrand and r^5, written out from u_0,
+    # v, w
+    def evaluate(r):
+        (u0, v, w), (du0, dv, dw) = S._evaluate(r)
+        z = u0 + eps * v + eps ** 2 * w
+        dz = du0 + eps * dv + eps ** 2 * dw
+        source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+        direct_z = 0.5 * dz ** 2 - 0.5 * lam * z ** 2 - np.abs(z) ** 3 / 3.0
+        return np.stack((z, dz, source, direct_z, r ** 5))
+    return evaluate
 
 
 @settings(max_examples=30, deadline=None)
@@ -219,11 +245,17 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
                     np.append(np.zeros(len(x) - 1), rng.normal()))
            for _ in range(3)]
     S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
+    eps = data.draw(st.floats(-0.5, 0.5))
+    lam = data.draw(st.floats(10.0, 30.0))
+    T = EpsTable(S, eps, lam)
 
+    # C-ordered stacks, as the reduction integrands build theirs: the
+    # matrix-vector sum of another layout sums in another order
     def f(r, fields):
-        # a C-ordered stack, as the reduction integrands build theirs: the
-        # matrix-vector sum of another layout sums in another order
         return np.stack((*fields[0], *(fields[1] * r))) * r ** 5
+
+    def g(r, fields):
+        return np.stack((*fields[:4], fields[0] * r)) * fields[4]
 
     unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     splits = data.draw(st.lists(unit, max_size=6))
@@ -238,43 +270,71 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     for c in (knot, crossing):
         edge_sets += [_mu_refined_edges(x, mu, 0.0, c),
                       _mu_refined_edges(x, mu, c, 1.0)]
+    routes = ((S, S._evaluate, f), (T, _fresh_eps_fields(S, eps, lam), g))
     for edges in edge_sets:
-        assert _hex(_panel_integral(f, edges, S)) == _hex(
-            _fresh_panel_integral(f, edges, S))
-    # whole knot cells are read as a view of the table, not gathered; the
-    # table is read-only, and its rule is the only one the route serves
-    view = S.panel_fields(None, np.arange(3, 3 + QUAD_CHUNK // GAUSS_ORDER))
-    assert np.shares_memory(view, S._table)
-    with pytest.raises(ValueError):
-        view[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        _panel_integral(f, x, S, order=GAUSS_ORDER - 4)
+        x_fresh, w_fresh = _fresh_nodes(edges)
+        for table, evaluate, h in routes:
+            assert _hex(_panel_integral(h, edges, table)) == _hex(
+                _fresh_panel_integral(h, edges, evaluate))
+            # a sum can hide a last-bit difference, so every node's nodes
+            # and fields are compared too, chunk by chunk
+            starts = range(0, len(x_fresh), QUAD_CHUNK)
+            chunks = list(table.chunks(edges))
+            assert len(chunks) == len(starts)
+            for k, (r, w, fields) in zip(starts, chunks):
+                c = slice(k, k + QUAD_CHUNK)
+                assert np.array_equal(_bits((r, w)),
+                                      _bits((x_fresh[c], w_fresh[c])))
+                assert np.array_equal(_bits(fields), _bits(evaluate(r)))
+    # whole knot cells are read as views of the tables, not gathered; the
+    # tables are read-only, and their rule is the only one the route serves
+    cells = x[3:4 + QUAD_CHUNK // GAUSS_ORDER]
+    for table in (S, T):
+        (_, _, fields), = table.chunks(cells)
+        assert np.shares_memory(fields, table._table)
+        with pytest.raises(ValueError):
+            fields[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table._table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            _panel_integral(f, x, table, order=GAUSS_ORDER - 4)
 
 
 def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
-    # one SplineSet (which tabulates the knot cells) per run, and the rows
-    # evaluate afresh only the panels that split a knot cell
-    built, fresh, nodes = [], [], []
+    # one SplineSet (which tabulates the knot cells) per run and one eps
+    # table per eps magnitude, each built from it and freed before the
+    # next; the rows evaluate afresh only the panels that split a knot cell
+    built, eps_tables, fresh, nodes = [], [], [], []
     init, evaluate = SplineSet.__init__, SplineSet._evaluate
+    eps_init = EpsTable.__init__
     panel_integral = reduction._panel_integral
 
     def counting_init(self, p):
-        built.append(p)
+        built.append(self)
         init(self, p)
+
+    def counting_eps_init(self, splines, eps, lam):
+        assert all(ref() is None for ref, *_ in eps_tables)
+        eps_tables.append((weakref.ref(self), splines, eps))
+        eps_init(self, splines, eps, lam)
 
     def counting_evaluate(self, r):
         fresh.append(len(r))
         return evaluate(self, r)
 
-    def counting_panel_integral(f, edges, splines):
+    def counting_panel_integral(f, edges, table):
         nodes.append(GAUSS_ORDER * (len(edges) - 1))
-        return panel_integral(f, edges, splines)
+        return panel_integral(f, edges, table)
 
     monkeypatch.setattr(SplineSet, "__init__", counting_init)
+    monkeypatch.setattr(EpsTable, "__init__", counting_eps_init)
     monkeypatch.setattr(SplineSet, "_evaluate", counting_evaluate)
     monkeypatch.setattr(reduction, "_panel_integral", counting_panel_integral)
-    expansion_check(profiles, eps_magnitudes=np.geomspace(0.02, 0.25, 6))
+    mags = np.geomspace(0.02, 0.25, 6)
+    expansion_check(profiles, eps_magnitudes=mags)
     assert len(built) == 1
+    assert all(splines is built[0] for _, splines, _ in eps_tables)
+    assert [abs(eps) for *_, eps in eps_tables] == list(mags)
     table = GAUSS_ORDER * (len(profiles.grid.nodes) - 1)
     assert 0 < sum(fresh) - table < 0.01 * sum(nodes)
 
