@@ -24,13 +24,14 @@ spline-by-spline products exactly and resolves the mu-core without
 adaptive overhead.  The sign change of V is the only kink of the
 integrands of an (eps, mu) row, so each row has one panel set, split
 there: the energy gap, the residual norm and the single-shot J(V) that
-audits the gap are integrated together on it.  u_0, v, w are tabulated
-once per SplineSet at the Gauss nodes of every knot cell, and from that
-table an EpsTable derives, once per eps, what the rows of that eps share:
-z, z', the source -Delta z - lam z, J(z)'s integrand and r^5.  A row
-reads runs of whole knot cells as views of the eps table, derives those
-fields afresh only on the few panels that split a knot cell, and
-evaluates only what depends on mu.
+audits the gap are integrated together on it.  u_0, v, w and their
+slopes are tabulated once per SplineSet at the Gauss nodes of every knot
+cell, and from them an EpsTable derives, once per eps, what the rows and
+J(z) of that eps share: z, z', the source -Delta z - lam z, J(z)'s
+integrand and r^5.  The EpsTable is the one table panel quadrature
+reads: a row reads runs of whole knot cells as views of it, derives
+those fields afresh only on the few panels that split a knot cell, and
+evaluates only what depends on mu; J(z) reads z and r^5 from it.
 """
 
 from __future__ import annotations
@@ -118,70 +119,15 @@ def _clamped_cubic(x: np.ndarray, y: np.ndarray,
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-class _CellTable:
-    """Fields tabulated at the Gauss nodes of every knot cell of `splines`.
-
-    The table is read-only, since every panel set shares it.  chunks()
-    reads a run of whole knot cells as a view of it, and computes the
-    fields on all the panels that split a knot cell in one call of
-    _evaluate, by the same formulas that filled the table, so each field
-    has one code path.
-    """
-
-    splines: SplineSet
-    _table: np.ndarray
-
-    def _tabulate(self, shape: tuple, chunk_fields) -> np.ndarray:
-        # filled QUAD_CHUNK nodes at a time, which bounds the temporaries;
-        # chunk_fields(c, r): the fields at the nodes r, columns c
-        g, knots = GAUSS_ORDER, self.splines.knots
-        lo, hi, n = knots[:-1], knots[1:], QUAD_CHUNK // g
-        table = np.empty((*shape, g * len(lo)))
-        for p in range(0, len(lo), n):
-            r, _ = self.splines.gauss_panels(lo[p:p + n], hi[p:p + n])
-            c = slice(g * p, g * p + len(r))
-            table[..., c] = chunk_fields(c, r)
-        table.flags.writeable = False
-        return table
-
-    def _evaluate(self, r):
-        raise NotImplementedError
-
-    def chunks(self, edges: np.ndarray):
-        """Gauss nodes r, weights and fields (..., len(r)) of the panels
-        `edges`, QUAD_CHUNK nodes (whole panels) at a time."""
-        g, knots = GAUSS_ORDER, self.splines.knots
-        lo, hi = edges[:-1], edges[1:]
-        k = np.searchsorted(knots, edges)
-        on_knot = knots[np.minimum(k, len(knots) - 1)] == edges
-        split = ~(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1))
-        fresh = self._evaluate(self.splines.gauss_panels(lo[split],
-                                                         hi[split])[0])
-        # each panel's block of g columns in its source: its knot cell in
-        # the table, or its place among the split panels in `fresh`
-        block = np.where(split, np.cumsum(split) - 1, k[:-1])
-        joined = (split[1:] == split[:-1]) & (np.diff(block) == 1)
-        breaks = np.flatnonzero(~joined) + 1
-        n = QUAD_CHUNK // g
-        for p0 in range(0, len(block), n):
-            p1 = min(p0 + n, len(block))
-            bounds = [p0, *breaks[(breaks > p0) & (breaks < p1)], p1]
-            pieces = [(fresh if split[p] else self._table)[
-                          ..., g * block[p]:g * (block[p] + q - p)]
-                      for p, q in zip(bounds[:-1], bounds[1:])]
-            r, w = self.splines.gauss_panels(lo[p0:p1], hi[p0:p1])
-            yield r, w, (pieces[0] if len(pieces) == 1
-                         else np.concatenate(pieces, -1))
-
-
-class SplineSet(_CellTable):
+class SplineSet:
     """Cubic-spline views of u_0, v, w with clamped center derivative.
 
     Values and first derivatives are those of scipy's CubicSpline and its
     derivative() to the bit: each r is placed in the cell x[i] <= r <
     x[i + 1] (the end cells extended outward), and each polynomial is
-    summed in powers of s = r - x[i] as scipy's PPoly sums it.  Panel
-    quadrature reads them from a table at every knot cell's Gauss nodes.
+    summed in powers of s = r - x[i] as scipy's PPoly sums it.  _fields
+    holds them at the Gauss nodes of every knot cell, read-only, since
+    every EpsTable and J(z) read it.
     """
 
     def __init__(self, profiles: AuxProfiles):
@@ -197,11 +143,11 @@ class SplineSet(_CellTable):
         self._coef = c
         # not computed on import, where its LAPACK call adds 0.75 MB of RSS
         self._rule = leggauss(GAUSS_ORDER)
-        self._table = self._tabulate((2, 3), lambda c, r: self._evaluate(r))
-
-    @property
-    def splines(self) -> SplineSet:
-        return self
+        fields = np.empty((2, 3, GAUSS_ORDER * (len(x) - 1)))
+        for cols, r, _ in self.cell_chunks():
+            fields[..., cols] = self._evaluate(r)
+        fields.flags.writeable = False
+        self._fields = fields
 
     def _cell(self, r):
         # np.minimum(np.maximum(...)): np.clip's argument checks cost more
@@ -237,21 +183,41 @@ class SplineSet(_CellTable):
         h = 0.5 * (hi - lo)[:, None]
         return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 
+    def cell_chunks(self):
+        """(columns, Gauss nodes, weights) of the knot cells, QUAD_CHUNK
+        nodes (whole cells) at a time, which bounds the temporaries; the
+        columns slice the node axis of _fields and of an EpsTable."""
+        g, knots = GAUSS_ORDER, self.knots
+        lo, hi, n = knots[:-1], knots[1:], QUAD_CHUNK // g
+        for p in range(0, len(lo), n):
+            r, w = self.gauss_panels(lo[p:p + n], hi[p:p + n])
+            yield slice(g * p, g * p + len(r)), r, w
+
     def _evaluate(self, r):
         i, s = self._cell(r)
         return np.stack((self._values(i, s), self._slopes(i, s)))
 
 
-class EpsTable(_CellTable):
+class EpsTable:
     """What the (eps, mu) rows of one eps need and that does not depend
     on mu: the rows z = u_0 + eps v + eps^2 w, z', the source
     -Delta z - lam z, J(z)'s integrand z'^2/2 - lam z^2/2 - |z|^3/3 and
-    r^5, derived from the SplineSet's table."""
+    r^5 at the Gauss nodes of every knot cell, derived from the
+    SplineSet's _fields and read-only.
+
+    chunks() reads a run of whole knot cells as a view of the table, and
+    derives the fields on all the panels that split a knot cell in one
+    pass, by the formulas that filled the table, so each field has one
+    code path.
+    """
 
     def __init__(self, splines: SplineSet, eps: float, lam: float):
         self.splines, self.eps, self.lam = splines, eps, lam
-        self._table = self._tabulate(
-            (5,), lambda c, r: self._derive(splines._table[..., c], r))
+        table = np.empty((5, splines._fields.shape[-1]))
+        for cols, r, _ in splines.cell_chunks():
+            table[:, cols] = self._derive(splines._fields[..., cols], r)
+        table.flags.writeable = False
+        self._table = table
 
     def _derive(self, fields, r):
         values, slopes = fields
@@ -262,20 +228,43 @@ class EpsTable(_CellTable):
         direct_z = 0.5 * dz ** 2 - 0.5 * lam * z ** 2 - np.abs(z) ** 3 / 3.0
         return np.stack((z, dz, source, direct_z, r ** 5))
 
-    def _evaluate(self, r):
-        return self._derive(self.splines._evaluate(r), r)
+    def chunks(self, edges: np.ndarray):
+        """Gauss nodes r, weights and fields (5, len(r)) of the panels
+        `edges`, QUAD_CHUNK nodes (whole panels) at a time."""
+        S, g = self.splines, GAUSS_ORDER
+        lo, hi = edges[:-1], edges[1:]
+        k = np.searchsorted(S.knots, edges)
+        on_knot = S.knots[np.minimum(k, len(S.knots) - 1)] == edges
+        split = ~(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1))
+        nodes = S.gauss_panels(lo[split], hi[split])[0]
+        fresh = self._derive(S._evaluate(nodes), nodes)
+        # each panel's block of g columns in its source: its knot cell in
+        # the table, or its place among the split panels in `fresh`
+        block = np.where(split, np.cumsum(split) - 1, k[:-1])
+        joined = (split[1:] == split[:-1]) & (np.diff(block) == 1)
+        breaks = np.flatnonzero(~joined) + 1
+        n = QUAD_CHUNK // g
+        for p0 in range(0, len(block), n):
+            p1 = min(p0 + n, len(block))
+            bounds = [p0, *breaks[(breaks > p0) & (breaks < p1)], p1]
+            pieces = [(fresh if split[p] else self._table)[
+                          :, g * block[p]:g * (block[p] + q - p)]
+                      for p, q in zip(bounds[:-1], bounds[1:])]
+            r, w = S.gauss_panels(lo[p0:p1], hi[p0:p1])
+            yield r, w, (pieces[0] if len(pieces) == 1
+                         else np.concatenate(pieces, -1))
 
 
 # ---------------------------------------------------------------------------
 # panel quadrature: exact on spline products, geometric at the bubble core
 
-def _panel_integral(f, edges: np.ndarray, table: _CellTable,
+def _panel_integral(f, edges: np.ndarray, table: EpsTable,
                     order: int = GAUSS_ORDER):
     """Composite Gauss integral over the panels `edges` of f(r, fields),
-    fields those that table.chunks gives at the nodes r (a SplineSet's or
-    an EpsTable's); f may return a stack of integrands (one per row),
-    integrated together QUAD_CHUNK nodes at a time.  order must be
-    GAUSS_ORDER; perfbench counts by it."""
+    fields those that table.chunks gives at the nodes r; f may return a
+    stack of integrands (one per row), integrated together QUAD_CHUNK
+    nodes at a time.  order must be GAUSS_ORDER; perfbench counts by
+    it."""
     if order != GAUSS_ORDER:
         raise ValueError(f"order must be GAUSS_ORDER = {GAUSS_ORDER}")
     total = 0
@@ -490,22 +479,25 @@ def energy(u, lam: float) -> float:
     return kinetic - mass - cubic
 
 
-def _base_energy(S: SplineSet, eps: float, lam: float) -> float:
-    """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3."""
-    def integrand(r, fields):
-        u0, v, w = fields[0]
-        lam0 = S.profiles.lam0
-        z = S._z(fields[0], eps)
+def _base_energy(T: EpsTable) -> float:
+    """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3 at
+    eps = T.eps, lam = T.lam, over the knot cells: z and r^5 from the eps
+    table, u_0, v, w from its SplineSet's _fields."""
+    S, eps, lam = T.splines, T.eps, T.lam
+    lam0 = S.profiles.lam0
+    total = 0
+    for cols, _, weights in S.cell_chunks():
+        u0, v, w = S._fields[0, :, cols]
+        z, r5 = T._table[0, cols], T._table[4, cols]
         if np.any(z < 0.0):
             raise ConfigError("z must stay positive on the ball for the "
                               "base-energy formula; reduce |eps|")
         neg_laplacian_z = (lam0 * u0 + u0 ** 2
                            + eps * ((lam0 + 2.0 * u0) * v + u0)
                            + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
-        return (0.5 * z * neg_laplacian_z
-                - 0.5 * lam * z ** 2 - z ** 3 / 3.0) * r ** 5
-
-    return sphere_area(6) * float(_panel_integral(integrand, S.knots, S))
+        total = total + (0.5 * z * neg_laplacian_z - 0.5 * lam * z ** 2
+                         - z ** 3 / 3.0) * r5 @ weights
+    return sphere_area(6) * float(total)
 
 
 def _row_integrals(T: EpsTable, mu: float,
@@ -712,8 +704,8 @@ def expansion_check(profiles: AuxProfiles,
     for mag in mags:
         eps = sign * mag
         lam = lam0 + eps
-        j_base = _base_energy(S, eps, lam)
         T = EpsTable(S, eps, lam)
+        j_base = _base_energy(T)
         for t in tau_multipliers:
             mu = t * tau0 * mag
             delta, resid, direct_gap, direct_z = _row_integrals(

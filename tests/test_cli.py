@@ -1,5 +1,8 @@
 """Command-line entry points: exit codes, config resolution, artifacts."""
 
+import dis
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -539,3 +542,40 @@ def test_lapack_failures_exit_2(tmp_path, capsys, monkeypatch):
     assert run("ansatz-check", "--grid-n", "64", "--eps-grid", "0.05:0.5:2",
                "--out", str(tmp_path)) == 2
     assert "spline" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ tracer contract
+
+TRACED_CLI = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "perfbench", "traced_cli.py")
+
+
+def _args_read(info) -> set:
+    # the names an info callback reads as args["name"]
+    ops = list(dis.get_instructions(info))
+    return {b.argval for a, b in zip(ops, ops[1:])
+            if a.opname == "LOAD_FAST" and a.argval == "args"
+            and b.opname == "LOAD_CONST"}
+
+
+def test_traced_cli_names_exist_and_its_callbacks_bind():
+    # the benchmark's tracer wraps bn6 functions by name and reads some of
+    # their arguments by name after binding the call to the signature
+    # with its defaults; a missing name is silently not counted, and a
+    # missing argument fails every traced run
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    read = {}
+    for mod, attr, span, info in traced.LAYER_FUNCTIONS + traced.KERNELS:
+        fn = getattr(sys.modules[mod], attr, None)
+        assert callable(fn), f"{mod}.{attr}"
+        if info is not None:
+            names = _args_read(info)
+            assert names <= set(inspect.signature(fn).parameters), span
+            read[span] = names
+    assert {span: names for span, names in read.items() if names} == {
+        "reduction._panel_integral": {"edges", "order"},
+        "operators.eigvalsh_tridiagonal": {"d"},
+        "cli.write_atomic": {"text"},
+    }

@@ -18,7 +18,7 @@ from bn6.errors import (
     RadialModeViolationError,
     UnderResolvedError,
 )
-from bn6.grid import RadialFn, RadialGrid, make_grid
+from bn6.grid import RadialFn, RadialGrid, make_grid, sphere_area
 from bn6.reduction import (
     EDGE_MERGE_TOL,
     GAUSS_ORDER,
@@ -38,6 +38,7 @@ from bn6.reduction import (
     refinement_sweep,
     residual_norm,
     tau_star,
+    _base_energy,
     _clamped_cubic,
     _mu_refined_edges,
     _panel_integral,
@@ -233,6 +234,23 @@ def _fresh_eps_fields(S, eps, lam):
     return evaluate
 
 
+def _base_energy_written_out(S, eps, lam):
+    # J(z) by the -Delta z form over the knot cells, u_0, v, w evaluated
+    # afresh at every node
+    lam0 = S.profiles.lam0
+
+    def integrand(r, fields):
+        u0, v, w = fields[0]
+        z = u0 + eps * v + eps ** 2 * w
+        neg_laplacian_z = (lam0 * u0 + u0 ** 2
+                           + eps * ((lam0 + 2.0 * u0) * v + u0)
+                           + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
+        return (0.5 * z * neg_laplacian_z
+                - 0.5 * lam * z ** 2 - z ** 3 / 3.0) * r ** 5
+    return sphere_area(6) * float(
+        _fresh_panel_integral(integrand, S.knots, S._evaluate))
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
@@ -249,11 +267,21 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     lam = data.draw(st.floats(10.0, 30.0))
     T = EpsTable(S, eps, lam)
 
-    # C-ordered stacks, as the reduction integrands build theirs: the
-    # matrix-vector sum of another layout sums in another order
-    def f(r, fields):
-        return np.stack((*fields[0], *(fields[1] * r))) * r ** 5
+    # the SplineSet's node array is u_0, v, w and their slopes at every
+    # knot cell's Gauss nodes, and read-only
+    assert np.array_equal(_bits(S._fields),
+                          _bits(S._evaluate(_fresh_nodes(x)[0])))
+    with pytest.raises(ValueError):
+        S._fields[0, 0, 0] = 1.0
+    # J(z) reads z and r^5 from the eps table and is the -Delta z form
+    # evaluated afresh; the form needs z > 0, so u_0 is lifted
+    lifted = RadialFn(grid, fns[0].values + 20.0, fns[0].derivative)
+    P = SplineSet(AuxProfiles(6, 20.0, 1.0, lifted, *fns[1:]))
+    assert _hex(_base_energy(EpsTable(P, eps, lam))) == _hex(
+        _base_energy_written_out(P, eps, lam))
 
+    # a C-ordered stack, as the reduction integrands build theirs: the
+    # matrix-vector sum of another layout sums in another order
     def g(r, fields):
         return np.stack((*fields[:4], fields[0] * r)) * fields[4]
 
@@ -270,41 +298,54 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     for c in (knot, crossing):
         edge_sets += [_mu_refined_edges(x, mu, 0.0, c),
                       _mu_refined_edges(x, mu, c, 1.0)]
-    routes = ((S, S._evaluate, f), (T, _fresh_eps_fields(S, eps, lam), g))
+    evaluate = _fresh_eps_fields(S, eps, lam)
     for edges in edge_sets:
         x_fresh, w_fresh = _fresh_nodes(edges)
-        for table, evaluate, h in routes:
-            assert _hex(_panel_integral(h, edges, table)) == _hex(
-                _fresh_panel_integral(h, edges, evaluate))
-            # a sum can hide a last-bit difference, so every node's nodes
-            # and fields are compared too, chunk by chunk
-            starts = range(0, len(x_fresh), QUAD_CHUNK)
-            chunks = list(table.chunks(edges))
-            assert len(chunks) == len(starts)
-            for k, (r, w, fields) in zip(starts, chunks):
-                c = slice(k, k + QUAD_CHUNK)
-                assert np.array_equal(_bits((r, w)),
-                                      _bits((x_fresh[c], w_fresh[c])))
-                assert np.array_equal(_bits(fields), _bits(evaluate(r)))
-    # whole knot cells are read as views of the tables, not gathered; the
-    # tables are read-only, and their rule is the only one the route serves
+        assert _hex(_panel_integral(g, edges, T)) == _hex(
+            _fresh_panel_integral(g, edges, evaluate))
+        # a sum can hide a last-bit difference, so every node's nodes and
+        # fields are compared too, chunk by chunk
+        starts = range(0, len(x_fresh), QUAD_CHUNK)
+        chunks = list(T.chunks(edges))
+        assert len(chunks) == len(starts)
+        for k, (r, w, fields) in zip(starts, chunks):
+            c = slice(k, k + QUAD_CHUNK)
+            assert np.array_equal(_bits((r, w)),
+                                  _bits((x_fresh[c], w_fresh[c])))
+            assert np.array_equal(_bits(fields), _bits(evaluate(r)))
+    # whole knot cells are read as views of the eps table, not gathered;
+    # the table is read-only, and its rule is the only one the route serves
     cells = x[3:4 + QUAD_CHUNK // GAUSS_ORDER]
-    for table in (S, T):
-        (_, _, fields), = table.chunks(cells)
-        assert np.shares_memory(fields, table._table)
-        with pytest.raises(ValueError):
-            fields[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            table._table[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            _panel_integral(f, x, table, order=GAUSS_ORDER - 4)
+    (_, _, fields), = T.chunks(cells)
+    assert np.shares_memory(fields, T._table)
+    with pytest.raises(ValueError):
+        fields[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        T._table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        _panel_integral(g, x, T, order=GAUSS_ORDER - 4)
+
+
+def test_base_energy_refuses_negative_z():
+    # z = 2 - r^2 - 6 eps r^2 stays positive at eps = 0 and changes sign
+    # inside the ball at eps = 0.5, where the -Delta z form of J(z) fails
+    grid = make_grid(6, 64)
+    r2 = grid.nodes ** 2
+    u0, v = (RadialFn.from_values(grid, y) for y in (2.0 - r2, -6.0 * r2))
+    zero = RadialFn.from_values(grid, np.zeros(len(r2)))
+    S = SplineSet(AuxProfiles(6, 20.0, 1.0, u0, v, zero))
+    assert np.isfinite(_base_energy(EpsTable(S, 0.0, 20.0)))
+    with pytest.raises(ConfigError, match="z must stay positive"):
+        _base_energy(EpsTable(S, 0.5, 20.5))
 
 
 def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
     # one SplineSet (which tabulates the knot cells) per run and one eps
     # table per eps magnitude, each built from it and freed before the
-    # next; the rows evaluate afresh only the panels that split a knot cell
-    built, eps_tables, fresh, nodes = [], [], [], []
+    # next; two panel integrals per row, over eps tables and never over
+    # the bare knots (J(z) reads the eps table directly); the rows
+    # evaluate afresh only the panels that split a knot cell
+    built, eps_tables, fresh, calls = [], [], [], []
     init, evaluate = SplineSet.__init__, SplineSet._evaluate
     eps_init = EpsTable.__init__
     panel_integral = reduction._panel_integral
@@ -312,6 +353,8 @@ def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
     def counting_init(self, p):
         built.append(self)
         init(self, p)
+        assert sum(fresh) == GAUSS_ORDER * (len(p.grid.nodes) - 1)
+        fresh.clear()
 
     def counting_eps_init(self, splines, eps, lam):
         assert all(ref() is None for ref, *_ in eps_tables)
@@ -323,7 +366,8 @@ def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
         return evaluate(self, r)
 
     def counting_panel_integral(f, edges, table):
-        nodes.append(GAUSS_ORDER * (len(edges) - 1))
+        # the table's type, not the table, which must be freed
+        calls.append((edges, type(table)))
         return panel_integral(f, edges, table)
 
     monkeypatch.setattr(SplineSet, "__init__", counting_init)
@@ -331,12 +375,19 @@ def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
     monkeypatch.setattr(SplineSet, "_evaluate", counting_evaluate)
     monkeypatch.setattr(reduction, "_panel_integral", counting_panel_integral)
     mags = np.geomspace(0.02, 0.25, 6)
-    expansion_check(profiles, eps_magnitudes=mags)
+    report = expansion_check(profiles, eps_magnitudes=mags)
     assert len(built) == 1
     assert all(splines is built[0] for _, splines, _ in eps_tables)
     assert [abs(eps) for *_, eps in eps_tables] == list(mags)
-    table = GAUSS_ORDER * (len(profiles.grid.nodes) - 1)
-    assert 0 < sum(fresh) - table < 0.01 * sum(nodes)
+    knots = profiles.grid.nodes
+    assert len(calls) == 2 * len(report.rows)
+    assert all(kind is EpsTable for _, kind in calls)
+    assert not any(np.array_equal(edges, knots) for edges, _ in calls)
+    cells = set(zip(knots[:-1], knots[1:]))
+    split = sum((a, b) not in cells
+                for edges, _ in calls for a, b in zip(edges[:-1], edges[1:]))
+    nodes = sum(GAUSS_ORDER * (len(edges) - 1) for edges, _ in calls)
+    assert 0 < sum(fresh) == GAUSS_ORDER * split < 0.01 * nodes
 
 
 def test_assemble_z_splines_follow_their_profiles():
