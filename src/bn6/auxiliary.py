@@ -15,15 +15,6 @@ spectrum of -Delta - 2|u_0| in every angular sector; sectors l with
 
 cannot close the gap because 1/r^2 >= 1 on the ball, so only finitely
 many sectors need an eigensolve and the cutoff is certified, not assumed.
-
-The translation-dilation identity provides a strong consistency check:
-for any eta, the combination
-
-    w_eta = (x - eta) . grad(u_0) / 2 + u_0 - lam_0 v
-
-satisfies L w_eta = 0 exactly (it is built from the dilation generator,
-the translation generators, and the v equation); its angular content is
-sectors 0 and 1 only, and w_eta(0) = u_0(0) - lam_0 v(0) for every eta.
 """
 
 from __future__ import annotations
@@ -33,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialFn, RadialGrid, lp_norm, make_grid
+from .grid import RadialFn, RadialGrid, make_grid
 from .operators import (
     OperatorSpec,
-    apply_operator,
     min_singular_value,
     sector_eigenvalues,
     solve_dirichlet,
@@ -268,54 +258,3 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         origin_value_gap=abs(u00 - 0.5 * lam0),
         survey=survey_concentration_points(profiles, coarse_v0=coarse_v0),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class WEtaDecomposition:
-    """Sector decomposition of w_eta = (x - eta) . grad(u_0)/2 + u_0 - lam_0 v.
-
-    sector0 holds r u'/2 + u - lam_0 v; sector1 holds the radial
-    coefficient -|eta| u'/2 of the (eta_hat . x_hat) harmonic.  Both are
-    annihilated by the linearized operator in their sectors; the relative
-    residuals record how well the discrete profiles satisfy that.
-    """
-
-    eta: tuple
-    origin_value: float
-    sector0: RadialFn = field(repr=False)
-    sector1: RadialFn = field(repr=False)
-    residual_sector0: float = 0.0
-    residual_sector1: float = 0.0
-
-
-def w_eta(profiles: AuxProfiles, eta) -> WEtaDecomposition:
-    """Build the translation-dilation profile for a shift eta in B_1."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if len(eta) != profiles.dimension:
-        raise ValueError(f"eta must have {profiles.dimension} components")
-    mag = float(np.linalg.norm(eta))
-    if mag >= 1.0:
-        raise ValueError("eta must lie inside the unit ball")
-    grid = profiles.grid
-    r = grid.nodes
-    u, du = profiles.u0.values, profiles.u0.derivative
-    lam0 = profiles.lam0
-    w0_vals = 0.5 * r * du + u - lam0 * profiles.v.values
-    w1_vals = -0.5 * mag * du
-    sector0 = RadialFn.from_values(grid, w0_vals)
-    sector1 = RadialFn.from_values(grid, w1_vals, regular_origin=False)
-    q = profiles.linearized_potential()
-    res0 = _relative_sector_residual(grid, 0, lam0, q, sector0)
-    res1 = _relative_sector_residual(grid, 1, lam0, q, sector1) if mag > 0 else 0.0
-    return WEtaDecomposition(tuple(eta), float(u[0] - lam0 * profiles.v.values[0]),
-                             sector0, sector1, res0, res1)
-
-
-def _relative_sector_residual(grid: RadialGrid, sector: int, lam0: float,
-                              q: np.ndarray, f: RadialFn) -> float:
-    op = OperatorSpec(grid, sector=sector, lam=lam0, potential=q)
-    res = apply_operator(op, f)
-    scale_vals = (lam0 + q) * f.values
-    num = lp_norm(RadialFn.from_values(grid, res), 2)
-    den = lp_norm(RadialFn.from_values(grid, scale_vals), 2)
-    return num / max(den, 1e-300)

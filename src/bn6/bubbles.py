@@ -58,13 +58,6 @@ def boundary_trace(mu: float) -> float:
     return ALPHA6 * mu ** 2 / (1.0 + mu ** 2) ** 2
 
 
-def kernel_psi0(r, mu: float):
-    """Dilation kernel element Psi^0 = dU/dmu = 2 alpha_6 mu (r^2 - mu^2)
-    (mu^2 + r^2)^{-3}; Psi^0_{1,0}(0) = -48."""
-    r = np.asarray(r, dtype=float)
-    return 2.0 * ALPHA6 * mu * (r ** 2 - mu ** 2) / (mu ** 2 + r ** 2) ** 3
-
-
 def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
     """H^1_0(B_1) projection of the centered bubble: W = U - c(mu), exact.
 

@@ -26,14 +26,6 @@ class NoSignChangeError(BN6Error):
     """Matching function has one sign over the whole bracket."""
 
 
-class JacobianSingularError(BN6Error):
-    """Newton Jacobian is singular at the current iterate."""
-
-
-class DivergedError(BN6Error):
-    """Damped Newton failed to reduce the residual at the smallest step."""
-
-
 class RadialModeViolationError(BN6Error):
     """A mode or dimension outside the certified range was requested."""
 

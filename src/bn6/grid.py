@@ -72,17 +72,11 @@ class RadialGrid:
     quad_weights : ndarray
         Weights including the omega_N factor; quad_weights @ f approximates
         the volume integral of the radial function f over the ball B_R.
-    grading : str
-        "uniform", "geometric", or "core".
-    ratio : float
-        Last-to-first cell width ratio (1.0 for uniform grids).
     """
 
     dimension: int
     nodes: np.ndarray
     quad_weights: np.ndarray
-    grading: str
-    ratio: float = 1.0
 
     @property
     def n_cells(self) -> int:
@@ -106,13 +100,13 @@ def _validate_nodes(nodes: np.ndarray) -> None:
         raise ValueError("grid nodes must be strictly increasing")
 
 
-def _finish(dimension: int, nodes: np.ndarray, grading: str, ratio: float) -> RadialGrid:
+def _finish(dimension: int, nodes: np.ndarray) -> RadialGrid:
     if dimension < 3:
         raise ValueError(f"dimension must be >= 3, got {dimension}")
     nodes = np.asarray(nodes, dtype=float)
     _validate_nodes(nodes)
     w = sphere_area(dimension) * hat_moments(nodes, dimension - 1)
-    return RadialGrid(dimension, nodes, w, grading, ratio)
+    return RadialGrid(dimension, nodes, w)
 
 
 def make_grid(dimension: int, n: int, grading: str = "uniform",
@@ -127,7 +121,7 @@ def make_grid(dimension: int, n: int, grading: str = "uniform",
         raise ValueError(f"n must be >= {MIN_CELLS}, got {n}")
     if grading == "uniform":
         nodes = np.linspace(0.0, 1.0, n + 1)
-        return _finish(dimension, nodes, "uniform", 1.0)
+        return _finish(dimension, nodes)
     if grading == "geometric":
         if ratio <= 1.0:
             raise ValueError(f"geometric grading needs ratio > 1, got {ratio}")
@@ -136,7 +130,7 @@ def make_grid(dimension: int, n: int, grading: str = "uniform",
         widths = h1 * q ** np.arange(n)
         nodes = np.concatenate(([0.0], np.cumsum(widths)))
         nodes[-1] = 1.0
-        return _finish(dimension, nodes, "geometric", ratio)
+        return _finish(dimension, nodes)
     raise ValueError(f"unknown grading {grading!r}")
 
 
@@ -172,8 +166,7 @@ def make_core_grid(dimension: int, scale: float, h_over_scale: float = 1.0 / 50.
     # trim any overshoot from the geometric zone ending past 1
     nodes = nodes[nodes < 1.0 - 1e-12]
     nodes = np.append(nodes, 1.0)
-    ratio = (nodes[-1] - nodes[-2]) / (nodes[1] - nodes[0])
-    return _finish(dimension, nodes, "core", ratio)
+    return _finish(dimension, nodes)
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:
@@ -188,8 +181,7 @@ def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:
     if factor <= 0.0:
         raise ValueError(f"factor must be positive, got {factor}")
     return RadialGrid(grid.dimension, grid.nodes * factor,
-                      grid.quad_weights * factor ** grid.dimension,
-                      grid.grading, grid.ratio)
+                      grid.quad_weights * factor ** grid.dimension)
 
 
 def differentiate(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularError, NotConvergedError
-from .grid import RadialFn, RadialGrid, differentiate, hat_moments, make_grid
+from .grid import RadialFn, RadialGrid, hat_moments, make_grid
 from .lapack import dgttrf, dgttrs, dstebz
 
 NEAR_SINGULAR_RTOL = 1e-8
@@ -298,48 +298,11 @@ def sector_eigenvalues(grid: RadialGrid, sector: int, count: int,
     return asm.eigenvalues(count=count)
 
 
-def apply_operator(op: OperatorSpec, f: RadialFn) -> np.ndarray:
-    """Pointwise strong-form values of L f at the nodes.
-
-    Three-point finite differences in r at interior nodes; at the origin
-    (sector 0 only) the even-parity form Delta u(0) = 2N du/d(r^2) is
-    differenced in the variable s = r^2, which stays uniformly consistent
-    as r -> 0.  Boundary entries (and the origin for sectors >= 1, where
-    the profile vanishes) are zeroed.  Complements `weak_apply`: this
-    form is for pointwise residual checks, that one for duality.
-    """
-    grid = op.grid
-    r = grid.nodes
-    u = f.values
-    N = grid.dimension
-    l = op.sector
-    q = OperatorSpec.potential_values(op)
-    n = len(r) - 1
-    out = np.zeros(n + 1)
-    # interior nodes: nonuniform 3-point second derivative + first derivative
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    upp = 2.0 * (hm * u[2:] - (hm + hp) * u[1:-1] + hp * u[:-2]) \
-        / (hm * hp * (hm + hp))
-    up = differentiate(r, u)[1:-1]
-    ri = r[1:-1]
-    lap = upp + (N - 1) / ri * up
-    out[1:-1] = -lap + (l * (l + N - 2) / ri ** 2 - op.lam - q[1:-1]) * u[1:-1]
-    if l == 0:
-        # du/ds at s = 0, 3-point one-sided in s = r^2, written in
-        # difference form so nearby-value cancellation happens first
-        s1, s2 = r[1] ** 2, r[2] ** 2
-        dus = ((u[1] - u[0]) / s1 * s2 - (u[2] - u[0]) / s2 * s1) / (s2 - s1)
-        out[0] = -2.0 * N * dus - (op.lam + q[0]) * u[0]
-    return out
-
-
 def weak_apply(op: OperatorSpec, f: RadialFn) -> np.ndarray:
     """Lumped weak action (M^{-1} A) f at the nodes, boundary entries zeroed.
 
-    Exactly symmetric in the mass inner product; the variational
-    counterpart of `apply_operator`, and the residual the Dirichlet and
-    Newton solvers actually drive to zero.
+    Exactly symmetric in the mass inner product, and the residual the
+    Dirichlet solve drives to zero.
     """
     return assemble(op).apply(f.values)
 

@@ -51,7 +51,6 @@ from .bubbles import (
     boundary_trace,
     d1_closed_form,
     d2_value,
-    kernel_psi0,
     project_bubble,
     talenti_du,
     talenti_u,
@@ -67,16 +66,11 @@ from .grid import (
     RadialFn,
     RadialGrid,
     ball_volume,
-    h1_norm,
-    lp_norm,
     make_core_grid,
-    rescale_grid,
     sphere_area,
 )
 from .lapack import dgtsv
-from .operators import OperatorSpec, apply_operator
 from .roots import brentq
-from .shooting import newton_refine
 
 GAUSS_ORDER = 12
 # Gauss nodes per evaluation of a panel integrand, whole panels; bounds the
@@ -330,10 +324,6 @@ class AnsatzProfile:
     crossing: float
     splines: SplineSet = field(repr=False)
 
-    @property
-    def grid(self) -> RadialGrid:
-        return self.fn.grid
-
 
 def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
     """Radius where z = W, the sign change of the ansatz."""
@@ -383,23 +373,12 @@ def _check_resolved(grid: RadialGrid, mu: float) -> None:
             f"(need spacing <= mu/{RESOLUTION_FACTOR:.0f} near the origin)")
 
 
-def residual_norm(v, lam: float) -> float:
-    """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V.
-
-    AnsatzProfile inputs use the analytic route (exact bubble Laplacian,
-    spline smooth part); plain RadialFn inputs are measured by pointwise
-    finite differences on their own grid.
-    """
-    if isinstance(v, AnsatzProfile):
-        _check_resolved(v.fn.grid, v.mu)
-        return _row_integrals(EpsTable(v.splines, v.eps, lam), v.mu,
-                              v.crossing)[1]
-    if isinstance(v, RadialFn):
-        op = OperatorSpec(v.grid, sector=0, lam=lam)
-        vals = apply_operator(op, v) - np.abs(v.values) * v.values
-        vals[-1] = 0.0
-        return lp_norm(RadialFn.from_values(v.grid, vals), 1.5)
-    raise TypeError(f"expected AnsatzProfile or RadialFn, got {type(v)!r}")
+def residual_norm(v: AnsatzProfile, lam: float) -> float:
+    """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V, by the analytic
+    route: the exact bubble Laplacian and the spline smooth part."""
+    _check_resolved(v.fn.grid, v.mu)
+    return _row_integrals(EpsTable(v.splines, v.eps, lam), v.mu,
+                          v.crossing)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +445,6 @@ def expansion_E(u_xi: float, v_xi: float, beta: int, mu: float, eps: float,
 
 # ---------------------------------------------------------------------------
 # energies
-
-def energy(u, lam: float) -> float:
-    """J(u) = 1/2 ||grad u||^2 - lam/2 ||u||^2 - 1/3 ||u||_3^3 by grid
-    quadrature."""
-    if isinstance(u, AnsatzProfile):
-        u = u.fn
-    w = u.grid.quad_weights
-    kinetic = 0.5 * float(np.dot(w, u.derivative ** 2))
-    mass = 0.5 * lam * float(np.dot(w, u.values ** 2))
-    cubic = float(np.dot(w, np.abs(u.values) ** 3)) / 3.0
-    return kinetic - mass - cubic
-
 
 def _base_energy(T: EpsTable) -> float:
     """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3 at
@@ -623,43 +590,6 @@ DEFAULT_EPS_MAGNITUDES = tuple(np.geomspace(0.02, 0.25, 8))
 # against it).
 MIN_EPS_MAGNITUDES = 6
 DEFAULT_TAU_MULTIPLIERS = (0.6, 0.8, 1.0, 1.25, 1.5)
-REFINEMENT_EPS_MAGNITUDES = tuple(np.geomspace(0.05, 0.4, 6))
-
-
-def cubic_coefficient_probe(profiles: AuxProfiles, mu_values=None) -> dict:
-    """Measure the mu^3 coefficient of J(V) - J(z) at eps = 0 directly.
-
-    Richardson extrapolation of (delta - c2)/mu^3 over a geometric mu
-    ladder isolates the cubic coefficient from the mu^4 log mu tail; the
-    ratio to d2 is the dimensionless constant MU3_RATIO derives.
-    """
-    if mu_values is None:
-        mu_values = np.geomspace(4e-4, 4e-3, 6)
-    mu_values = np.asarray(sorted(mu_values), dtype=float)
-    S = SplineSet(profiles)
-    T = EpsTable(S, 0.0, profiles.lam0)
-    ratios = []
-    for mu in mu_values:
-        delta, *_ = _row_integrals(T, mu, _sign_crossing(S, 0.0, mu))
-        ratios.append((delta - C2) / mu ** 3)
-    ratios = np.asarray(ratios)
-    # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
-    # extrapolant
-    q = mu_values[1:] / mu_values[:-1]
-    extrap = (q * ratios[:-1] - ratios[1:]) / (q - 1.0)
-    value = float(extrap[0])
-    spread = float(np.max(np.abs(np.diff(extrap))))
-    # with the cubic term removed, the rest of the gap is the expansion
-    # tail; its measured exponent certifies the remainder order
-    tail = np.abs((ratios - value) * mu_values ** 3)
-    tail_exponent = float(np.polyfit(np.log(mu_values), np.log(tail), 1)[0])
-    return {
-        "mu3_coefficient": value,
-        "extrapolation_spread": spread,
-        "ratio_to_d2": value / d2_value(float(profiles.u0.values[0])),
-        "tail_exponent": tail_exponent,
-        "mu_values": [float(m) for m in mu_values],
-    }
 
 
 def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
@@ -773,96 +703,3 @@ def expansion_check(profiles: AuxProfiles,
         remainder_exponent=rem_slope,
         residual_exponent=res_slope,
     )
-
-
-# ---------------------------------------------------------------------------
-# Newton refinement sweep (the remainder-size proxy)
-
-@dataclass(frozen=True)
-class RefinementRow:
-    """Newton outcome for one fixed-center ansatz."""
-
-    eps: float
-    mu: float
-    distance_h1: float
-    iterations: int
-    residual_l32: float
-    multiplier: float
-
-
-@dataclass(frozen=True)
-class RefinementReport:
-    """Newton-refinement sweep with the fitted decay of the correction.
-
-    distance_exponent fits ||u* - V||_{H^1} against mu after dividing
-    out the slowly varying factor |ln mu|^{2/3} that multiplies the
-    quadratic term of the remainder bound; distance_exponent_raw fits the
-    distances as they are.  Over any finite mu window the raw fit
-    sits below the adjusted one by roughly (2/3)/|ln mu|.
-    """
-
-    rows: tuple
-    distance_exponent: float
-    distance_exponent_raw: float
-
-
-def refinement_sweep(profiles: AuxProfiles,
-                     eps_magnitudes=REFINEMENT_EPS_MAGNITUDES,
-                     tau_mult: float = 1.0,
-                     h_over_scale: float = 0.0025,
-                     h_max: float = 1.0 / 512.0,
-                     max_iter: int = 60) -> RefinementReport:
-    """Refine the ansatz to a true solution for each eps and record the
-    H^1 drift, which the remainder bound controls by mu^2 log and eps^3
-    terms.
-
-    Newton runs in the core variable y = r/mu with the critically scaled
-    unknown mu^2 u(mu y), where the bubble has amplitude and spacing O(1).
-    In the original variable the flux differences of the discrete
-    Laplacian cancel to (h/mu)^2 of terms of size 1/mu^4, and the rounding
-    floor eps_mach |u| / h^2 swamps the Newton correction long before the
-    iteration can settle; the rescaling removes the cancellation while the
-    gradient seminorm, the L^{3/2} residual norm, and the solution set of
-    the discrete system are all invariant under it.
-
-    The iteration is pinned along the dilation generator of the bubble,
-    mu d/dmu of the scaled profile, the direction in which the
-    linearization is nearly singular; the refined profile solves the
-    equation in the complement and the recorded distance is the size of
-    the transversal correction, the quantity the remainder bound speaks
-    about.  The leftover one-dimensional defect is the Newton result's
-    multiplier.
-    """
-    sign, tau0 = case1_parameters(profiles)
-    S = SplineSet(profiles)
-    rows = []
-    for mag in sorted(float(m) for m in eps_magnitudes):
-        eps = sign * mag
-        mu = tau_mult * tau0 * mag
-        spec = AnsatzSpec(profiles=profiles, eps=eps, mu=mu)
-        grid = make_core_grid(6, mu, h_over_scale=h_over_scale, h_max=h_max)
-        ansatz = assemble_ansatz(spec, grid=grid, splines=S)
-        core_grid = rescale_grid(grid, 1.0 / mu)
-        guess = RadialFn(core_grid, mu ** 2 * ansatz.fn.values,
-                         mu ** 3 * ansatz.fn.derivative)
-        pin = RadialFn.from_values(core_grid,
-                                   -kernel_psi0(core_grid.nodes, 1.0))
-        result = newton_refine(guess, spec.lam * mu ** 2,
-                               max_iter=max_iter, pin=pin)
-        err = RadialFn(grid,
-                       (result.profile.values - guess.values) / mu ** 2,
-                       (result.profile.derivative - guess.derivative) / mu ** 3)
-        rows.append(RefinementRow(
-            eps=eps,
-            mu=mu,
-            distance_h1=h1_norm(err),
-            iterations=result.iterations,
-            residual_l32=residual_norm(ansatz, spec.lam),
-            multiplier=result.multiplier,
-        ))
-    log_mu = np.log([row.mu for row in rows])
-    log_d = np.log([row.distance_h1 for row in rows])
-    raw = float(np.polyfit(log_mu, log_d, 1)[0])
-    adjusted = float(np.polyfit(log_mu, log_d - (2.0 / 3.0) * np.log(-log_mu), 1)[0])
-    return RefinementReport(rows=tuple(rows), distance_exponent=adjusted,
-                            distance_exponent_raw=raw)

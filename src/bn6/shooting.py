@@ -1,4 +1,4 @@
-"""Shooting, matching, and Newton refinement for the critical radial problem.
+"""Shooting and matching for the critical radial problem.
 
 Radial solutions of
 
@@ -56,15 +56,11 @@ import numpy as np
 from . import roots
 from .errors import (
     BlowUpBeforeOneError,
-    DivergedError,
-    JacobianSingularError,
-    NearSingularError,
     NoSignChangeError,
     NotConvergedError,
     RadialModeViolationError,
 )
 from .grid import RadialFn, RadialGrid, make_core_grid, make_grid
-from .operators import OperatorSpec, assemble
 from .roots import brentq
 
 RTOL = 1e-10
@@ -77,19 +73,12 @@ def critical_exponent(dimension: int) -> float:
     return (dimension + 2.0) / (dimension - 2.0)
 
 
-def _fnl(u, p):
-    return np.abs(u) ** (p - 1.0) * u
-
-
-def _fnl_prime(u, p):
-    return p * np.abs(u) ** (p - 1.0)
-
-
 def _series(dimension: int, lam: float, a: float, p: float):
     """Coefficients (c, d) of the regular series u = a + c r^2 + d r^4:
     orders r^0 and r^2 of the equation give c = -(lam a + f(a)) / (2N)
-    and d = -(lam + f'(a)) c / (4 (N + 2)).  On Python floats, with the
-    operations of `_fnl` and `_fnl_prime` in the same order."""
+    and d = -(lam + f'(a)) c / (4 (N + 2)), with f(a) = |a|^(p-1) a and
+    f'(a) = p |a|^(p-1).  On Python floats, with the operations of the
+    numpy forms of f and f' in the same order."""
     lam, a = float(lam), float(a)
     power = abs(a) ** (p - 1.0)
     c = -(lam * a + power * a) / (2.0 * dimension)
@@ -117,8 +106,9 @@ def _series_start(dimension: int, lam: float, a: float, p: float):
 
 def _make_rhs(dimension: int, lam: float, p: float):
     """Right-hand side of the first-order system, on Python floats: the
-    operations of `_fnl` in the same order, so the value is bit-identical
-    and the per-step cost of numpy scalars is avoided."""
+    operations of the numpy form |u|^(p-1) u in the same order, so the
+    value is bit-identical and the per-step cost of numpy scalars is
+    avoided."""
     nm1 = dimension - 1.0
     q = p - 1.0
 
@@ -749,148 +739,3 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
     return Lambda0Certificate(dimension, float(lam0), float(u0),
                               abs(2.0 * u0 - lam0), abs(u0 - 0.5 * lam0),
                               branch)
-
-
-@dataclass(frozen=True, eq=False)
-class NewtonResult:
-    profile: RadialFn = field(repr=False)
-    iterations: int
-    residual_history: tuple
-    multiplier: float = 0.0
-
-
-def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
-                  tol: float = 1e-11, pin: RadialFn | None = None) -> NewtonResult:
-    """Damped Newton on the discrete problem from the given profile.
-
-    Works on the guess's own grid with the lumped weak residual
-    F(u) = M^{-1} A0 u - lam u - f(u); the Jacobian is the sector-0 linear
-    operator with potential f'(u).  Damping is error-oriented: a trial
-    step is accepted when the simplified correction J(u)^{-1} F(u + s d)
-    contracts relative to d, which keeps working when the residual norm
-    itself is a poor progress measure.
-
-    A concentrated two-scale profile makes the plain iteration hopeless:
-    the linearization is nearly singular along the dilation direction of
-    the concentrating piece, so the Newton step blows a tiny residual up
-    into an enormous excursion along that mode.  Passing that direction
-    as `pin` switches to the bordered system
-
-        F(u) - a pin = 0,   <pin, u - guess>_M = 0,
-
-    with the scalar multiplier a as extra unknown.  The bordered Jacobian
-    is uniformly invertible, Newton contracts at the usual rate, and the
-    refined profile solves the equation exactly in the complement of the
-    pinned direction (a is reported as `multiplier`; |a| measures the
-    leftover one-dimensional defect).
-
-    Failure to contract raises DivergedError, a singular Jacobian raises
-    JacobianSingularError.
-    """
-    # the bordered system's sparse LU; no command path refines
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    grid = guess.grid
-    p = critical_exponent(grid.dimension)
-    asm0 = assemble(OperatorSpec(grid, sector=0, lam=lam))
-    idx = asm0.idx
-    masses = asm0.masses
-
-    def weak_residual(u_full: np.ndarray) -> np.ndarray:
-        return (asm0.apply(u_full) - _fnl(u_full, p))[idx]
-
-    def norm(vec: np.ndarray) -> float:
-        return math.sqrt(float(np.dot(masses, vec ** 2)))
-
-    u = guess.values.copy()
-    u[-1] = 0.0
-    if pin is not None:
-        psi = pin.values[idx]
-        pin_scale = norm(psi)
-        if pin_scale == 0.0:
-            raise ValueError("pin direction vanishes at the interior nodes")
-        psi = psi / pin_scale
-        mpsi = masses * psi
-        u_anchor = u[idx].copy()
-    a = 0.0
-    res = weak_residual(u)
-    history = [norm(res)]
-    converged = False
-    damping = 1.0
-
-    def corrector(u_cur):
-        """Return a solve closure mapping (u, a) to the Newton correction."""
-        jac = assemble(OperatorSpec(grid, sector=0, lam=lam,
-                                    potential=_fnl_prime(u_cur, p)))
-        if pin is None:
-            try:
-                solve = jac.factor(lam)
-            except NearSingularError as exc:
-                raise JacobianSingularError(str(exc)) from exc
-
-            def correct(u_full, a_cur):
-                du = solve(-masses * weak_residual(u_full))
-                return du, 0.0
-            return correct
-        d, e = jac.shifted(lam)
-        m = len(d)
-        ji = np.concatenate((np.arange(m), np.arange(m - 1),
-                             np.arange(1, m), np.arange(m),
-                             np.full(m, m), [m]))
-        jj = np.concatenate((np.arange(m), np.arange(1, m),
-                             np.arange(m - 1), np.full(m, m),
-                             np.arange(m), [m]))
-        jv = np.concatenate((d, e, e, -mpsi, mpsi, [0.0]))
-        try:
-            lu = splu(csc_matrix((jv, (ji, jj)), shape=(m + 1, m + 1)))
-        except RuntimeError as exc:
-            raise JacobianSingularError(str(exc)) from exc
-
-        def correct(u_full, a_cur):
-            g1 = masses * weak_residual(u_full) - a_cur * mpsi
-            g2 = float(np.dot(mpsi, u_full[idx] - u_anchor))
-            sol = lu.solve(np.concatenate((-g1, [-g2])))
-            return sol[:-1], float(sol[-1])
-        return correct
-
-    for it in range(max_iter):
-        correct = corrector(u)
-        du, da = correct(u, a)
-        if not np.all(np.isfinite(du)) or not math.isfinite(da):
-            raise JacobianSingularError("non-finite Newton step")
-        norm_delta = math.hypot(norm(du), da)
-        scale = max(1.0, float(np.max(np.abs(u))))
-        if norm_delta <= tol * scale:
-            u[idx] += du
-            a += da
-            converged = True
-            break
-        step = damping
-        while step >= 2.0 ** -16:
-            trial = u.copy()
-            trial[idx] += step * du
-            a_trial = a + step * da
-            du2, da2 = correct(trial, a_trial)
-            theta = math.hypot(norm(du2), da2) / norm_delta
-            if theta < 1.0:
-                break
-            step *= 0.5
-        else:
-            raise DivergedError(
-                f"no contraction at iteration {it} "
-                f"(residual {history[-1]:.3e})")
-        u = trial
-        a = a_trial
-        res = weak_residual(u) - (a * psi if pin is not None else 0.0)
-        history.append(norm(res))
-        damping = min(1.0, 2.0 * step) if theta < 0.5 else step
-        if step == 1.0 and math.hypot(norm(du2), da2) <= tol * scale:
-            converged = True
-            break
-    if not converged:
-        raise NotConvergedError(
-            f"Newton did not converge in {max_iter} iterations "
-            f"(last residual {history[-1]:.3e})")
-    return NewtonResult(RadialFn.from_values(grid, u), it + 1, tuple(history),
-                        a / pin_scale if pin is not None else 0.0)

@@ -18,15 +18,17 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
-from bn6.auxiliary import build_profiles, essential_nondegeneracy, w_eta
+from bn6.auxiliary import essential_nondegeneracy
 from bn6.bubbles import constants, d2_value, talenti_u
 from bn6.cli import main as cli_main
 from bn6.continuation import extract_limit, trace_branch
 from bn6.errors import NoSignChangeError
 from bn6.grid import RadialFn, make_grid
 from bn6.operators import OperatorSpec, dirichlet_eigenvalue, weak_apply
-from bn6.reduction import reduced_energy_polynomial, refinement_sweep
+from bn6.reduction import reduced_energy_polynomial
 from bn6.shooting import find_lambda0, solve_bvp
+
+from oracles import w_eta
 
 # independent eigenvalue oracle: squared first zero of J_{N/2-1}
 LAMBDA1 = {
@@ -121,7 +123,7 @@ def test_criterion_05_n6_concentration_value():
     assert elapsed < 600.0, f"criterion took {elapsed:.1f}s"
 
 
-def test_criterion_06_translation_dilation_profiles(certificate, profiles):
+def test_criterion_06_translation_dilation_profiles(profiles, w_eta_ladder):
     rng = np.random.default_rng(20260815)
     worst = 0.0
     for _ in range(10):
@@ -139,15 +141,11 @@ def test_criterion_06_translation_dilation_profiles(certificate, profiles):
 
     # order under grid doubling, measured below the trajectory-precision
     # floor; 1.9 is the order-2 verification threshold (measurement of a
-    # limit slope on finite grids)
-    eta = np.zeros(6)
-    eta[1] = 0.45
-    res = {n: w_eta(build_profiles(6, certificate, grid_n=n), eta)
-           for n in (512, 1024, 2048)}
-    order0 = math.log2(res[512].residual_sector0
-                       / res[2048].residual_sector0) / 2.0
-    order1 = math.log2(res[512].residual_sector1
-                       / res[2048].residual_sector1) / 2.0
+    # limit slope on finite grids), at eta = 0.45 e_2
+    order0 = math.log2(w_eta_ladder[512].residual_sector0
+                       / w_eta_ladder[2048].residual_sector0) / 2.0
+    order1 = math.log2(w_eta_ladder[512].residual_sector1
+                       / w_eta_ladder[2048].residual_sector1) / 2.0
     assert order0 >= 1.9, f"sector-0 residual order {order0:.3f}"
     assert order1 >= 1.9, f"sector-1 residual order {order1:.3f}"
 
@@ -200,8 +198,8 @@ def test_criterion_09_expansion_coefficients(profiles, expansion):
         f"{report.paper_mu3:.6g} (= -11/9 d2)")
 
 
-def test_criterion_10_newton_refinement(profiles):
-    report = refinement_sweep(profiles)
+def test_criterion_10_newton_refinement(refinement):
+    report = refinement
     for row in report.rows:
         assert row.iterations < 60, (
             f"Newton did not converge at eps {row.eps:+.4f}")

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from bn6.auxiliary import (
-    build_profiles,
     essential_nondegeneracy,
     solve_v,
     survey_concentration_points,
-    w_eta,
 )
 from bn6.errors import NotConvergedError
 from bn6.grid import make_grid
 from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues, weak_apply
 from bn6.serialize import record
 from bn6.shooting import shoot
+
+from oracles import w_eta
 
 V0_FROZEN = -3.2284188994808511
 W0_FROZEN = 0.10573771048525127
@@ -106,16 +106,13 @@ def test_w_eta_sector_residuals_random_shifts(profiles):
         assert dec.eta == pytest.approx(tuple(eta))
 
 
-def test_w_eta_residual_convergence_order(certificate):
+def test_w_eta_residual_convergence_order(w_eta_ladder):
     # second-order scheme: residuals drop ~4x per refinement until the
     # finest grid touches the trajectory-precision floor, so the order is
-    # measured on the pre-floor ladder
-    eta = np.zeros(6)
-    eta[1] = 0.45
+    # measured on the pre-floor ladder (eta = 0.45 e_2)
     res0, res1 = [], []
     for n in (512, 1024, 2048):
-        prof = build_profiles(6, certificate, grid_n=n)
-        dec = w_eta(prof, eta)
+        dec = w_eta_ladder[n]
         res0.append(dec.residual_sector0)
         res1.append(dec.residual_sector1)
     order0 = math.log2(res0[0] / res0[-1]) / 2.0

@@ -17,14 +17,15 @@ from bn6.bubbles import (
     d1_closed_form,
     d1_quadrature,
     d2_value,
-    kernel_psi0,
     project_bubble,
     talenti_du,
     talenti_u,
 )
 from bn6.grid import RadialFn, make_grid, sphere_area
-from bn6.operators import OperatorSpec, apply_operator
+from bn6.operators import OperatorSpec
 from bn6.serialize import record
+
+from oracles import apply_operator, kernel_psi0
 
 
 def test_alpha_values():

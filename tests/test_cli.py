@@ -1,11 +1,13 @@
 """Command-line entry points: exit codes, config resolution, artifacts."""
 
+import ast
 import dis
 import importlib.util
 import inspect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -527,6 +529,43 @@ def test_missing_flapack_names_the_scipy_searched(tmp_path):
     last = done.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError") and "_flapack" in last
     assert str(tmp_path / "scipy" / "linalg") in last
+
+
+def _imports(path: pathlib.Path) -> set:
+    """(module, top-level function or None) of every import statement in
+    the bn6 module file at path, read from its syntax tree; relative
+    names resolve in bn6, and `from . import x` counts bn6.x."""
+    tree = ast.parse(path.read_text())
+    scope = {id(node): f.name for f in tree.body
+             if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "bn6." * bool(node.level) + (node.module or "")
+            names = ([base] if node.module
+                     else [base + alias.name for alias in node.names])
+        else:
+            continue
+        found.update((name, scope.get(id(node))) for name in names)
+    return found
+
+
+def test_bn6_imports_no_scipy_and_keeps_its_layers_apart():
+    # from the source, without importing it: the one scipy import is
+    # the lazy quad of bubbles.d1_quadrature (bn6.lapack locates scipy's
+    # _flapack without an import statement), shooting does not reach
+    # the operators, and the reduction neither the operators nor shooting
+    imports = {path.stem: _imports(path)
+               for path in pathlib.Path(bn6.__file__).parent.glob("*.py")}
+    assert {(stem, name, scope) for stem, found in imports.items()
+            for name, scope in found if name.split(".")[0] == "scipy"} == {
+        ("bubbles", "scipy.integrate", "d1_quadrature")}
+    assert ("bn6.roots", None) in imports["shooting"]
+    assert not {name for name, _ in imports["shooting"]} & {"bn6.operators"}
+    assert not {name for name, _ in imports["reduction"]} & {
+        "bn6.operators", "bn6.shooting"}
 
 
 def test_lapack_failures_exit_2(tmp_path, capsys, monkeypatch):

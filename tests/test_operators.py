@@ -18,7 +18,6 @@ from bn6.operators import (
     NEAR_SINGULAR_RTOL,
     STURM_TOL,
     OperatorSpec,
-    apply_operator,
     assemble,
     dirichlet_eigenvalue,
     min_singular_value,
@@ -26,6 +25,8 @@ from bn6.operators import (
     solve_dirichlet,
     weak_apply,
 )
+
+from oracles import apply_operator
 
 # First Dirichlet eigenvalue of -Delta on B_1 in R^N is the squared first
 # zero of J_{N/2-1}; half-integer orders (N odd) via brentq on jv.

@@ -17,12 +17,13 @@ from bn6.shooting import (
     BranchPoint,
     critical_exponent,
     find_lambda0,
-    newton_refine,
     nodal_count,
     shoot,
     shoot_to_zero,
     solve_bvp,
 )
+
+from oracles import fnl, newton_refine
 
 LAMBDA0_FROZEN = 22.469107870851314
 
@@ -84,12 +85,12 @@ def _signed(lo_exp: float, hi_exp: float):
        u=st.one_of(st.just(0.0), _signed(-300.0, 8.0)),
        du=st.one_of(st.just(0.0), _signed(-300.0, 8.0)))
 def test_rhs_is_the_numpy_formula_bit_for_bit(dim, lam, r, u, du):
-    # the float kernel performs _fnl's operations in the same order, so
+    # the float kernel performs fnl's operations in the same order, so
     # every IVP takes the same steps as with numpy scalars
     p = critical_exponent(dim)
     y = np.array([u, du])
     yu, ydu = y
-    want = (ydu, -(dim - 1) / r * ydu - lam * yu - shooting._fnl(yu, p))
+    want = (ydu, -(dim - 1) / r * ydu - lam * yu - fnl(yu, p))
     got = shooting._make_rhs(dim, lam, p)(r, u, du)
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
