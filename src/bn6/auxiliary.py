@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_L_MAX
 from .grid import RadialFn, RadialGrid, make_grid
 from .operators import (
     OperatorSpec,
@@ -32,8 +33,6 @@ from .operators import (
     solve_dirichlet,
 )
 from .shooting import Lambda0Certificate, find_lambda0, shoot
-
-DEFAULT_L_MAX = 24
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,11 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .grid import RadialFn, RadialGrid, sphere_area
 
 ALPHA6 = 24.0
 N6 = 6
+# d1_quadrature's rule: geometric panels on [1/64, R] and their order
+D1_PANELS = 40
+D1_ORDER = 12
 
 
 def alpha(dimension: int) -> float:
@@ -120,11 +124,16 @@ def d1_closed_form() -> float:
 
 def d1_quadrature(R: float = 50.0) -> float:
     """Same constant by quadrature on [0, R] plus the analytic r^{-8} tail
-    of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1."""
-    from scipy.integrate import quad  # only `constants` needs it
+    of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1.
 
-    integrand = lambda r: talenti_u(r, 1.0) ** 2 * r ** 5
-    head = quad(integrand, 0.0, R, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    [0, R] is cut into D1_PANELS geometric panels from 1/64 to R, plus
+    [0, 1/64], each integrated by the D1_ORDER-point Gauss-Legendre rule."""
+    edges = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, R,
+                                                D1_PANELS + 1)))
+    x, w = leggauss(D1_ORDER)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+    head = float(np.dot(talenti_u(r, 1.0) ** 2 * r ** 5, (half * w).ravel()))
     # exact tail: int_R^inf 24^2 r^5 (1+r^2)^{-4} dr with u = 1 + r^2
     m = 1.0
     tail = ALPHA6 ** 2 * m ** 2 / 2.0 * (0.0 - _f4(m + R ** 2, m))

@@ -21,25 +21,22 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .auxiliary import (
+# auxiliary, bubbles, continuation and reduction are lazy (bn6/__init__.py):
+# each runs when a command first reads one of its names.  operators is
+# imported for its side effect: it loads LAPACK, which nondeg, limits and
+# expansion-check all need, so that a scipy without _flapack fails here and
+# names the directory searched.
+from . import (
     DEFAULT_L_MAX,
-    build_profiles,
-    essential_nondegeneracy,
+    MIN_TAIL_POINTS,
+    auxiliary,
+    bubbles,
+    continuation,
+    operators,  # noqa: F401
+    reduction,
 )
-from .bubbles import constants
-from .continuation import MIN_TAIL_POINTS, extract_limit, trace_branch
 from .errors import BN6Error, ConfigError
 from .grid import MIN_CELLS
-from .reduction import (
-    DEFAULT_EPS_MAGNITUDES,
-    MIN_EPS_MAGNITUDES,
-    AnsatzSpec,
-    SplineSet,
-    assemble_ansatz,
-    case1_parameters,
-    expansion_check,
-    residual_norm,
-)
 from .serialize import (
     branch_point_dict,
     branch_rows,
@@ -280,9 +277,9 @@ def _require_lambda(cfg: RunConfig) -> float:
 def _profiles(cfg: RunConfig, cert=None):
     if cert is None:
         cert = find_lambda0(cfg.dimension)
-    return build_profiles(cfg.dimension, cert,
-                          **({} if cfg.grid_n is None
-                             else {"grid_n": cfg.grid_n}))
+    return auxiliary.build_profiles(cfg.dimension, cert,
+                                    **({} if cfg.grid_n is None
+                                       else {"grid_n": cfg.grid_n}))
 
 
 def cmd_constants(cfg: RunConfig, prov: dict) -> None:
@@ -290,7 +287,8 @@ def cmd_constants(cfg: RunConfig, prov: dict) -> None:
         u_center = 0.5 * cfg.lam
     else:
         u_center = 0.5 * find_lambda0(cfg.dimension).lam0
-    _write_json(cfg, prov, "constants.json", record(constants(u_center)))
+    _write_json(cfg, prov, "constants.json",
+                record(bubbles.constants(u_center)))
 
 
 def cmd_ground_state(cfg: RunConfig, prov: dict) -> None:
@@ -315,8 +313,8 @@ def cmd_lambda0(cfg: RunConfig, prov: dict) -> None:
 
 
 def _trace(cfg: RunConfig):
-    return trace_branch(cfg.dimension, cfg.m, a_start=cfg.a_start,
-                        a_end=cfg.a_end)
+    return continuation.trace_branch(cfg.dimension, cfg.m,
+                                     a_start=cfg.a_start, a_end=cfg.a_end)
 
 
 def cmd_branch(cfg: RunConfig, prov: dict) -> None:
@@ -330,7 +328,8 @@ def cmd_branch(cfg: RunConfig, prov: dict) -> None:
 
 def cmd_limits(cfg: RunConfig, prov: dict) -> None:
     branch = _trace(cfg)
-    estimate = extract_limit(branch, tail_length=cfg.fit_min_points)
+    estimate = continuation.extract_limit(branch,
+                                          tail_length=cfg.fit_min_points)
     stem = f"limits_N{cfg.dimension}_m{cfg.m}"
     _write_table(cfg, prov, stem + "_branch", BRANCH_HEADER,
                  branch_rows(branch))
@@ -353,10 +352,11 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
     # 2 v(0) - 1 gets its grid-refinement error bar from half the cells;
     # below two minimal grids it has none (nan)
     half = profiles.grid.n_cells // 2
-    coarse_v0 = (build_profiles(cfg.dimension, cert, grid_n=half).v0
+    coarse_v0 = (auxiliary.build_profiles(cfg.dimension, cert,
+                                           grid_n=half).v0
                  if half >= MIN_CELLS else None)
-    report = essential_nondegeneracy(profiles, l_max=cfg.lmax,
-                                     coarse_v0=coarse_v0)
+    report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax,
+                                               coarse_v0=coarse_v0)
     _write_json(cfg, prov, "nondeg.json", record(report))
     _write_table(cfg, prov, "nondeg_v", PROFILE_HEADER,
                  radial_fn_rows(profiles.v))
@@ -365,16 +365,18 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
-    magnitudes = parse_eps_grid(cfg.eps_grid) or DEFAULT_EPS_MAGNITUDES
+    magnitudes = (parse_eps_grid(cfg.eps_grid)
+                  or reduction.DEFAULT_EPS_MAGNITUDES)
     profiles = _profiles(cfg)
-    sign, tau = case1_parameters(profiles)
-    splines = SplineSet(profiles)
+    sign, tau = reduction.case1_parameters(profiles)
+    splines = reduction.SplineSet(profiles)
     rows = []
     for mag in magnitudes:
         eps = sign * mag
-        spec = AnsatzSpec(profiles, eps, tau * mag)
-        ansatz = assemble_ansatz(spec, splines=splines)
-        rows.append((eps, spec.mu, residual_norm(ansatz, spec.lam)))
+        spec = reduction.AnsatzSpec(profiles, eps, tau * mag)
+        ansatz = reduction.assemble_ansatz(spec, splines=splines)
+        rows.append((eps, spec.mu,
+                     reduction.residual_norm(ansatz, spec.lam)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)
     mu = np.array([row[1] for row in rows])
@@ -388,13 +390,14 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
 
 def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
     magnitudes = parse_eps_grid(cfg.eps_grid)
-    if magnitudes is not None and len(magnitudes) < MIN_EPS_MAGNITUDES:
+    least = reduction.MIN_EPS_MAGNITUDES
+    if magnitudes is not None and len(magnitudes) < least:
         raise ConfigError(f"expansion-check needs --eps-grid count >= "
-                          f"{MIN_EPS_MAGNITUDES}, got {cfg.eps_grid!r}")
+                          f"{least}, got {cfg.eps_grid!r}")
     profiles = _profiles(cfg)
-    report = expansion_check(profiles,
-                             **({} if magnitudes is None
-                                else {"eps_magnitudes": magnitudes}))
+    report = reduction.expansion_check(profiles,
+                                       **({} if magnitudes is None
+                                          else {"eps_magnitudes": magnitudes}))
     _write_table(cfg, prov, "expansion_check", EXPANSION_HEADER,
                  expansion_rows(report))
     _write_json(cfg, prov, "expansion_fit.json", record(report))

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import MIN_TAIL_POINTS
 from .errors import (
     BlowUpBeforeOneError,
     BranchLostError,
@@ -65,8 +66,6 @@ CORRECTOR_SHOTS = 6
 # Relative offset of the corrector's second shot when no slope is known:
 # the forward-difference step that balances truncation against IVP noise.
 KICK = math.sqrt(RTOL)
-# Shortest tail extract_limit fits (cli checks fit_min_points against it).
-MIN_TAIL_POINTS = 8
 # Each tail fit scans its law's one nonlinear parameter theta on
 # SCAN_POINTS geometric grid points, then refines the best one to
 # THETA_XTOL + THETA_RTOL |theta| (the smallest rtol brentq accepts).

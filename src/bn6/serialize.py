@@ -60,14 +60,16 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def csv_text(header: str, rows, config: dict | None = None) -> str:
-    """CSV with provenance comment lines above the exact pinned header."""
+    """CSV with provenance comment lines above the exact pinned header.
+    Every cell is a float, printed as fmt prints it, a row at a time."""
     lines = _provenance_lines(config)
     lines.append(header)
     ncols = header.count(",") + 1
+    row_format = ",".join(["%.17g"] * ncols)
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row width {len(row)} != header width {ncols}")
-        lines.append(",".join(fmt(cell) for cell in row))
+        lines.append(row_format % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -106,8 +108,8 @@ def json_text(payload: dict, config: dict | None = None) -> str:
 
 
 def radial_fn_rows(fn):
-    return [(float(r), float(u), float(du))
-            for r, u, du in zip(fn.grid.nodes, fn.values, fn.derivative)]
+    return list(zip(fn.grid.nodes.tolist(), fn.values.tolist(),
+                    fn.derivative.tolist()))
 
 
 def branch_rows(branch):

@@ -11,9 +11,12 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bn6
 from bn6.cli import (
@@ -25,7 +28,7 @@ from bn6.cli import (
     build_parser,
 )
 from bn6.errors import ConfigError
-from bn6.serialize import record
+from bn6.serialize import csv_text, fmt, radial_fn_rows, record
 
 
 def run(*argv):
@@ -95,7 +98,7 @@ def _must_not_run(*args, **kwargs):
 
 def test_short_fit_tail_exits_3(tmp_path, capsys, monkeypatch):
     # rejected before a single branch point is traced
-    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
+    monkeypatch.setattr("bn6.continuation.trace_branch", _must_not_run)
     cfg = tmp_path / "tail.cfg"
     cfg.write_text("fit_min_points = 5\n")
     assert run("limits", "--N", "3", "--m", "1", "--config", str(cfg),
@@ -119,7 +122,7 @@ def test_negative_lmax_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_zero_nodal_count_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
+    monkeypatch.setattr("bn6.continuation.trace_branch", _must_not_run)
     assert run("limits", "--m", "0", "--out", str(tmp_path)) == 3
     line = _config_error_line(capsys)
     assert "--m (m) must be >= 1, got 0" in line
@@ -141,7 +144,7 @@ def test_bad_dimension_or_amplitude_window_exits_3(tmp_path, capsys,
                                                    message):
     # rejected by name before any solve, not by a ZeroDivisionError,
     # OverflowError or math domain error inside one
-    monkeypatch.setattr("bn6.cli.trace_branch", _must_not_run)
+    monkeypatch.setattr("bn6.continuation.trace_branch", _must_not_run)
     monkeypatch.setattr("bn6.cli.solve_bvp", _must_not_run)
     args = list(argv) + ["--out", str(tmp_path)]
     if config is not None:
@@ -459,6 +462,41 @@ def test_record_renames_skips_and_nests():
                    "pairs": [[1.0, 2.0]]}
 
 
+_CELLS = st.one_of(st.floats(), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
+     -math.inf, math.nan)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 6), data=st.data())
+def test_csv_rows_are_the_cells_fmt_prints(width, data):
+    # a table row is printed by one format string, byte for byte as fmt
+    # prints its cells one at a time, signed zeros, subnormals, infinities
+    # and nan included; a row of the wrong width is refused
+    rows = data.draw(st.lists(st.tuples(*[_CELLS] * width), max_size=8))
+    header = ",".join(f"c{k}" for k in range(width))
+    prov = {"command": "nondeg", "lmax": 24}
+    per_cell = "".join(",".join(fmt(cell) for cell in row) + "\n"
+                       for row in rows)
+    assert csv_text(header, rows, prov) == csv_text(header, [], prov) + (
+        per_cell)
+    with pytest.raises(ValueError, match="row width"):
+        csv_text(header, [(0.0,) * (width + 1)])
+
+
+@given(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=8))
+def test_radial_fn_rows_are_the_float_cells(cells):
+    # the three columns read whole are the floats read cell by cell
+    nodes, values, slopes = np.array(cells, dtype=float).reshape(-1, 3).T
+    fn = SimpleNamespace(grid=SimpleNamespace(nodes=nodes), values=values,
+                         derivative=slopes)
+    rows = radial_fn_rows(fn)
+    assert [tuple(map(float.hex, row)) for row in rows] == [
+        tuple(float.hex(float(x)) for x in row)
+        for row in zip(nodes, values, slopes)]
+    assert all(type(x) is float for row in rows for x in row)
+
+
 # ------------------------------------------------------------ import footprint
 
 _FOOTPRINT = """
@@ -476,17 +514,23 @@ print(codes, kernels, [name for name in heavy if name in sys.modules])
 """
 
 
-def _footprint(*argv: str) -> str:
-    """The last line _FOOTPRINT prints after running the bn6 commands
-    argv in a fresh interpreter."""
+def _fresh(script: str, *argv: str) -> str:
+    """The last line script prints, run with argv in a fresh interpreter
+    that imports bn6 from this checkout."""
     src = os.path.dirname(os.path.dirname(bn6.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+    done = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True,
                           check=True)
     return done.stdout.splitlines()[-1]
+
+
+def _footprint(*argv: str) -> str:
+    """The last line _FOOTPRINT prints after running the bn6 commands
+    argv in a fresh interpreter."""
+    return _fresh(_FOOTPRINT, *argv)
 
 
 def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
@@ -514,6 +558,70 @@ def test_certify_and_expansion_load_no_scipy(tmp_path):
     assert _footprint(str(tmp_path), "nondeg --grid-n 64",
                       "expansion-check") == (
         "[0, 0] [True, True, True, True] []")
+
+
+_RAN = """
+import json, sys, types
+import bn6.cli
+def bn6_modules(ran):
+    return sorted(name for name, mod in sys.modules.items()
+                  if name.split(".")[0] == "bn6"
+                  and (type(mod) is types.ModuleType or not ran))
+doc = {"present": bn6_modules(False), "imported": bn6_modules(True)}
+if len(sys.argv) > 2:
+    doc["code"] = bn6.cli.main(sys.argv[2].split() + ["--out", sys.argv[1]])
+    doc["ran"] = bn6_modules(True)
+doc["scipy"] = sorted(name for name in sys.modules
+                      if name.split(".")[0] == "scipy")
+print(json.dumps(doc))
+"""
+
+# the modules `import bn6.cli` runs; the layers are lazy until a command
+# reads them (a lazy module is not a plain ModuleType until it has run)
+EAGER = {"bn6", "bn6.cli", "bn6.errors", "bn6.grid", "bn6.lapack",
+         "bn6.operators", "bn6.roots", "bn6.serialize", "bn6.shooting"}
+
+
+def _bn6_modules(out: str, argv: str | None = None) -> dict:
+    """The bn6 modules in sys.modules of a fresh interpreter after
+    `import bn6.cli` ("present"), those of them that have run
+    ("imported"), with argv the exit code of that bn6 command and the
+    modules that have run after it ("ran"), and the scipy modules loaded
+    at the end ("scipy")."""
+    return json.loads(_fresh(_RAN, out, *([argv] if argv else [])))
+
+
+def test_import_runs_only_the_modules_every_command_needs(tmp_path):
+    doc = _bn6_modules(str(tmp_path))
+    assert set(doc["imported"]) == EAGER
+    assert set(doc["present"]) == EAGER | {
+        "bn6.auxiliary", "bn6.bubbles", "bn6.continuation", "bn6.reduction"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    ("nondeg --grid-n 64", {"bn6.auxiliary"}),
+    ("limits --N 3 --m 1 --config {cfg}", {"bn6.continuation"}),
+    ("expansion-check", {"bn6.auxiliary", "bn6.bubbles", "bn6.reduction"}),
+])
+def test_each_benchmarked_command_runs_only_its_layers(tmp_path, argv,
+                                                       layers):
+    # nondeg runs no bubbles, continuation or reduction, limits no
+    # auxiliary, bubbles or reduction, expansion-check no continuation
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("a_end = 256\n")
+    doc = _bn6_modules(str(tmp_path / "out"), argv.format(cfg=cfg))
+    assert doc["code"] == 0
+    assert set(doc["ran"]) == EAGER | layers
+
+
+def test_constants_loads_no_scipy(tmp_path):
+    # d1 by quadrature runs on bn6's own Gauss-Legendre panels, so no
+    # command imports a scipy package
+    assert _footprint(str(tmp_path), "constants") == (
+        "[0] [True, True, True, True] []")
+    doc = _bn6_modules(str(tmp_path), "constants")
+    assert doc["code"] == 0 and doc["scipy"] == []
+    assert set(doc["ran"]) == EAGER | {"bn6.bubbles"}
 
 
 def test_missing_flapack_names_the_scipy_searched(tmp_path):
@@ -553,15 +661,15 @@ def _imports(path: pathlib.Path) -> set:
 
 
 def test_bn6_imports_no_scipy_and_keeps_its_layers_apart():
-    # from the source, without importing it: the one scipy import is
-    # the lazy quad of bubbles.d1_quadrature (bn6.lapack locates scipy's
-    # _flapack without an import statement), shooting does not reach
-    # the operators, and the reduction neither the operators nor shooting
+    # from the source, without importing it: bn6 has no scipy import
+    # (bn6.lapack locates scipy's _flapack without an import statement),
+    # shooting does not reach the operators, and the reduction neither
+    # the operators nor shooting
     imports = {path.stem: _imports(path)
                for path in pathlib.Path(bn6.__file__).parent.glob("*.py")}
     assert {(stem, name, scope) for stem, found in imports.items()
-            for name, scope in found if name.split(".")[0] == "scipy"} == {
-        ("bubbles", "scipy.integrate", "d1_quadrature")}
+            for name, scope in found if name.split(".")[0] == "scipy"} == (
+        set())
     assert ("bn6.roots", None) in imports["shooting"]
     assert not {name for name, _ in imports["shooting"]} & {"bn6.operators"}
     assert not {name for name, _ in imports["reduction"]} & {
@@ -595,6 +703,18 @@ def _args_read(info) -> set:
     return {b.argval for a, b in zip(ops, ops[1:])
             if a.opname == "LOAD_FAST" and a.argval == "args"
             and b.opname == "LOAD_CONST"}
+
+
+def test_traced_cli_finds_every_module_it_names_at_import(tmp_path):
+    # the tracer wraps only the bn6 modules in sys.modules when
+    # `import bn6.cli` returns; a module imported inside a command
+    # function would not be there, and its every span would read MISSING
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    named = {mod for mod, *_ in traced.LAYER_FUNCTIONS + traced.KERNELS}
+    assert named | {traced.BUBBLES_MODULE} <= set(
+        _bn6_modules(str(tmp_path))["present"])
 
 
 def test_traced_cli_names_exist_and_its_callbacks_bind():
