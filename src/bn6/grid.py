@@ -1,4 +1,4 @@
-"""Radial grids, weighted quadrature, and norms on the unit ball.
+"""Radial grids and weighted quadrature on the unit ball.
 
 A function on the unit ball B_1 of R^N that depends only on r = |x|
 reduces every volume integral to a weighted 1-D integral,
@@ -240,21 +240,3 @@ class RadialFn:
 def integrate(f: RadialFn) -> float:
     """Volume integral of f over B_1 (product trapezoid)."""
     return float(np.dot(f.grid.quad_weights, f.values))
-
-
-def lp_norm(f: RadialFn, p: float) -> float:
-    """L^p(B_1) norm; p = inf gives the max over nodes."""
-    if p == np.inf or p == math.inf:
-        return float(np.max(np.abs(f.values)))
-    if p < 1.0:
-        raise ValueError(f"L^p norm needs p >= 1, got {p}")
-    return float(np.dot(f.grid.quad_weights, np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def h1_norm(f: RadialFn, lam_weight: float = 1.0) -> float:
-    """Norm sqrt(int |f'|^2 + lam_weight * int f^2) from derivative samples."""
-    w = f.grid.quad_weights
-    grad = float(np.dot(w, f.derivative ** 2))
-    mass = float(np.dot(w, f.values ** 2))
-    return math.sqrt(grad + lam_weight * mass)
-

@@ -37,7 +37,10 @@ Every IVP runs on this module's own DOP853 loop, `solve_ivp`: Hairer's
 dop853 tableau with scipy's step control and event location,
 bit-identical to scipy.integrate.solve_ivp(method="DOP853") on the same
 host at about a third of its cost per IVP.  Its dense output is built
-only when a profile is sampled.  The stage, solution and error sums stay
+only when a profile is sampled, for every step at once: `_coefficients`
+forms the interpolant coefficients of a list of steps as one stacked
+array, and `_DenseOutput` evaluates them at all sample points in one
+Horner pass.  The stage, solution and error sums stay
 numpy's BLAS dots on the same arrays: OpenBLAS fuses multiply-adds that
 no Python float sum reproduces, and a pure-float DOP853 moved the N = 4,
 m = 2 branch tail by up to 9.996e-9 relative (its matched lambda sits
@@ -47,7 +50,6 @@ in the IVP's noise band).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -244,7 +246,7 @@ _E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
                 0.3341791187130174790297318841,
                 0.8192320648511571246570742613e-1,
                 -0.2235530786388629525884427845e-1, 0.0])
-# the last 4 rows of the interpolant's coefficients F (`_interpolant`
+# the last 4 rows of the interpolant's coefficients F (`_coefficients`
 # forms the first 3 from the step's end points and derivatives)
 _D = _sparse((4, _EXTENDED), {
     0: {0: -0.84289382761090128651353491142e+1,
@@ -305,62 +307,46 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EVENT_TOL = roots.RTOL_MIN  # solve_ivp locates events at 4 eps
 
 
-class _Dop853Interpolant:
-    """DOP853's degree-7 interpolant over one step, evaluated with scipy's
-    operations in scipy's order: at an array of points by __call__, at one
-    point on Python floats by `at`, which does the same elementwise IEEE
-    operations and so gives the same bits."""
+class _DenseOutput:
+    """DOP853's degree-7 interpolants of a list of accepted steps (tuples
+    r_old, r_new, y_old, y_new, K as `solve_ivp` keeps them) with their
+    coefficients F, one (steps, 7, 2) array, evaluated with scipy's
+    elementwise operations in scipy's order.  A sample point belongs to
+    the step whose breakpoint interval rs[k] < r <= rs[k + 1] holds it,
+    points outside rs to the end steps: scipy's OdeSolution rule."""
 
-    def __init__(self, r_old, r, y_old, F):
-        self.r_old = r_old
-        self.h = r - r_old
+    def __init__(self, rs, steps, F):
+        self.rs = rs
+        self.steps = steps
         self.F = F
-        self.y_old = y_old
-        self._horner = F[::-1].T.tolist()
-        self._start = y_old.tolist()
 
     def __call__(self, r):
-        x = ((r - self.r_old) / self.h)[:, None]
-        y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
+        """(u, u') at the array of points r, one Horner row at a time."""
+        r_old, r_new, y_old, _, _ = zip(*self.steps)
+        r_old = np.array(r_old)
+        h = np.array(r_new) - r_old
+        k = np.searchsorted(self.rs, r, side="left") - 1
+        np.clip(k, 0, len(self.steps) - 1, out=k)
+        x = ((r - r_old[k]) / h[k])[:, None]
+        y = np.zeros((len(r), 2))
+        # scipy's reversed(F): rows 6, 4, 2, 0 multiply by x, the odd by 1 - x
+        for i in range(self.F.shape[1] - 1, -1, -1):
+            y += self.F[k, i]
             y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
+        y += np.array(y_old)[k]
         return y.T
 
-    def at(self, r: float, j: int) -> float:
-        """Component j (0 for u, 1 for u') at the point r."""
-        x = (r - self.r_old) / self.h
+    def at(self, k: int, r: float, j: int) -> float:
+        """Component j (0 for u, 1 for u') of step k's interpolant at the
+        point r, on Python floats: the same IEEE operations as __call__,
+        so the same bits."""
+        r_old, r_new, y_old, _, _ = self.steps[k]
+        x = (r - r_old) / (r_new - r_old)
         y = 0.0
-        for i, f in enumerate(self._horner[j]):
+        for i, f in enumerate(self.F[k, ::-1, j].tolist()):
             y += f
             y *= x if i % 2 == 0 else 1 - x
-        return y + self._start[j]
-
-
-class _Piecewise:
-    """The dense solution over breakpoints rs, one interpolant per step.
-    Sample points are assigned as scipy's OdeSolution assigns them: a
-    breakpoint belongs to the step it ends, points outside rs to the end
-    steps, and each run of sorted points is one interpolant call."""
-
-    def __init__(self, rs, interpolants):
-        self.rs = rs
-        self.interpolants = interpolants
-
-    def __call__(self, r):
-        order = np.argsort(r)
-        r_sorted = r[order]
-        segments = np.searchsorted(self.rs, r_sorted, side="left") - 1
-        segments = np.clip(segments, 0, len(self.interpolants) - 1)
-        y = np.empty((2, len(r)))
-        start = 0
-        for segment, run in itertools.groupby(segments.tolist()):
-            stop = start + len(list(run))
-            y[:, order[start:stop]] = self.interpolants[segment](
-                r_sorted[start:stop])
-            start = stop
-        return y
+        return y + y_old[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +355,11 @@ class IVPResult:
     state (the terminating zero's when the solve stopped there), the RHS
     evaluations, counted as solve_ivp counts them, the breakpoints rs and
     each accepted step's end points, states and stage rows.  The dense
-    solution `sol` is built when first asked for: steps that located a
-    zero reuse their interpolant, the others evaluate 3 extra stages."""
+    solution `sol`, one `_DenseOutput` over all steps, is built when first
+    asked for: a step that located a zero keeps the coefficients its
+    event built (`crossings` maps its index to them), and one
+    `_coefficients` pass builds every other step's, 3 extra stages each.
+    """
 
     zeros: list
     r_end: float
@@ -379,13 +368,17 @@ class IVPResult:
     rhs: object = field(repr=False)
     rs: list = field(repr=False)
     steps: list = field(repr=False)
-    pieces: list = field(repr=False)
+    crossings: dict = field(repr=False)
 
     @functools.cached_property
-    def sol(self) -> _Piecewise:
-        return _Piecewise(np.array(self.rs), [
-            _interpolant(self.rhs, *step) if piece is None else piece
-            for step, piece in zip(self.steps, self.pieces)])
+    def sol(self) -> _DenseOutput:
+        F = np.empty((len(self.steps), len(_D) + 3, 2))
+        todo = [k for k in range(len(self.steps)) if k not in self.crossings]
+        if todo:
+            F[todo] = _coefficients(self.rhs, [self.steps[k] for k in todo])
+        for k, coefficients in self.crossings.items():
+            F[k] = coefficients
+        return _DenseOutput(np.array(self.rs), self.steps, F)
 
 
 def _initial_step(rhs, r0, r_bound, y, f):
@@ -434,7 +427,7 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
     nfev = 2
     r = r0
     zeros = []
-    rs, steps, pieces = [r0], [], []
+    rs, steps, crossings = [r0], [], {}
     scale = np.empty(2)
     sv = memoryview(scale)
     while True:
@@ -489,52 +482,57 @@ def solve_ivp(rhs, r0: float, r_bound: float, y0: tuple, u_max: float,
         # the stage rows are overwritten by the next step: keep a copy
         step = (r, r_new, (u, du), (u_new, du_new), K.copy())
         steps.append(step)
-        pieces.append(None)
         if u <= 0 <= u_new or u >= 0 >= u_new:
-            piece = pieces[-1] = _interpolant(rhs, *step)
+            piece = _DenseOutput((r, r_new), [step],
+                                 _coefficients(rhs, [step]))
+            crossings[len(steps) - 1] = piece.F[0]
             nfev += len(_EXTRA_ROWS)
             root = _event_root(piece, r, r_new)
             zeros.append(root)
             if max_zeros is not None and len(zeros) >= max_zeros:
                 # solve_ivp's dense output drops a step its root empties
                 if len(rs) > 1 and rs[-1] == root:
-                    del steps[-1], pieces[-1]
+                    del crossings[len(steps) - 1], steps[-1]
                 else:
                     rs.append(root)
-                    u, du = piece.at(root, 0), piece.at(root, 1)
+                    u, du = piece.at(0, root, 0), piece.at(0, root, 1)
                 r = root
                 break
         r, u, du, f0, f1 = r_new, u_new, du_new, *f_new
         rs.append(r)
         if r >= r_bound:
             break
-    return IVPResult(zeros, r, (u, du), nfev, rhs, rs, steps, pieces)
+    return IVPResult(zeros, r, (u, du), nfev, rhs, rs, steps, crossings)
 
 
-def _interpolant(rhs, r, r_new, y, y_new, K):
-    """The step's dense output: three extra stages, written into the
-    step's stage rows K, and the coefficients of solve_ivp's DOP853
-    interpolant."""
-    h = r_new - r
+def _coefficients(rhs, steps):
+    """The coefficients F (steps, 7, 2) of solve_ivp's DOP853 interpolant
+    on each of a list of steps, built at once.  Each of the three extra
+    stages is one stacked matmul over the steps' stage rows, the same BLAS
+    dot per step as K[:s].T.dot(a), and one RHS call per step; F's last 4
+    rows are one stacked _D @ K."""
+    r_old, r_new, y_old, y_new, K = (np.array(c) for c in zip(*steps))
+    h = r_new - r_old
+    start = (r_old.tolist(), h.tolist(), *y_old.T.tolist())
     for s, a, c in _EXTRA_ROWS:
-        d0, d1 = K[:s].T.dot(a).tolist()
-        K[s] = rhs(r + c * h, y[0] + d0 * h, y[1] + d1 * h)
-    f, f_new = K[0].tolist(), K[_STAGES].tolist()
-    F = np.empty((len(_D) + 3, 2))
-    for j in range(2):
-        delta = y_new[j] - y[j]
-        F[0, j] = delta
-        F[1, j] = h * f[j] - delta
-        F[2, j] = 2 * delta - h * (f_new[j] + f[j])
-    F[3:] = h * np.dot(_D, K)
-    return _Dop853Interpolant(r, r_new, np.array(y), F)
+        d = np.matmul(K[:, :s].transpose(0, 2, 1), a)
+        K[:, s] = [rhs(r + c * hk, u + d0 * hk, du + d1 * hk)
+                   for r, hk, u, du, d0, d1 in zip(*start, *d.T.tolist())]
+    hs = h[:, None]
+    F = np.empty((len(steps), len(_D) + 3, 2))
+    delta = y_new - y_old
+    F[:, 0] = delta
+    F[:, 1] = hs * K[:, 0] - delta
+    F[:, 2] = 2 * delta - hs * (K[:, _STAGES] + K[:, 0])
+    F[:, 3:] = hs[:, None] * np.matmul(_D, K)
+    return F
 
 
 def _event_root(piece, r_old, r_new):
-    """Root of u on one step's interpolant, located as solve_ivp locates
+    """Root of u on the one step of `piece`, located as solve_ivp locates
     events.  It calls roots.brentq through the module: the name brentq
     here is the matching root finder."""
-    return roots.brentq(lambda r: piece.at(r, 0), r_old, r_new,
+    return roots.brentq(lambda r: piece.at(0, r, 0), r_old, r_new,
                         xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
 

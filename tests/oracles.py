@@ -1,8 +1,8 @@
 """Checks that no bn6 command runs, for the tests: the finite-difference
 strong form of the operators, the translation-dilation profiles w_eta
 (criterion 06), the pinned Newton refinement of the ansatz (criterion
-10), the mu^3 probe at eps = 0, J(u) by grid quadrature and the dilation
-kernel of the bubble."""
+10), the mu^3 probe at eps = 0, J(u) by grid quadrature, the dilation
+kernel of the bubble, and the L^p and H^1 norms of a radial function."""
 
 from __future__ import annotations
 
@@ -16,12 +16,29 @@ from scipy.sparse.linalg import splu
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import ALPHA6, d2_value
 from bn6.errors import NearSingularError, NotConvergedError
-from bn6.grid import (RadialFn, RadialGrid, differentiate, h1_norm, lp_norm,
-                      make_core_grid, rescale_grid)
+from bn6.grid import (RadialFn, RadialGrid, differentiate, make_core_grid,
+                      rescale_grid)
 from bn6.operators import OperatorSpec, assemble
 from bn6.reduction import (C2, AnsatzSpec, EpsTable, SplineSet, _row_integrals,
                            _sign_crossing, assemble_ansatz, case1_parameters)
 from bn6.shooting import critical_exponent
+
+
+def lp_norm(f: RadialFn, p: float) -> float:
+    """L^p(B_1) norm; p = inf gives the max over nodes."""
+    if p == np.inf or p == math.inf:
+        return float(np.max(np.abs(f.values)))
+    if p < 1.0:
+        raise ValueError(f"L^p norm needs p >= 1, got {p}")
+    return float(np.dot(f.grid.quad_weights, np.abs(f.values) ** p) ** (1.0 / p))
+
+
+def h1_norm(f: RadialFn, lam_weight: float = 1.0) -> float:
+    """Norm sqrt(int |f'|^2 + lam_weight * int f^2) from derivative samples."""
+    w = f.grid.quad_weights
+    grad = float(np.dot(w, f.derivative ** 2))
+    mass = float(np.dot(w, f.values ** 2))
+    return math.sqrt(grad + lam_weight * mass)
 
 
 def apply_operator(op: OperatorSpec, f: RadialFn) -> np.ndarray:

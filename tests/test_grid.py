@@ -13,14 +13,14 @@ from bn6.grid import (
     RadialFn,
     ball_volume,
     differentiate,
-    h1_norm,
     hat_moments,
     integrate,
-    lp_norm,
     make_core_grid,
     make_grid,
     sphere_area,
 )
+
+from oracles import h1_norm, lp_norm
 
 
 def test_sphere_area_closed_forms():

@@ -12,7 +12,7 @@ from scipy.special import jn_zeros
 
 from bn6 import shooting
 from bn6.errors import BlowUpBeforeOneError, BN6Error, NoSignChangeError
-from bn6.grid import RadialFn, h1_norm
+from bn6.grid import RadialFn
 from bn6.shooting import (
     BranchPoint,
     critical_exponent,
@@ -23,7 +23,7 @@ from bn6.shooting import (
     solve_bvp,
 )
 
-from oracles import fnl, newton_refine
+from oracles import fnl, h1_norm, newton_refine
 
 LAMBDA0_FROZEN = 22.469107870851314
 
@@ -227,36 +227,91 @@ def test_ivp_driver_rejects_a_non_finite_start(y0):
 
 
 def test_dense_output_is_built_on_demand_once(monkeypatch):
-    # an unsampled shot builds interpolants only on the steps where u
-    # changes sign; the dense output then reuses them, builds the other
-    # steps' once, and asking again builds nothing
-    built = []
-    interpolant = shooting._interpolant
+    # an unsampled shot builds coefficients only on the steps where u
+    # changes sign; the dense output keeps them, builds every other
+    # step's once in one pass, and asking again builds nothing
+    passes = []
+    coefficients = shooting._coefficients
 
-    def counting(*args):
-        built.append(args[1])
-        return interpolant(*args)
+    def counting(rhs, steps):
+        passes.append([r for r, *_ in steps])
+        return coefficients(rhs, steps)
 
-    monkeypatch.setattr(shooting, "_interpolant", counting)
+    monkeypatch.setattr(shooting, "_coefficients", counting)
     sol, _, _ = shooting._integrate(6, 20.0, 30.0, 10.0, max_zeros=2)
+    starts = [r for r, *_ in sol.steps]
     crossing = [r for r, _, (u, _), (u_new, _), _ in sol.steps
                 if u * u_new <= 0.0]
     assert len(sol.zeros) == 2
-    assert built == crossing and len(crossing) == 2
+    assert passes == [[r] for r in crossing] and len(crossing) == 2
     first = sol.sol
-    assert len(built) == len(sol.steps) == len(first.interpolants)
-    for piece, used in zip(sol.pieces, first.interpolants):
-        assert piece is None or piece is used
+    assert len(passes) == 3
+    assert passes[2] == [r for r in starts if r not in crossing]
+    for k, kept in sol.crossings.items():
+        assert first.F[k].tobytes() == kept.tobytes()
     assert sol.sol is first
-    built.clear()
+    passes.clear()
     _, sample = shoot_to_zero(6, 20.0, 30.0, 2)
-    assert len(built) == 2
+    assert len(passes) == 2
     once = sample()
-    n = len(built)
-    assert n > 2
+    assert len(passes) == 3 and sum(map(len, passes)) == len(starts)
     again = sample()
-    assert len(built) == n
+    assert len(passes) == 3
     assert np.array_equal(once.profile.values, again.profile.values)
+
+
+def _step_coefficients(rhs, step):
+    """One step's extra stages and interpolant coefficients with scipy's
+    per-step operations: Dop853's K[:s].T.dot(a) and np.dot(D, K)."""
+    r, r_new, y, y_new, K = step
+    K = K.copy()
+    h = r_new - r
+    for s, a, c in shooting._EXTRA_ROWS:
+        d0, d1 = K[:s].T.dot(a).tolist()
+        K[s] = rhs(r + c * h, y[0] + d0 * h, y[1] + d1 * h)
+    F = np.empty((7, 2))
+    delta = np.subtract(y_new, y)
+    F[0] = delta
+    F[1] = h * K[0] - delta
+    F[2] = 2 * delta - h * (K[shooting._STAGES] + K[0])
+    F[3:] = h * np.dot(shooting._D, K)
+    return K, F
+
+
+@pytest.mark.parametrize("dim,lam,a", [(4, 15.87, 1e6), (4, 10.0, 5.0),
+                                       (6, 20.0, 30.0), (6, 22.45, 1e8)])
+def test_stacked_dense_output_keeps_the_per_step_bits(dim, lam, a):
+    # the two bit contracts the stacked dense output rests on: the
+    # stacked BLAS products equal each step's own dots, and the scalar
+    # at(k, r, j) that locates zeros equals the vectorised evaluation
+    sol, _, _ = shooting._integrate(dim, lam, a, 10.0, max_zeros=2)
+    steps = sol.steps
+    per_step = [_step_coefficients(sol.rhs, step) for step in steps]
+    K = np.array([k for k, _ in per_step])
+    for s, a_row, _ in shooting._EXTRA_ROWS:
+        stacked = np.matmul(K[:, :s].transpose(0, 2, 1), a_row)
+        for k in range(len(steps)):
+            assert stacked[k].tobytes() == K[k, :s].T.dot(a_row).tobytes()
+    stacked = np.matmul(shooting._D, K)
+    for k in range(len(steps)):
+        assert stacked[k].tobytes() == np.dot(shooting._D, K[k]).tobytes()
+    F = shooting._coefficients(sol.rhs, steps)
+    assert F.tobytes() == np.array([f for _, f in per_step]).tobytes()
+    # OdeSolution's rule: rs[k] < r <= rs[k + 1] is step k, rs[0] and
+    # points below it step 0, points above rs[-1] the last step
+    dense = sol.sol
+    rs = dense.rs
+    n = len(steps)
+    assert len(rs) == n + 1
+    points = np.concatenate((rs, (rs[:-1] + rs[1:]) / 2, rs[:-1] + (
+        rs[1:] - rs[:-1]) / 7, [rs[0] / 2, rs[-1] + 0.25, 20.0]))
+    owner = np.concatenate(([0], np.arange(n), np.arange(n), np.arange(n),
+                            [0, n - 1, n - 1]))
+    want = dense(points)
+    for j in (0, 1):
+        got = [dense.at(k, r, j) for k, r in zip(owner.tolist(),
+                                                 points.tolist())]
+        assert _hex(got) == _hex(want[j])
 
 
 def test_shoot_to_zero_samples_the_profile_shoot_integrates():
