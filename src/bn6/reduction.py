@@ -24,14 +24,13 @@ spline-by-spline products exactly and resolves the mu-core without
 adaptive overhead.  The sign change of V is the only kink of the
 integrands of an (eps, mu) row, so each row has one panel set, split
 there: the energy gap, the residual norm and the single-shot J(V) that
-audits the gap are integrated together on it.  u_0, v, w and their
-slopes are tabulated once per SplineSet at the Gauss nodes of every knot
-cell, and from them an EpsTable derives, once per eps, what the rows and
-J(z) of that eps share: z, z', the source -Delta z - lam z, J(z)'s
-integrand and r^5.  The EpsTable is the one table panel quadrature
-reads: a row reads runs of whole knot cells as views of it, derives
-those fields afresh only on the few panels that split a knot cell, and
-evaluates only what depends on mu; J(z) reads z and r^5 from it.
+audits the gap are integrated together on it.  What the rows of one eps
+share (z, z', the source -Delta z - lam z, J(z)'s integrand and r^5) is
+an EpsTable at the Gauss nodes of every knot cell, filled from the
+spline coefficients in one pass that also sums J(z).  It is the one
+table panel quadrature reads: a row reads runs of whole knot cells as
+views of it, derives those fields afresh only on the few panels that
+split a knot cell, and evaluates only what depends on mu.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ from .lapack import dgtsv
 from .roots import brentq
 
 GAUSS_ORDER = 12
-# Gauss nodes per evaluation of a panel integrand, whole panels; bounds the
-# memory that a stack of integrands and its temporaries take
+# Gauss nodes per evaluation of a panel integrand or of an EpsTable fill,
+# whole panels; bounds the memory that a chunk's temporaries take
 QUAD_CHUNK = 512 * GAUSS_ORDER
 RESOLUTION_FACTOR = 20.0
 # panel edges closer than this are merged; the bubble core gets dyadic
@@ -119,9 +118,9 @@ class SplineSet:
     Values and first derivatives are those of scipy's CubicSpline and its
     derivative() to the bit: each r is placed in the cell x[i] <= r <
     x[i + 1] (the end cells extended outward), and each polynomial is
-    summed in powers of s = r - x[i] as scipy's PPoly sums it.  _fields
-    holds them at the Gauss nodes of every knot cell, read-only, since
-    every EpsTable and J(z) read it.
+    summed in powers of s = r - x[i] as scipy's PPoly sums it.  It holds
+    coefficients and the Gauss rule, no values: each EpsTable evaluates
+    the knot cells' Gauss nodes through cell_chunks.
     """
 
     def __init__(self, profiles: AuxProfiles):
@@ -137,11 +136,6 @@ class SplineSet:
         self._coef = c
         # not computed on import, where its LAPACK call adds 0.75 MB of RSS
         self._rule = leggauss(GAUSS_ORDER)
-        fields = np.empty((2, 3, GAUSS_ORDER * (len(x) - 1)))
-        for cols, r, _ in self.cell_chunks():
-            fields[..., cols] = self._evaluate(r)
-        fields.flags.writeable = False
-        self._fields = fields
 
     def _cell(self, r):
         # np.minimum(np.maximum(...)): np.clip's argument checks cost more
@@ -178,14 +172,21 @@ class SplineSet:
         return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 
     def cell_chunks(self):
-        """(columns, Gauss nodes, weights) of the knot cells, QUAD_CHUNK
-        nodes (whole cells) at a time, which bounds the temporaries; the
-        columns slice the node axis of _fields and of an EpsTable."""
+        """(columns of an EpsTable, Gauss nodes, weights, fields) of the
+        knot cells, QUAD_CHUNK nodes (whole cells) at a time.  fields are
+        _evaluate's by the same operations: each node lies strictly inside
+        its own cell, the one _cell picks, so a slice of cells' coefficients
+        broadcasts over their nodes, with no search and no gather."""
         g, knots = GAUSS_ORDER, self.knots
         lo, hi, n = knots[:-1], knots[1:], QUAD_CHUNK // g
         for p in range(0, len(lo), n):
-            r, w = self.gauss_panels(lo[p:p + n], hi[p:p + n])
-            yield slice(g * p, g * p + len(r)), r, w
+            cells = slice(p, p + n)
+            r, w = self.gauss_panels(lo[cells], hi[cells])
+            # s[j, 0, c]: node j of cell c, cells last as in the coefficients
+            s = (r.reshape(-1, g).T - lo[cells])[:, None]
+            fields = np.stack((self._values(cells, s), self._slopes(cells, s)))
+            yield (slice(g * p, g * p + len(r)), r, w,
+                   fields.transpose(0, 2, 3, 1).reshape(2, 3, -1))
 
     def _evaluate(self, r):
         i, s = self._cell(r)
@@ -196,8 +197,8 @@ class EpsTable:
     """What the (eps, mu) rows of one eps need and that does not depend
     on mu: the rows z = u_0 + eps v + eps^2 w, z', the source
     -Delta z - lam z, J(z)'s integrand z'^2/2 - lam z^2/2 - |z|^3/3 and
-    r^5 at the Gauss nodes of every knot cell, derived from the
-    SplineSet's _fields and read-only.
+    r^5 at the Gauss nodes of every knot cell, read-only; the pass over
+    the SplineSet's cell_chunks that fills it sums J(z) for _base_energy.
 
     chunks() reads a run of whole knot cells as a view of the table, and
     derives the fields on all the panels that split a knot cell in one
@@ -207,11 +208,21 @@ class EpsTable:
 
     def __init__(self, splines: SplineSet, eps: float, lam: float):
         self.splines, self.eps, self.lam = splines, eps, lam
-        table = np.empty((5, splines._fields.shape[-1]))
-        for cols, r, _ in splines.cell_chunks():
-            table[:, cols] = self._derive(splines._fields[..., cols], r)
+        lam0 = splines.profiles.lam0
+        table = np.empty((5, GAUSS_ORDER * (len(splines.knots) - 1)))
+        total, positive = 0, True
+        for cols, r, weights, fields in splines.cell_chunks():
+            table[:, cols] = derived = self._derive(fields, r)
+            (u0, v, w), z, r5 = fields[0], derived[0], derived[4]
+            positive = positive and not np.any(z < 0.0)
+            a = lam0 + 2.0 * u0
+            neg_laplacian_z = (lam0 * u0 + u0 ** 2 + eps * (a * v + u0)
+                               + eps ** 2 * (a * w + v + v ** 2))
+            total = total + (0.5 * z * neg_laplacian_z - 0.5 * lam * z ** 2
+                             - z ** 3 / 3.0) * r5 @ weights
         table.flags.writeable = False
         self._table = table
+        self._j_base = sphere_area(6) * float(total) if positive else None
 
     def _derive(self, fields, r):
         values, slopes = fields
@@ -448,23 +459,11 @@ def expansion_E(u_xi: float, v_xi: float, beta: int, mu: float, eps: float,
 
 def _base_energy(T: EpsTable) -> float:
     """J(z) via 1/2 int z (-Delta z) - lam/2 int z^2 - 1/3 int z^3 at
-    eps = T.eps, lam = T.lam, over the knot cells: z and r^5 from the eps
-    table, u_0, v, w from its SplineSet's _fields."""
-    S, eps, lam = T.splines, T.eps, T.lam
-    lam0 = S.profiles.lam0
-    total = 0
-    for cols, _, weights in S.cell_chunks():
-        u0, v, w = S._fields[0, :, cols]
-        z, r5 = T._table[0, cols], T._table[4, cols]
-        if np.any(z < 0.0):
-            raise ConfigError("z must stay positive on the ball for the "
-                              "base-energy formula; reduce |eps|")
-        neg_laplacian_z = (lam0 * u0 + u0 ** 2
-                           + eps * ((lam0 + 2.0 * u0) * v + u0)
-                           + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
-        total = total + (0.5 * z * neg_laplacian_z - 0.5 * lam * z ** 2
-                         - z ** 3 / 3.0) * r5 @ weights
-    return sphere_area(6) * float(total)
+    eps = T.eps, lam = T.lam, over the knot cells, as T summed it."""
+    if T._j_base is None:
+        raise ConfigError("z must stay positive on the ball for the "
+                          "base-energy formula; reduce |eps|")
+    return T._j_base
 
 
 def _row_integrals(T: EpsTable, mu: float,
@@ -475,11 +474,9 @@ def _row_integrals(T: EpsTable, mu: float,
 
     The sign change of V is the only kink of these integrands, so the
     mu-refined panels of [0, crossing] and [crossing, 1] serve all of
-    them.  What does not depend on mu (z, z', the source, J(z)'s
-    integrand and r^5) comes from the eps table T, which the rows of one
-    eps share: a run of whole knot cells reads it as a view, and only the
-    panels that split a knot cell derive it afresh.  The row evaluates U,
-    W, V, the cubic, the residual and the V side of the audit.
+    them.  What does not depend on mu comes from the eps table T, which
+    the rows of one eps share; the row evaluates U, W, V, the cubic, the
+    residual and the V side of the audit.
 
     The gap is assembled from pointwise-small differences: the quadratic
     groups use the exact bubble integrals, and the cubic group is
@@ -512,8 +509,10 @@ def _row_integrals(T: EpsTable, mu: float,
                 resid = source + lam * w - u2 - v ** 2
             direct_v = (0.5 * (dz - talenti_du(r, mu)) ** 2
                         - 0.5 * lam * v ** 2 - np.abs(v) ** 3 / 3.0)
-            return np.stack((z * u2, z * w, cubic, np.abs(resid) ** 1.5,
-                             direct_v - direct_z, direct_z)) * r5
+            # scaled in place, so the stack is the one (6, len(r)) buffer
+            out = np.stack((z * u2, z * w, cubic, np.abs(resid) ** 1.5,
+                            direct_v - direct_z, direct_z))
+            return np.multiply(out, r5, out=out)
         return f
 
     knots = T.splines.knots

@@ -1,5 +1,6 @@
 """Bubble ansatz assembly, reduced energies, expansion and refinement sweeps."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -266,14 +267,13 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     lam = data.draw(st.floats(10.0, 30.0))
     T = EpsTable(S, eps, lam)
 
-    # the SplineSet's node array is u_0, v, w and their slopes at every
-    # knot cell's Gauss nodes, and read-only
-    assert np.array_equal(_bits(S._fields),
-                          _bits(S._evaluate(_fresh_nodes(x)[0])))
-    with pytest.raises(ValueError):
-        S._fields[0, 0, 0] = 1.0
-    # J(z) reads z and r^5 from the eps table and is the -Delta z form
-    # evaluated afresh; the form needs z > 0, so u_0 is lifted
+    # the SplineSet's knot-cell chunks are u_0, v, w and their slopes at
+    # every knot cell's Gauss nodes, as _evaluate gives them
+    assert np.array_equal(
+        _bits(np.concatenate([f for *_, f in S.cell_chunks()], -1)),
+        _bits(S._evaluate(_fresh_nodes(x)[0])))
+    # J(z), summed as the eps table fills, is the -Delta z form evaluated
+    # afresh; the form needs z > 0, so u_0 is lifted
     lifted = RadialFn(grid, fns[0].values + 20.0, fns[0].derivative)
     P = SplineSet(AuxProfiles(6, 20.0, 1.0, lifted, *fns[1:]))
     assert _hex(_base_energy(EpsTable(P, eps, lam))) == _hex(
@@ -334,16 +334,18 @@ def test_base_energy_refuses_negative_z():
     zero = RadialFn.from_values(grid, np.zeros(len(r2)))
     S = SplineSet(AuxProfiles(6, 20.0, 1.0, u0, v, zero))
     assert np.isfinite(_base_energy(EpsTable(S, 0.0, 20.0)))
+    # the table itself builds; only reading J(z) from it fails
+    T = EpsTable(S, 0.5, 20.5)
     with pytest.raises(ConfigError, match="z must stay positive"):
-        _base_energy(EpsTable(S, 0.5, 20.5))
+        _base_energy(T)
 
 
-def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
-    # one SplineSet (which tabulates the knot cells) per run and one eps
-    # table per eps magnitude, each built from it and freed before the
-    # next; two panel integrals per row, over eps tables and never over
-    # the bare knots (J(z) reads the eps table directly); the rows
-    # evaluate afresh only the panels that split a knot cell
+def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
+    # one SplineSet per run, which holds no node array and evaluates
+    # nothing, and one eps table per eps magnitude, each built from it and
+    # freed before the next; two panel integrals per row, over eps tables
+    # and never over the bare knots (J(z) is summed as the eps table
+    # fills); _evaluate runs only on the panels that split a knot cell
     built, eps_tables, fresh, calls = [], [], [], []
     init, evaluate = SplineSet.__init__, SplineSet._evaluate
     eps_init = EpsTable.__init__
@@ -352,8 +354,9 @@ def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
     def counting_init(self, p):
         built.append(self)
         init(self, p)
-        assert sum(fresh) == GAUSS_ORDER * (len(p.grid.nodes) - 1)
-        fresh.clear()
+        assert not fresh
+        nodes = GAUSS_ORDER * (len(p.grid.nodes) - 1)
+        assert all(np.shape(a)[-1:] != (nodes,) for a in vars(self).values())
 
     def counting_eps_init(self, splines, eps, lam):
         assert all(ref() is None for ref, *_ in eps_tables)
@@ -387,6 +390,20 @@ def test_expansion_check_builds_one_knot_table(profiles, monkeypatch):
                 for edges, _ in calls for a, b in zip(edges[:-1], edges[1:]))
     nodes = sum(GAUSS_ORDER * (len(edges) - 1) for edges, _ in calls)
     assert 0 < sum(fresh) == GAUSS_ORDER * split < 0.01 * nodes
+
+
+def test_expansion_check_peak_memory(profiles, expansion):
+    # warm (the session's expansion fixture has run it), the sweep holds
+    # one eps table (1.9 MiB) and chunk-sized temporaries, 4.1 MiB in all;
+    # a node-sized array of u_0, v, w and slopes (2.4 MiB) beside the
+    # table would break the bound
+    tracemalloc.start()
+    try:
+        expansion_check(profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0 * 2 ** 20
 
 
 def test_assemble_z_splines_follow_their_profiles():
