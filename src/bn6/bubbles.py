@@ -1,4 +1,4 @@
-"""Concentration bubbles on R^6, their ball projections, and constants.
+"""Concentration bubbles on R^6, their exact ball integrals, and constants.
 
 The extremal profile of the critical Sobolev embedding at N = 6 is
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import RadialFn, RadialGrid, sphere_area
+from .grid import sphere_area
 
 ALPHA6 = 24.0
 N6 = 6
@@ -60,19 +60,6 @@ def talenti_du(r, mu: float, dimension: int = N6):
 def boundary_trace(mu: float) -> float:
     """c(mu) = U_mu(1), the constant harmonic extension on the ball."""
     return ALPHA6 * mu ** 2 / (1.0 + mu ** 2) ** 2
-
-
-def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
-    """H^1_0(B_1) projection of the centered bubble: W = U - c(mu), exact.
-
-    Returns the profile and the constant trace c(mu).
-    """
-    if grid.dimension != N6:
-        raise ValueError("bubble projection implemented for N = 6")
-    c = boundary_trace(mu)
-    vals = talenti_u(grid.nodes, mu) - c
-    derivs = talenti_du(grid.nodes, mu)
-    return RadialFn(grid, vals, derivs, regular_origin=True), c
 
 
 # ---------------------------------------------------------------------------

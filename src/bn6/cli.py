@@ -155,11 +155,11 @@ def parse_eps_grid(spec: str | None):
     >= 1e-11.
 
     The floor: mu >= |eps|/40 (tau multiplier >= 0.6, tau* = 0.0441);
-    make_core_grid and _check_resolved serve mu >= 5.8e-43 (normal hat
-    moments (mu/50)^7), but _mu_refined_edges merges edges within
-    reduction.EDGE_MERGE_TOL = 1e-14 and refuses mu/16 <= EDGE_MERGE_TOL
-    (UnderResolvedError), so the core is resolved only while
-    |eps| > 6.4e-12."""
+    _mu_refined_edges merges edges within reduction.EDGE_MERGE_TOL = 1e-14
+    and refuses mu/16 <= EDGE_MERGE_TOL (UnderResolvedError), so the core
+    is resolved only while |eps| > 6.4e-12.  The ceiling is the
+    reduction's: it refuses a rate mu >= 0.5 (ConfigError) before the
+    eps table of that magnitude is built."""
     if spec is None:
         return None
     parts = spec.split(":")
@@ -372,11 +372,8 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
     splines = reduction.SplineSet(profiles)
     rows = []
     for mag in magnitudes:
-        eps = sign * mag
-        spec = reduction.AnsatzSpec(profiles, eps, tau * mag)
-        ansatz = reduction.assemble_ansatz(spec, splines=splines)
-        rows.append((eps, spec.mu,
-                     reduction.residual_norm(ansatz, spec.lam)))
+        eps, mu = sign * mag, tau * mag
+        rows.append((eps, mu, reduction.residual_norm(splines, eps, mu)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)
     mu = np.array([row[1] for row in rows])

@@ -1,4 +1,4 @@
-"""Ansatz assembly, residual scaling, and the reduced-energy expansion.
+"""The residual and the reduced-energy expansion of the bubble ansatz.
 
 The construction perturbs the ground state u_0 at lam_0 by the two
 auxiliary profiles and one negative boundary-corrected bubble fixed at
@@ -30,13 +30,15 @@ an EpsTable at the Gauss nodes of every knot cell, filled from the
 spline coefficients in one pass that also sums J(z).  It is the one
 table panel quadrature reads: a row reads runs of whole knot cells as
 views of it, derives those fields afresh only on the few panels that
-split a knot cell, and evaluates only what depends on mu.
+split a knot cell, and evaluates only what depends on mu.  V itself is
+never sampled: residual_norm (one row) and expansion_check (the sweep)
+reach every row through _eps_rows, so a row's residual has one path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -50,7 +52,6 @@ from .bubbles import (
     boundary_trace,
     d1_closed_form,
     d2_value,
-    project_bubble,
     talenti_du,
     talenti_u,
 )
@@ -61,13 +62,7 @@ from .errors import (
     RadialModeViolationError,
     UnderResolvedError,
 )
-from .grid import (
-    RadialFn,
-    RadialGrid,
-    ball_volume,
-    make_core_grid,
-    sphere_area,
-)
+from .grid import ball_volume, sphere_area
 from .lapack import dgtsv
 from .roots import brentq
 
@@ -75,7 +70,6 @@ GAUSS_ORDER = 12
 # Gauss nodes per evaluation of a panel integrand or of an EpsTable fill,
 # whole panels; bounds the memory that a chunk's temporaries take
 QUAD_CHUNK = 512 * GAUSS_ORDER
-RESOLUTION_FACTOR = 20.0
 # panel edges closer than this are merged; the bubble core gets dyadic
 # panels from mu/16 up, so mu/16 must exceed it
 EDGE_MERGE_TOL = 1e-14
@@ -124,6 +118,8 @@ class SplineSet:
     """
 
     def __init__(self, profiles: AuxProfiles):
+        if profiles.dimension != 6:
+            raise RadialModeViolationError("the ansatz is specific to N = 6")
         x = profiles.grid.nodes
         self.profiles, self.knots = profiles, x
         # rows u_0, v, w, and their derivatives' coefficients c * (3, 2, 1);
@@ -160,9 +156,6 @@ class SplineSet:
 
     def z(self, r, eps: float):
         return self._z(self._values(*self._cell(r)), eps)
-
-    def dz(self, r, eps: float):
-        return self._z(self._slopes(*self._cell(r)), eps)
 
     def gauss_panels(self, lo: np.ndarray, hi: np.ndarray):
         """Gauss nodes and weights of the panels [lo, hi], panel by
@@ -298,46 +291,16 @@ def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
 
 
 # ---------------------------------------------------------------------------
-# ansatz types
-
-@dataclass(frozen=True, eq=False)
-class AnsatzSpec:
-    """Parameters of V = u_0 + eps v + eps^2 w - W_mu, one negative bubble
-    of rate mu at the center."""
-
-    profiles: AuxProfiles
-    eps: float
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.eps != 0.0:
-            required = -math.copysign(1.0, 0.5 - self.profiles.v0)
-            if math.copysign(1.0, self.eps) != required:
-                raise ConfigError(
-                    "sign of eps is inconsistent with the fixed-center "
-                    f"rule -sgn(1/2 - v(0)) = {required:+.0f}")
-
-    @property
-    def lam(self) -> float:
-        return self.profiles.lam0 + self.eps
-
-
-@dataclass(frozen=True, eq=False)
-class AnsatzProfile:
-    """Sampled ansatz plus the data the analytic residual route needs."""
-
-    fn: RadialFn = field(repr=False)
-    eps: float
-    mu: float
-    lam: float
-    crossing: float
-    splines: SplineSet = field(repr=False)
-
+# the rows of one eps
 
 def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
-    """Radius where z = W, the sign change of the ansatz."""
+    """Radius where z = W, the sign change of the ansatz.  A rate mu
+    outside (0, 0.5) is refused: the bubble is no longer concentrated,
+    and the |eps| behind it can overflow z."""
+    if not 0.0 < mu < 0.5:
+        raise ConfigError(f"bubble rate mu = {mu:.6g} is outside (0, 0.5); "
+                          "reduce |eps|")
+
     def gap(r):
         return S.z(r, eps) - (talenti_u(r, mu) - boundary_trace(mu))
     lo, hi = mu, 0.999
@@ -347,49 +310,23 @@ def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
     return float(brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
-def assemble_ansatz(spec: AnsatzSpec, grid: RadialGrid | None = None,
-                    splines: SplineSet | None = None) -> AnsatzProfile:
-    """Sample V on a core-refined grid; splines: SplineSet(spec.profiles)."""
-    profiles = spec.profiles
-    if profiles.dimension != 6:
-        raise RadialModeViolationError("the ansatz is specific to N = 6")
-    mu = spec.mu
-    if grid is None:
-        grid = make_core_grid(6, mu)
-    S = SplineSet(profiles) if splines is None else splines
-    if S.profiles is not profiles:
-        raise ValueError("splines are not built from spec.profiles")
-    r = grid.nodes
-    W, _ = project_bubble(grid, mu)
-    return AnsatzProfile(
-        fn=RadialFn(grid, S.z(r, spec.eps) - W.values,
-                    S.dz(r, spec.eps) - W.derivative, regular_origin=True),
-        eps=spec.eps,
-        mu=mu,
-        lam=spec.lam,
-        crossing=_sign_crossing(S, spec.eps, mu),
-        splines=S,
-    )
+def _eps_rows(S: SplineSet, eps: float, mus) -> tuple[EpsTable, list]:
+    """(the EpsTable of eps at lam = lam_0 + eps, the _row_integrals of
+    the ansatz row at each rate in mus): the one path from (eps, mu) to a
+    row's integrals, for residual_norm and expansion_check alike.  The
+    sign changes are found first, so a bad rate is refused before the
+    table is built."""
+    crossings = [_sign_crossing(S, eps, mu) for mu in mus]
+    T = EpsTable(S, eps, S.profiles.lam0 + eps)
+    return T, [_row_integrals(T, mu, x) for mu, x in zip(mus, crossings)]
 
 
-# ---------------------------------------------------------------------------
-# residual measurement
-
-def _check_resolved(grid: RadialGrid, mu: float) -> None:
-    nodes = grid.nodes
-    core = nodes[nodes <= 4.0 * mu]
-    if len(core) < 2 or np.max(np.diff(nodes[:len(core)])) > mu / RESOLUTION_FACTOR:
-        raise UnderResolvedError(
-            f"grid does not resolve the bubble core at mu = {mu:.3g} "
-            f"(need spacing <= mu/{RESOLUTION_FACTOR:.0f} near the origin)")
-
-
-def residual_norm(v: AnsatzProfile, lam: float) -> float:
-    """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V, by the analytic
-    route: the exact bubble Laplacian and the spline smooth part."""
-    _check_resolved(v.fn.grid, v.mu)
-    return _row_integrals(EpsTable(v.splines, v.eps, lam), v.mu,
-                          v.crossing)[1]
+def residual_norm(splines: SplineSet, eps: float, mu: float) -> float:
+    """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V at lam = lam_0 + eps,
+    by the analytic route: the exact bubble Laplacian and the spline
+    smooth part.  It is expansion_check's residual_l32 of the same row."""
+    _, [row] = _eps_rows(splines, eps, [mu])
+    return row[1]
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +569,12 @@ def expansion_check(profiles: AuxProfiles,
     rows = []
     for mag in mags:
         eps = sign * mag
-        lam = lam0 + eps
-        T = EpsTable(S, eps, lam)
+        mus = [t * tau0 * mag for t in tau_multipliers]
+        T, integrals = _eps_rows(S, eps, mus)
         j_base = _base_energy(T)
-        for t in tau_multipliers:
-            mu = t * tau0 * mag
-            delta, resid, direct_gap, direct_z = _row_integrals(
-                T, mu, _sign_crossing(S, eps, mu))
+        del T  # one eps table alive at a time
+        for t, mu, (delta, resid, direct_gap, direct_z) in zip(
+                tau_multipliers, mus, integrals):
             e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
             rows.append(ExpansionRow(
                 eps=eps,
@@ -653,7 +589,6 @@ def expansion_check(profiles: AuxProfiles,
                 audit_gap=abs(direct_gap - delta),
                 base_form_gap=abs(direct_z - j_base),
             ))
-        del T  # one eps table alive at a time
 
     eps_arr = np.array([row.eps for row in rows])
     mu_arr = np.array([row.mu for row in rows])

@@ -1,8 +1,9 @@
 """Checks that no bn6 command runs, for the tests: the finite-difference
 strong form of the operators, the translation-dilation profiles w_eta
-(criterion 06), the pinned Newton refinement of the ansatz (criterion
-10), the mu^3 probe at eps = 0, J(u) by grid quadrature, the dilation
-kernel of the bubble, and the L^p and H^1 norms of a radial function."""
+(criterion 06), the ansatz sampled on a grid and the pinned Newton
+refinement that starts from it (criterion 10), the mu^3 probe at
+eps = 0, J(u) by grid quadrature, the bubble's projection and dilation
+kernel, and the L^p and H^1 norms of a radial function."""
 
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from bn6.auxiliary import AuxProfiles
-from bn6.bubbles import ALPHA6, d2_value
+from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
 from bn6.errors import NearSingularError, NotConvergedError
 from bn6.grid import (RadialFn, RadialGrid, differentiate, make_core_grid,
                       rescale_grid)
 from bn6.operators import OperatorSpec, assemble
-from bn6.reduction import (C2, AnsatzSpec, EpsTable, SplineSet, _row_integrals,
-                           _sign_crossing, assemble_ansatz, case1_parameters)
+from bn6.reduction import (C2, EpsTable, SplineSet, _row_integrals,
+                           _sign_crossing, case1_parameters)
 from bn6.shooting import critical_exponent
 
 
@@ -73,6 +74,29 @@ def apply_operator(op: OperatorSpec, f: RadialFn) -> np.ndarray:
         dus = ((u[1] - u[0]) / s1 * s2 - (u[2] - u[0]) / s2 * s1) / (s2 - s1)
         out[0] = -2.0 * N * dus - (op.lam + q[0]) * u[0]
     return out
+
+
+def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
+    """H^1_0(B_1) projection of the centered bubble: W = U - c(mu), exact.
+
+    Returns the profile and the constant trace c(mu).
+    """
+    if grid.dimension != 6:
+        raise ValueError("bubble projection implemented for N = 6")
+    c = boundary_trace(mu)
+    vals = talenti_u(grid.nodes, mu) - c
+    derivs = talenti_du(grid.nodes, mu)
+    return RadialFn(grid, vals, derivs, regular_origin=True), c
+
+
+def ansatz_on_grid(S: SplineSet, eps: float, mu: float,
+                   grid: RadialGrid) -> RadialFn:
+    """V = u_0 + eps v + eps^2 w - W_mu sampled on grid, z and z' from the
+    splines S, W from project_bubble."""
+    W, _ = project_bubble(grid, mu)
+    values, slopes = S._evaluate(grid.nodes)
+    return RadialFn(grid, S._z(values, eps) - W.values,
+                    S._z(slopes, eps) - W.derivative, regular_origin=True)
 
 
 def fd_residual_norm(v: RadialFn, lam: float) -> float:
@@ -368,16 +392,15 @@ def refinement_sweep(profiles: AuxProfiles) -> RefinementReport:
     for mag in REFINEMENT_EPS_MAGNITUDES:
         eps = sign * mag
         mu = tau0 * mag
-        spec = AnsatzSpec(profiles=profiles, eps=eps, mu=mu)
         grid = make_core_grid(6, mu, h_over_scale=REFINEMENT_H_OVER_SCALE,
                               h_max=REFINEMENT_H_MAX)
-        ansatz = assemble_ansatz(spec, grid=grid, splines=S)
+        ansatz = ansatz_on_grid(S, eps, mu, grid)
         core_grid = rescale_grid(grid, 1.0 / mu)
-        guess = RadialFn(core_grid, mu ** 2 * ansatz.fn.values,
-                         mu ** 3 * ansatz.fn.derivative)
+        guess = RadialFn(core_grid, mu ** 2 * ansatz.values,
+                         mu ** 3 * ansatz.derivative)
         pin = RadialFn.from_values(core_grid,
                                    -kernel_psi0(core_grid.nodes, 1.0))
-        result = newton_refine(guess, spec.lam * mu ** 2,
+        result = newton_refine(guess, (profiles.lam0 + eps) * mu ** 2,
                                max_iter=REFINEMENT_MAX_ITER, pin=pin)
         err = RadialFn(grid,
                        (result.profile.values - guess.values) / mu ** 2,

@@ -17,7 +17,6 @@ from bn6.bubbles import (
     d1_closed_form,
     d1_quadrature,
     d2_value,
-    project_bubble,
     talenti_du,
     talenti_u,
 )
@@ -25,7 +24,7 @@ from bn6.grid import RadialFn, make_grid, sphere_area
 from bn6.operators import OperatorSpec
 from bn6.serialize import record
 
-from oracles import apply_operator, kernel_psi0
+from oracles import apply_operator, kernel_psi0, project_bubble
 
 
 def test_alpha_values():

@@ -223,6 +223,16 @@ def test_degenerate_eps_grid_exits_3(tmp_path, capsys, monkeypatch,
     assert "--eps-grid" in line and grid in line
 
 
+@pytest.mark.parametrize("command,grid", [
+    ("expansion-check", "1e150:2:6"), ("ansatz-check", "1e300:2:2")])
+def test_huge_eps_exits_3(tmp_path, capsys, command, grid):
+    # mu = tau* |eps| past the bubble rates the reduction serves is refused
+    # before its eps table is built, where eps^3 would overflow
+    assert run(command, "--grid-n", "64", "--eps-grid", grid,
+               "--out", str(tmp_path)) == 3
+    assert "mu = " in _config_error_line(capsys)
+
+
 # ---------------------------------------------------------- config handling
 
 def test_parse_config_file_aliases_and_comments(tmp_path):
@@ -674,6 +684,41 @@ def test_bn6_imports_no_scipy_and_keeps_its_layers_apart():
     assert not {name for name, _ in imports["shooting"]} & {"bn6.operators"}
     assert not {name for name, _ in imports["reduction"]} & {
         "bn6.operators", "bn6.shooting"}
+
+
+# the sampled ansatz and what it was built from; the tests' oracles hold
+# the sampler and project_bubble
+SAMPLED_ANSATZ = {"AnsatzSpec", "AnsatzProfile", "assemble_ansatz",
+                  "_check_resolved", "RESOLUTION_FACTOR", "project_bubble"}
+
+
+def test_reduction_reads_the_residual_from_the_splines_only():
+    # from the source: a row's residual has one path, from the splines
+    # through the panel quadrature, so the reduction imports no grid
+    # sampler or bubble projection, and no bn6 module defines the sampled
+    # ansatz again
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(bn6.__file__).parent.glob("*.py")}
+    imported = {alias.name for node in ast.walk(trees["reduction"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"make_core_grid", "project_bubble"}
+    defined = set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update((stem, t.id) for t in targets
+                               if isinstance(t, ast.Name))
+    assert {(stem, name) for stem, name in defined
+            if name in SAMPLED_ANSATZ} == set()
+    spline_set, = (node for node in trees["reduction"].body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "SplineSet")
+    assert "dz" not in {node.name for node in spline_set.body
+                        if isinstance(node, ast.FunctionDef)}
 
 
 def test_lapack_failures_exit_2(tmp_path, capsys, monkeypatch):

@@ -12,24 +12,24 @@ from scipy.interpolate import CubicSpline
 
 from bn6 import reduction
 from bn6.auxiliary import AuxProfiles
-from bn6.bubbles import boundary_trace, d1_closed_form, d2_value, project_bubble
+from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
 from bn6.errors import (
     BN6Error,
     ConfigError,
     RadialModeViolationError,
     UnderResolvedError,
 )
-from bn6.grid import RadialFn, RadialGrid, make_grid, sphere_area
+from bn6.grid import (RadialFn, RadialGrid, make_core_grid, make_grid,
+                      sphere_area)
 from bn6.reduction import (
     EDGE_MERGE_TOL,
     GAUSS_ORDER,
     MU3_RATIO,
     PAPER_MU3_RATIO,
     QUAD_CHUNK,
-    AnsatzSpec,
+    DEFAULT_EPS_MAGNITUDES,
     EpsTable,
     SplineSet,
-    assemble_ansatz,
     case1_parameters,
     expansion_E,
     expansion_check,
@@ -40,10 +40,12 @@ from bn6.reduction import (
     _clamped_cubic,
     _mu_refined_edges,
     _panel_integral,
+    _sign_crossing,
 )
 from bn6.serialize import record
 
-from oracles import cubic_coefficient_probe, energy, fd_residual_norm
+from oracles import (ansatz_on_grid, cubic_coefficient_probe, energy,
+                     fd_residual_norm, project_bubble)
 
 TAU_STAR_FROZEN = 0.04409647622292704
 
@@ -144,16 +146,6 @@ def test_mu3_ratio_derivation():
     assert PAPER_MU3_RATIO == float(sp.Rational(-11, 9))
     paper = sp.Rational(PAPER_MU3_RATIO).limit_denominator(10 ** 6)
     assert paper == sp.Rational(-11, 9)
-
-
-def test_ansatz_spec_validation(profiles):
-    with pytest.raises(ConfigError):
-        AnsatzSpec(profiles=profiles, eps=0.1, mu=1e-3)  # wrong sign
-    with pytest.raises(ValueError):
-        AnsatzSpec(profiles=profiles, eps=-0.1, mu=0.0)
-    spec = AnsatzSpec(profiles=profiles, eps=-0.1, mu=1e-3)
-    assert spec.lam == pytest.approx(profiles.lam0 - 0.1, rel=1e-15)
-    assert spec.mu == 1e-3
 
 
 def _hex(values) -> list:
@@ -418,65 +410,88 @@ def test_assemble_z_splines_follow_their_profiles():
            for k in range(1, 9)]
     for k, fn in enumerate(fns, 1):
         p = AuxProfiles(6, 20.0, float(k), fn, fn, fn)
-        ansatz = assemble_ansatz(AnsatzSpec(p, 0.0, mu), grid=finer)
+        ansatz = ansatz_on_grid(SplineSet(p), 0.0, mu, finer)
         del p
-        z = ansatz.fn.values + W.values
+        z = ansatz.values + W.values
         assert np.max(np.abs(z - k * (1.0 - finer.nodes ** 2))) < 1e-12
-
-
-def test_assemble_ansatz_refuses_splines_of_other_profiles():
-    # equal values are not enough: a shared SplineSet must be built from
-    # the spec's own profiles
-    grid = make_grid(6, 64)
-    fn = RadialFn.from_values(grid, 1.0 - grid.nodes ** 2)
-    p, q = (AuxProfiles(6, 20.0, 1.0, fn, fn, fn) for _ in range(2))
-    with pytest.raises(ValueError):
-        assemble_ansatz(AnsatzSpec(p, 0.0, 0.1), splines=SplineSet(q))
-    shared = SplineSet(p)
-    assert assemble_ansatz(AnsatzSpec(p, 0.0, 0.1), splines=shared).splines \
-        is shared
 
 
 def test_assemble_ansatz_structure(profiles):
     sign, tau = case1_parameters(profiles)
     mag = 0.1
-    mu = mag * tau
-    spec = AnsatzSpec(profiles=profiles, eps=sign * mag, mu=mu)
-    ansatz = assemble_ansatz(spec)
-    assert ansatz.eps == spec.eps
-    assert ansatz.mu == mu
-    assert mu < ansatz.crossing < 1.0
+    eps, mu = sign * mag, mag * tau
+    grid = make_core_grid(6, mu)
+    S = SplineSet(profiles)
+    v = ansatz_on_grid(S, eps, mu, grid).values
+    crossing = _sign_crossing(S, eps, mu)
+    assert mu < crossing < 1.0
     # center: the bubble dominates with its negative sign
-    z0 = (profiles.u0.values[0] + spec.eps * profiles.v0
-          + spec.eps ** 2 * profiles.w0)
+    z0 = profiles.u0.values[0] + eps * profiles.v0 + eps ** 2 * profiles.w0
     expect0 = z0 - 24.0 / mu ** 2 + boundary_trace(mu)
-    assert ansatz.fn.values[0] == pytest.approx(expect0, rel=1e-10)
-    assert abs(ansatz.fn.values[-1]) < 1e-12
+    assert v[0] == pytest.approx(expect0, rel=1e-10)
+    assert abs(v[-1]) < 1e-12
     # exactly one sign change, at the crossing radius
-    v = ansatz.fn.values
-    signs = np.sign(v[np.abs(v) > 1e-12 * np.max(np.abs(v))])
+    keep = np.abs(v) > 1e-12 * np.max(np.abs(v))
+    signs = np.sign(v[keep])
     assert int(np.sum(signs[1:] != signs[:-1])) == 1
+    assert np.all((grid.nodes[keep] < crossing) == (signs < 0.0))
 
 
-def test_assemble_ansatz_requires_n6():
+def test_spline_set_requires_n6():
+    # the ansatz is specific to N = 6; the guard sits in SplineSet, which
+    # both residual_norm and expansion_check start from
     grid = make_grid(4, 64)
     fn = RadialFn.from_values(grid, 1.0 - grid.nodes ** 2)
-    spec = AnsatzSpec(profiles=AuxProfiles(4, 20.0, 1.0, fn, fn, fn),
-                      eps=0.0, mu=1e-2)
+    p = AuxProfiles(4, 20.0, 1.0, fn, fn, fn)
     with pytest.raises(RadialModeViolationError):
-        assemble_ansatz(spec)
+        SplineSet(p)
+    with pytest.raises(RadialModeViolationError):
+        expansion_check(p)
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("an eps table was built for a refused rate")
+
+
+def test_rates_outside_the_core_range_are_refused(profiles, monkeypatch):
+    # 0 < mu < 0.5 is checked before the eps table of the row is built,
+    # on the one path of both commands; a huge eps would overflow there
+    S = SplineSet(profiles)
+    sign, _ = case1_parameters(profiles)
+    monkeypatch.setattr(reduction, "EpsTable", _must_not_build)
+    for mu in (0.0, -1e-3, 0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="outside"):
+            residual_norm(S, sign * 0.1, mu)
+    with pytest.raises(ConfigError, match="outside"):
+        expansion_check(profiles, 1e150 * 2.0 ** np.arange(6))
+
+
+def test_residual_norm_is_the_expansion_rows_residual(profiles, expansion):
+    # ansatz-check's residual_norm and expansion-check's residual_l32 of
+    # the tau-multiplier-1 rows come from one path, so their bits agree
+    report, _ = expansion
+    sign, tau = case1_parameters(profiles)
+    S = SplineSet(profiles)
+    central = [row for row in report.rows if row.tau_mult == 1.0]
+    mags = sorted(DEFAULT_EPS_MAGNITUDES)
+    assert [row.eps for row in central] == [sign * m for m in mags]
+    for mag, row in zip(mags, central):
+        assert row.mu == tau * mag
+        assert residual_norm(S, sign * mag, tau * mag).hex() == \
+            row.residual_l32.hex()
 
 
 def test_residual_routes_agree_in_magnitude(profiles):
     # the analytic route (exact bubble Laplacian + splines) and the
-    # finite-difference route measure the same defect; the FD route
-    # carries stencil noise at the spike and the kink, so the comparison
-    # is order-of-magnitude
+    # finite-difference route on the sampled ansatz measure the same
+    # defect; the FD route carries stencil noise at the spike and the
+    # kink, so the comparison is order-of-magnitude
     sign, tau = case1_parameters(profiles)
-    spec = AnsatzSpec(profiles=profiles, eps=sign * 0.1, mu=0.1 * tau)
-    ansatz = assemble_ansatz(spec)
-    analytic = residual_norm(ansatz, spec.lam)
-    fd = fd_residual_norm(ansatz.fn, spec.lam)
+    eps, mu = sign * 0.1, 0.1 * tau
+    S = SplineSet(profiles)
+    analytic = residual_norm(S, eps, mu)
+    fd = fd_residual_norm(ansatz_on_grid(S, eps, mu, make_core_grid(6, mu)),
+                          profiles.lam0 + eps)
     assert analytic > 0.0
     assert 0.5 < fd / analytic < 2.0
 
@@ -485,9 +500,8 @@ def test_unresolvable_bubble_scale_raises(profiles):
     # the core panels start at mu/16, so below 16 EDGE_MERGE_TOL they
     # would merge away and the inner integrals read nearly 0
     sign, _ = case1_parameters(profiles)
-    spec = AnsatzSpec(profiles=profiles, eps=sign * 40e-30, mu=1e-30)
     with pytest.raises(UnderResolvedError):
-        residual_norm(assemble_ansatz(spec), spec.lam)
+        residual_norm(SplineSet(profiles), sign * 40e-30, 1e-30)
     knots = profiles.grid.nodes
     with pytest.raises(UnderResolvedError):
         _mu_refined_edges(knots, 16 * EDGE_MERGE_TOL, 0.0, 1.0)
