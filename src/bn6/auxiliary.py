@@ -32,7 +32,7 @@ from .operators import (
     sector_eigenvalues,
     solve_dirichlet,
 )
-from .shooting import Lambda0Certificate, find_lambda0, shoot
+from .shooting import Lambda0Certificate, shoot
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +78,11 @@ def solve_w(u0: RadialFn, v: RadialFn, lam0: float) -> RadialFn:
     return solve_dirichlet(op, rhs)
 
 
-def build_profiles(dimension: int = 6,
-                   certificate: Lambda0Certificate | None = None,
+def build_profiles(dimension: int, certificate: Lambda0Certificate,
                    grid_n: int = 4096) -> AuxProfiles:
-    """Assemble u_0, v, w on a uniform grid with grid_n cells."""
-    if certificate is None:
-        certificate = find_lambda0(dimension)
-    grid = make_grid(dimension, grid_n, "uniform")
+    """Assemble u_0, v, w on a uniform grid with grid_n cells, at the
+    certificate's lam_0 and amplitude."""
+    grid = make_grid(dimension, grid_n)
     u0 = shoot(dimension, certificate.lam0, certificate.amplitude,
                grid=grid).profile
     v = solve_v(u0, certificate.lam0)
@@ -144,18 +142,17 @@ def _classify_case(v_value: float, dv_dr: float) -> int:
 
 def survey_concentration_points(profiles: AuxProfiles,
                                 coarse_v0: float | None = None,
-                                level_rtol: float = LEVEL_RTOL,
                                 ) -> ConcentrationSurvey:
     """Enumerate critical points of u_0 on the levels +-lam_0/2.
 
     Radially the candidates are the center plus any interior zero of u_0';
-    each is kept when u_0 matches one of the levels to level_rtol
+    each is kept when u_0 matches one of the levels to LEVEL_RTOL
     (relative to lam_0/2).  For the ground state the survey returns the
     center alone on the + level, matching the known ball picture.
     """
     lam0 = profiles.lam0
     half = 0.5 * lam0
-    tol = level_rtol * half
+    tol = LEVEL_RTOL * half
     r = profiles.grid.nodes
     u, du = profiles.u0.values, profiles.u0.derivative
     v, dv = profiles.v.values, profiles.v.derivative

@@ -30,31 +30,24 @@ from .grid import sphere_area
 
 ALPHA6 = 24.0
 N6 = 6
-# d1_quadrature's rule: geometric panels on [1/64, R] and their order
+# d1_quadrature's rule: D1_PANELS geometric panels on [1/64, D1_CUTOFF],
+# their order, and the analytic tail beyond D1_CUTOFF
 D1_PANELS = 40
 D1_ORDER = 12
+D1_CUTOFF = 50.0
 
 
-def alpha(dimension: int) -> float:
-    """Sobolev profile amplitude [N(N-2)]^{(N-2)/4}."""
-    return (dimension * (dimension - 2.0)) ** ((dimension - 2.0) / 4.0)
-
-
-def talenti_u(r, mu: float, dimension: int = N6):
-    """The concentration profile alpha_N mu^{(N-2)/2} (mu^2 + r^2)^{-(N-2)/2}
-    restricted to its radial part."""
+def talenti_u(r, mu: float):
+    """The bubble U_mu(r) = 24 mu^2 / (mu^2 + r^2)^2."""
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    half = (dimension - 2.0) / 2.0
-    return alpha(dimension) * mu ** half / (mu ** 2 + np.asarray(r, dtype=float) ** 2) ** half
+    return ALPHA6 * mu ** 2 / (mu ** 2 + np.asarray(r, dtype=float) ** 2) ** 2
 
 
-def talenti_du(r, mu: float, dimension: int = N6):
-    """Radial derivative of talenti_u."""
-    half = (dimension - 2.0) / 2.0
+def talenti_du(r, mu: float):
+    """Radial derivative of talenti_u, -96 r mu^2 / (mu^2 + r^2)^3."""
     r = np.asarray(r, dtype=float)
-    return -2.0 * half * r * alpha(dimension) * mu ** half \
-        / (mu ** 2 + r ** 2) ** (half + 1.0)
+    return -4.0 * r * ALPHA6 * mu ** 2 / (mu ** 2 + r ** 2) ** 3
 
 
 def boundary_trace(mu: float) -> float:
@@ -109,12 +102,13 @@ def d1_closed_form() -> float:
     return 96.0 * math.pi ** 3
 
 
-def d1_quadrature(R: float = 50.0) -> float:
+def d1_quadrature() -> float:
     """Same constant by quadrature on [0, R] plus the analytic r^{-8} tail
-    of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1.
+    of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1, R = D1_CUTOFF.
 
     [0, R] is cut into D1_PANELS geometric panels from 1/64 to R, plus
     [0, 1/64], each integrated by the D1_ORDER-point Gauss-Legendre rule."""
+    R = D1_CUTOFF
     edges = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, R,
                                                 D1_PANELS + 1)))
     x, w = leggauss(D1_ORDER)

@@ -36,7 +36,7 @@ from . import (
     reduction,
 )
 from .errors import BN6Error, ConfigError
-from .grid import MIN_CELLS
+from .grid import MIN_CELLS, make_grid
 from .serialize import (
     branch_point_dict,
     branch_rows,
@@ -48,7 +48,7 @@ from .serialize import (
     rows_as_json,
     write_atomic,
 )
-from .shooting import find_lambda0, solve_bvp
+from .shooting import find_lambda0, shoot, solve_bvp
 
 COMMANDS = ("ground-state", "branch", "lambda0", "aux-solve", "nondeg",
             "ansatz-check", "expansion-check", "limits", "constants")
@@ -349,12 +349,14 @@ def cmd_aux_solve(cfg: RunConfig, prov: dict) -> None:
 def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
     cert = find_lambda0(cfg.dimension)
     profiles = _profiles(cfg, cert)
-    # 2 v(0) - 1 gets its grid-refinement error bar from half the cells;
-    # below two minimal grids it has none (nan)
+    # 2 v(0) - 1 gets its grid-refinement error bar from v solved alone on
+    # half the cells; below two minimal grids it has none (nan)
     half = profiles.grid.n_cells // 2
-    coarse_v0 = (auxiliary.build_profiles(cfg.dimension, cert,
-                                           grid_n=half).v0
-                 if half >= MIN_CELLS else None)
+    coarse_v0 = None
+    if half >= MIN_CELLS:
+        u0 = shoot(cfg.dimension, cert.lam0, cert.amplitude,
+                   grid=make_grid(cfg.dimension, half)).profile
+        coarse_v0 = float(auxiliary.solve_v(u0, cert.lam0).values[0])
     report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax,
                                                coarse_v0=coarse_v0)
     _write_json(cfg, prov, "nondeg.json", record(report))

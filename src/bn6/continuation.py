@@ -204,26 +204,26 @@ def _predict(rows, amplitude: float) -> float:
 
 
 def trace_branch(dimension: int, m: int, a_start: float = 1.0,
-                 a_end: float | None = None,
-                 points: int | None = None) -> Branch:
+                 a_end: float | None = None) -> Branch:
     """Trace the m-region branch over a geometric amplitude schedule.
 
-    Defaults follow the amplitude ranges that expose the limits at desk
-    scale: ratio-2 growth up to 1e4, or 1e5 in dimension 6 where the
-    approach to the limit is slower.  Each schedule entry is matched once
-    in the window (LAMBDA_FLOOR, 0.9999 lambda_m): the first point is
-    bracketed, each later one predicted from the accepted points and
-    corrected from the previous point's slope.  Raises BranchLostError
-    when no schedule entry admits a matched solution; partial failures
-    are reported through Branch.diagnostics instead.  A window too narrow
-    for 2 schedule points raises ValueError naming a_start and a_end.
+    The schedule has round(log2(a_end / a_start)) + 1 points, a ratio of
+    about 2 between neighbours.  The default a_end follows the amplitude
+    ranges that expose the limits at desk scale: 1e4, or 1e5 in
+    dimension 6 where the approach to the limit is slower.  Each schedule
+    entry is matched once in the window (LAMBDA_FLOOR, 0.9999 lambda_m):
+    the first point is bracketed, each later one predicted from the
+    accepted points and corrected from the previous point's slope.
+    Raises BranchLostError when no schedule entry admits a matched
+    solution; partial failures are reported through Branch.diagnostics
+    instead.  A window too narrow for 2 schedule points raises ValueError
+    naming a_start and a_end.
     """
     default = ""
     if a_end is None:
         a_end = 1e5 if dimension == 6 else 1e4
         default = f" (the N = {dimension} default)"
-    if points is None:
-        points = int(round(math.log2(a_end / a_start))) + 1
+    points = int(round(math.log2(a_end / a_start))) + 1
     if points < 2:
         raise ValueError(
             f"amplitude schedule needs at least 2 points, got {points} from "

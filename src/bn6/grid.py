@@ -10,8 +10,9 @@ sphere S^{N-1}.  A grid is a node set 0 = r_0 < r_1 < ... < r_n = 1.
 Quadrature is the product trapezoid rule: the integrand is interpolated
 linearly on each cell while the moment r^{N-1} dr is integrated exactly,
 so constants integrate to |B_1| at machine precision and smooth
-integrands converge at second order.  Graded grids put nodes near the
-origin, where concentrating profiles live.
+integrands converge at second order.  The grids are uniform, or, for a
+profile concentrating at a scale << 1, uniform with a graded core at the
+origin (make_core_grid).
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_CELLS = 16
+# make_core_grid's fine zone reaches CORE_EXTENT scales from the origin,
+# and its cells then grow by CORE_GROWTH per cell up to h_max
+CORE_EXTENT = 10.0
+CORE_GROWTH = 1.06
 
 
 def sphere_area(dimension: int) -> float:
@@ -82,10 +87,6 @@ class RadialGrid:
     def n_cells(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
     def cell_masses(self) -> np.ndarray:
         """Lumped masses m_i = int r^{N-1} phi_i dr (no omega_N factor)."""
         return self.quad_weights / sphere_area(self.dimension)
@@ -109,40 +110,21 @@ def _finish(dimension: int, nodes: np.ndarray) -> RadialGrid:
     return RadialGrid(dimension, nodes, w)
 
 
-def make_grid(dimension: int, n: int, grading: str = "uniform",
-              ratio: float = 1.0) -> RadialGrid:
-    """Build a grid with n cells.
-
-    grading "uniform" ignores ratio; grading "geometric" grades toward the
-    origin with last-to-first cell width ratio `ratio` > 1, so the first
-    cell has width h_1 = (q - 1)/(q^n - 1), q = ratio^{1/(n-1)}.
-    """
+def make_grid(dimension: int, n: int) -> RadialGrid:
+    """Build a uniform grid with n cells."""
     if n < MIN_CELLS:
         raise ValueError(f"n must be >= {MIN_CELLS}, got {n}")
-    if grading == "uniform":
-        nodes = np.linspace(0.0, 1.0, n + 1)
-        return _finish(dimension, nodes)
-    if grading == "geometric":
-        if ratio <= 1.0:
-            raise ValueError(f"geometric grading needs ratio > 1, got {ratio}")
-        q = ratio ** (1.0 / (n - 1))
-        h1 = (q - 1.0) / (q ** n - 1.0)
-        widths = h1 * q ** np.arange(n)
-        nodes = np.concatenate(([0.0], np.cumsum(widths)))
-        nodes[-1] = 1.0
-        return _finish(dimension, nodes)
-    raise ValueError(f"unknown grading {grading!r}")
+    return _finish(dimension, np.linspace(0.0, 1.0, n + 1))
 
 
 def make_core_grid(dimension: int, scale: float, h_over_scale: float = 1.0 / 50.0,
-                   h_max: float = 1.0 / 512.0, core_extent: float = 10.0,
-                   growth: float = 1.06) -> RadialGrid:
+                   h_max: float = 1.0 / 512.0) -> RadialGrid:
     """Three-zone grid for profiles concentrating at scale << 1.
 
-    Uniform spacing scale*h_over_scale out to core_extent*scale, geometric
-    growth until the spacing reaches h_max, then uniform h_max to r = 1
-    (last zone adjusted to land on 1 exactly).  Intended for bubble
-    ansatz work where both the core at r ~ scale and the outer region
+    Uniform spacing scale*h_over_scale out to CORE_EXTENT*scale, geometric
+    growth by CORE_GROWTH until the spacing reaches h_max, then uniform
+    h_max to r = 1 (last zone adjusted to land on 1 exactly).  Intended
+    for profiles where both the core at r ~ scale and the outer region
     need second-order resolution.
     """
     if not 0.0 < scale < 0.5:
@@ -151,12 +133,12 @@ def make_core_grid(dimension: int, scale: float, h_over_scale: float = 1.0 / 50.
     if h0 >= h_max:
         # concentration scale coarse enough that a uniform grid suffices
         n = max(MIN_CELLS, int(math.ceil(1.0 / h_max)))
-        return make_grid(dimension, n, "uniform")
-    widths = [h0] * int(math.ceil(core_extent * scale / h0))
+        return make_grid(dimension, n)
+    widths = [h0] * int(math.ceil(CORE_EXTENT * scale / h0))
     pos = h0 * len(widths)
     h = h0
-    while pos < 1.0 and h * growth < h_max:
-        h *= growth
+    while pos < 1.0 and h * CORE_GROWTH < h_max:
+        h *= CORE_GROWTH
         widths.append(h)
         pos += h
     if pos < 1.0:
@@ -224,19 +206,11 @@ class RadialFn:
 
     @classmethod
     def from_values(cls, grid: RadialGrid, values: np.ndarray,
-                    derivative: np.ndarray | None = None,
                     regular_origin: bool = True) -> "RadialFn":
+        """The samples with derivative by `differentiate`, zero at the
+        origin when regular_origin."""
         values = np.asarray(values, dtype=float)
-        if derivative is None:
-            derivative = differentiate(grid.nodes, values)
-            if regular_origin:
-                derivative = derivative.copy()
-                derivative[0] = 0.0
-        else:
-            derivative = np.asarray(derivative, dtype=float)
+        derivative = differentiate(grid.nodes, values)
+        if regular_origin:
+            derivative[0] = 0.0
         return cls(grid, values, derivative, regular_origin)
-
-
-def integrate(f: RadialFn) -> float:
-    """Volume integral of f over B_1 (product trapezoid)."""
-    return float(np.dot(f.grid.quad_weights, f.values))

@@ -93,30 +93,25 @@ def eigvalsh_tridiagonal(d, e, select: str, select_range,
 class OperatorSpec:
     """Spec for L = -Delta_l - lam - q on a grid.
 
-    potential may be None (q = 0), a scalar, or a node-aligned array.
+    potential is None (q = 0) or the array of q at the grid nodes.
     """
 
     grid: RadialGrid
     sector: int = 0
     lam: float = 0.0
-    potential: object = None
+    potential: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sector < 0:
             raise ValueError(f"sector must be >= 0, got {self.sector}")
         q = self.potential
-        if q is not None and not np.isscalar(q):
-            if len(np.asarray(q)) != len(self.grid.nodes):
-                raise ValueError("potential array must match grid length")
+        if q is not None and len(q) != len(self.grid.nodes):
+            raise ValueError("potential array must match grid length")
 
     def potential_values(self) -> np.ndarray:
-        q = self.potential
-        n = len(self.grid.nodes)
-        if q is None:
-            return np.zeros(n)
-        if np.isscalar(q):
-            return np.full(n, float(q))
-        return np.asarray(q, dtype=float)
+        if self.potential is None:
+            return np.zeros(len(self.grid.nodes))
+        return np.asarray(self.potential, dtype=float)
 
 
 class _Assembled:
@@ -152,15 +147,10 @@ class _Assembled:
         upper = -k[idx[:-1]]
 
         self.op = op
-        self.istart = istart
         self.idx = idx
         self.diag = diag
         self.upper = upper
         self.masses = masses_full[idx]
-        self.k = k
-        self.cent_full = cent_full
-        self.masses_full = masses_full
-        self.qvals = qvals
 
     def shifted(self, lam: float):
         """diag/upper of A0 - lam M."""
@@ -222,19 +212,6 @@ class _Assembled:
             nearest += list(eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k),
                                                  tol=STURM_TOL))
         return float(min(abs(nu - lam) for nu in nearest))
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Lumped weak action (M^{-1} A) u at every node (`weak_apply`),
-        with A = A0 - lam M; boundary entries are zeroed."""
-        flux = self.k * np.diff(u)                  # k_i (u_{i+1} - u_i) per cell
-        inflow = np.concatenate(([0.0], flux))      # k_{i-1}(u_i - u_{i-1})
-        outflow = np.concatenate((flux, [0.0]))     # k_i (u_{i+1} - u_i)
-        out = ((inflow - outflow + self.cent_full * u) / self.masses_full
-               - (self.op.lam + self.qvals) * u)
-        out[-1] = 0.0
-        if self.istart == 1:
-            out[0] = 0.0
-        return out
 
     def scale(self) -> float:
         """Gershgorin-type magnitude of the pencil, for singularity thresholds."""
@@ -298,21 +275,12 @@ def sector_eigenvalues(grid: RadialGrid, sector: int, count: int,
     return asm.eigenvalues(count=count)
 
 
-def weak_apply(op: OperatorSpec, f: RadialFn) -> np.ndarray:
-    """Lumped weak action (M^{-1} A) f at the nodes, boundary entries zeroed.
-
-    Exactly symmetric in the mass inner product, and the residual the
-    Dirichlet solve drives to zero.
-    """
-    return assemble(op).apply(f.values)
-
-
-def dirichlet_eigenvalue(dimension: int, index: int = 1, sector: int = 0,
+def dirichlet_eigenvalue(dimension: int, index: int = 1,
                          n: int = 2048) -> float:
-    """Radial Dirichlet eigenvalue of -Delta_l on B_1, Richardson-extrapolated
+    """Radial Dirichlet eigenvalue of -Delta on B_1, Richardson-extrapolated
     from grids with n and 2n cells."""
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
-    coarse = sector_eigenvalues(make_grid(dimension, n), sector, index)[index - 1]
-    fine = sector_eigenvalues(make_grid(dimension, 2 * n), sector, index)[index - 1]
+    coarse = sector_eigenvalues(make_grid(dimension, n), 0, index)[index - 1]
+    fine = sector_eigenvalues(make_grid(dimension, 2 * n), 0, index)[index - 1]
     return float((4.0 * fine - coarse) / 3.0)

@@ -352,8 +352,8 @@ PAPER_MU3_RATIO = -11.0 / 9.0
 
 def tau_star(a: float, d2: float) -> float:
     """The paper's rate rule tau* = 6a/(11 d2), the minimizer over
-    tau > 0 of reduced_energy_polynomial, -a tau^2 - PAPER_MU3_RATIO d2
-    tau^3.
+    tau > 0 of the paper's reduced energy P(tau) = -a tau^2
+    - PAPER_MU3_RATIO d2 tau^3.
 
     The minimizer with the derived coefficient MU3_RATIO would be
     3a/(8 d2); it is not adopted, so every sweep keeps the paper's mu.
@@ -366,14 +366,6 @@ def tau_star(a: float, d2: float) -> float:
     if d2 <= 0.0:
         raise ValueError(f"d2 must be positive, got {d2}")
     return 6.0 * a / (11.0 * d2)
-
-
-def reduced_energy_polynomial(tau, a: float, d2: float):
-    """The paper's reduced energy P(tau) = -a tau^2 - PAPER_MU3_RATIO d2
-    tau^3 = -a tau^2 + (11/9) d2 tau^3 (vectorized in tau), whose
-    minimizer is tau_star."""
-    tau = np.asarray(tau, dtype=float)
-    return -a * tau ** 2 - PAPER_MU3_RATIO * d2 * tau ** 3
 
 
 def expansion_E(u_xi: float, v_xi: float, beta: int, mu: float, eps: float,
@@ -525,7 +517,8 @@ DEFAULT_EPS_MAGNITUDES = tuple(np.geomspace(0.02, 0.25, 8))
 # Fewest eps magnitudes expansion_check fits (cli checks --eps-grid
 # against it).
 MIN_EPS_MAGNITUDES = 6
-DEFAULT_TAU_MULTIPLIERS = (0.6, 0.8, 1.0, 1.25, 1.5)
+# the rates mu = t tau* |eps| of each eps's rows
+TAU_MULTIPLIERS = (0.6, 0.8, 1.0, 1.25, 1.5)
 
 
 def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
@@ -544,8 +537,7 @@ def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
 
 
 def expansion_check(profiles: AuxProfiles,
-                    eps_magnitudes=DEFAULT_EPS_MAGNITUDES,
-                    tau_multipliers=DEFAULT_TAU_MULTIPLIERS) -> ExpansionReport:
+                    eps_magnitudes=DEFAULT_EPS_MAGNITUDES) -> ExpansionReport:
     """Sweep (eps, mu) on the fixed-center schedule and fit the expansion.
 
     Every row carries J(V), J(z), their gap, the three-term prediction,
@@ -569,12 +561,12 @@ def expansion_check(profiles: AuxProfiles,
     rows = []
     for mag in mags:
         eps = sign * mag
-        mus = [t * tau0 * mag for t in tau_multipliers]
+        mus = [t * tau0 * mag for t in TAU_MULTIPLIERS]
         T, integrals = _eps_rows(S, eps, mus)
         j_base = _base_energy(T)
         del T  # one eps table alive at a time
         for t, mu, (delta, resid, direct_gap, direct_z) in zip(
-                tau_multipliers, mus, integrals):
+                TAU_MULTIPLIERS, mus, integrals):
             e_pred = expansion_E(u00, v00, -1, mu, eps, lam0)
             rows.append(ExpansionRow(
                 eps=eps,

@@ -69,6 +69,10 @@ RTOL = 1e-10
 ATOL = 1e-12
 BLOWUP_FACTOR = 4.0
 SIGN_TOL = 1e-10  # |u| below SIGN_TOL * ||u||_inf counts as zero
+# shoot_to_zero stops at the m-th zero or at R_MAX, far beyond r = 1
+R_MAX = 10.0
+# the amplitudes solve_bvp scans for a matching sign change
+AMP_BRACKET = (1e-2, 1e8)
 
 
 def critical_exponent(dimension: int) -> float:
@@ -605,7 +609,7 @@ def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> Radial
     p = critical_exponent(dimension)
     scale = abs(amplitude) ** (-(p - 1.0) / 2.0)
     if scale >= 0.1:
-        return make_grid(dimension, grid_n, "uniform")
+        return make_grid(dimension, grid_n)
     return make_core_grid(dimension, scale, h_over_scale=1.0 / 30.0,
                           h_max=1.0 / grid_n)
 
@@ -614,15 +618,14 @@ def _interior_zeros(sol) -> int:
     return sum(z < 1.0 - 1e-13 for z in sol.zeros)
 
 
-def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int,
-                  r_max: float = 10.0):
+def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int):
     """The m-th zero of the trajectory (None if it does not occur before
-    r_max) and a function that samples the trajectory on profile_grid as
+    R_MAX) and a function that samples the trajectory on profile_grid as
     shoot does, building the dense output only if called.  At a matched
     lambda the zero lies within the IVP tolerance of r = 1; when it falls
     short, the last step's interpolant carries the profile the rest of
     the way."""
-    sol, r0, p = _integrate(dimension, lam, amplitude, r_max, max_zeros=m)
+    sol, r0, p = _integrate(dimension, lam, amplitude, R_MAX, max_zeros=m)
 
     def sample() -> ShootResult:
         grid = profile_grid(dimension, amplitude)
@@ -634,11 +637,11 @@ def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int,
     return sol.zeros[m - 1] if len(sol.zeros) >= m else None, sample
 
 
-def nodal_count(f: RadialFn, tol: float = SIGN_TOL) -> int:
+def nodal_count(f: RadialFn) -> int:
     """Number of nodal regions of f on (0, 1): sign changes + 1, values below
-    tol * ||f||_inf treated as zero."""
+    SIGN_TOL * ||f||_inf treated as zero."""
     v = f.values
-    thresh = tol * np.max(np.abs(v))
+    thresh = SIGN_TOL * np.max(np.abs(v))
     signs = np.sign(v[np.abs(v) > thresh])
     if len(signs) == 0:
         return 0
@@ -659,12 +662,11 @@ class BranchPoint:
 
 
 def solve_bvp(dimension: int, lam: float, m: int,
-              amp_bracket: tuple[float, float] = (1e-2, 1e8),
               grid_n: int = 1024) -> BranchPoint:
     """Solve the Dirichlet problem on the m-region branch at fixed lam.
 
     Matches the m-th zero position to 1 by a bracketed solve in ln(a);
-    raises NoSignChangeError when no amplitude in the bracket brackets the
+    raises NoSignChangeError when no amplitude in AMP_BRACKET brackets the
     matching condition.  brentq starts from the scan's last two points,
     so psi is cached and each ln(a) is shot once.
     """
@@ -676,7 +678,7 @@ def solve_bvp(dimension: int, lam: float, m: int,
         z = shoot_to_zero(dimension, lam, math.exp(x), m)[0]
         return (z if z is not None else 10.0 * (1.0 + abs(x))) - 1.0
 
-    lo, hi = math.log(amp_bracket[0]), math.log(amp_bracket[1])
+    lo, hi = math.log(AMP_BRACKET[0]), math.log(AMP_BRACKET[1])
     # geometric scan for a sign change of psi (decreasing in a)
     xs = np.linspace(lo, hi, 49)
     prev_x, prev_f = None, None
@@ -689,7 +691,7 @@ def solve_bvp(dimension: int, lam: float, m: int,
         prev_x, prev_f = x, fx
     if bracket is None:
         raise NoSignChangeError(
-            f"no m={m} matching amplitude in {amp_bracket} at lam={lam}")
+            f"no m={m} matching amplitude in {AMP_BRACKET} at lam={lam}")
     xstar = brentq(psi, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
     a = math.exp(xstar)
     res = shoot(dimension, lam, a, grid_n=grid_n)

@@ -1,9 +1,11 @@
-"""Checks that no bn6 command runs, for the tests: the finite-difference
-strong form of the operators, the translation-dilation profiles w_eta
-(criterion 06), the ansatz sampled on a grid and the pinned Newton
-refinement that starts from it (criterion 10), the mu^3 probe at
-eps = 0, J(u) by grid quadrature, the bubble's projection and dilation
-kernel, and the L^p and H^1 norms of a radial function."""
+"""Checks that no bn6 command runs, for the tests: geometrically graded
+grids, the product-trapezoid integral and the L^p and H^1 norms of a
+radial function, the weak (flux) and finite-difference strong forms of
+the operators, the translation-dilation profiles w_eta (criterion 06),
+the ansatz sampled on a grid and the pinned Newton refinement that
+starts from it (criterion 10), the paper's reduced-energy polynomial,
+the mu^3 probe at eps = 0, J(u) by grid quadrature, and the bubble's
+projection and dilation kernel."""
 
 from __future__ import annotations
 
@@ -17,12 +19,34 @@ from scipy.sparse.linalg import splu
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
 from bn6.errors import NearSingularError, NotConvergedError
-from bn6.grid import (RadialFn, RadialGrid, differentiate, make_core_grid,
+from bn6.grid import (MIN_CELLS, RadialFn, RadialGrid, _finish,
+                      differentiate, hat_moments, make_core_grid,
                       rescale_grid)
 from bn6.operators import OperatorSpec, assemble
-from bn6.reduction import (C2, EpsTable, SplineSet, _row_integrals,
-                           _sign_crossing, case1_parameters)
+from bn6.reduction import (C2, PAPER_MU3_RATIO, EpsTable, SplineSet,
+                           _row_integrals, _sign_crossing, case1_parameters)
 from bn6.shooting import critical_exponent
+
+
+def geometric_grid(dimension: int, n: int, ratio: float) -> RadialGrid:
+    """n cells graded toward the origin with last-to-first cell width
+    ratio `ratio` > 1, so the first cell has width h_1 = (q - 1)/(q^n - 1),
+    q = ratio^{1/(n-1)}."""
+    if n < MIN_CELLS:
+        raise ValueError(f"n must be >= {MIN_CELLS}, got {n}")
+    if ratio <= 1.0:
+        raise ValueError(f"geometric grading needs ratio > 1, got {ratio}")
+    q = ratio ** (1.0 / (n - 1))
+    h1 = (q - 1.0) / (q ** n - 1.0)
+    widths = h1 * q ** np.arange(n)
+    nodes = np.concatenate(([0.0], np.cumsum(widths)))
+    nodes[-1] = 1.0
+    return _finish(dimension, nodes)
+
+
+def integrate(f: RadialFn) -> float:
+    """Volume integral of f over B_1 (product trapezoid)."""
+    return float(np.dot(f.grid.quad_weights, f.values))
 
 
 def lp_norm(f: RadialFn, p: float) -> float:
@@ -40,6 +64,35 @@ def h1_norm(f: RadialFn, lam_weight: float = 1.0) -> float:
     grad = float(np.dot(w, f.derivative ** 2))
     mass = float(np.dot(w, f.values ** 2))
     return math.sqrt(grad + lam_weight * mass)
+
+
+def _weak_action(op: OperatorSpec, u: np.ndarray) -> np.ndarray:
+    # the cell stiffnesses k_i = int_cell r^{N-1} dr / h^2, the centrifugal
+    # moments and the lumped masses of the operator bn6 assembles, applied
+    # as fluxes k_i (u_{i+1} - u_i) through the cells
+    grid = op.grid
+    nodes, N, l = grid.nodes, grid.dimension, op.sector
+    k = (nodes[1:] ** N - nodes[:-1] ** N) / N / np.diff(nodes) ** 2
+    cent = l * (l + N - 2) * hat_moments(nodes, N - 3)
+    flux = k * np.diff(u)
+    inflow = np.concatenate(([0.0], flux))      # k_{i-1}(u_i - u_{i-1})
+    outflow = np.concatenate((flux, [0.0]))     # k_i (u_{i+1} - u_i)
+    out = ((inflow - outflow + cent * u) / grid.cell_masses()
+           - (op.lam + op.potential_values()) * u)
+    out[-1] = 0.0
+    if l > 0:
+        out[0] = 0.0
+    return out
+
+
+def weak_apply(op: OperatorSpec, f: RadialFn) -> np.ndarray:
+    """Lumped weak action (M^{-1} A) f at the nodes of A = A0 - lam M, the
+    operator bn6 assembles, boundary entries zeroed.
+
+    Exactly symmetric in the mass inner product, and the residual the
+    Dirichlet solve drives to zero.
+    """
+    return _weak_action(op, f.values)
 
 
 def apply_operator(op: OperatorSpec, f: RadialFn) -> np.ndarray:
@@ -166,6 +219,14 @@ def energy(u: RadialFn, lam: float) -> float:
     return kinetic - mass - cubic
 
 
+def reduced_energy_polynomial(tau, a: float, d2: float):
+    """The paper's reduced energy P(tau) = -a tau^2 - PAPER_MU3_RATIO d2
+    tau^3 = -a tau^2 + (11/9) d2 tau^3 (vectorized in tau), whose
+    minimizer is bn6.reduction.tau_star."""
+    tau = np.asarray(tau, dtype=float)
+    return -a * tau ** 2 - PAPER_MU3_RATIO * d2 * tau ** 3
+
+
 def kernel_psi0(r, mu: float):
     """Dilation kernel element Psi^0 = dU/dmu = 2 alpha_6 mu (r^2 - mu^2)
     (mu^2 + r^2)^{-3}; Psi^0_{1,0}(0) = -48."""
@@ -242,12 +303,13 @@ def newton_refine(guess: RadialFn, lam: float, max_iter: int = 40,
     """
     grid = guess.grid
     p = critical_exponent(grid.dimension)
-    asm0 = assemble(OperatorSpec(grid, sector=0, lam=lam))
+    op0 = OperatorSpec(grid, sector=0, lam=lam)
+    asm0 = assemble(op0)
     idx = asm0.idx
     masses = asm0.masses
 
     def weak_residual(u_full: np.ndarray) -> np.ndarray:
-        return (asm0.apply(u_full) - fnl(u_full, p))[idx]
+        return (_weak_action(op0, u_full) - fnl(u_full, p))[idx]
 
     def norm(vec: np.ndarray) -> float:
         return math.sqrt(float(np.dot(masses, vec ** 2)))

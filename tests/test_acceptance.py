@@ -24,11 +24,10 @@ from bn6.cli import main as cli_main
 from bn6.continuation import extract_limit, trace_branch
 from bn6.errors import NoSignChangeError
 from bn6.grid import RadialFn, make_grid
-from bn6.operators import OperatorSpec, dirichlet_eigenvalue, weak_apply
-from bn6.reduction import reduced_energy_polynomial
+from bn6.operators import OperatorSpec, dirichlet_eigenvalue
 from bn6.shooting import find_lambda0, solve_bvp
 
-from oracles import w_eta
+from oracles import reduced_energy_polynomial, w_eta, weak_apply
 
 # independent eigenvalue oracle: squared first zero of J_{N/2-1}
 LAMBDA1 = {
@@ -245,13 +244,12 @@ def test_criterion_11_property_suites(tmp_path):
     for mult in (0.9, 0.99, 1.01, 1.1):
         assert np.all(reduced_energy_polynomial(mult * ts, a, d2) > best)
 
-    # scaling covariance of the bubbles
+    # scaling covariance of the bubble, U_mu(r) = mu^{-2} U_1(r / mu)
     for _ in range(50):
-        dim = rng.integers(3, 7)
         mu = rng.uniform(0.05, 2.0)
         r = rng.uniform(0.0, 3.0)
-        lhs = talenti_u(r, mu, dim)
-        rhs = mu ** (-(dim - 2.0) / 2.0) * talenti_u(r / mu, 1.0, dim)
+        lhs = talenti_u(r, mu)
+        rhs = mu ** -2.0 * talenti_u(r / mu, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     # CLI determinism: identical invocations, identical bytes

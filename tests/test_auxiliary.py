@@ -12,11 +12,11 @@ from bn6.auxiliary import (
 )
 from bn6.errors import NotConvergedError
 from bn6.grid import make_grid
-from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues, weak_apply
+from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues
 from bn6.serialize import record
 from bn6.shooting import shoot
 
-from oracles import w_eta
+from oracles import w_eta, weak_apply
 
 V0_FROZEN = -3.2284188994808511
 W0_FROZEN = 0.10573771048525127

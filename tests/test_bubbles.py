@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from bn6.bubbles import (
     ALPHA6,
-    alpha,
     ball_integral_u,
     ball_integral_u2,
     ball_integral_u3,
@@ -28,9 +27,10 @@ from oracles import apply_operator, kernel_psi0, project_bubble
 
 
 def test_alpha_values():
-    assert alpha(6) == 24.0 and ALPHA6 == 24.0
-    assert alpha(4) == pytest.approx(math.sqrt(8.0), rel=1e-15)
-    assert alpha(3) == pytest.approx(3.0 ** 0.25, rel=1e-15)
+    # the Sobolev amplitude [N(N-2)]^{(N-2)/4} at N = 6
+    N = 6
+    assert ALPHA6 == (N * (N - 2.0)) ** ((N - 2.0) / 4.0) == 24.0
+    assert talenti_u(0.0, 1.0) == ALPHA6
 
 
 def test_bubble_solves_critical_equation():
@@ -50,14 +50,13 @@ def test_derivative_consistency():
 
 
 def test_scaling_covariance():
-    # U_mu(r) = mu^{-(N-2)/2} U_1(r / mu) in every dimension
+    # U_mu(r) = mu^{-(N-2)/2} U_1(r / mu) = mu^{-2} U_1(r / mu) at N = 6
     rng = np.random.default_rng(11)
     for _ in range(50):
-        dim = rng.integers(3, 7)
         mu = rng.uniform(0.05, 2.0)
         r = rng.uniform(0.0, 3.0)
-        lhs = talenti_u(r, mu, dim)
-        rhs = mu ** (-(dim - 2.0) / 2.0) * talenti_u(r / mu, 1.0, dim)
+        lhs = talenti_u(r, mu)
+        rhs = mu ** -2.0 * talenti_u(r / mu, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bn6
+from bn6 import auxiliary, operators, shooting
 from bn6.cli import (
     RunConfig,
     main,
@@ -408,6 +410,31 @@ def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
     assert err < abs(survey["two_v_minus_one"])
 
 
+def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
+    # the error bar of 2 v(0) - 1 needs v on half the cells, shot and
+    # solved alone: one profile set, and one Dirichlet solve (two Sturm
+    # eigensolves, one assembly) beside the full grid's v and w
+    counts = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(auxiliary, "build_profiles")
+    count(auxiliary, "solve_dirichlet")
+    count(operators, "assemble")
+    count(operators, "eigvalsh_tridiagonal")
+    count(shooting, "solve_ivp")
+    assert run("nondeg", "--out", str(tmp_path)) == 0
+    assert counts == {"build_profiles": 1, "solve_dirichlet": 3,
+                      "assemble": 29, "eigvalsh_tridiagonal": 57,
+                      "solve_ivp": 26}
+
+
 def test_expansion_fit_carries_rows(tmp_path):
     out = tmp_path / "exp"
     assert run("expansion-check", "--out", str(out)) == 0
@@ -719,6 +746,68 @@ def test_reduction_reads_the_residual_from_the_splines_only():
                    and node.name == "SplineSet")
     assert "dz" not in {node.name for node in spline_set.body
                         if isinstance(node, ast.FunctionDef)}
+
+
+# Defaulted parameters that no call in bn6 passes, and why each stays:
+# main's argv is how the benchmark's tracer and the tests call it; brentq's
+# maxiter is the only way to reach the RuntimeError test_roots compares
+# with scipy's; the benchmark's tracer counts _panel_integral's nodes from
+# its order.
+UNPASSED_OPTIONS = {("cli", "main", "argv"), ("roots", "brentq", "maxiter"),
+                    ("reduction", "_panel_integral", "order")}
+
+
+def _unpassed_options(trees: dict) -> set:
+    """(module, function, parameter) of every defaulted parameter of a
+    function or method in the syntax trees that no call in them passes:
+    by keyword, by position (a method's first parameter is bound), or as
+    a key of a ** dict literal.  A call is matched by the called name."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, name, index):
+        keys = {kw.arg for kw in call.keywords}
+        for kw in call.keywords:
+            if kw.arg is None:
+                dicts = [n for n in ast.walk(kw.value)
+                         if isinstance(n, ast.Dict)]
+                keys |= {k.value for d in dicts for k in d.keys
+                         if isinstance(k, ast.Constant)}
+        return name in keys or len(call.args) > index or any(
+            isinstance(arg, ast.Starred) for arg in call.args)
+
+    unpassed = set()
+    for stem, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = int(bool(positional)
+                        and positional[0].arg in ("self", "cls"))
+            defaulted = [(arg.arg, i - bound) for i, arg in
+                         enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(arg.arg, math.inf) for arg, default in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unpassed |= {(stem, fn.name, name) for name, index in defaulted
+                         if not any(passed(call, name, index)
+                                    for call in calls.get(fn.name, ()))}
+    return unpassed
+
+
+def test_every_bn6_option_has_a_caller():
+    # from the source: an option that no bn6 caller sets is a constant
+    # with extra code paths; the three left are listed with their reasons
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(bn6.__file__).parent.glob("*.py")}
+    assert _unpassed_options(trees) == UNPASSED_OPTIONS
 
 
 def test_lapack_failures_exit_2(tmp_path, capsys, monkeypatch):

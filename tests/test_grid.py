@@ -14,13 +14,17 @@ from bn6.grid import (
     ball_volume,
     differentiate,
     hat_moments,
-    integrate,
     make_core_grid,
     make_grid,
     sphere_area,
 )
 
-from oracles import h1_norm, lp_norm
+from oracles import geometric_grid, h1_norm, integrate, lp_norm
+
+
+def _grid(dim, n, ratio):
+    # a uniform grid at ratio 1, else a geometrically graded one
+    return make_grid(dim, n) if ratio == 1.0 else geometric_grid(dim, n, ratio)
 
 
 def test_sphere_area_closed_forms():
@@ -37,7 +41,8 @@ def test_ball_volume_n6():
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 @pytest.mark.parametrize("grading,ratio", [("uniform", 1.0), ("geometric", 200.0)])
 def test_constants_integrate_exactly(dim, grading, ratio):
-    g = make_grid(dim, 257, grading=grading, ratio=ratio)
+    g = _grid(dim, 257, ratio)
+    assert (grading == "uniform") == (ratio == 1.0)
     one = RadialFn.from_values(g, np.ones(len(g.nodes)))
     assert integrate(one) == pytest.approx(ball_volume(dim), rel=1e-14)
 
@@ -45,7 +50,7 @@ def test_constants_integrate_exactly(dim, grading, ratio):
 def test_linear_integrand_exact():
     # f(r) = r is reproduced by the piecewise-linear interpolant, so the
     # product trapezoid rule is exact: int_{B_1} r dx = omega_6 / 7
-    g = make_grid(6, 64, grading="geometric", ratio=50.0)
+    g = geometric_grid(6, 64, 50.0)
     f = RadialFn.from_values(g, g.nodes.copy())
     assert integrate(f) == pytest.approx(sphere_area(6) / 7.0, rel=1e-14)
 
@@ -69,8 +74,7 @@ def _exact_hat_moments(nodes, p):
        centrifugal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_hat_moments_integrate_piecewise_linear_exactly(n, dim, ratio,
                                                          centrifugal, seed):
-    grading = "uniform" if ratio == 1.0 else "geometric"
-    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    g = _grid(dim, n, ratio)
     p = dim - 3 if centrifugal else dim - 1
     exact = _exact_hat_moments(g.nodes, p)
     f = np.random.default_rng(seed).standard_normal(len(g.nodes))
@@ -80,7 +84,7 @@ def test_hat_moments_integrate_piecewise_linear_exactly(n, dim, ratio,
     # b^{p+1} - a^{p+1} and b m0 - m1 cancel in a cell [a, b] of width
     # h, so a weight carries a rounding error of about u (b/h)^2
     u = np.finfo(float).eps / 2
-    amplification = float(np.max(g.nodes[1:] / g.spacings)) ** 2
+    amplification = float(np.max(g.nodes[1:] / np.diff(g.nodes))) ** 2
     size = sum(abs(Fraction(fi)) * wi for fi, wi in zip(f, exact))
     assert abs(got - want) <= 4 * u * amplification * size
 
@@ -97,8 +101,8 @@ def test_quadrature_second_order():
 
 
 def test_geometric_grading_ratio():
-    g = make_grid(6, 200, grading="geometric", ratio=300.0)
-    h = g.spacings
+    g = geometric_grid(6, 200, 300.0)
+    h = np.diff(g.nodes)
     assert h[-1] / h[0] == pytest.approx(300.0, rel=1e-10)
     assert np.all(np.diff(h) > 0)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
@@ -107,7 +111,7 @@ def test_geometric_grading_ratio():
 def test_core_grid_resolves_scale():
     mu = 3e-3
     g = make_core_grid(6, mu, h_over_scale=1.0 / 40.0)
-    h = g.spacings
+    h = np.diff(g.nodes)
     assert h[0] <= mu / 40.0 * (1 + 1e-12)
     # fine spacing maintained through the core region
     core = g.nodes[:-1] < 5 * mu
@@ -123,9 +127,9 @@ def test_make_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         make_grid(2, 64)
     with pytest.raises(ValueError):
-        make_grid(6, 64, grading="geometric", ratio=0.5)
+        geometric_grid(6, 64, 0.5)
     with pytest.raises(ValueError):
-        make_grid(6, 64, grading="chebyshev")
+        geometric_grid(6, 8, 2.0)
 
 
 def test_radialfn_length_mismatch():
@@ -159,7 +163,7 @@ def test_lp_norm_scaling_property():
 
 def test_integrate_linearity():
     rng = np.random.default_rng(11)
-    g = make_grid(5, 48, grading="geometric", ratio=30.0)
+    g = geometric_grid(5, 48, 30.0)
     a = rng.normal(size=len(g.nodes))
     b = rng.normal(size=len(g.nodes))
     fa = RadialFn.from_values(g, a)
@@ -170,7 +174,7 @@ def test_integrate_linearity():
 
 
 def test_differentiate_exact_on_quadratics():
-    g = make_grid(6, 100, grading="geometric", ratio=40.0)
+    g = geometric_grid(6, 100, 40.0)
     vals = 2.0 * g.nodes ** 2 - 3.0 * g.nodes + 1.0
     d = differentiate(g.nodes, vals)
     assert np.allclose(d, 4.0 * g.nodes - 3.0, rtol=1e-10, atol=1e-10)
@@ -190,6 +194,6 @@ def test_h1_norm_against_closed_form():
     # u = 1 - r^2 on B_1, N = 6: int |u'|^2 = omega_6 int 4 r^7 = pi^3 / 2,
     # int u^2 = omega_6 int (1-r^2)^2 r^5 = pi^3 (1/6 - 2/8 + 1/10) = pi^3/60
     g = make_grid(6, 2000)
-    u = RadialFn.from_values(g, 1.0 - g.nodes ** 2, -2.0 * g.nodes)
+    u = RadialFn(g, 1.0 - g.nodes ** 2, -2.0 * g.nodes)
     assert h1_norm(u, lam_weight=1.0) ** 2 == pytest.approx(
         math.pi ** 3 / 2.0 + math.pi ** 3 / 60.0, rel=1e-6)

@@ -23,10 +23,9 @@ from bn6.operators import (
     min_singular_value,
     sector_eigenvalues,
     solve_dirichlet,
-    weak_apply,
 )
 
-from oracles import apply_operator
+from oracles import apply_operator, geometric_grid, weak_apply
 
 # First Dirichlet eigenvalue of -Delta on B_1 in R^N is the squared first
 # zero of J_{N/2-1}; half-integer orders (N odd) via brentq on jv.
@@ -53,8 +52,11 @@ def test_higher_radial_eigenvalues_n6():
 
 @pytest.mark.parametrize("sector,order", [(1, 3), (2, 4)])
 def test_sector_eigenvalues_n6(sector, order):
-    # sector l shifts the Bessel order to N/2 - 1 + l
-    got = dirichlet_eigenvalue(6, 1, sector=sector, n=512)
+    # sector l shifts the Bessel order to N/2 - 1 + l; Richardson from
+    # n = 512 and 1024 cells, as dirichlet_eigenvalue extrapolates sector 0
+    coarse, fine = (sector_eigenvalues(make_grid(6, n), sector, 1)[0]
+                    for n in (512, 1024))
+    got = (4.0 * fine - coarse) / 3.0
     assert got == pytest.approx(jn_zeros(order, 1)[0] ** 2, rel=1e-9)
 
 
@@ -89,7 +91,7 @@ def test_poisson_second_order():
 def test_manufactured_solution_with_potential():
     # u = 1 - r^2, L = -Delta - lam - q with q = r^2, lam = 3:
     # L u = 12 - (3 + r^2)(1 - r^2)
-    g = make_grid(6, 1024, grading="geometric", ratio=20.0)
+    g = geometric_grid(6, 1024, 20.0)
     r = g.nodes
     op = OperatorSpec(g, sector=0, lam=3.0, potential=r ** 2)
     rhs = RadialFn.from_values(g, 12.0 - (3.0 + r ** 2) * (1.0 - r ** 2))
@@ -99,7 +101,7 @@ def test_manufactured_solution_with_potential():
 
 def test_apply_operator_consistency():
     # quadratic in r^2 is reproduced exactly by the pointwise stencils
-    g = make_grid(6, 512, grading="geometric", ratio=40.0)
+    g = geometric_grid(6, 512, 40.0)
     r = g.nodes
     op = OperatorSpec(g, sector=0, lam=3.0, potential=r ** 2)
     u = RadialFn.from_values(g, 1.0 - r ** 2)
@@ -130,7 +132,7 @@ def test_apply_operator_smooth_convergence():
 
 def test_discrete_duality():
     rng = np.random.default_rng(3)
-    g = make_grid(5, 64, grading="geometric", ratio=10.0)
+    g = geometric_grid(5, 64, 10.0)
     m = g.cell_masses()
     op = OperatorSpec(g, sector=2, lam=1.5, potential=np.cos(g.nodes))
     for _ in range(25):
@@ -157,9 +159,12 @@ random_operators = dict(
     lam=st.floats(-1e4, 1e5), seed=st.integers(0, 2 ** 32 - 1))
 
 
+def _grid(dim, n, ratio):
+    return make_grid(dim, n) if ratio == 1.0 else geometric_grid(dim, n, ratio)
+
+
 def _random_operator(n, dim, sector, ratio, depth, width, lam):
-    grading = "uniform" if ratio == 1.0 else "geometric"
-    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    g = _grid(dim, n, ratio)
     q = depth * np.exp(-(g.nodes / width) ** 2)
     return OperatorSpec(g, sector=sector, lam=lam, potential=q)
 
@@ -230,8 +235,7 @@ def test_min_singular_value_matches_spectrum():
        pick=st.floats(0.0, 1.0), frac=st.floats(0.0, 1.0))
 def test_min_singular_value_matches_full_spectrum(n, dim, sector, ratio, depth,
                                                   width, where, pick, frac):
-    grading = "uniform" if ratio == 1.0 else "geometric"
-    g = make_grid(dim, n, grading=grading, ratio=ratio)
+    g = _grid(dim, n, ratio)
     q = depth * np.exp(-(g.nodes / width) ** 2)
     asm = assemble(OperatorSpec(g, sector=sector, potential=q))
     vals = eigvalsh_tridiagonal(*asm.pencil())

@@ -33,7 +33,6 @@ from bn6.reduction import (
     case1_parameters,
     expansion_E,
     expansion_check,
-    reduced_energy_polynomial,
     residual_norm,
     tau_star,
     _base_energy,
@@ -45,7 +44,8 @@ from bn6.reduction import (
 from bn6.serialize import record
 
 from oracles import (ansatz_on_grid, cubic_coefficient_probe, energy,
-                     fd_residual_norm, project_bubble)
+                     fd_residual_norm, project_bubble,
+                     reduced_energy_polynomial)
 
 TAU_STAR_FROZEN = 0.04409647622292704
 
