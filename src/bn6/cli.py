@@ -104,7 +104,9 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             doc[f.name] = value if value is not None else "default"
-        doc["out"] = self.resolved_out()
+        # the path as its bytes read in UTF-8, whatever the locale decoded
+        doc["out"] = os.fsencode(self.resolved_out()).decode(
+            "utf-8", "surrogateescape")
         return doc
 
 
@@ -254,7 +256,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _write_table(cfg: RunConfig, prov: dict, stem: str, header: str,
                  rows, pinned_csv: bool = True) -> None:
     """CSV (always, when the header is a pinned interface) and, under
-    --format json, a row-objects twin."""
+    --format json, a row-objects twin; rows is read once for each, so it
+    is an array or a sequence, not an iterator."""
     if pinned_csv or cfg.format == "csv":
         write_atomic(os.path.join(cfg.resolved_out(), stem + ".csv"),
                      csv_text(header, rows, prov))
@@ -350,12 +353,16 @@ def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
     cert = find_lambda0(cfg.dimension)
     profiles = _profiles(cfg, cert)
     # 2 v(0) - 1 gets its grid-refinement error bar from v solved alone on
-    # half the cells; below two minimal grids it has none (nan)
+    # half the cells; below two minimal grids it has none (nan).  u0 on the
+    # half grid is the certificate's own profile when that grid is its grid
     half = profiles.grid.n_cells // 2
     coarse_v0 = None
     if half >= MIN_CELLS:
-        u0 = shoot(cfg.dimension, cert.lam0, cert.amplitude,
-                   grid=make_grid(cfg.dimension, half)).profile
+        grid = make_grid(cfg.dimension, half)
+        u0 = cert.branch.profile
+        if not np.array_equal(u0.grid.nodes, grid.nodes):
+            u0 = shoot(cfg.dimension, cert.lam0, cert.amplitude,
+                       grid=grid).profile
         coarse_v0 = float(auxiliary.solve_v(u0, cert.lam0).values[0])
     report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax,
                                                coarse_v0=coarse_v0)

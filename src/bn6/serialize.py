@@ -2,6 +2,10 @@
 
 Numbers in CSV cells are printed with %.17g so that doubles round-trip
 exactly; JSON numbers use Python's shortest round-trip representation.
+A table is a float array of rows (a sequence of equal-width tuples is
+read as one); its CSV text is formatted a block of CSV_BLOCK_ROWS rows at
+a time, so that no per-row object is alive while the text is built.  Artifacts are written as UTF-8 with "\n" newlines,
+whatever the locale.
 Every artifact opens with the resolved configuration and the package
 version, so a file is traceable to the run that produced it without any
 timestamps (identical configuration must give identical bytes).
@@ -20,7 +24,14 @@ import os
 import tempfile
 from dataclasses import fields, is_dataclass
 
+import numpy as np
+
 from . import __version__
+
+# rows per `%` operation of csv_text: a block's cells are its only float
+# objects, and the block texts are the only copy of the table beside the
+# joined artifact
+CSV_BLOCK_ROWS = 512
 
 
 def fmt(x) -> str:
@@ -45,12 +56,14 @@ def _provenance_lines(config: dict | None) -> list[str]:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path as UTF-8 via a same-directory temp file and
+    rename.  The artifact is one str, whose encoded length is the byte
+    count the benchmark's tracer records."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -59,18 +72,31 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _table_cells(header: str, rows) -> np.ndarray:
+    """rows (a float array or a sequence of equal-width tuples) as a
+    float array with one column per header name; a row of another width
+    is refused."""
+    ncols = header.count(",") + 1
+    cells = np.asarray(rows, dtype=float)
+    if cells.shape == (0,):
+        cells = cells.reshape(0, ncols)
+    if cells.ndim != 2 or cells.shape[1] != ncols:
+        raise ValueError(f"row width {cells.shape[-1]} != header width "
+                         f"{ncols}")
+    return cells
+
+
 def csv_text(header: str, rows, config: dict | None = None) -> str:
     """CSV with provenance comment lines above the exact pinned header.
-    Every cell is a float, printed as fmt prints it, a row at a time."""
-    lines = _provenance_lines(config)
-    lines.append(header)
-    ncols = header.count(",") + 1
-    row_format = ",".join(["%.17g"] * ncols)
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row width {len(row)} != header width {ncols}")
-        lines.append(row_format % tuple(row))
-    return "\n".join(lines) + "\n"
+    Every cell is a float, printed as fmt prints it, by one `%` per block
+    of CSV_BLOCK_ROWS rows."""
+    cells = _table_cells(header, rows)
+    row_format = ",".join(["%.17g"] * cells.shape[1]) + "\n"
+    parts = ["\n".join(_provenance_lines(config) + [header, ""])]
+    for start in range(0, len(cells), CSV_BLOCK_ROWS):
+        block = cells[start:start + CSV_BLOCK_ROWS]
+        parts.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 # field name -> artifact key, wherever the field appears
@@ -107,9 +133,9 @@ def json_text(payload: dict, config: dict | None = None) -> str:
                       allow_nan=False) + "\n"
 
 
-def radial_fn_rows(fn):
-    return list(zip(fn.grid.nodes.tolist(), fn.values.tolist(),
-                    fn.derivative.tolist()))
+def radial_fn_rows(fn) -> np.ndarray:
+    """A profile's table: one (r, value, derivative) row per node."""
+    return np.column_stack((fn.grid.nodes, fn.values, fn.derivative))
 
 
 def branch_rows(branch):
@@ -131,4 +157,5 @@ def expansion_rows(report):
 def rows_as_json(header: str, rows) -> list[dict]:
     """The same table a CSV would hold, as a list of objects."""
     names = header.split(",")
-    return [dict(zip(names, row)) for row in rows]
+    return [dict(zip(names, row))
+            for row in _table_cells(header, rows).tolist()]

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -20,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bn6
-from bn6 import auxiliary, operators, shooting
+from bn6 import auxiliary, cli, operators, serialize, shooting
 from bn6.cli import (
+    PROFILE_HEADER,
     RunConfig,
     main,
     parse_config_file,
@@ -30,7 +32,17 @@ from bn6.cli import (
     build_parser,
 )
 from bn6.errors import ConfigError
-from bn6.serialize import csv_text, fmt, radial_fn_rows, record
+from bn6.grid import RadialFn, make_grid
+from bn6.serialize import (
+    CSV_BLOCK_ROWS,
+    csv_text,
+    fmt,
+    radial_fn_rows,
+    record,
+    rows_as_json,
+)
+
+from oracles import geometric_grid
 
 
 def run(*argv):
@@ -358,6 +370,10 @@ def test_json_format_adds_row_twin(tmp_path):
     twin = json.loads(read(out / "ground_state_profile.rows.json"))
     assert twin["rows"][0]["r"] == 0.0
     assert set(twin["rows"][0]) == {"r", "value", "derivative"}
+    # the twin reads the same rows as the CSV, all of them
+    csv = (out / "ground_state_profile.csv").read_text().splitlines()
+    body = [ln for ln in csv if not ln.startswith("#")][1:]
+    assert len(twin["rows"]) == len(body) == 1024 + 1
 
 
 def test_branch_artifacts(tmp_path):
@@ -430,9 +446,84 @@ def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
     count(operators, "eigvalsh_tridiagonal")
     count(shooting, "solve_ivp")
     assert run("nondeg", "--out", str(tmp_path)) == 0
+    # u0 on the 2048-cell half grid is the certificate's profile: no shot
     assert counts == {"build_profiles": 1, "solve_dirichlet": 3,
                       "assemble": 29, "eigvalsh_tridiagonal": 57,
-                      "solve_ivp": 26}
+                      "solve_ivp": 25}
+
+
+@pytest.mark.parametrize("argv,half_grid,shots", [
+    (("--grid-n", "64"), make_grid, 1),
+    ((), lambda dimension, n: geometric_grid(dimension, n, 2.0), 1),
+])
+def test_nondeg_shoots_u0_unless_the_half_grid_is_the_certificates(
+        tmp_path, monkeypatch, argv, half_grid, shots):
+    # a half grid of other cells (32 here), or of 2048 cells at other
+    # nodes, gets u0 shot onto it; only the certificate's own grid is
+    # reused
+    grids = []
+
+    def counted(*args, **kwargs):
+        grids.append(kwargs["grid"].n_cells)
+        return shooting.shoot(*args, **kwargs)
+    monkeypatch.setattr(cli, "make_grid", half_grid)
+    monkeypatch.setattr(cli, "shoot", counted)
+    assert run("nondeg", *argv, "--out", str(tmp_path)) == 0
+    assert grids == [int(argv[1]) // 2 if argv else 2048] * shots
+
+
+def test_every_artifact_reaches_the_writer_as_one_str(tmp_path,
+                                                      monkeypatch):
+    # the benchmark's tracer counts cli.bytes as the UTF-8 length of the
+    # text argument of write_atomic, so the writer gets each artifact whole
+    texts = []
+
+    def recorded(path, text):
+        texts.append(text)
+        return write_atomic(path, text)
+    write_atomic = serialize.write_atomic
+    monkeypatch.setattr(serialize, "write_atomic", recorded)
+    monkeypatch.setattr(cli, "write_atomic", recorded)
+    for command in ("nondeg", "aux-solve"):
+        assert run(command, "--grid-n", "64", "--out", str(tmp_path)) == 0
+    assert len(texts) == 3 + 4
+    assert all(type(text) is str for text in texts)
+    assert sum(len(text.encode("utf-8")) for text in texts) == sum(
+        path.stat().st_size for path in tmp_path.iterdir())
+
+
+_LOCALES = {"C": {"LC_ALL": "C", "PYTHONUTF8": "0",
+                  "PYTHONCOERCECLOCALE": "0"},
+            "C.UTF-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}}
+
+
+def _artifacts_under(locale: str, out: pathlib.Path, *argv: str) -> dict:
+    """The artifacts bn6 argv writes into out, run in a fresh interpreter
+    under locale; out is emptied first."""
+    src = os.path.dirname(os.path.dirname(bn6.__file__))
+    env = dict(os.environ, **_LOCALES[locale])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if out.exists():
+        for path in out.iterdir():
+            path.unlink()
+    done = subprocess.run([sys.executable, "-m", "bn6.cli", *argv,
+                           "--out", str(out)], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("argv", [("lambda0", "--grid-n", "64"),
+                                  ("constants", "--lambda", "22.5")])
+def test_artifact_bytes_do_not_depend_on_the_locale(tmp_path, argv):
+    # under the C locale a non-ASCII --out is still written, and recorded,
+    # as its UTF-8 bytes
+    out = tmp_path / "\u00e9" / "l"
+    ascii_run = _artifacts_under("C", out, *argv)
+    assert ascii_run == _artifacts_under("C.UTF-8", out, *argv)
+    name = "constants.json" if argv[0] == "constants" else "lambda0.json"
+    assert json.loads(ascii_run[name])["provenance"]["config"]["out"] == (
+        str(out))
 
 
 def test_expansion_fit_carries_rows(tmp_path):
@@ -504,34 +595,83 @@ _CELLS = st.one_of(st.floats(), st.sampled_from(
      -math.inf, math.nan)))
 
 
+def _first_difference(got: str, want: str):
+    """None when the texts are equal, else the first line at which they
+    differ, with its number (pytest's own diff of two texts of a thousand
+    near-equal lines takes minutes)."""
+    if got == want:
+        return None
+    pairs = zip(got.split("\n"), want.split("\n"))
+    return next(((k, a, b) for k, (a, b) in enumerate(pairs) if a != b),
+                ("lengths", got.count("\n"), want.count("\n")))
+
+
 @settings(max_examples=200, deadline=None)
 @given(width=st.integers(1, 6), data=st.data())
 def test_csv_rows_are_the_cells_fmt_prints(width, data):
-    # a table row is printed by one format string, byte for byte as fmt
+    # a table is printed a block of rows at a time, byte for byte as fmt
     # prints its cells one at a time, signed zeros, subnormals, infinities
-    # and nan included; a row of the wrong width is refused
-    rows = data.draw(st.lists(st.tuples(*[_CELLS] * width), max_size=8))
+    # and nan included, also where one block ends and the next begins (the
+    # drawn rows repeat to fill a table longer than a block), from tuples
+    # or from a float array; a row of the wrong width is refused
+    pool = data.draw(st.lists(st.tuples(*[_CELLS] * width), min_size=1,
+                              max_size=8))
+    count = data.draw(st.one_of(
+        st.integers(0, 8),
+        st.integers(CSV_BLOCK_ROWS - 2, 2 * CSV_BLOCK_ROWS + 2)))
+    rows = [pool[k % len(pool)] for k in range(count)]
     header = ",".join(f"c{k}" for k in range(width))
     prov = {"command": "nondeg", "lmax": 24}
-    per_cell = "".join(",".join(fmt(cell) for cell in row) + "\n"
-                       for row in rows)
-    assert csv_text(header, rows, prov) == csv_text(header, [], prov) + (
-        per_cell)
+    lines = [",".join(fmt(cell) for cell in row) + "\n" for row in pool]
+    text = csv_text(header, [], prov) + "".join(
+        lines[k % len(pool)] for k in range(count))
+    assert _first_difference(csv_text(header, rows, prov), text) is None
+    assert _first_difference(
+        csv_text(header, np.array(rows).reshape(-1, width), prov),
+        text) is None
     with pytest.raises(ValueError, match="row width"):
         csv_text(header, [(0.0,) * (width + 1)])
 
 
 @given(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=8))
 def test_radial_fn_rows_are_the_float_cells(cells):
-    # the three columns read whole are the floats read cell by cell
+    # the three columns read whole are the floats read cell by cell, and
+    # the table reads the same the second time (its CSV and its row twin
+    # both read it); the twin holds Python floats
     nodes, values, slopes = np.array(cells, dtype=float).reshape(-1, 3).T
     fn = SimpleNamespace(grid=SimpleNamespace(nodes=nodes), values=values,
                          derivative=slopes)
     rows = radial_fn_rows(fn)
-    assert [tuple(map(float.hex, row)) for row in rows] == [
-        tuple(float.hex(float(x)) for x in row)
-        for row in zip(nodes, values, slopes)]
-    assert all(type(x) is float for row in rows for x in row)
+    expected = [tuple(float.hex(float(x)) for x in row)
+                for row in zip(nodes, values, slopes)]
+    assert len(expected) == len(cells)
+    for _ in range(2):
+        assert [tuple(map(float.hex, row)) for row in rows] == expected
+    twin = rows_as_json(PROFILE_HEADER, rows)
+    assert [tuple(float.hex(row[name]) for name in ("r", "value",
+                                                      "derivative"))
+            for row in twin] == expected
+    assert all(type(x) is float for row in twin for x in row.values())
+
+
+def test_profile_table_is_formatted_without_per_row_objects():
+    # with a tuple per row and a string per line, formatting a 4097-row
+    # profile table peaked at 1,427 KB of Python objects (nondeg_v.csv,
+    # 6.8 times its text); in blocks of rows it takes at most half of that
+    # (about 2.4 times the text: the text, its blocks and one block's
+    # cells)
+    grid = make_grid(6, 4096)
+    fn = RadialFn(grid, np.cos(grid.nodes), -np.sin(grid.nodes))
+    prov = {"command": "nondeg", "lmax": 24}
+    expected = csv_text(PROFILE_HEADER, radial_fn_rows(fn), prov)
+    tracemalloc.start()
+    try:
+        text = csv_text(PROFILE_HEADER, radial_fn_rows(fn), prov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == expected and text.count("\n") == 4097 + 4
+    assert peak <= 1427 * 1024 // 2
 
 
 # ------------------------------------------------------------ import footprint
