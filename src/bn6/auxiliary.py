@@ -7,7 +7,8 @@ the finite-dimensional expansion:
     L v = u_0,
     L w = v + sgn(u_0) v^2,
 
-both radial with Dirichlet boundary.  Essential non-degeneracy of u_0 is
+both radial with Dirichlet boundary, on grids that sample u_0 from the
+lambda_0 certificate's own shot.  Essential non-degeneracy of u_0 is
 the statement that lam_0 keeps a positive distance from the Dirichlet
 spectrum of -Delta - 2|u_0| in every angular sector; sectors l with
 
@@ -25,19 +26,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import DEFAULT_L_MAX
-from .grid import RadialFn, RadialGrid, make_grid
+from .grid import MIN_CELLS, RadialFn, RadialGrid, make_grid
 from .operators import (
     OperatorSpec,
     min_singular_value,
     sector_eigenvalues,
     solve_dirichlet,
 )
-from .shooting import Lambda0Certificate, shoot
+from .shooting import Lambda0Certificate, Trajectory
 
 
 @dataclass(frozen=True, eq=False)
 class AuxProfiles:
-    """Ground state and the two auxiliary profiles on a shared grid."""
+    """Ground state and the two auxiliary profiles on a shared grid, and
+    the certificate's trajectory of u_0 (None for tabulated profiles)."""
 
     dimension: int
     lam0: float
@@ -45,6 +47,7 @@ class AuxProfiles:
     u0: RadialFn = field(repr=False)
     v: RadialFn = field(repr=False)
     w: RadialFn = field(repr=False)
+    trajectory: Trajectory | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> RadialGrid:
@@ -62,33 +65,25 @@ class AuxProfiles:
         return 2.0 * np.abs(self.u0.values)
 
 
-def solve_v(u0: RadialFn, lam0: float) -> RadialFn:
-    """Solve (-Delta - lam0 - 2|u_0|) v = u_0, v(1) = 0."""
-    op = OperatorSpec(u0.grid, sector=0, lam=lam0,
-                      potential=2.0 * np.abs(u0.values))
-    return solve_dirichlet(op, u0)
+def _linearized(u0: RadialFn, lam0: float) -> OperatorSpec:
+    """L = -Delta - lam0 - 2|u_0| in sector 0 on u_0's grid."""
+    return OperatorSpec(u0.grid, sector=0, lam=lam0,
+                        potential=2.0 * np.abs(u0.values))
 
 
-def solve_w(u0: RadialFn, v: RadialFn, lam0: float) -> RadialFn:
-    """Solve (-Delta - lam0 - 2|u_0|) w = v + sgn(u_0) v^2, w(1) = 0."""
-    rhs_vals = v.values + np.sign(u0.values) * v.values ** 2
-    rhs = RadialFn.from_values(u0.grid, rhs_vals)
-    op = OperatorSpec(u0.grid, sector=0, lam=lam0,
-                      potential=2.0 * np.abs(u0.values))
-    return solve_dirichlet(op, rhs)
-
-
-def build_profiles(dimension: int, certificate: Lambda0Certificate,
+def build_profiles(certificate: Lambda0Certificate,
                    grid_n: int = 4096) -> AuxProfiles:
-    """Assemble u_0, v, w on a uniform grid with grid_n cells, at the
-    certificate's lam_0 and amplitude."""
-    grid = make_grid(dimension, grid_n)
-    u0 = shoot(dimension, certificate.lam0, certificate.amplitude,
-               grid=grid).profile
-    v = solve_v(u0, certificate.lam0)
-    w = solve_w(u0, v, certificate.lam0)
-    return AuxProfiles(dimension, certificate.lam0, certificate.amplitude,
-                       u0, v, w)
+    """u_0 sampled from the certificate's trajectory on a uniform grid of
+    grid_n cells, and v, w solved there: L v = u_0, then
+    L w = v + sgn(u_0) v^2."""
+    u0 = certificate.trajectory(make_grid(certificate.dimension, grid_n))
+    op = _linearized(u0, certificate.lam0)
+    v = solve_dirichlet(op, u0)
+    w = solve_dirichlet(op, RadialFn.from_values(
+        u0.grid, v.values + np.sign(u0.values) * v.values ** 2))
+    return AuxProfiles(certificate.dimension, certificate.lam0,
+                       certificate.amplitude, u0, v, w,
+                       certificate.trajectory)
 
 
 @dataclass(frozen=True)
@@ -223,23 +218,26 @@ class NondegeneracyReport:
 
 def essential_nondegeneracy(profiles: AuxProfiles,
                             l_max: int = DEFAULT_L_MAX,
-                            coarse_v0: float | None = None,
                             ) -> NondegeneracyReport:
-    """Measure the spectral gap in each sector and certify the cutoff."""
+    """Measure the spectral gap in each sector and certify the cutoff; give
+    2 v(0) - 1 the error bar of v solved alone on half the cells (none, nan,
+    below MIN_CELLS), u_0 there sampled from the profiles' trajectory."""
     N = profiles.dimension
     lam0 = profiles.lam0
+    coarse_v0 = None
+    half = profiles.grid.n_cells // 2
+    if half >= MIN_CELLS:
+        u0 = profiles.trajectory(make_grid(N, half))
+        coarse_v0 = float(solve_dirichlet(_linearized(u0, lam0),
+                                          u0).values[0])
     q = profiles.linearized_potential()
     nu1 = float(sector_eigenvalues(profiles.grid, 0, 1, potential=q)[0])
     gaps = []
     for l in range(l_max + 1):
         op = OperatorSpec(profiles.grid, sector=l, lam=lam0, potential=q)
         gaps.append(min_singular_value(op))
-    comparison_l = None
-    for l in range(1, l_max + 1):
-        if nu1 + l * (l + N - 2) > lam0:
-            comparison_l = l
-            break
-    certified = comparison_l is not None and comparison_l <= l_max
+    comparison_l = next((l for l in range(1, l_max + 1)
+                         if nu1 + l * (l + N - 2) > lam0), -1)
     u00 = float(profiles.u0.values[0])
     witness = -(lam0 * u00 + u00 ** 2)
     return NondegeneracyReport(
@@ -248,8 +246,8 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         l_max=l_max,
         sector_gaps=tuple(float(g) for g in gaps),
         min_gap=float(min(gaps)),
-        comparison_l=-1 if comparison_l is None else comparison_l,
-        cutoff_certified=bool(certified),
+        comparison_l=comparison_l,
+        cutoff_certified=comparison_l > 0,
         hessian_witness=witness,
         origin_value_gap=abs(u00 - 0.5 * lam0),
         survey=survey_concentration_points(profiles, coarse_v0=coarse_v0),

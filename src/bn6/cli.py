@@ -36,7 +36,7 @@ from . import (
     reduction,
 )
 from .errors import BN6Error, ConfigError
-from .grid import MIN_CELLS, make_grid
+from .grid import MIN_CELLS
 from .serialize import (
     branch_point_dict,
     branch_rows,
@@ -48,7 +48,7 @@ from .serialize import (
     rows_as_json,
     write_atomic,
 )
-from .shooting import find_lambda0, shoot, solve_bvp
+from .shooting import find_lambda0, solve_bvp
 
 COMMANDS = ("ground-state", "branch", "lambda0", "aux-solve", "nondeg",
             "ansatz-check", "expansion-check", "limits", "constants")
@@ -132,11 +132,13 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat `key = value` lines; blank lines and # comments ignored."""
+    """Flat `key = value` lines of UTF-8 text; blank lines and # comments
+    ignored.  An `out` value names the path whose bytes are its UTF-8
+    encoding, which is what --out names under any locale."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(lines, start=1):
@@ -147,6 +149,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in body.split("=", 1))
         key, value = _coerce(key.replace("-", "_").lower(), raw)
+        if key == "out":
+            value = os.fsdecode(value.encode("utf-8"))
         out[key] = value
     return out
 
@@ -277,10 +281,8 @@ def _require_lambda(cfg: RunConfig) -> float:
     return cfg.lam
 
 
-def _profiles(cfg: RunConfig, cert=None):
-    if cert is None:
-        cert = find_lambda0(cfg.dimension)
-    return auxiliary.build_profiles(cfg.dimension, cert,
+def _profiles(cfg: RunConfig):
+    return auxiliary.build_profiles(find_lambda0(cfg.dimension),
                                     **({} if cfg.grid_n is None
                                        else {"grid_n": cfg.grid_n}))
 
@@ -350,22 +352,8 @@ def cmd_aux_solve(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
-    cert = find_lambda0(cfg.dimension)
-    profiles = _profiles(cfg, cert)
-    # 2 v(0) - 1 gets its grid-refinement error bar from v solved alone on
-    # half the cells; below two minimal grids it has none (nan).  u0 on the
-    # half grid is the certificate's own profile when that grid is its grid
-    half = profiles.grid.n_cells // 2
-    coarse_v0 = None
-    if half >= MIN_CELLS:
-        grid = make_grid(cfg.dimension, half)
-        u0 = cert.branch.profile
-        if not np.array_equal(u0.grid.nodes, grid.nodes):
-            u0 = shoot(cfg.dimension, cert.lam0, cert.amplitude,
-                       grid=grid).profile
-        coarse_v0 = float(auxiliary.solve_v(u0, cert.lam0).values[0])
-    report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax,
-                                               coarse_v0=coarse_v0)
+    profiles = _profiles(cfg)
+    report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax)
     _write_json(cfg, prov, "nondeg.json", record(report))
     _write_table(cfg, prov, "nondeg_v", PROFILE_HEADER,
                  radial_fn_rows(profiles.v))

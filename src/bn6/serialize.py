@@ -27,6 +27,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from . import __version__
+from .errors import ConfigError
 
 # rows per `%` operation of csv_text: a block's cells are its only float
 # objects, and the block texts are the only copy of the table beside the
@@ -58,14 +59,22 @@ def _provenance_lines(config: dict | None) -> list[str]:
 def write_atomic(path: str, text: str) -> None:
     """Write text to path as UTF-8 via a same-directory temp file and
     rename.  The artifact is one str, whose encoded length is the byte
-    count the benchmark's tracer records."""
+    count the benchmark's tracer records.  A path whose directory cannot
+    be made or written, or that names a directory, raises ConfigError
+    naming it, and leaves no temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

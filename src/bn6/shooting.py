@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -540,6 +541,10 @@ def _event_root(piece, r_old, r_new):
                         xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
 
+# u and u' of one IVP on the nodes of any grid (`_sample`)
+Trajectory = Callable[[RadialGrid], RadialFn]
+
+
 @dataclass(frozen=True, eq=False)
 class ShootResult:
     profile: RadialFn
@@ -547,6 +552,8 @@ class ShootResult:
     zero_count: int
     amplitude: float
     lam: float
+    # set by shoot; shoot_to_zero's samples (a traced branch's shots) keep none
+    trajectory: Trajectory | None = field(default=None, repr=False)
 
 
 def _integrate(dimension: int, lam: float, a: float, r_end: float,
@@ -591,17 +598,17 @@ def _sample(sol, r0: float, dimension: int, lam: float, a: float, p: float,
 
 
 def shoot(dimension: int, lam: float, amplitude: float,
-          grid: RadialGrid | None = None, grid_n: int = 1024) -> ShootResult:
+          grid_n: int = 1024) -> ShootResult:
     """Shoot from u(0) = amplitude to r = 1 and sample the profile.
 
     Raises BlowUpBeforeOneError if the trajectory leaves the trust region.
     """
-    if grid is None:
-        grid = profile_grid(dimension, amplitude, grid_n)
     sol, r0, p = _integrate(dimension, lam, amplitude, 1.0)
-    profile = _sample(sol, r0, dimension, lam, amplitude, p, grid)
+    trajectory = functools.partial(_sample, sol, r0, dimension, lam,
+                                   amplitude, p)
+    profile = trajectory(profile_grid(dimension, amplitude, grid_n))
     return ShootResult(profile, sol.y_end[0], _interior_zeros(sol),
-                       float(amplitude), float(lam))
+                       float(amplitude), float(lam), trajectory)
 
 
 def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> RadialGrid:
@@ -650,7 +657,8 @@ def nodal_count(f: RadialFn) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
-    """One solution on an m-region radial branch."""
+    """One solution on an m-region radial branch.  solve_bvp's points
+    keep their matched shot's trajectory; trace_branch's keep none."""
 
     dimension: int
     lam: float
@@ -659,6 +667,7 @@ class BranchPoint:
     residual: float
     grid_n: int
     profile: RadialFn = field(repr=False)
+    trajectory: Trajectory | None = field(default=None, repr=False)
 
 
 def solve_bvp(dimension: int, lam: float, m: int,
@@ -701,7 +710,7 @@ def solve_bvp(dimension: int, lam: float, m: int,
         raise NotConvergedError(
             f"matched profile has {regions} regions, wanted {m}")
     return BranchPoint(dimension, float(lam), a, m, float(residual),
-                       res.profile.grid.n_cells, res.profile)
+                       res.profile.grid.n_cells, res.profile, res.trajectory)
 
 
 @dataclass(frozen=True, eq=False)
@@ -709,6 +718,7 @@ class Lambda0Certificate:
     """Certificate for the self-consistent parameter 2 max u = lam.
 
     gap is |2 u(0) - lam_0|; gap_alt is the halved reading |u(0) - lam_0/2|.
+    The branch's trajectory is u_0's one integration, which grids sample.
     """
 
     dimension: int
@@ -717,6 +727,10 @@ class Lambda0Certificate:
     gap: float
     gap_alt: float
     branch: BranchPoint = field(repr=False)
+
+    @property
+    def trajectory(self) -> Trajectory:
+        return self.branch.trajectory
 
 
 def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:

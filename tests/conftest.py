@@ -19,12 +19,12 @@ def certificate():
 
 @pytest.fixture(scope="session")
 def profiles(certificate):
-    return build_profiles(6, certificate, grid_n=4096)
+    return build_profiles(certificate, grid_n=4096)
 
 
 @pytest.fixture(scope="session")
 def profiles_coarse(certificate):
-    return build_profiles(6, certificate, grid_n=2048)
+    return build_profiles(certificate, grid_n=2048)
 
 
 @pytest.fixture(scope="session")
@@ -47,5 +47,5 @@ def w_eta_ladder(certificate):
     2048."""
     eta = np.zeros(6)
     eta[1] = 0.45
-    return {n: w_eta(build_profiles(6, certificate, grid_n=n), eta)
+    return {n: w_eta(build_profiles(certificate, grid_n=n), eta)
             for n in (512, 1024, 2048)}

@@ -149,8 +149,8 @@ def test_criterion_06_translation_dilation_profiles(profiles, w_eta_ladder):
     assert order1 >= 1.9, f"sector-1 residual order {order1:.3f}"
 
 
-def test_criterion_07_nondegeneracy_report(profiles, profiles_coarse):
-    rep = essential_nondegeneracy(profiles, coarse_v0=profiles_coarse.v0)
+def test_criterion_07_nondegeneracy_report(profiles):
+    rep = essential_nondegeneracy(profiles)
     survey = rep.survey
     plus = [p for p in survey.points if p.level == 1]
     minus = [p for p in survey.points if p.level == -1]

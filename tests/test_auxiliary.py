@@ -1,22 +1,30 @@
 """Auxiliary linear profiles, sector spectra, the non-degeneracy report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bn6 import auxiliary, shooting
 from bn6.auxiliary import (
+    _linearized,
+    build_profiles,
     essential_nondegeneracy,
-    solve_v,
     survey_concentration_points,
 )
 from bn6.errors import NotConvergedError
 from bn6.grid import make_grid
-from bn6.operators import OperatorSpec, _Assembled, sector_eigenvalues
+from bn6.operators import (
+    OperatorSpec,
+    _Assembled,
+    sector_eigenvalues,
+    solve_dirichlet,
+)
 from bn6.serialize import record
 from bn6.shooting import shoot
 
-from oracles import w_eta, weak_apply
+from oracles import geometric_grid, w_eta, weak_apply
 
 V0_FROZEN = -3.2284188994808511
 W0_FROZEN = 0.10573771048525127
@@ -39,6 +47,57 @@ def test_profile_structure(profiles):
     assert profiles.w0 == pytest.approx(W0_FROZEN, rel=1e-7)
 
 
+def _same_bytes(f, g) -> bool:
+    return (f.grid.nodes.tobytes(), f.values.tobytes(),
+            f.derivative.tobytes()) == (g.grid.nodes.tobytes(),
+                                        g.values.tobytes(),
+                                        g.derivative.tobytes())
+
+
+def _fresh_u0(certificate, grid):
+    """u0 from a new IVP of the certificate's (lam0, a), sampled on grid."""
+    return shoot(6, certificate.lam0, certificate.amplitude).trajectory(grid)
+
+
+@pytest.mark.parametrize("n", [64, 2048, 4096])
+def test_profiles_resample_the_certificates_shot(certificate, n):
+    # u0 is the certificate's trajectory sampled on the profiles' grid:
+    # the same bytes as a new IVP sampled there
+    u0 = build_profiles(certificate, grid_n=n).u0
+    assert u0.grid.n_cells == n
+    assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
+
+
+@pytest.mark.parametrize("grid_n,half_grid", [
+    (64, make_grid),
+    (4096, lambda dimension, n: geometric_grid(dimension, n, 2.0)),
+])
+def test_half_grid_resamples_the_certificates_shot(certificate, monkeypatch,
+                                                   grid_n, half_grid):
+    # the half grid of 2 v(0) - 1's error bar, of other cells (32) or of
+    # 2048 cells at other nodes than the certificate's (geometric), gets
+    # u0 from the certificate's trajectory, with no IVP
+    profiles = build_profiles(certificate, grid_n=grid_n)
+    sampled = []
+
+    def trajectory(grid):
+        sampled.append(certificate.trajectory(grid))
+        return sampled[-1]
+
+    def no_ivp(*args, **kwargs):
+        raise AssertionError("essential_nondegeneracy made an IVP")
+    monkeypatch.setattr(auxiliary, "make_grid", half_grid)
+    monkeypatch.setattr(shooting, "solve_ivp", no_ivp)
+    rep = essential_nondegeneracy(replace(profiles, trajectory=trajectory))
+    monkeypatch.undo()
+    u0, = sampled
+    assert u0.grid.n_cells == grid_n // 2
+    assert (u0.grid.nodes.tobytes()
+            != certificate.branch.profile.grid.nodes.tobytes())
+    assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
+    assert 0.0 < rep.survey.two_v_error < abs(rep.survey.two_v_minus_one)
+
+
 def test_v_and_w_solve_their_equations(profiles):
     # check against the assembled operator the solver factorized; the
     # floor is LU roundoff at the operator's condition number
@@ -57,9 +116,9 @@ def test_v_and_w_solve_their_equations(profiles):
 def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
     # a relative error of 1e-13 in the solution of the v equation is
     # caught; the solve itself passes
-    u0 = shoot(6, certificate.lam0, certificate.amplitude,
-               grid=make_grid(6, n)).profile
-    solve_v(u0, certificate.lam0)
+    u0 = certificate.trajectory(make_grid(6, n))
+    op = _linearized(u0, certificate.lam0)
+    solve_dirichlet(op, u0)
     factor = _Assembled.factor
 
     def corrupted(self, lam):
@@ -74,7 +133,7 @@ def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
 
     monkeypatch.setattr(_Assembled, "factor", corrupted)
     with pytest.raises(NotConvergedError):
-        solve_v(u0, certificate.lam0)
+        solve_dirichlet(op, u0)
 
 
 def test_v_grid_refinement(profiles, profiles_coarse):
@@ -159,7 +218,10 @@ def test_concentration_survey(profiles, profiles_coarse):
 
 
 def test_nondegeneracy_report(profiles, profiles_coarse):
-    rep = essential_nondegeneracy(profiles, coarse_v0=profiles_coarse.v0)
+    rep = essential_nondegeneracy(profiles)
+    # the error bar's half-grid v(0) is the 2048-cell profiles' own
+    assert rep.survey.two_v_error == 2.0 * abs(profiles.v0
+                                               - profiles_coarse.v0)
     assert rep.dimension == 6
     assert rep.l_max == 24
     assert len(rep.sector_gaps) == 25

@@ -42,7 +42,9 @@ from bn6.serialize import (
     rows_as_json,
 )
 
-from oracles import geometric_grid
+
+ARTIFACT_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tools", "artifact_digests.py")
 
 
 def run(*argv):
@@ -427,9 +429,9 @@ def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
 
 
 def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
-    # the error bar of 2 v(0) - 1 needs v on half the cells, shot and
-    # solved alone: one profile set, and one Dirichlet solve (two Sturm
-    # eigensolves, one assembly) beside the full grid's v and w
+    # the error bar of 2 v(0) - 1 needs v on half the cells, solved alone:
+    # one profile set, and one Dirichlet solve (two Sturm eigensolves, one
+    # assembly) beside the full grid's v and w
     counts = Counter()
 
     def count(module, name):
@@ -446,30 +448,27 @@ def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
     count(operators, "eigvalsh_tridiagonal")
     count(shooting, "solve_ivp")
     assert run("nondeg", "--out", str(tmp_path)) == 0
-    # u0 on the 2048-cell half grid is the certificate's profile: no shot
+    # u0 on every grid is sampled from the certificate's shot
     assert counts == {"build_profiles": 1, "solve_dirichlet": 3,
                       "assemble": 29, "eigvalsh_tridiagonal": 57,
-                      "solve_ivp": 25}
+                      "solve_ivp": 24}
 
 
-@pytest.mark.parametrize("argv,half_grid,shots", [
-    (("--grid-n", "64"), make_grid, 1),
-    ((), lambda dimension, n: geometric_grid(dimension, n, 2.0), 1),
-])
-def test_nondeg_shoots_u0_unless_the_half_grid_is_the_certificates(
-        tmp_path, monkeypatch, argv, half_grid, shots):
-    # a half grid of other cells (32 here), or of 2048 cells at other
-    # nodes, gets u0 shot onto it; only the certificate's own grid is
-    # reused
-    grids = []
+@pytest.mark.parametrize("argv", [("nondeg",), ("nondeg", "--grid-n", "64"),
+                                  ("aux-solve",), ("expansion-check",)])
+def test_u0_is_integrated_once(tmp_path, monkeypatch, argv):
+    # the certificate's 24 IVPs (Z_1(2), then solve_bvp's scan, root and
+    # matched shot) are all there are: the profiles and the half grid of
+    # 2 v(0) - 1 sample the matched shot, at any --grid-n
+    calls = []
 
     def counted(*args, **kwargs):
-        grids.append(kwargs["grid"].n_cells)
-        return shooting.shoot(*args, **kwargs)
-    monkeypatch.setattr(cli, "make_grid", half_grid)
-    monkeypatch.setattr(cli, "shoot", counted)
-    assert run("nondeg", *argv, "--out", str(tmp_path)) == 0
-    assert grids == [int(argv[1]) // 2 if argv else 2048] * shots
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+    solve_ivp = shooting.solve_ivp
+    monkeypatch.setattr(shooting, "solve_ivp", counted)
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert len(calls) == 24
 
 
 def test_every_artifact_reaches_the_writer_as_one_str(tmp_path,
@@ -497,9 +496,11 @@ _LOCALES = {"C": {"LC_ALL": "C", "PYTHONUTF8": "0",
             "C.UTF-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}}
 
 
-def _artifacts_under(locale: str, out: pathlib.Path, *argv: str) -> dict:
+def _artifacts_under(locale: str, out: pathlib.Path, *argv: str,
+                     out_flag: bool = True) -> dict:
     """The artifacts bn6 argv writes into out, run in a fresh interpreter
-    under locale; out is emptied first."""
+    under locale; out is emptied first, and passed as --out unless
+    out_flag is False (argv's config names it then)."""
     src = os.path.dirname(os.path.dirname(bn6.__file__))
     env = dict(os.environ, **_LOCALES[locale])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -508,7 +509,8 @@ def _artifacts_under(locale: str, out: pathlib.Path, *argv: str) -> dict:
         for path in out.iterdir():
             path.unlink()
     done = subprocess.run([sys.executable, "-m", "bn6.cli", *argv,
-                           "--out", str(out)], env=env, capture_output=True)
+                           *(("--out", str(out)) if out_flag else ())],
+                          env=env, capture_output=True)
     assert done.returncode == 0, done.stderr
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
@@ -524,6 +526,59 @@ def test_artifact_bytes_do_not_depend_on_the_locale(tmp_path, argv):
     name = "constants.json" if argv[0] == "constants" else "lambda0.json"
     assert json.loads(ascii_run[name])["provenance"]["config"]["out"] == (
         str(out))
+
+
+def test_config_file_is_utf8_under_any_locale(tmp_path):
+    # a non-ASCII comment reads under the C locale, and a config's `out`
+    # names the directory that --out names, recorded as the same bytes
+    out = tmp_path / "\u00e9" / "l"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# r\u00e9sum\u00e9\nlambda = 22.5\n", encoding="utf-8")
+    argv = ("constants", "--config", str(cfg))
+    by_flag = _artifacts_under("C", out, *argv)
+    assert by_flag == _artifacts_under("C.UTF-8", out, *argv)
+    cfg.write_text(f"# r\u00e9sum\u00e9\nlambda = 22.5\nout = {out}\n",
+                   encoding="utf-8")
+    for locale in _LOCALES:
+        assert _artifacts_under(locale, out, *argv, out_flag=False) == (
+            by_flag)
+
+
+def test_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# r\xe9sum\xe9\nlambda = 22.5\n")
+    assert run("constants", "--config", str(cfg),
+               "--out", str(tmp_path / "out")) == 3
+    assert "bn6: config error: cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    # an --out that is a file, lies under one, or holds a directory by an
+    # artifact's name is a configuration error that names the path, and
+    # leaves no temporary file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "constants.json").mkdir(parents=True)
+    for out in (blocker, blocker / "sub", taken):
+        assert run("constants", "--lambda", "22.5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bn6: config error: cannot write")
+        assert str(out) in err and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [blocker, taken]
+    assert list(taken.iterdir()) == [taken / "constants.json"]
+
+
+def test_artifact_digests_run_every_command():
+    # the byte-identity tool runs each command at least once
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  ARTIFACT_DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [name for name, _, _ in tool.INVOCATIONS]
+    assert len(names) == len(set(names))
+    assert {argv[0] for _, argv, _ in tool.INVOCATIONS} == set(cli.COMMANDS)
 
 
 def test_expansion_fit_carries_rows(tmp_path):
