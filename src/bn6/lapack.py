@@ -1,4 +1,4 @@
-"""The four LAPACK routines bn6 calls, from scipy's compiled `_flapack`.
+"""The three LAPACK routines bn6 calls, from scipy's compiled `_flapack`.
 
 The extension is loaded by file from scipy's install, so neither
 scipy.linalg's package nor scipy._lib's array-API shim is imported.  It
@@ -23,4 +23,3 @@ _spec.loader.exec_module(_flapack)
 dstebz = _flapack.dstebz
 dgttrf = _flapack.dgttrf
 dgttrs = _flapack.dgttrs
-dgtsv = _flapack.dgtsv

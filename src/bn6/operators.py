@@ -42,44 +42,27 @@ BACKWARD_ERROR_TOL = 8 * np.finfo(float).eps
 # absolute bisection tolerance of the Sturm-count eigensolves: twice the
 # safe minimum, LAPACK stebz's most accurate setting
 STURM_TOL = 2 * np.finfo(float).tiny
-# stebz's RANGE argument for each `select`
-_SELECT = {"v": 1, "i": 2}
 
 
 def eigvalsh_tridiagonal(d, e, select: str, select_range,
                          tol: float = 0.0) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
     diagonal d and off-diagonal e: those in (lo, hi] for select "v",
-    those of 0-based index lo..hi for select "i" (lo, hi = select_range).
+    those of 0-based index lo..hi for select "i" (lo, hi = select_range,
+    lo <= hi, n >= 2).
 
-    scipy.linalg.eigvalsh_tridiagonal's stebz route with its checks and
-    its ValueErrors (an empty interval lo = hi among them), to the bit;
-    a bisection that fails to converge raises NotConvergedError.
+    scipy.linalg.eigvalsh_tridiagonal's stebz call, to the bit.  An empty
+    value interval lo = hi raises stebz's ValueError, as scipy does; a
+    bisection that fails to converge raises NotConvergedError.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    if select not in _SELECT:
-        raise ValueError("invalid argument for select")
-    sr = np.asarray(select_range)
-    if sr.ndim != 1 or sr.size != 2 or sr[1] < sr[0]:
-        raise ValueError("select_range must be a 2-element array-like "
-                         "in nondecreasing order")
-    vl, vu, il, iu = 0.0, 1.0, 1, 1
+    lo, hi = select_range
+    # stebz's RANGE, VL, VU, IL, IU
     if select == "v":
-        vl, vu = sr
+        window = (1, lo, hi, 1, 1)
     else:
-        if sr.dtype.char.lower() not in "hilqp":
-            raise ValueError(
-                f'when using select="i", select_range must contain '
-                f'integers, got dtype {sr.dtype} ({sr.dtype.char})')
-        il, iu = sr + 1  # Fortran indices
-        if il < 1 or iu > d.size:
-            raise ValueError("select_range out of bounds")
-    if d.size == 1:
-        if select == "v" and not vl < d[0] <= vu:
-            return np.array([])
-        return np.array([d[0]], dtype=d.dtype)
-    m, w, _, _, info = dstebz(d, e, _SELECT[select], vl, vu, il, iu,
-                              float(tol), "E")
+        window = (2, 0.0, 1.0, lo + 1, hi + 1)  # Fortran indices, from 1
+    m, w, _, _, info = dstebz(d, e, *window, float(tol), "E")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal "
                          f"stebz (eigh_tridiagonal)")

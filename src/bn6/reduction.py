@@ -18,21 +18,23 @@ Everything quantitative about V rests on three exact cancellations:
 Energy comparisons are assembled from integrand-level differences that
 stay small pointwise: the naive route computes J(V) and J(z) separately
 as O(1) quantities and loses the cubic coefficient to roundoff at small
-mu.  Quadrature is composite Gauss on panels aligned with the spline
-knots and refined geometrically at the bubble scale, which integrates
-spline-by-spline products exactly and resolves the mu-core without
-adaptive overhead.  The sign change of V is the only kink of the
-integrands of an (eps, mu) row, so each row has one panel set, split
-there: the energy gap, the residual norm and the single-shot J(V) that
-audits the gap are integrated together on it.  What the rows of one eps
-share (z, z', the source -Delta z - lam z, J(z)'s integrand and r^5) is
-an EpsTable at the Gauss nodes of every knot cell, filled from the
-spline coefficients in one pass that also sums J(z).  It is the one
-table panel quadrature reads: a row reads runs of whole knot cells as
-views of it, derives those fields afresh only on the few panels that
-split a knot cell, and evaluates only what depends on mu.  V itself is
-never sampled: residual_norm (one row) and expansion_check (the sweep)
-reach every row through _eps_rows, so a row's residual has one path.
+mu.  z is read from the Hermite cubics of u_0, v and w, which take each
+profile's samples and slopes at the grid nodes (the knots).  Quadrature
+is composite Gauss on panels aligned with the knots and refined
+geometrically at the bubble scale, which integrates products of the
+cubics exactly and resolves the mu-core without adaptive overhead.  The
+sign change of V is the only kink of the integrands of an (eps, mu) row,
+so each row has one panel set, split there: the energy gap, the residual
+norm and the single-shot J(V) that audits the gap are integrated
+together on it.  What the rows of one eps share (z, z', the source
+-Delta z - lam z, J(z)'s integrand and r^5) is an EpsTable at the Gauss
+nodes of every knot cell, filled from the cubics' coefficients in one
+pass that also sums J(z).  It is the one table panel quadrature reads: a
+row reads runs of whole knot cells as views of it, derives those fields
+afresh only on the few panels that split a knot cell, and evaluates only
+what depends on mu.  V itself is never sampled: residual_norm (one row)
+and expansion_check (the sweep) reach every row through _eps_rows, so a
+row's residual has one path.
 """
 
 from __future__ import annotations
@@ -58,12 +60,10 @@ from .bubbles import (
 from .errors import (
     AllPointsExcludedError,
     ConfigError,
-    NearSingularError,
     RadialModeViolationError,
     UnderResolvedError,
 )
 from .grid import ball_volume, sphere_area
-from .lapack import dgtsv
 from .roots import brentq
 
 GAUSS_ORDER = 12
@@ -78,40 +78,18 @@ C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 
 
 # ---------------------------------------------------------------------------
-# spline context for the smooth fields
-
-def _clamped_cubic(x: np.ndarray, y: np.ndarray,
-                   end_slope: float) -> np.ndarray:
-    """Coefficients, shape (4, len(x) - 1) with the cubic first, of the C2
-    cubic spline through (x, y) with slope 0 at x[0] and end_slope at x[-1].
-
-    They are scipy's CubicSpline(x, y, bc_type=((1, 0.0), (1, end_slope))).c
-    to the bit: the same banded system for the knot slopes, solved by the
-    LAPACK gtsv that solve_banded((1, 1), ...) calls, and the same Hermite
-    coefficient formulas.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    d = np.ones(len(x))
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    b = np.empty(len(x))
-    b[0], b[-1] = 0.0, end_slope
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    *_, s, info = dgtsv(np.append(dx[1:], 0.0), d, np.append(0.0, dx[:-1]),
-                        b, True, True, True, True)
-    if info != 0:
-        raise NearSingularError(f"singular spline slope system (LAPACK "
-                                f"info={info})")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-
+# Hermite cubics of the smooth fields
 
 class SplineSet:
-    """Cubic-spline views of u_0, v, w with clamped center derivative.
+    """Hermite cubic views of u_0, v, w: on each knot cell, the cubic
+    that takes each profile's samples and derivative samples at both
+    ends (u_0' from the shot, v' and w' by finite differences, all 0 at
+    the center).
 
-    Values and first derivatives are those of scipy's CubicSpline and its
-    derivative() to the bit: each r is placed in the cell x[i] <= r <
-    x[i + 1] (the end cells extended outward), and each polynomial is
+    Values and first derivatives are those of scipy's
+    CubicHermiteSpline(x, y, dydx) and its derivative() to the bit: the
+    same coefficient formulas, each r placed in the cell x[i] <= r <
+    x[i + 1] (the end cells extended outward), and each polynomial
     summed in powers of s = r - x[i] as scipy's PPoly sums it.  It holds
     coefficients and the Gauss rule, no values: each EpsTable evaluates
     the knot cells' Gauss nodes through cell_chunks.
@@ -122,13 +100,19 @@ class SplineSet:
             raise RadialModeViolationError("the ansatz is specific to N = 6")
         x = profiles.grid.nodes
         self.profiles, self.knots = profiles, x
-        # rows u_0, v, w, and their derivatives' coefficients c * (3, 2, 1);
-        # PPoly adds the constant term to 0.0 first, turning a value of
-        # -0.0 into +0.0
-        c = np.stack([_clamped_cubic(x, f.values, float(f.derivative[-1]))
-                      for f in (profiles.u0, profiles.v, profiles.w)])
+        fns = (profiles.u0, profiles.v, profiles.w)
+        y = np.stack([f.values for f in fns])
+        dydx = np.stack([f.derivative for f in fns])
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / dx
+        # rows u_0, v, w, each with the cubic first, and their derivatives'
+        # coefficients c * (3, 2, 1); PPoly adds the constant term to 0.0
+        # first, turning a value or a slope of -0.0 into +0.0
+        c = np.stack((t / dx, (slope - dydx[:, :-1]) / dx - t, dydx[:, :-1],
+                      y[:, :-1]), axis=1)
+        c[:, 2:] += 0.0
         self._dcoef = c[:, :3] * np.array([3.0, 2.0, 1.0])[:, None]
-        c[:, 3] += 0.0
         self._coef = c
         # not computed on import, where its LAPACK call adds 0.75 MB of RSS
         self._rule = leggauss(GAUSS_ORDER)

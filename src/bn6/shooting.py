@@ -549,7 +549,6 @@ Trajectory = Callable[[RadialGrid], RadialFn]
 class ShootResult:
     profile: RadialFn
     boundary_value: float
-    zero_count: int
     amplitude: float
     lam: float
     # set by shoot; shoot_to_zero's samples (a traced branch's shots) keep none
@@ -607,8 +606,8 @@ def shoot(dimension: int, lam: float, amplitude: float,
     trajectory = functools.partial(_sample, sol, r0, dimension, lam,
                                    amplitude, p)
     profile = trajectory(profile_grid(dimension, amplitude, grid_n))
-    return ShootResult(profile, sol.y_end[0], _interior_zeros(sol),
-                       float(amplitude), float(lam), trajectory)
+    return ShootResult(profile, sol.y_end[0], float(amplitude), float(lam),
+                       trajectory)
 
 
 def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> RadialGrid:
@@ -619,10 +618,6 @@ def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> Radial
         return make_grid(dimension, grid_n)
     return make_core_grid(dimension, scale, h_over_scale=1.0 / 30.0,
                           h_max=1.0 / grid_n)
-
-
-def _interior_zeros(sol) -> int:
-    return sum(z < 1.0 - 1e-13 for z in sol.zeros)
 
 
 def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int):
@@ -638,7 +633,6 @@ def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int):
         grid = profile_grid(dimension, amplitude)
         profile = _sample(sol, r0, dimension, lam, amplitude, p, grid)
         return ShootResult(profile, float(profile.values[-1]),
-                           _interior_zeros(sol),
                            float(amplitude), float(lam))
 
     return sol.zeros[m - 1] if len(sol.zeros) >= m else None, sample
@@ -684,7 +678,12 @@ def solve_bvp(dimension: int, lam: float, m: int,
 
     @functools.cache
     def psi(x):
-        z = shoot_to_zero(dimension, lam, math.exp(x), m)[0]
+        # shoot_to_zero stops at the m-th zero, so a blow-up means there is
+        # none, as in continuation._match_lambda
+        try:
+            z = shoot_to_zero(dimension, lam, math.exp(x), m)[0]
+        except BlowUpBeforeOneError:
+            z = None
         return (z if z is not None else 10.0 * (1.0 + abs(x))) - 1.0
 
     lo, hi = math.log(AMP_BRACKET[0]), math.log(AMP_BRACKET[1])

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from bn6 import reduction
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
 from bn6.errors import (
-    BN6Error,
     ConfigError,
     RadialModeViolationError,
     UnderResolvedError,
@@ -36,7 +35,6 @@ from bn6.reduction import (
     residual_norm,
     tau_star,
     _base_energy,
-    _clamped_cubic,
     _mu_refined_edges,
     _panel_integral,
     _sign_crossing,
@@ -156,7 +154,7 @@ def _hex(values) -> list:
 @given(n=st.integers(3, 40), clustered=st.booleans(), data=st.data())
 def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
     # knots from random cell widths, or cells growing geometrically away
-    # from r = 0 as on the profile grids; values and end slopes random
+    # from r = 0 as on the profile grids; values and slopes random
     if clustered:
         widths = data.draw(st.floats(1.0, 1.5)) ** np.arange(n - 1)
     else:
@@ -170,11 +168,9 @@ def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
     finite = st.one_of(zero, st.floats(-10.0, 10.0))
     row = st.one_of(st.lists(finite, min_size=n, max_size=n),
                     st.lists(zero, min_size=n, max_size=n))
-    values = [np.array(data.draw(row)) for _ in range(3)]
-    slopes = [data.draw(finite) for _ in range(3)]
     grid = RadialGrid(6, x, np.zeros(n))
-    fns = [RadialFn(grid, y, np.append(np.zeros(n - 1), e))
-           for y, e in zip(values, slopes)]
+    fns = [RadialFn(grid, np.array(data.draw(row)), np.array(data.draw(row)))
+           for _ in range(3)]
     S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
 
     fracs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
@@ -183,8 +179,8 @@ def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
     r = np.concatenate((x, inside, [0.0, 1.0, -1e-3, np.nextafter(0.0, -1.0),
                                     np.nextafter(1.0, 2.0), 1.0 + 1e-3]))
     scalars = (0.0, float(inside[0]), 1.0, -1e-3, 1.0 + 1e-3)
-    for k, (y, e) in enumerate(zip(values, slopes)):
-        spline = CubicSpline(x, y, bc_type=((1, 0.0), (1, e)))
+    for k, f in enumerate(fns):
+        spline = CubicHermiteSpline(x, f.values, f.derivative)
         for ours, ref in ((S._values, spline), (S._slopes,
                                                  spline.derivative())):
             assert _hex(ours(*S._cell(r))[k]) == _hex(ref(r))
@@ -508,16 +504,6 @@ def test_unresolvable_bubble_scale_raises(profiles):
     edges = _mu_refined_edges(knots, np.nextafter(16 * EDGE_MERGE_TOL, 1.0),
                               0.0, 1.0)
     assert edges[1] == np.nextafter(16 * EDGE_MERGE_TOL, 1.0) / 16
-
-
-def test_failed_gtsv_raises_a_solver_error(monkeypatch):
-    # a singular slope system is a solver failure (exit 2), not a
-    # LinAlgError traceback
-    monkeypatch.setattr(reduction, "dgtsv",
-                        lambda dl, d, du, b, *flags: (dl, d, du, b, 1))
-    x = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BN6Error):
-        _clamped_cubic(x, x ** 2, 2.0)
 
 
 def test_ground_state_energy_identity(profiles):

@@ -45,7 +45,7 @@ def test_shoot_reproduces_bubble_n3():
     exact = a / np.sqrt(1.0 + a ** 4 * r ** 2 / 3.0)
     assert np.max(np.abs(res.profile.values - exact) / exact) < 1e-9
     assert res.amplitude == a
-    assert res.zero_count == 0
+    assert nodal_count(res.profile) == 1
 
 
 def test_shoot_reproduces_bubble_n6():
@@ -337,7 +337,7 @@ def test_shoot_to_zero_samples_the_profile_shoot_integrates():
     assert np.max(np.abs(got.profile.values - want.profile.values)) <= (
         1e-8 * scale)
     assert abs(got.boundary_value) <= 1e-8 * scale
-    assert got.zero_count == want.zero_count
+    assert nodal_count(got.profile) == nodal_count(want.profile)
     assert (got.lam, got.amplitude) == (want.lam, want.amplitude)
     assert nodal_count(got.profile) == 2
 
@@ -394,6 +394,15 @@ def test_solve_bvp_shoots_each_amplitude_once(monkeypatch):
 def test_solve_bvp_below_window_raises():
     with pytest.raises(NoSignChangeError):
         solve_bvp(3, 0.9 * math.pi ** 2 / 4.0, 1)
+
+
+@pytest.mark.parametrize("lam", [-3.0, -0.5, 0.0])
+def test_solve_bvp_at_nonpositive_lambda_finds_no_sign_change(lam):
+    # by Pohozaev there is no positive solution for lam <= 0 at N = 6; the
+    # scan's large-amplitude shots blow up before their first zero, which
+    # counts as no zero, so the scan ends without a bracket
+    with pytest.raises(NoSignChangeError):
+        solve_bvp(6, lam, 1)
 
 
 def test_lambda0_certificate(certificate):

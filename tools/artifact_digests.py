@@ -39,6 +39,7 @@ INVOCATIONS = (
     ("aux-solve-json", ("aux-solve", "--format", "json"), None),
     ("nondeg-json", ("nondeg", "--format", "json"), None),
     ("ansatz-check-json", ("ansatz-check", "--format", "json"), None),
+    ("expansion-check-json", ("expansion-check", "--format", "json"), None),
     ("lambda0-json", ("lambda0", "--format", "json"), None),
     ("nondeg-grid-64", ("nondeg", "--grid-n", "64"), None),
     ("nondeg-grid-200", ("nondeg", "--grid-n", "200"), None),
