@@ -24,17 +24,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import sphere_area
 
 ALPHA6 = 24.0
 N6 = 6
-# d1_quadrature's rule: D1_PANELS geometric panels on [1/64, D1_CUTOFF],
-# their order, and the analytic tail beyond D1_CUTOFF
+# d1_quadrature's rule: D1_PANELS geometric panels on [1/64, D1_CUTOFF]
+# and the analytic tail beyond D1_CUTOFF
 D1_PANELS = 40
-D1_ORDER = 12
 D1_CUTOFF = 50.0
+
+
+# The GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1], rows (nodes
+# ascending, weights), of d1_quadrature and the reduction's panel
+# quadrature; read-only, since every caller shares it.  The literals are
+# numpy.polynomial.legendre.leggauss(12)'s positive half to the bit, and
+# the negative half mirrors them as leggauss symmetrises its rule (nodes
+# exactly antisymmetric, weights exactly symmetric), so building the rule
+# takes no eigensolve and no BLAS call.
+GAUSS_ORDER = 12
+_HALF = np.array([[float.fromhex(h) for h in row] for row in (
+    ("0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+     "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1"),
+    ("0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+     "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5"))])
+GAUSS_LEGENDRE = np.concatenate((_HALF[:, ::-1] * [[-1.0], [1.0]], _HALF), 1)
+GAUSS_LEGENDRE.flags.writeable = False
 
 
 def talenti_u(r, mu: float):
@@ -107,11 +122,11 @@ def d1_quadrature() -> float:
     of U^2 = 24^2 mu^4 r^{-8} (1 + O(mu^2/r^2)) at mu = 1, R = D1_CUTOFF.
 
     [0, R] is cut into D1_PANELS geometric panels from 1/64 to R, plus
-    [0, 1/64], each integrated by the D1_ORDER-point Gauss-Legendre rule."""
+    [0, 1/64], each integrated by the rule GAUSS_LEGENDRE."""
     R = D1_CUTOFF
     edges = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, R,
                                                 D1_PANELS + 1)))
-    x, w = leggauss(D1_ORDER)
+    x, w = GAUSS_LEGENDRE
     half = 0.5 * np.diff(edges)[:, None]
     r = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
     head = float(np.dot(talenti_u(r, 1.0) ** 2 * r ** 5, (half * w).ravel()))

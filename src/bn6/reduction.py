@@ -43,11 +43,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .auxiliary import AuxProfiles
 from .bubbles import (
     ALPHA6,
+    GAUSS_LEGENDRE,
+    GAUSS_ORDER,
     ball_integral_u,
     ball_integral_u2,
     ball_integral_u3,
@@ -66,7 +67,6 @@ from .errors import (
 from .grid import ball_volume, sphere_area
 from .roots import brentq
 
-GAUSS_ORDER = 12
 # Gauss nodes per evaluation of a panel integrand or of an EpsTable fill,
 # whole panels; bounds the memory that a chunk's temporaries take
 QUAD_CHUNK = 512 * GAUSS_ORDER
@@ -91,8 +91,9 @@ class SplineSet:
     same coefficient formulas, each r placed in the cell x[i] <= r <
     x[i + 1] (the end cells extended outward), and each polynomial
     summed in powers of s = r - x[i] as scipy's PPoly sums it.  It holds
-    coefficients and the Gauss rule, no values: each EpsTable evaluates
-    the knot cells' Gauss nodes through cell_chunks.
+    one coefficient array and no values: the derivative's coefficients
+    are formed from it as each evaluation needs them, and each EpsTable
+    evaluates the knot cells' Gauss nodes through cell_chunks.
     """
 
     def __init__(self, profiles: AuxProfiles):
@@ -106,16 +107,13 @@ class SplineSet:
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / dx
-        # rows u_0, v, w, each with the cubic first, and their derivatives'
-        # coefficients c * (3, 2, 1); PPoly adds the constant term to 0.0
-        # first, turning a value or a slope of -0.0 into +0.0
+        # rows u_0, v, w, each with the cubic first; PPoly adds the
+        # constant term to 0.0 first, turning a value or a slope of -0.0
+        # into +0.0
         c = np.stack((t / dx, (slope - dydx[:, :-1]) / dx - t, dydx[:, :-1],
                       y[:, :-1]), axis=1)
         c[:, 2:] += 0.0
-        self._dcoef = c[:, :3] * np.array([3.0, 2.0, 1.0])[:, None]
         self._coef = c
-        # not computed on import, where its LAPACK call adds 0.75 MB of RSS
-        self._rule = leggauss(GAUSS_ORDER)
 
     def _cell(self, r):
         # np.minimum(np.maximum(...)): np.clip's argument checks cost more
@@ -130,8 +128,10 @@ class SplineSet:
         return c[:, 3] + c[:, 2] * s + c[:, 1] * s2 + c[:, 0] * (s2 * s)
 
     def _slopes(self, i, s):
-        c = self._dcoef[:, :, i]
-        return c[:, 2] + c[:, 1] * s + c[:, 0] * (s * s)
+        # the derivative's coefficients c * (3, 2, 1), as PPoly's
+        # derivative() forms them
+        c = self._coef[:, :3, i]
+        return c[:, 2] + (c[:, 1] * 2.0) * s + (c[:, 0] * 3.0) * (s * s)
 
     @staticmethod
     def _z(fields, eps: float):
@@ -144,7 +144,7 @@ class SplineSet:
     def gauss_panels(self, lo: np.ndarray, hi: np.ndarray):
         """Gauss nodes and weights of the panels [lo, hi], panel by
         panel."""
-        x, w = self._rule
+        x, w = GAUSS_LEGENDRE
         h = 0.5 * (hi - lo)[:, None]
         return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 

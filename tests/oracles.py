@@ -3,9 +3,10 @@ grids, the product-trapezoid integral and the L^p and H^1 norms of a
 radial function, the weak (flux) and finite-difference strong forms of
 the operators, the translation-dilation profiles w_eta (criterion 06),
 the ansatz sampled on a grid and the pinned Newton refinement that
-starts from it (criterion 10), the paper's reduced-energy polynomial,
-the mu^3 probe at eps = 0, J(u) by grid quadrature, and the bubble's
-projection and dilation kernel."""
+starts from it (criterion 10), an ansatz row's integrals by adaptive
+quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
+eps = 0, J(u) by grid quadrature, and the bubble's projection and
+dilation kernel."""
 
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -21,7 +25,7 @@ from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
 from bn6.errors import NearSingularError, NotConvergedError
 from bn6.grid import (MIN_CELLS, RadialFn, RadialGrid, _finish,
                       differentiate, hat_moments, make_core_grid,
-                      rescale_grid)
+                      rescale_grid, sphere_area)
 from bn6.operators import OperatorSpec, assemble
 from bn6.reduction import (C2, PAPER_MU3_RATIO, EpsTable, SplineSet,
                            _row_integrals, _sign_crossing, case1_parameters)
@@ -159,6 +163,57 @@ def fd_residual_norm(v: RadialFn, lam: float) -> float:
     vals = apply_operator(op, v) - np.abs(v.values) * v.values
     vals[-1] = 0.0
     return lp_norm(RadialFn.from_values(v.grid, vals), 1.5)
+
+
+def row_integrals_by_quad(profiles: AuxProfiles, eps: float,
+                          mu: float) -> tuple[float, float, float]:
+    """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, J(z)) of the
+    ansatz row (eps, mu) at lam = lam_0 + eps, each by scipy's adaptive
+    quad over [0, 1].  Breakpoints: the sign change of V, mu {1/2, 1, 2,
+    4, 8, 16} and the knots, where z'' jumps.  z and z' come from scipy's
+    CubicHermiteSpline of the profiles, -Delta z - lam z from the source
+    identity, and every integrand is the plain difference of the
+    functionals: no panels, no table, no expanded cubic."""
+    fns = (profiles.u0, profiles.v, profiles.w)
+    x = profiles.grid.nodes
+    cubic = CubicHermiteSpline(x, np.stack([f.values for f in fns], 1),
+                               np.stack([f.derivative for f in fns], 1))
+    slope, powers = cubic.derivative(), (1.0, eps, eps ** 2)
+    lam, c = profiles.lam0 + eps, boundary_trace(mu)
+
+    def fields(r):
+        values = cubic(r)
+        u0, v, w = values
+        u = talenti_u(r, mu)
+        z, dz = values @ powers, slope(r) @ powers
+        source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
+        return u, z, dz, z - (u - c), dz - talenti_du(r, mu), source
+
+    def j(f, df):
+        return 0.5 * df ** 2 - 0.5 * lam * f ** 2 - abs(f) ** 3 / 3.0
+
+    def gap(r):
+        _, z, dz, V, dV, _ = fields(r)
+        return (j(V, dV) - j(z, dz)) * r ** 5
+
+    def residual(r):
+        u, _, _, V, _, source = fields(r)
+        return abs(source - u ** 2 + lam * (u - c) - abs(V) * V) ** 1.5 * r ** 5
+
+    def base(r):
+        _, z, dz, *_ = fields(r)
+        return j(z, dz) * r ** 5
+
+    crossing = brentq(lambda r: fields(r)[3], mu, 0.999, xtol=1e-15)
+    points = np.sort(np.concatenate(
+        ([crossing], mu * np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+         x[1:-1])))
+    # full_output returns quad's roundoff notes instead of warning
+    gap_, resid, base_ = (
+        sphere_area(6) * quad(f, 0.0, 1.0, points=points, limit=4 * len(x),
+                              epsabs=1e-14, epsrel=1e-14, full_output=1)[0]
+        for f in (gap, residual, base))
+    return gap_, resid ** (2.0 / 3.0), base_
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from numpy.testing import assert_array_max_ulp
 from scipy.integrate import quad
 
 from bn6.bubbles import (
     ALPHA6,
+    GAUSS_LEGENDRE,
+    GAUSS_ORDER,
     ball_integral_u,
     ball_integral_u2,
     ball_integral_u3,
@@ -58,6 +62,32 @@ def test_scaling_covariance():
         lhs = talenti_u(r, mu)
         rhs = mu ** -2.0 * talenti_u(r / mu, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def test_gauss_legendre_rule_is_leggauss():
+    # numpy's eigensolve-and-Newton rule stays the oracle of the literals,
+    # which are its bits where they were read; another host's LAPACK may
+    # round its eigenvalues differently by an ulp
+    nodes, weights = leggauss(GAUSS_ORDER)
+    assert_array_max_ulp(GAUSS_LEGENDRE[0], nodes, maxulp=1)
+    assert_array_max_ulp(GAUSS_LEGENDRE[1], weights, maxulp=1)
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_23():
+    # host-independent: the rule is literals, and fsum rounds once
+    x, w = GAUSS_LEGENDRE
+    assert GAUSS_LEGENDRE.shape == (2, GAUSS_ORDER)
+    assert not GAUSS_LEGENDRE.flags.writeable
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    ulp = np.finfo(float).eps
+    assert abs(math.fsum(w) - 2.0) <= 2.0 * ulp
+    for k in range(2 * GAUSS_ORDER):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x ** k) - exact) <= 4.0 * ulp, k
+    # x^24 is the first power a 12-point rule misses
+    assert abs(math.fsum(w * x ** 24) - 2.0 / 25.0) > 1e-8
 
 
 def test_bubble_rejects_bad_mu():

@@ -741,7 +741,8 @@ kernels = [callable(getattr(module, name, None)) for module, name in
 codes = [bn6.cli.main(argv.split() + ["--out", sys.argv[1]])
          for argv in sys.argv[2:]]
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-         "scipy.sparse", "scipy.linalg", "scipy._lib", "numpy.ma")
+         "scipy.sparse", "scipy.linalg", "scipy._lib", "numpy.ma",
+         "numpy.polynomial")
 print(codes, kernels, [name for name in heavy if name in sys.modules])
 """
 
@@ -776,7 +777,8 @@ def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
 
 def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
     # limits fits its tails and ansatz-check builds its splines on numpy
-    # alone, and neither loads numpy.ma (np.unique would)
+    # alone, and neither loads numpy.ma (np.unique would) or
+    # numpy.polynomial (leggauss would)
     cfg = tmp_path / "short.cfg"
     cfg.write_text("a_end = 256\n")
     assert _footprint(str(tmp_path), f"limits --N 3 --m 1 --config {cfg}",
@@ -786,7 +788,7 @@ def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
 
 def test_certify_and_expansion_load_no_scipy(tmp_path):
     # with limits above, every benchmarked command runs on numpy alone,
-    # without numpy.ma
+    # without numpy.ma or numpy.polynomial
     assert _footprint(str(tmp_path), "nondeg --grid-n 64",
                       "expansion-check") == (
         "[0, 0] [True, True, True, True] []")
@@ -848,7 +850,8 @@ def test_each_benchmarked_command_runs_only_its_layers(tmp_path, argv,
 
 def test_constants_loads_no_scipy(tmp_path):
     # d1 by quadrature runs on bn6's own Gauss-Legendre panels, so no
-    # command imports a scipy package
+    # command imports a scipy package; their rule is a literal, so no
+    # command loads numpy.polynomial either
     assert _footprint(str(tmp_path), "constants") == (
         "[0] [True, True, True, True] []")
     doc = _bn6_modules(str(tmp_path), "constants")

@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicHermiteSpline
 
 from bn6 import reduction
-from bn6.auxiliary import AuxProfiles
+from bn6.auxiliary import AuxProfiles, build_profiles
 from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
 from bn6.errors import (
     ConfigError,
@@ -27,6 +27,7 @@ from bn6.reduction import (
     PAPER_MU3_RATIO,
     QUAD_CHUNK,
     DEFAULT_EPS_MAGNITUDES,
+    TAU_MULTIPLIERS,
     EpsTable,
     SplineSet,
     case1_parameters,
@@ -35,6 +36,7 @@ from bn6.reduction import (
     residual_norm,
     tau_star,
     _base_energy,
+    _eps_rows,
     _mu_refined_edges,
     _panel_integral,
     _sign_crossing,
@@ -43,7 +45,7 @@ from bn6.serialize import record
 
 from oracles import (ansatz_on_grid, cubic_coefficient_probe, energy,
                      fd_residual_norm, project_bubble,
-                     reduced_energy_polynomial)
+                     reduced_energy_polynomial, row_integrals_by_quad)
 
 TAU_STAR_FROZEN = 0.04409647622292704
 
@@ -392,6 +394,50 @@ def test_expansion_check_peak_memory(profiles, expansion):
     finally:
         tracemalloc.stop()
     assert peak < 5.0 * 2 ** 20
+
+
+def test_spline_set_holds_one_coefficient_array(profiles):
+    # the cubics' coefficients (3 fields x 4 powers x n cells) and nothing
+    # node- or cell-sized beside them: the derivative's coefficients are
+    # formed as each evaluation needs them, and the Gauss rule is a
+    # module constant
+    n = len(profiles.grid.nodes) - 1
+    assert n == 4096
+    tracemalloc.start()
+    try:
+        S = SplineSet(profiles)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    coef_bytes = 3 * 4 * n * 8
+    assert S._coef.nbytes == coef_bytes
+    assert held <= coef_bytes + 64 * 2 ** 10
+
+
+@pytest.mark.parametrize("mag, t", [
+    (DEFAULT_EPS_MAGNITUDES[0], TAU_MULTIPLIERS[0]),
+    (DEFAULT_EPS_MAGNITUDES[4], 1.0),
+    (DEFAULT_EPS_MAGNITUDES[-1], TAU_MULTIPLIERS[-1]),
+], ids=["smallest-mu", "tau-star", "largest-mu"])
+def test_row_integrals_match_adaptive_quadrature(certificate, mag, t):
+    # On 64 knot cells, not the command's 4096: the oracle checks the
+    # panel quadrature of the profiles' cubics at any resolution, and wide
+    # knot cells leave the sign change of V inside a panel unless the
+    # panels split there.  Panels that do not split there miss J(V) - J(z)
+    # by 5.6e-11 to 4.7e-10 and the residual norm by up to 3.3e-6
+    # relative on these rows; split, the gaps measured at most 2.1e-12
+    # over all 40 default rows.  The residual's own zeros are kinks no
+    # panel splits at, so its bound is relative: measured at most 1.8e-7.
+    profiles = build_profiles(certificate, grid_n=64)
+    sign, tau = case1_parameters(profiles)
+    eps, mu = sign * mag, t * tau * mag
+    _, [(gap, resid, direct_gap, direct_z)] = _eps_rows(
+        SplineSet(profiles), eps, [mu])
+    gap_ref, resid_ref, base_ref = row_integrals_by_quad(profiles, eps, mu)
+    assert abs(direct_gap - gap_ref) <= 2e-11
+    assert abs(gap - gap_ref) <= 2e-11
+    assert abs(direct_z - base_ref) <= 1e-12
+    assert resid == pytest.approx(resid_ref, rel=5e-7, abs=0.0)
 
 
 def test_assemble_z_splines_follow_their_profiles():
