@@ -38,8 +38,8 @@ from .shooting import Lambda0Certificate, Trajectory
 
 @dataclass(frozen=True, eq=False)
 class AuxProfiles:
-    """Ground state and the two auxiliary profiles on a shared grid, and
-    the certificate's trajectory of u_0 (None for tabulated profiles)."""
+    """Ground state and the two auxiliary profiles on a shared grid, the
+    certificate's u_0 trajectory and Newton step (None, nan if tabulated)."""
 
     dimension: int
     lam0: float
@@ -48,6 +48,7 @@ class AuxProfiles:
     v: RadialFn = field(repr=False)
     w: RadialFn = field(repr=False)
     trajectory: Trajectory | None = field(default=None, repr=False)
+    newton_step: float = field(default=math.nan, repr=False)
 
     @property
     def grid(self) -> RadialGrid:
@@ -83,7 +84,7 @@ def build_profiles(certificate: Lambda0Certificate,
         u0.grid, v.values + np.sign(u0.values) * v.values ** 2))
     return AuxProfiles(certificate.dimension, certificate.lam0,
                        certificate.amplitude, u0, v, w,
-                       certificate.trajectory)
+                       certificate.trajectory, certificate.newton_step)
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,8 @@ class NondegeneracyReport:
     nu_1(sector 0) + l(l+N-2) > lam_0 takes over, making the finite scan
     exhaustive (cutoff_certified).  hessian_witness is Delta u_0(0) =
     -(lam_0 u_0(0) + u_0(0)^2), strictly negative iff the center is a
-    non-degenerate maximum.  survey carries the critical-level enumeration,
-    which finds the center as the one point the construction uses.
+    non-degenerate maximum.  origin_value_gap is the certificate's |delta|.
+    survey is the critical-level enumeration; it finds the center alone.
     """
 
     dimension: int
@@ -239,7 +240,6 @@ def essential_nondegeneracy(profiles: AuxProfiles,
     comparison_l = next((l for l in range(1, l_max + 1)
                          if nu1 + l * (l + N - 2) > lam0), -1)
     u00 = float(profiles.u0.values[0])
-    witness = -(lam0 * u00 + u00 ** 2)
     return NondegeneracyReport(
         dimension=N,
         lam0=lam0,
@@ -248,7 +248,7 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         min_gap=float(min(gaps)),
         comparison_l=comparison_l,
         cutoff_certified=comparison_l > 0,
-        hessian_witness=witness,
-        origin_value_gap=abs(u00 - 0.5 * lam0),
+        hessian_witness=-(lam0 * u00 + u00 ** 2),
+        origin_value_gap=abs(profiles.newton_step),
         survey=survey_concentration_points(profiles, coarse_v0=coarse_v0),
     )

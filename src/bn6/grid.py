@@ -64,9 +64,8 @@ def hat_moments(nodes: np.ndarray, p: int) -> np.ndarray:
 class RadialGrid:
     """Node set on [0, R] with exact product-trapezoid weights.
 
-    The constructors in this module build unit-ball grids (R = 1);
-    rescale_grid produces the dilated copy on [0, R] used when a
-    concentrating profile is solved in its own core variable.
+    The constructors in this module build unit-ball grids (R = 1); no
+    command builds another (rescale_grid's copies serve tests only).
 
     Attributes
     ----------
@@ -152,14 +151,9 @@ def make_core_grid(dimension: int, scale: float, h_over_scale: float = 1.0 / 50.
 
 
 def rescale_grid(grid: RadialGrid, factor: float) -> RadialGrid:
-    """Dilated copy of the grid, nodes r -> factor * r.
-
-    Quadrature weights pick up factor^N, so volume integrals transform
-    consistently.  Used to pose a concentrated problem in its core
-    variable y = r / mu, where amplitudes and spacings are O(1) and the
-    flux differences of the discrete Laplacian do not cancel
-    catastrophically.
-    """
+    """Dilated copy of the grid, nodes r -> factor * r, weights times
+    factor^N.  No command calls it: it serves the Newton refinement of
+    the test oracles, and the benchmark's tracer names it."""
     if factor <= 0.0:
         raise ValueError(f"factor must be positive, got {factor}")
     return RadialGrid(grid.dimension, grid.nodes * factor,

@@ -29,9 +29,9 @@ Z_m(mu) a^{-2/(N-2)}.  At N = 6 that reads mu = lam / a, the relation
 
     lam_0 = 2 Z_1(2)^2
 
-from a single IVP.  The certificate then solves the Dirichlet problem
-at lam_0 in the original variables, independently of the dilation, and
-records the matching residuals of both readings of the relation.
+from a single IVP.  The certificate checks it in the original variables
+by one Newton step of u(1) = 0 in the amplitude from a = lam_0/2
+(find_lambda0).
 
 Every IVP runs on this module's own DOP853 loop, `solve_ivp`: Hairer's
 dop853 tableau with scipy's step control and event location,
@@ -49,6 +49,7 @@ in the IVP's noise band).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Callable
@@ -59,6 +60,7 @@ import numpy as np
 from . import roots
 from .errors import (
     BlowUpBeforeOneError,
+    NearSingularError,
     NoSignChangeError,
     NotConvergedError,
     RadialModeViolationError,
@@ -74,6 +76,12 @@ SIGN_TOL = 1e-10  # |u| below SIGN_TOL * ||u||_inf counts as zero
 R_MAX = 10.0
 # the amplitudes solve_bvp scans for a matching sign change
 AMP_BRACKET = (1e-2, 1e8)
+# find_lambda0 refuses |psi(1)| < PSI_FLOOR and gap > GAP_BOUND.  u(1)'s
+# IVP error, 1.2e-11 (against rtol 1e-13), over |psi(1)| >= PSI_FLOOR moves
+# gap by at most 2.4e-9.  GAP_BOUND is the tests' and the benchmark's
+# bound; lam_0 reads 2.6e-10, lam_0 + 1e-6 7.5e-6.
+PSI_FLOOR = 1e-2
+GAP_BOUND = 1e-8
 
 
 def critical_exponent(dimension: int) -> float:
@@ -553,6 +561,7 @@ class ShootResult:
     lam: float
     # set by shoot; shoot_to_zero's samples (a traced branch's shots) keep none
     trajectory: Trajectory | None = field(default=None, repr=False)
+    ivp: IVPResult | None = field(default=None, repr=False)
 
 
 def _integrate(dimension: int, lam: float, a: float, r_end: float,
@@ -607,7 +616,7 @@ def shoot(dimension: int, lam: float, amplitude: float,
                                    amplitude, p)
     profile = trajectory(profile_grid(dimension, amplitude, grid_n))
     return ShootResult(profile, sol.y_end[0], float(amplitude), float(lam),
-                       trajectory)
+                       trajectory, sol)
 
 
 def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> RadialGrid:
@@ -651,8 +660,7 @@ def nodal_count(f: RadialFn) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
-    """One solution on an m-region radial branch.  solve_bvp's points
-    keep their matched shot's trajectory; trace_branch's keep none."""
+    """One solution on an m-region radial branch."""
 
     dimension: int
     lam: float
@@ -661,7 +669,16 @@ class BranchPoint:
     residual: float
     grid_n: int
     profile: RadialFn = field(repr=False)
-    trajectory: Trajectory | None = field(default=None, repr=False)
+
+
+def _branch_point(dimension: int, res: ShootResult, m: int) -> BranchPoint:
+    """res on the m-region branch; other nodal counts raise."""
+    regions = nodal_count(res.profile)
+    if regions != m:
+        raise NotConvergedError(f"profile has {regions} regions, wanted {m}")
+    residual = abs(res.boundary_value) / np.max(np.abs(res.profile.values))
+    return BranchPoint(dimension, res.lam, res.amplitude, m, float(residual),
+                       res.profile.grid.n_cells, res.profile)
 
 
 def solve_bvp(dimension: int, lam: float, m: int,
@@ -688,67 +705,76 @@ def solve_bvp(dimension: int, lam: float, m: int,
 
     lo, hi = math.log(AMP_BRACKET[0]), math.log(AMP_BRACKET[1])
     # geometric scan for a sign change of psi (decreasing in a)
-    xs = np.linspace(lo, hi, 49)
-    prev_x, prev_f = None, None
-    bracket = None
-    for x in xs:
-        fx = psi(x)
-        if prev_f is not None and prev_f > 0.0 >= fx:
-            bracket = (prev_x, x)
-            break
-        prev_x, prev_f = x, fx
+    xs = np.linspace(lo, hi, 49).tolist()
+    bracket = next(((x0, x1) for x0, x1 in zip(xs, xs[1:])
+                    if psi(x0) > 0.0 >= psi(x1)), None)
     if bracket is None:
         raise NoSignChangeError(
             f"no m={m} matching amplitude in {AMP_BRACKET} at lam={lam}")
     xstar = brentq(psi, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
-    a = math.exp(xstar)
-    res = shoot(dimension, lam, a, grid_n=grid_n)
-    residual = abs(res.boundary_value) / np.max(np.abs(res.profile.values))
-    regions = nodal_count(res.profile)
-    if regions != m:
-        raise NotConvergedError(
-            f"matched profile has {regions} regions, wanted {m}")
-    return BranchPoint(dimension, float(lam), a, m, float(residual),
-                       res.profile.grid.n_cells, res.profile, res.trajectory)
+    return _branch_point(dimension,
+                         shoot(dimension, lam, math.exp(xstar), grid_n), m)
+
+
+def _psi_at_1(shot: ShootResult) -> float:
+    """psi(1) of psi = du/da along an N = 6 shot of u (linear, so with no
+    trust region): psi'' + 5/r psi' + (lam + 2|u|) psi = 0, u from the
+    shot's dense output, started at its r0 on the series psi = 1 + c_a r^2,
+    c_a = dc/da = -(lam + 2a)/12 (`_series`)."""
+    u, rs, last = shot.ivp.sol, shot.ivp.rs, len(shot.ivp.steps) - 1
+
+    def rhs(r, psi, dpsi):
+        # u on the step that holds r, by _DenseOutput.__call__'s rule
+        k = min(max(bisect.bisect_left(rs, r) - 1, 0), last)
+        return (dpsi, -5.0 / r * dpsi
+                - (shot.lam + 2.0 * abs(u.at(k, r, 0))) * psi)
+
+    c_a, r0 = -(shot.lam + 2.0 * shot.amplitude) / 12.0, rs[0]
+    return solve_ivp(rhs, r0, 1.0, (1.0 + c_a * r0 ** 2, 2.0 * c_a * r0),
+                     math.inf).y_end[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Lambda0Certificate:
-    """Certificate for the self-consistent parameter 2 max u = lam.
-
-    gap is |2 u(0) - lam_0|; gap_alt is the halved reading |u(0) - lam_0/2|.
-    The branch's trajectory is u_0's one integration, which grids sample.
-    """
+    """Certificate for the self-consistent parameter 2 max u = lam
+    (find_lambda0).  branch is the shot of u from amplitude = lam_0/2, its
+    trajectory u_0's one integration, which grids sample."""
 
     dimension: int
     lam0: float
     amplitude: float
     gap: float
-    gap_alt: float
+    newton_step: float
+    psi_at_1: float
     branch: BranchPoint = field(repr=False)
-
-    @property
-    def trajectory(self) -> Trajectory:
-        return self.branch.trajectory
+    trajectory: Trajectory = field(repr=False)
 
 
 def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
-    """Solve 2 a(lam) = lam along the positive branch.
+    """Solve 2 a(lam) = lam along the positive branch, and check it.
 
-    By the critical dilation (module docstring) the solution is
-    lam_0 = 2 Z_1(2)^2, with Z_1(2) the first zero of the trajectory with
-    phi(0) = 1 at lam = 2: one IVP.  The branch point at lam_0 is then
-    matched by solve_bvp in the original variables, so gap checks the
-    dilation route.  Only at N = 6 do u(0) and lam scale alike under the
-    dilation; any other dimension raises RadialModeViolationError.
+    lam_0 = 2 Z_1(2)^2 by the critical dilation (module docstring): one
+    IVP.  Two more check it: u from a = lam_0/2 and psi = du/da along it.
+    To second order delta = -u(1)/psi(1) is the distance from a of
+    the amplitude that matches u(1) = 0, so gap = 2|delta| is
+    |2 u(0) - lam_0| there, with condition number 1/|psi(1)|.  Only at
+    N = 6 do u(0) and lam scale alike under the dilation; other
+    dimensions raise RadialModeViolationError.
     """
     if dimension != 6:
         raise RadialModeViolationError(
             f"2u(0) = lambda_0 is specific to N = 6, got N = {dimension}")
     z = shoot_to_zero(6, 2.0, 1.0, 1)[0]
     lam0 = 2.0 * z * z
-    branch = solve_bvp(dimension, lam0, 1, grid_n=grid_n)
-    u0 = branch.amplitude
-    return Lambda0Certificate(dimension, float(lam0), float(u0),
-                              abs(2.0 * u0 - lam0), abs(u0 - 0.5 * lam0),
-                              branch)
+    shot = shoot(6, lam0, 0.5 * lam0, grid_n)
+    psi1 = _psi_at_1(shot)
+    if not abs(psi1) >= PSI_FLOOR:
+        raise NearSingularError(f"psi(1) = {psi1:.3e} at lam0={lam0!r}, "
+                                f"below {PSI_FLOOR:g}")
+    delta = -shot.boundary_value / psi1
+    if not 2.0 * abs(delta) <= GAP_BOUND:
+        raise NotConvergedError(f"lam0={lam0!r} is not 2 u(0): Newton step "
+                                f"{delta:.3e}, gap above {GAP_BOUND:g}")
+    return Lambda0Certificate(6, float(lam0), shot.amplitude, 2.0 * abs(delta),
+                              delta, psi1, _branch_point(6, shot, 1),
+                              shot.trajectory)

@@ -5,8 +5,9 @@ the operators, the translation-dilation profiles w_eta (criterion 06),
 the ansatz sampled on a grid and the pinned Newton refinement that
 starts from it (criterion 10), an ansatz row's integrals by adaptive
 quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
-eps = 0, J(u) by grid quadrature, and the bubble's projection and
-dilation kernel."""
+eps = 0, J(u) by grid quadrature, the bubble's projection and
+dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, and
+the N = 6, m = 2 branch tail in Emden-Fowler variables."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
@@ -214,6 +215,72 @@ def row_integrals_by_quad(profiles: AuxProfiles, eps: float,
                               epsabs=1e-14, epsrel=1e-14, full_output=1)[0]
         for f in (gap, residual, base))
     return gap_, resid ** (2.0 / 3.0), base_
+
+
+# lambda_0 = 2 Z_1(2)^2 by mpmath's Taylor method at 20 digits
+# (test_lambda0_matches_mpmath)
+LAMBDA0_MPMATH = 22.469107870741982642
+
+
+def amplitude_derivative_shot(lam: float, a: float) -> tuple:
+    """(u, u', psi, psi') at r = 1 of the N = 6 radial equation
+    u'' + 5/r u' + lam u + |u| u = 0 from u(0) = a, with psi = du/da in
+    the same steps: psi'' + 5/r psi' + (lam + 2|u|) psi = 0, psi(0) = 1.
+    One scipy DOP853 shot of the four components (rtol 1e-12, atol
+    1e-14), started at r0 = 1e-4 on the regular series of u to r^4 and
+    its a-derivative."""
+    c = -(lam * a + abs(a) * a) / 12.0
+    d = -(lam + 2.0 * abs(a)) * c / 32.0
+    c_a = -(lam + 2.0 * abs(a)) / 12.0
+    d_a = -(2.0 * math.copysign(1.0, a) * c + (lam + 2.0 * abs(a)) * c_a) / 32.0
+    r0 = 1e-4
+
+    def rhs(r, y):
+        u, du, psi, dpsi = y
+        return [du, -5.0 / r * du - lam * u - abs(u) * u,
+                dpsi, -5.0 / r * dpsi - (lam + 2.0 * abs(u)) * psi]
+
+    y0 = [a + c * r0 ** 2 + d * r0 ** 4, 2.0 * c * r0 + 4.0 * d * r0 ** 3,
+          1.0 + c_a * r0 ** 2 + d_a * r0 ** 4,
+          2.0 * c_a * r0 + 4.0 * d_a * r0 ** 3]
+    sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-14)
+    return tuple(float(y) for y in sol.y[:, -1])
+
+
+def branch_tail_ratio(mu: float, rtol: float) -> tuple:
+    """(a, lam, eps, mu_b/|eps|) of the N = 6, m = 2 radial branch point
+    of dilation parameter mu, from one scipy DOP853 shot (atol 1e-14).
+
+    phi'' + 5/s phi' + mu phi + |phi| phi = 0, phi(0) = 1, is integrated
+    in its Emden-Fowler form w = s^2 phi, t = ln s:
+    w'' = 4w - mu e^{2t} w - |w| w, from s0 = 1e-3 on the regular series
+    to the second zero Z_2 of w.  By the critical dilation the branch
+    point is a = Z_2^2, lam = mu Z_2^2; eps = lam - lambda_0 and
+    mu_b = sqrt(24/(a + lambda_0/2)), with lambda_0 = LAMBDA0_MPMATH."""
+    s0 = 1e-3
+    c = -(mu + 1.0) / 12.0
+    d = -(mu + 2.0) * c / 32.0
+    phi = 1.0 + c * s0 ** 2 + d * s0 ** 4
+    dphi = 2.0 * c * s0 + 4.0 * d * s0 ** 3
+    # w = s^2 phi and dw/dt = s dw/ds = 2 s^2 phi + s^3 phi'
+    w0 = [s0 ** 2 * phi, 2.0 * s0 ** 2 * phi + s0 ** 3 * dphi]
+
+    def rhs(t, y):
+        w, dw = y
+        return [dw, 4.0 * w - mu * math.exp(2.0 * t) * w - abs(w) * w]
+
+    def zero(t, y):
+        return y[0]
+    zero.terminal = 2
+
+    sol = solve_ivp(rhs, (math.log(s0), 60.0), w0, method="DOP853",
+                    rtol=rtol, atol=1e-14, events=zero)
+    z2 = math.exp(sol.t_events[0][1])
+    a, lam = z2 ** 2, mu * z2 ** 2
+    eps = lam - LAMBDA0_MPMATH
+    mu_b = math.sqrt(24.0 / (a + 0.5 * LAMBDA0_MPMATH))
+    return a, lam, eps, mu_b / abs(eps)
 
 
 @dataclass(frozen=True, eq=False)

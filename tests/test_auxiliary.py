@@ -33,14 +33,17 @@ MIN_GAP_FROZEN = 4.1104750029379069
 HESSIAN_FROZEN = -378.64560638396387
 
 
-def test_profile_structure(profiles):
+def test_profile_structure(profiles, certificate):
     assert profiles.dimension == 6
     assert profiles.amplitude == pytest.approx(profiles.lam0 / 2.0, abs=1e-8)
     assert profiles.u0.values[0] == pytest.approx(profiles.amplitude,
                                                   rel=1e-12)
     assert np.all(profiles.u0.values[:-1] > 0.0)
-    # the boundary value inherits the shooting residual of u_0, nothing more
-    assert abs(profiles.u0.values[-1]) < 1e-12
+    # the boundary value is the shot's u(1) from a = lam_0/2, which the
+    # certificate's Newton step accounts for, within the IVP's own error
+    assert profiles.u0.values[-1] == pytest.approx(
+        -certificate.newton_step * certificate.psi_at_1, rel=1e-12)
+    assert abs(profiles.u0.values[-1]) < 1e-11
     assert profiles.v.values[-1] == 0.0
     assert profiles.w.values[-1] == 0.0
     assert profiles.v0 == pytest.approx(V0_FROZEN, rel=1e-8)
@@ -239,3 +242,13 @@ def test_nondegeneracy_report(profiles, profiles_coarse):
     assert d["lambda0"] == rep.lam0
     assert d["min_gap"] == rep.min_gap
     assert d["cutoff_certified"] is True
+
+
+def test_origin_value_gap_is_the_certificates_newton_step(certificate,
+                                                          profiles):
+    # u_0(0) is lam_0/2 itself; the gap is how far the amplitude that
+    # matches u(1) = 0 lies from it, |delta|, and that is not 0
+    rep = essential_nondegeneracy(profiles, l_max=0)
+    assert profiles.u0.values[0] == 0.5 * profiles.lam0
+    assert rep.origin_value_gap > 0.0
+    assert rep.origin_value_gap == certificate.gap / 2.0

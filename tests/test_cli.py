@@ -451,15 +451,15 @@ def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
     # u0 on every grid is sampled from the certificate's shot
     assert counts == {"build_profiles": 1, "solve_dirichlet": 3,
                       "assemble": 29, "eigvalsh_tridiagonal": 57,
-                      "solve_ivp": 24}
+                      "solve_ivp": 3}
 
 
 @pytest.mark.parametrize("argv", [("nondeg",), ("nondeg", "--grid-n", "64"),
                                   ("aux-solve",), ("expansion-check",)])
 def test_u0_is_integrated_once(tmp_path, monkeypatch, argv):
-    # the certificate's 24 IVPs (Z_1(2), then solve_bvp's scan, root and
-    # matched shot) are all there are: the profiles and the half grid of
-    # 2 v(0) - 1 sample the matched shot, at any --grid-n
+    # the certificate's 3 IVPs (Z_1(2), then u from lam_0/2 and psi = du/da
+    # along it) are all there are: the profiles and the half grid of
+    # 2 v(0) - 1 sample the certificate's shot of u, at any --grid-n
     calls = []
 
     def counted(*args, **kwargs):
@@ -468,7 +468,7 @@ def test_u0_is_integrated_once(tmp_path, monkeypatch, argv):
     solve_ivp = shooting.solve_ivp
     monkeypatch.setattr(shooting, "solve_ivp", counted)
     assert run(*argv, "--out", str(tmp_path)) == 0
-    assert len(calls) == 24
+    assert len(calls) == 3
 
 
 def test_every_artifact_reaches_the_writer_as_one_str(tmp_path,
@@ -620,6 +620,31 @@ def test_ansatz_check_artifacts(tmp_path):
     assert run("ansatz-check", "--out", str(out)) == 0
     for name, data in first.items():
         assert read(out / name) == data
+
+
+def test_ansatz_check_is_the_sweeps_central_rows(tmp_path):
+    # ansatz-check writes the documented 8-row subset of expansion-check:
+    # its rows are, as text, the (eps, mu_bar, residual) cells of the
+    # sweep's tau-multiplier-1.0 rows, and its tau* and residual exponent
+    # are the fit's
+    ans, exp = tmp_path / "ans", tmp_path / "exp"
+    assert run("ansatz-check", "--grid-n", "256", "--out", str(ans)) == 0
+    assert run("expansion-check", "--grid-n", "256", "--out", str(exp)) == 0
+
+    def rows(path):
+        lines = path.read_text().splitlines()
+        return [ln for ln in lines if not ln.startswith("#")][1:]
+
+    mults = bn6.reduction.TAU_MULTIPLIERS
+    sweep = rows(exp / "expansion_check.csv")[mults.index(1.0)::len(mults)]
+    central = [",".join(cells[i] for i in (0, 1, 5))
+               for cells in (row.split(",") for row in sweep)]
+    assert len(central) == 8
+    assert rows(ans / "ansatz_check.csv") == central
+    fit = json.loads(read(exp / "expansion_fit.json"))
+    subset = json.loads(read(ans / "ansatz_check.json"))
+    assert subset["tau_star"] == fit["tau_star"]
+    assert subset["residual_exponent"] == fit["residual_exponent"]
 
 
 @dataclass(frozen=True)

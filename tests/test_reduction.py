@@ -12,7 +12,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from bn6 import reduction
 from bn6.auxiliary import AuxProfiles, build_profiles
-from bn6.bubbles import boundary_trace, d1_closed_form, d2_value
+from bn6.bubbles import boundary_trace, constants, d1_closed_form, d2_value
 from bn6.errors import (
     ConfigError,
     RadialModeViolationError,
@@ -43,9 +43,10 @@ from bn6.reduction import (
 )
 from bn6.serialize import record
 
-from oracles import (ansatz_on_grid, cubic_coefficient_probe, energy,
-                     fd_residual_norm, project_bubble,
-                     reduced_energy_polynomial, row_integrals_by_quad)
+from oracles import (ansatz_on_grid, branch_tail_ratio,
+                     cubic_coefficient_probe, energy, fd_residual_norm,
+                     project_bubble, reduced_energy_polynomial,
+                     row_integrals_by_quad)
 
 TAU_STAR_FROZEN = 0.04409647622292704
 
@@ -471,7 +472,8 @@ def test_assemble_ansatz_structure(profiles):
     z0 = profiles.u0.values[0] + eps * profiles.v0 + eps ** 2 * profiles.w0
     expect0 = z0 - 24.0 / mu ** 2 + boundary_trace(mu)
     assert v[0] == pytest.approx(expect0, rel=1e-10)
-    assert abs(v[-1]) < 1e-12
+    # boundary: c(mu) cancels U(1) and v, w vanish, so V(1) is u_0(1)
+    assert v[-1] == pytest.approx(profiles.u0.values[-1], abs=1e-15)
     # exactly one sign change, at the crossing radius
     keep = np.abs(v) > 1e-12 * np.max(np.abs(v))
     signs = np.sign(v[keep])
@@ -571,6 +573,23 @@ def test_cubic_coefficient_probe(profiles):
     assert probe["tail_exponent"] > 3.0
     assert abs(probe["extrapolation_spread"]) < 5e-3 * abs(
         probe["mu3_coefficient"])
+
+
+@pytest.mark.parametrize("mu", [1e-8, 1e-9])
+def test_branch_tail_realises_the_derived_mu3_rate(profiles, mu):
+    # far out on the N = 6, m = 2 radial branch, mu_b = sqrt(24/(a +
+    # lam_0/2)) and eps = lam - lam_0 < 0 approach mu_b/|eps| -> the
+    # minimiser 2A/(3 |MU3_RATIO| d2) of the derived reduced energy, with
+    # A = d1 |1/2 - v(0)|, and not the paper's 6A/(11 d2) = tau*; the
+    # branch comes from an Emden-Fowler scipy shot, A and d2 from bn6
+    c = constants(0.5 * profiles.lam0)
+    A = c.d1 * abs(0.5 - profiles.v0)
+    target = 2.0 * A / (3.0 * abs(MU3_RATIO) * c.d2)
+    paper = tau_star(A, c.d2)
+    _, _, eps, ratio = branch_tail_ratio(mu, 3e-14)
+    assert eps < 0.0
+    assert ratio == pytest.approx(target, rel=0.01)
+    assert abs(ratio - paper) > 0.3 * paper
 
 
 def test_expansion_check_report(profiles, expansion):

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
-from bn6 import shooting
-from bn6.errors import BlowUpBeforeOneError, BN6Error, NoSignChangeError
+from bn6 import cli, shooting
+from bn6.errors import (BlowUpBeforeOneError, BN6Error, NearSingularError,
+                        NoSignChangeError)
 from bn6.grid import RadialFn
 from bn6.shooting import (
     BranchPoint,
@@ -23,7 +24,7 @@ from bn6.shooting import (
     solve_bvp,
 )
 
-from oracles import fnl, h1_norm, newton_refine
+from oracles import amplitude_derivative_shot, fnl, h1_norm, newton_refine
 
 LAMBDA0_FROZEN = 22.469107870851314
 
@@ -410,11 +411,58 @@ def test_lambda0_certificate(certificate):
     assert 0.0 < certificate.lam0 < lam1
     assert certificate.lam0 == pytest.approx(LAMBDA0_FROZEN, rel=1e-8)
     assert certificate.gap <= 1e-8
-    assert certificate.gap_alt <= 1e-8
     assert certificate.branch.nodal_count == 1
     assert certificate.branch.residual <= 1e-6
     assert certificate.amplitude == pytest.approx(certificate.lam0 / 2.0,
                                                   abs=1e-8)
+
+
+def test_certificate_psi_matches_scipy(certificate):
+    # psi = du/da at r = 1 from the certificate's two shots against one
+    # scipy shot of (u, u', psi, psi') in the same steps
+    psi1 = amplitude_derivative_shot(certificate.lam0,
+                                     certificate.amplitude)[2]
+    assert certificate.psi_at_1 == pytest.approx(psi1, rel=1e-6)
+    assert certificate.gap == 2.0 * abs(certificate.newton_step) > 0.0
+    assert certificate.amplitude == 0.5 * certificate.lam0
+
+
+def test_certificate_refuses_a_perturbed_lambda0(certificate, monkeypatch,
+                                                 tmp_path, capsys):
+    # at lam_0 + 1e-6 the Newton step from lam/2 lands on solve_bvp's
+    # matched amplitude (the step converges quadratically), and its gap,
+    # far above GAP_BOUND, makes the lambda0 command exit 2
+    z = math.sqrt(0.5 * (certificate.lam0 + 1e-6))
+    lam = 2.0 * z * z
+    shot = shoot(6, lam, 0.5 * lam, 2048)
+    delta = -shot.boundary_value / shooting._psi_at_1(shot)
+    assert 2.0 * abs(delta) > 1e-6
+    assert shot.amplitude + delta == pytest.approx(
+        solve_bvp(6, lam, 1).amplitude, rel=1e-11)
+    monkeypatch.setattr(shooting, "shoot_to_zero", lambda *args: (z, None))
+    assert cli.main(["lambda0", "--out", str(tmp_path)]) == 2
+    assert "NotConvergedError" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_certificate_refuses_psi_below_its_floor(monkeypatch):
+    # |psi(1)| = 0.028: a floor above it reads as a singular linearization
+    monkeypatch.setattr(shooting, "PSI_FLOOR", 0.03)
+    with pytest.raises(NearSingularError, match="psi"):
+        find_lambda0(6)
+
+
+def test_find_lambda0_makes_three_ivps(monkeypatch):
+    # Z_1(2), then u from (lam_0, lam_0/2) and psi along it: no scan
+    calls = []
+    ivp = shooting.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ivp(*args, **kwargs)
+    monkeypatch.setattr(shooting, "solve_ivp", counted)
+    find_lambda0(6)
+    assert len(calls) == 3
 
 
 def test_find_lambda0_requires_n6():
