@@ -8,14 +8,16 @@ the finite-dimensional expansion:
     L w = v + sgn(u_0) v^2,
 
 both radial with Dirichlet boundary, on grids that sample u_0 from the
-lambda_0 certificate's own shot.  Essential non-degeneracy of u_0 is
-the statement that lam_0 keeps a positive distance from the Dirichlet
-spectrum of -Delta - 2|u_0| in every angular sector; sectors l with
+lambda_0 certificate's own shot, and solved with one guarded
+factorization of L.  Essential non-degeneracy of u_0 is the statement
+that lam_0 keeps a positive distance from the Dirichlet spectrum of
+-Delta - 2|u_0| in every angular sector; sectors l with
 
     nu_1(-Delta_0 - 2|u_0|) + l (l + N - 2) > lam_0
 
 cannot close the gap because 1/r^2 >= 1 on the ball, so only finitely
 many sectors need an eigensolve and the cutoff is certified, not assumed.
+nu_1 is the first entry of sector 0's Sturm bracket of lam_0, which gives its gap.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from . import DEFAULT_L_MAX
 from .grid import MIN_CELLS, RadialFn, RadialGrid, make_grid
 from .operators import (
     OperatorSpec,
+    assemble,
+    dirichlet_solver,
     min_singular_value,
-    sector_eigenvalues,
     solve_dirichlet,
 )
 from .shooting import Lambda0Certificate, Trajectory
@@ -75,12 +78,12 @@ def _linearized(u0: RadialFn, lam0: float) -> OperatorSpec:
 def build_profiles(certificate: Lambda0Certificate,
                    grid_n: int = 4096) -> AuxProfiles:
     """u_0 sampled from the certificate's trajectory on a uniform grid of
-    grid_n cells, and v, w solved there: L v = u_0, then
-    L w = v + sgn(u_0) v^2."""
+    grid_n cells, and v, w solved there with one guarded factorization of
+    L: L v = u_0, then L w = v + sgn(u_0) v^2."""
     u0 = certificate.trajectory(make_grid(certificate.dimension, grid_n))
-    op = _linearized(u0, certificate.lam0)
-    v = solve_dirichlet(op, u0)
-    w = solve_dirichlet(op, RadialFn.from_values(
+    solve = dirichlet_solver(assemble(_linearized(u0, certificate.lam0)))
+    v = solve(u0)
+    w = solve(RadialFn.from_values(
         u0.grid, v.values + np.sign(u0.values) * v.values ** 2))
     return AuxProfiles(certificate.dimension, certificate.lam0,
                        certificate.amplitude, u0, v, w,
@@ -229,14 +232,13 @@ def essential_nondegeneracy(profiles: AuxProfiles,
     half = profiles.grid.n_cells // 2
     if half >= MIN_CELLS:
         u0 = profiles.trajectory(make_grid(N, half))
-        coarse_v0 = float(solve_dirichlet(_linearized(u0, lam0),
-                                          u0).values[0])
+        coarse_v0 = float(solve_dirichlet(_linearized(u0, lam0), u0).values[0])
     q = profiles.linearized_potential()
-    nu1 = float(sector_eigenvalues(profiles.grid, 0, 1, potential=q)[0])
-    gaps = []
-    for l in range(l_max + 1):
-        op = OperatorSpec(profiles.grid, sector=l, lam=lam0, potential=q)
-        gaps.append(min_singular_value(op))
+    sector0 = assemble(OperatorSpec(profiles.grid, lam=lam0, potential=q))
+    nu1 = float(sector0.nearest(lam0)[0])
+    gaps = [sector0.min_singular(lam0)] + [min_singular_value(
+        OperatorSpec(profiles.grid, sector=l, lam=lam0, potential=q))
+        for l in range(1, l_max + 1)]
     comparison_l = next((l for l in range(1, l_max + 1)
                          if nu1 + l * (l + N - 2) > lam0), -1)
     u00 = float(profiles.u0.values[0])

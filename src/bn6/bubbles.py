@@ -137,8 +137,14 @@ def d1_quadrature() -> float:
 
 
 def d2_value(u_center: float) -> float:
-    """d_2 = alpha_6^{3/2} omega_6 |u(xi_0)|^{3/2}."""
-    return ALPHA6 ** 1.5 * sphere_area(N6) * abs(u_center) ** 1.5
+    """d_2 = alpha_6^{3/2} omega_6 |u(xi_0)|^{3/2}; ValueError if not finite."""
+    try:
+        d2 = ALPHA6 ** 1.5 * sphere_area(N6) * abs(u_center) ** 1.5
+    except OverflowError:
+        d2 = math.inf
+    if not math.isfinite(d2):
+        raise ValueError(f"d_2 is not finite at u_center = {u_center!r}")
+    return d2
 
 
 @dataclass(frozen=True)

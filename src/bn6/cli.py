@@ -224,13 +224,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         cfg = replace(cfg, **parse_config_file(args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    cfg = replace(cfg, **{key: value for key, value in flags.items()
+                          if value is not None})
     # reject what a solver would refuse only after the solves before it
     if cfg.fit_min_points < MIN_TAIL_POINTS:
         raise ConfigError(f"fit_min_points must be >= {MIN_TAIL_POINTS}, "
@@ -288,12 +284,8 @@ def _profiles(cfg: RunConfig):
 
 
 def cmd_constants(cfg: RunConfig, prov: dict) -> None:
-    if cfg.lam is not None:
-        u_center = 0.5 * cfg.lam
-    else:
-        u_center = 0.5 * find_lambda0(cfg.dimension).lam0
-    _write_json(cfg, prov, "constants.json",
-                record(bubbles.constants(u_center)))
+    lam = find_lambda0(cfg.dimension).lam0 if cfg.lam is None else cfg.lam
+    _write_json(cfg, prov, "constants.json", record(bubbles.constants(0.5 * lam)))
 
 
 def cmd_ground_state(cfg: RunConfig, prov: dict) -> None:

@@ -15,13 +15,14 @@ the profile vanishes at r = 0.  A Dirichlet condition u(1) = 0 is
 imposed at the outer boundary throughout.
 
 Operators of interest have the shifted Schroedinger form
-L = -Delta_l - lam - q(r); `min_singular_value` measures the distance
-from lam to the Dirichlet spectrum of -Delta_l - q in the lumped-mass
-inner product.  It is the one spectral-distance routine: it guards the
-Dirichlet solves and gives the sector gaps of the non-degeneracy report.
-It needs only the two eigenvalues that bracket lam, found by Sturm-count
-bisection (LAPACK stebz) on the symmetric pencil, never the full
-spectrum.
+L = -Delta_l - lam - q(r).  `_Assembled.nearest` is the one Sturm bracket
+of lam: the Dirichlet eigenvalues of -Delta_l - q (lumped-mass inner
+product) up to the first above lam, found by Sturm-count bisection
+(LAPACK stebz) on the symmetric pencil, never the full spectrum, once
+per operator and lam.  Its distance to lam (`min_singular_value`) guards
+the Dirichlet solves and gives the sector gaps of the non-degeneracy
+report; its first entry is the lowest eigenvalue.  `dirichlet_solver`
+guards and factorizes an operator once for any number of solves.
 """
 
 from __future__ import annotations
@@ -125,15 +126,16 @@ class _Assembled:
         k_left = np.concatenate(([0.0], k))    # stiffness of the cell left of node i
         k_right = np.concatenate((k, [0.0]))   # and right of node i
         diag_full = k_left + k_right + cent_full - masses_full * qvals
-        diag = diag_full[idx]
-        # coupling between unknown nodes i and i+1 is the stiffness of cell i
-        upper = -k[idx[:-1]]
 
         self.op = op
         self.idx = idx
-        self.diag = diag
-        self.upper = upper
+        self.diag = diag_full[idx]
+        # coupling between unknown nodes i and i+1 is the stiffness of cell i
+        self.upper = -k[idx[:-1]]
         self.masses = masses_full[idx]
+        sm = np.sqrt(self.masses)
+        self._pencil = (self.diag / self.masses, self.upper / (sm[:-1] * sm[1:]))
+        self._brackets = {}
 
     def shifted(self, lam: float):
         """diag/upper of A0 - lam M."""
@@ -141,8 +143,7 @@ class _Assembled:
 
     def pencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the symmetric form M^{-1/2} A0 M^{-1/2}."""
-        sm = np.sqrt(self.masses)
-        return self.diag / self.masses, self.upper / (sm[:-1] * sm[1:])
+        return self._pencil
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """Lowest `count` eigenvalues of A0 z = nu M z."""
@@ -176,29 +177,28 @@ class _Assembled:
 
         return solve
 
-    def min_singular(self, lam: float) -> float:
-        """Distance from lam to the pencil spectrum, by Sturm bisection.
+    def nearest(self, lam: float) -> np.ndarray:
+        """The pencil's eigenvalues up to the first above lam, ascending,
+        by Sturm bisection at STURM_TOL, once per lam: those in the window
+        (below the Gershgorin bound, lam], whose number k is the Sturm count
+        of A0 - lam M, then eigenvalue k.  The window's lower end stays
+        strictly below lam, since stebz rejects an empty interval."""
+        if lam not in self._brackets:
+            window = (min(-self.scale(), lam) - 1.0, lam)
+            below = eigvalsh_tridiagonal(*self._pencil, "v", window, STURM_TOL)
+            k = len(below)
+            above = below[:0] if k == len(self.diag) else eigvalsh_tridiagonal(
+                *self._pencil, "i", (k, k), STURM_TOL)
+            self._brackets[lam] = np.concatenate((below, above))
+        return self._brackets[lam]
 
-        The eigenvalues in the window (below the Gershgorin bound, lam]
-        come first; their number k is the Sturm count of A0 - lam M, so
-        the nearest eigenvalue above lam is eigenvalue k.  The window's
-        lower end stays strictly below lam, since stebz rejects an empty
-        interval.
-        """
-        d, e = self.pencil()
-        below = eigvalsh_tridiagonal(
-            d, e, select="v", select_range=(min(-self.scale(), lam) - 1.0, lam),
-            tol=STURM_TOL)
-        k = len(below)
-        nearest = list(below[-1:])
-        if k < len(d):
-            nearest += list(eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k),
-                                                 tol=STURM_TOL))
-        return float(min(abs(nu - lam) for nu in nearest))
+    def min_singular(self, lam: float) -> float:
+        """Distance from lam to the pencil spectrum (`nearest`)."""
+        return float(np.min(np.abs(self.nearest(lam) - lam)))
 
     def scale(self) -> float:
         """Gershgorin-type magnitude of the pencil, for singularity thresholds."""
-        d, e = self.pencil()
+        d, e = self._pencil
         e = np.abs(e)
         rad = np.abs(d)
         rad[:-1] += e
@@ -210,52 +210,52 @@ def assemble(op: OperatorSpec) -> _Assembled:
     return _Assembled(op)
 
 
-def solve_dirichlet(op: OperatorSpec, g: RadialFn) -> RadialFn:
-    """Solve L u = g with u(1) = 0 (and the sector origin condition).
-
-    Raises NearSingularError when lam sits within NEAR_SINGULAR_RTOL x scale
-    of the sector spectrum, and NotConvergedError when the normwise backward
-    error ||b - A x|| / (||A|| ||x|| + ||b||) (infinity norms; Rigal and
-    Gaches) exceeds BACKWARD_ERROR_TOL, which, unlike a relative residual,
-    does not grow with the conditioning of the grid.
-    """
-    if g.grid is not op.grid:
-        raise ValueError("rhs grid does not match operator grid")
-    asm = assemble(op)
+def dirichlet_solver(asm: _Assembled):
+    """Guard and factorize L = asm.op once; returns solve(g), the solution
+    of L u = g with u(1) = 0 (and the sector origin condition).  Raises
+    NearSingularError when lam sits within NEAR_SINGULAR_RTOL x scale of
+    the sector spectrum.  Each solve raises ValueError for g on another
+    grid, and NotConvergedError when the normwise backward error
+    ||b - A x|| / (||A|| ||x|| + ||b||) (infinity norms; Rigal and Gaches)
+    exceeds BACKWARD_ERROR_TOL, which, unlike a relative residual, does not
+    grow with the conditioning of the grid."""
+    op = asm.op
     sigma = asm.min_singular(op.lam)
     if sigma < NEAR_SINGULAR_RTOL * asm.scale():
         raise NearSingularError(
             f"sector {op.sector}: lam={op.lam} within {sigma:.3e} of spectrum")
-    solve = asm.factor(op.lam)
-    rhs = asm.masses * g.values[asm.idx]
-    x = solve(rhs)
+    factored = asm.factor(op.lam)
     d, u = asm.shifted(op.lam)
-    res = d * x
-    res[:-1] += u * x[1:]
-    res[1:] += u * x[:-1]
-    res -= rhs
-    au = np.abs(u)
-    anorm = np.max(np.abs(d) + np.append(au, 0.0) + np.append(0.0, au))
-    rnorm = np.max(np.abs(res))
-    bound = anorm * np.max(np.abs(x)) + np.max(np.abs(rhs))
-    if not rnorm <= BACKWARD_ERROR_TOL * bound:
-        raise NotConvergedError(f"linear solve backward error {rnorm / bound:.3e}")
-    full = np.zeros(len(op.grid.nodes))
-    full[asm.idx] = x
-    return RadialFn.from_values(op.grid, full, regular_origin=(op.sector == 0))
+    anorm = np.max(np.abs(d) + np.append(np.abs(u), 0.0) + np.append(0.0, np.abs(u)))
+
+    def solve(g: RadialFn) -> RadialFn:
+        if g.grid is not op.grid:
+            raise ValueError("rhs grid does not match operator grid")
+        rhs = asm.masses * g.values[asm.idx]
+        x = factored(rhs)
+        res = d * x
+        res[:-1] += u * x[1:]
+        res[1:] += u * x[:-1]
+        res -= rhs
+        rnorm = np.max(np.abs(res))
+        bound = anorm * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        if not rnorm <= BACKWARD_ERROR_TOL * bound:
+            raise NotConvergedError(f"linear solve backward error {rnorm / bound:.3e}")
+        full = np.zeros(len(op.grid.nodes))
+        full[asm.idx] = x
+        return RadialFn.from_values(op.grid, full, regular_origin=(op.sector == 0))
+
+    return solve
+
+
+def solve_dirichlet(op: OperatorSpec, g: RadialFn) -> RadialFn:
+    """Solve L u = g once (`dirichlet_solver`)."""
+    return dirichlet_solver(assemble(op))(g)
 
 
 def min_singular_value(op: OperatorSpec) -> float:
-    """Distance from lam to the sector spectrum of -Delta_l - q
-    (`_Assembled.min_singular`)."""
+    """Distance from lam to the sector spectrum of -Delta_l - q."""
     return assemble(op).min_singular(op.lam)
-
-
-def sector_eigenvalues(grid: RadialGrid, sector: int, count: int,
-                       potential: object = None) -> np.ndarray:
-    """Lowest `count` Dirichlet eigenvalues of -Delta_l - q on B_1."""
-    asm = assemble(OperatorSpec(grid, sector=sector, lam=0.0, potential=potential))
-    return asm.eigenvalues(count=count)
 
 
 def dirichlet_eigenvalue(dimension: int, index: int = 1,
@@ -264,6 +264,6 @@ def dirichlet_eigenvalue(dimension: int, index: int = 1,
     from grids with n and 2n cells."""
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
-    coarse = sector_eigenvalues(make_grid(dimension, n), 0, index)[index - 1]
-    fine = sector_eigenvalues(make_grid(dimension, 2 * n), 0, index)[index - 1]
+    coarse, fine = (assemble(OperatorSpec(make_grid(dimension, cells)))
+                    .eigenvalues(index)[index - 1] for cells in (n, 2 * n))
     return float((4.0 * fine - coarse) / 3.0)

@@ -18,7 +18,7 @@ from bn6.grid import make_grid
 from bn6.operators import (
     OperatorSpec,
     _Assembled,
-    sector_eigenvalues,
+    assemble,
     solve_dirichlet,
 )
 from bn6.serialize import record
@@ -194,7 +194,8 @@ def test_w_eta_input_validation(profiles):
 
 def test_sector_spectrum_monotone(profiles):
     q = profiles.linearized_potential()
-    spec = np.vstack([sector_eigenvalues(profiles.grid, l, 3, potential=q)
+    spec = np.vstack([assemble(OperatorSpec(profiles.grid, sector=l,
+                                            potential=q)).eigenvalues(3)
                       for l in range(6)])
     assert spec.shape == (6, 3)
     assert np.all(np.diff(spec, axis=1) > 0.0)  # sorted within a sector
@@ -242,6 +243,30 @@ def test_nondegeneracy_report(profiles, profiles_coarse):
     assert d["lambda0"] == rep.lam0
     assert d["min_gap"] == rep.min_gap
     assert d["cutoff_certified"] is True
+
+
+def test_cutoff_nu1_is_the_lowest_sector_0_eigenvalue(profiles, monkeypatch):
+    # comparison_l reads nu_1 as the first entry of sector 0's Sturm bracket
+    # of lam_0, bisected at STURM_TOL, and the bracket is computed once; the
+    # head eigensolve bisects at stebz's default tolerance, so the two agree
+    # to the looser one
+    brackets = []
+    nearest = _Assembled.nearest
+
+    def recorded(self, lam):
+        bracket = nearest(self, lam)
+        if self.op.grid is profiles.grid and self.op.sector == 0:
+            brackets.append(bracket)
+        return bracket
+    monkeypatch.setattr(_Assembled, "nearest", recorded)
+    rep = essential_nondegeneracy(profiles, l_max=2)
+    assert len(brackets) == 2 and brackets[0] is brackets[1]
+    nu1 = brackets[0][0]
+    q = profiles.linearized_potential()
+    head = assemble(OperatorSpec(profiles.grid, potential=q)).eigenvalues(1)[0]
+    assert nu1 == pytest.approx(head, rel=1e-8)
+    assert rep.comparison_l == next(l for l in (1, 2)
+                                    if nu1 + l * (l + 4) > rep.lam0)
 
 
 def test_origin_value_gap_is_the_certificates_newton_step(certificate,

@@ -207,6 +207,25 @@ def test_overflowing_lambda_exits_3(tmp_path, capsys):
     assert "is not finite" in line and "lam=1e+300" in line
 
 
+@pytest.mark.parametrize("lam", ["1e204", "1e250"])
+def test_overflowing_d2_exits_3(tmp_path, capsys, lam):
+    # d_2 ~ |lam/2|^{3/2} is inf at 1e204 and overflows the power itself
+    # at 1e250: both are refused by a message that names u_center, and
+    # nothing is written
+    out = tmp_path / "out"
+    assert run("constants", "--lambda", lam, "--out", str(out)) == 3
+    line = _config_error_line(capsys)
+    assert "d_2 is not finite" in line
+    assert f"u_center = {0.5 * float(lam)!r}" in line
+    assert not out.exists()
+
+
+def test_largest_d2_is_written(tmp_path):
+    assert run("constants", "--lambda", "1e200", "--out", str(tmp_path)) == 0
+    doc = json.loads(read(tmp_path / "constants.json"))
+    assert doc["d2"] == 1.2889067175316161e+303
+
+
 def test_overflowing_amplitude_exits_3(tmp_path, capsys):
     # at N = 3 the series term |a|^4 a is past the float range for
     # a > 1.3e77: the start is refused by a message that names a
@@ -428,30 +447,54 @@ def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
     assert err < abs(survey["two_v_minus_one"])
 
 
-def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
-    # the error bar of 2 v(0) - 1 needs v on half the cells, solved alone:
-    # one profile set, and one Dirichlet solve (two Sturm eigensolves, one
-    # assembly) beside the full grid's v and w
+def _counter(monkeypatch):
+    """(counts, count): count(holder, name) counts the calls of holder.name
+    under counts[name]."""
     counts = Counter()
 
-    def count(module, name):
-        fn = getattr(module, name)
+    def count(holder, name):
+        fn = getattr(holder, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(holder, name, counted)
 
+    return counts, count
+
+
+def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
+    # the error bar of 2 v(0) - 1 needs v on half the cells, solved alone:
+    # one profile set, and one Dirichlet solve (two Sturm eigensolves, one
+    # assembly) beside the full grid's one solver for v and w (the same);
+    # each of the 25 sectors is one assembly and one Sturm bracket of lam_0
+    # (two eigensolves), and sector 0's bracket also gives nu_1
+    counts, count = _counter(monkeypatch)
     count(auxiliary, "build_profiles")
     count(auxiliary, "solve_dirichlet")
+    count(auxiliary, "assemble")
     count(operators, "assemble")
     count(operators, "eigvalsh_tridiagonal")
     count(shooting, "solve_ivp")
     assert run("nondeg", "--out", str(tmp_path)) == 0
     # u0 on every grid is sampled from the certificate's shot
-    assert counts == {"build_profiles": 1, "solve_dirichlet": 3,
-                      "assemble": 29, "eigvalsh_tridiagonal": 57,
+    assert counts == {"build_profiles": 1, "solve_dirichlet": 1,
+                      "assemble": 27, "eigvalsh_tridiagonal": 54,
                       "solve_ivp": 3}
+
+
+@pytest.mark.parametrize("command", ["aux-solve", "expansion-check"])
+def test_v_and_w_share_one_guarded_factorization(tmp_path, monkeypatch,
+                                                 command):
+    # L is assembled, bracketed (two Sturm eigensolves) and factorized once
+    # for both v and w
+    counts, count = _counter(monkeypatch)
+    count(auxiliary, "assemble")
+    count(operators, "assemble")
+    count(operators, "eigvalsh_tridiagonal")
+    count(operators._Assembled, "factor")
+    assert run(command, "--out", str(tmp_path)) == 0
+    assert counts == {"assemble": 1, "eigvalsh_tridiagonal": 2, "factor": 1}
 
 
 @pytest.mark.parametrize("argv", [("nondeg",), ("nondeg", "--grid-n", "64"),

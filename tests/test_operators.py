@@ -21,7 +21,6 @@ from bn6.operators import (
     assemble,
     dirichlet_eigenvalue,
     min_singular_value,
-    sector_eigenvalues,
     solve_dirichlet,
 )
 
@@ -54,15 +53,15 @@ def test_higher_radial_eigenvalues_n6():
 def test_sector_eigenvalues_n6(sector, order):
     # sector l shifts the Bessel order to N/2 - 1 + l; Richardson from
     # n = 512 and 1024 cells, as dirichlet_eigenvalue extrapolates sector 0
-    coarse, fine = (sector_eigenvalues(make_grid(6, n), sector, 1)[0]
-                    for n in (512, 1024))
+    coarse, fine = (assemble(OperatorSpec(make_grid(6, n), sector=sector))
+                    .eigenvalues(1)[0] for n in (512, 1024))
     got = (4.0 * fine - coarse) / 3.0
     assert got == pytest.approx(jn_zeros(order, 1)[0] ** 2, rel=1e-9)
 
 
 def test_sector_eigenvalues_sorted_and_counted():
     g = make_grid(6, 256)
-    vals = sector_eigenvalues(g, 0, 5)
+    vals = assemble(OperatorSpec(g)).eigenvalues(5)
     assert len(vals) == 5
     assert np.all(np.diff(vals) > 0)
 
@@ -211,7 +210,7 @@ def test_solve_then_weak_apply_round_trip(n, dim, sector, ratio, depth, width,
 
 def test_near_singular_raises():
     g = make_grid(6, 256)
-    nu1 = sector_eigenvalues(g, 0, 1)[0]
+    nu1 = assemble(OperatorSpec(g)).eigenvalues(1)[0]
     one = RadialFn.from_values(g, np.ones(len(g.nodes)))
     with pytest.raises(NearSingularError):
         solve_dirichlet(OperatorSpec(g, lam=float(nu1)), one)
@@ -220,7 +219,7 @@ def test_near_singular_raises():
 def test_min_singular_value_matches_spectrum():
     g = make_grid(6, 256)
     lam = 10.0
-    vals = sector_eigenvalues(g, 0, 4)
+    vals = assemble(OperatorSpec(g)).eigenvalues(4)
     expect = float(np.min(np.abs(vals - lam)))
     assert min_singular_value(OperatorSpec(g, lam=lam)) == pytest.approx(expect, rel=1e-9)
     asm = assemble(OperatorSpec(g, lam=lam))
@@ -335,7 +334,7 @@ def test_failed_stebz_raises_not_converged(monkeypatch):
         return 0, np.zeros(len(d)), None, None, 1
     monkeypatch.setattr(operators, "dstebz", stebz)
     with pytest.raises(NotConvergedError):
-        sector_eigenvalues(make_grid(6, 64), 0, 3)
+        assemble(OperatorSpec(make_grid(6, 64))).eigenvalues(3)
     with pytest.raises(NotConvergedError):
         min_singular_value(OperatorSpec(make_grid(6, 64), lam=10.0))
 
