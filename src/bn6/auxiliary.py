@@ -1,17 +1,18 @@
 """Auxiliary linear profiles and non-degeneracy certificates.
 
 Around the ground state u_0 at the self-consistent parameter lam_0, the
-linearized operator is L = -Delta - lam_0 - 2|u_0|.  Two profiles feed
-the finite-dimensional expansion:
+linearized operator is L = -Delta - lam_0 - 2|u_0|.  Two radial profiles
+with Dirichlet boundary feed the finite-dimensional expansion:
 
-    L v = u_0,
-    L w = v + sgn(u_0) v^2,
+    L v = u_0,    L w = v + sgn(u_0) v^2.
 
-both radial with Dirichlet boundary, on grids that sample u_0 from the
-lambda_0 certificate's own shot, and solved with one guarded
-factorization of L.  Essential non-degeneracy of u_0 is the statement
-that lam_0 keeps a positive distance from the Dirichlet spectrum of
--Delta - 2|u_0| in every angular sector; sectors l with
+No matrix gives them.  At N = 6 the critical scaling u -> s^2 u(s .)
+gives L (u_0 + r u_0'/2) = lam_0 u_0, and L psi = 0 for the certificate's
+psi = du/da, so v is (u_0 + r u_0'/2)/lam_0 plus the multiple of psi
+that makes v(1) = 0, and w one forced linear shot plus a multiple of psi.
+Essential non-degeneracy of u_0 is the statement that lam_0 keeps a
+positive distance from the Dirichlet spectrum of -Delta - 2|u_0| in
+every angular sector; sectors l with
 
     nu_1(-Delta_0 - 2|u_0|) + l (l + N - 2) > lam_0
 
@@ -28,21 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import DEFAULT_L_MAX
-from .grid import MIN_CELLS, RadialFn, RadialGrid, make_grid
-from .operators import (
-    OperatorSpec,
-    assemble,
-    dirichlet_solver,
-    min_singular_value,
-    solve_dirichlet,
-)
-from .shooting import Lambda0Certificate, Trajectory
+from .grid import RadialFn, RadialGrid, make_grid
+from .operators import OperatorSpec, assemble, min_singular_value
+from .shooting import Lambda0Certificate, linear_shot
+
+# E: a stated bound on the IVP error of the end values u_0(1), u_0'(1) and
+# psi(1) of the certificate's shots; against an rtol 3e-14 shot they are
+# off by 1.2e-11, 1.1e-11 and 2.4e-12, which a test checks
+END_VALUE_ERROR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class AuxProfiles:
     """Ground state and the two auxiliary profiles on a shared grid, the
-    certificate's u_0 trajectory and Newton step (None, nan if tabulated)."""
+    certificate's Newton step and psi(1) (nan if tabulated)."""
 
     dimension: int
     lam0: float
@@ -50,8 +50,8 @@ class AuxProfiles:
     u0: RadialFn = field(repr=False)
     v: RadialFn = field(repr=False)
     w: RadialFn = field(repr=False)
-    trajectory: Trajectory | None = field(default=None, repr=False)
     newton_step: float = field(default=math.nan, repr=False)
+    psi_at_1: float = field(default=math.nan, repr=False)
 
     @property
     def grid(self) -> RadialGrid:
@@ -69,25 +69,36 @@ class AuxProfiles:
         return 2.0 * np.abs(self.u0.values)
 
 
-def _linearized(u0: RadialFn, lam0: float) -> OperatorSpec:
-    """L = -Delta - lam0 - 2|u_0| in sector 0 on u_0's grid."""
-    return OperatorSpec(u0.grid, sector=0, lam=lam0,
-                        potential=2.0 * np.abs(u0.values))
-
-
 def build_profiles(certificate: Lambda0Certificate,
                    grid_n: int = 4096) -> AuxProfiles:
-    """u_0 sampled from the certificate's trajectory on a uniform grid of
-    grid_n cells, and v, w solved there with one guarded factorization of
-    L: L v = u_0, then L w = v + sgn(u_0) v^2."""
-    u0 = certificate.trajectory(make_grid(certificate.dimension, grid_n))
-    solve = dirichlet_solver(assemble(_linearized(u0, certificate.lam0)))
-    v = solve(u0)
-    w = solve(RadialFn.from_values(
-        u0.grid, v.values + np.sign(u0.values) * v.values ** 2))
-    return AuxProfiles(certificate.dimension, certificate.lam0,
-                       certificate.amplitude, u0, v, w,
-                       certificate.trajectory, certificate.newton_step)
+    """u_0 and psi sampled from the certificate's shots on a uniform grid of
+    grid_n cells; v = (u_0 + r u_0'/2)/lam_0 + alpha psi, with u_0'' in v'
+    from the equation and alpha = -(u_0(1) + u_0'(1)/2)/(lam_0 psi(1)); and
+    w = w_p + beta psi, w_p the linear shot of L w_p = v + sgn(u_0) v^2 from
+    w_p(0) = 0 and beta = -w_p(1)/psi(1)."""
+    lam0, u, psi = certificate.lam0, certificate.trajectory, certificate.psi
+    grid = make_grid(certificate.dimension, grid_n)
+    u0, psi_g = u(grid), psi(grid)
+    u1, du1 = u.ivp.y_end
+    alpha = -(u1 + 0.5 * du1) / (lam0 * certificate.psi_at_1)
+    r, f, df = grid.nodes, u0.values, u0.derivative
+    v = RadialFn(grid, (f + 0.5 * r * df) / lam0 + alpha * psi_g.values,
+                 -(df + 0.5 * r * (lam0 + np.abs(f)) * f) / lam0
+                 + alpha * psi_g.derivative)
+
+    def forcing(r, u_r):
+        v_r = (u_r + 0.5 * r * u.ivp.at(r, 1)) / lam0 + alpha * psi.ivp.at(r, 0)
+        return v_r + math.copysign(v_r * v_r, u_r)
+
+    v0 = float(v.values[0])  # u_0(0) = lam_0/2 > 0
+    w_p = linear_shot(u, lam0, (0.0, -(v0 + v0 * v0) / 12.0), forcing)
+    beta = -w_p.ivp.y_end[0] / certificate.psi_at_1
+    wp_g = w_p(grid)
+    w = RadialFn(grid, wp_g.values + beta * psi_g.values,
+                 wp_g.derivative + beta * psi_g.derivative)
+    return AuxProfiles(certificate.dimension, lam0, certificate.amplitude,
+                       u0, v, w, certificate.newton_step,
+                       certificate.psi_at_1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,10 @@ class ConcentrationSurvey:
     """Critical-level survey of u_0 plus the scalar 2 v(0) - 1 report.
 
     essential is the verdict that the union of the two level sets is
-    nonempty; two_v_minus_one carries a grid-refinement error bar when a
-    coarse-grid value of v(0) is supplied (conservative: the full coarse-
-    to-fine difference, about three times the Richardson error estimate).
+    nonempty.  two_v_minus_one = 2 alpha = -(2 u_0(1) + u_0'(1))/(lam_0
+    psi(1)) (`build_profiles`), and two_v_error is the first-order
+    propagation through it of an error END_VALUE_ERROR in each of u_0(1),
+    u_0'(1) and psi(1) (nan for tabulated profiles).
     """
 
     lam0: float
@@ -139,9 +151,7 @@ def _classify_case(v_value: float, dv_dr: float) -> int:
     return 0
 
 
-def survey_concentration_points(profiles: AuxProfiles,
-                                coarse_v0: float | None = None,
-                                ) -> ConcentrationSurvey:
+def survey_concentration_points(profiles: AuxProfiles) -> ConcentrationSurvey:
     """Enumerate critical points of u_0 on the levels +-lam_0/2.
 
     Radially the candidates are the center plus any interior zero of u_0';
@@ -182,17 +192,9 @@ def survey_concentration_points(profiles: AuxProfiles,
                 ))
 
     two_v = 2.0 * profiles.v0 - 1.0
-    if coarse_v0 is None:
-        err = math.nan
-    else:
-        err = 2.0 * abs(profiles.v0 - coarse_v0)
-    return ConcentrationSurvey(
-        lam0=lam0,
-        points=tuple(points),
-        two_v_minus_one=two_v,
-        two_v_error=err,
-        essential=bool(points),
-    )
+    e = END_VALUE_ERROR
+    err = (3.0 * e + abs(two_v) * lam0 * e) / (lam0 * abs(profiles.psi_at_1))
+    return ConcentrationSurvey(lam0, tuple(points), two_v, err, bool(points))
 
 
 @dataclass(frozen=True)
@@ -223,16 +225,8 @@ class NondegeneracyReport:
 def essential_nondegeneracy(profiles: AuxProfiles,
                             l_max: int = DEFAULT_L_MAX,
                             ) -> NondegeneracyReport:
-    """Measure the spectral gap in each sector and certify the cutoff; give
-    2 v(0) - 1 the error bar of v solved alone on half the cells (none, nan,
-    below MIN_CELLS), u_0 there sampled from the profiles' trajectory."""
-    N = profiles.dimension
-    lam0 = profiles.lam0
-    coarse_v0 = None
-    half = profiles.grid.n_cells // 2
-    if half >= MIN_CELLS:
-        u0 = profiles.trajectory(make_grid(N, half))
-        coarse_v0 = float(solve_dirichlet(_linearized(u0, lam0), u0).values[0])
+    """Measure the spectral gap in each sector and certify the cutoff."""
+    N, lam0 = profiles.dimension, profiles.lam0
     q = profiles.linearized_potential()
     sector0 = assemble(OperatorSpec(profiles.grid, lam=lam0, potential=q))
     nu1 = float(sector0.nearest(lam0)[0])
@@ -252,5 +246,5 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         cutoff_certified=comparison_l > 0,
         hessian_witness=-(lam0 * u00 + u00 ** 2),
         origin_value_gap=abs(profiles.newton_step),
-        survey=survey_concentration_points(profiles, coarse_v0=coarse_v0),
+        survey=survey_concentration_points(profiles),
     )

@@ -22,10 +22,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 # auxiliary, bubbles, continuation and reduction are lazy (bn6/__init__.py):
-# each runs when a command first reads one of its names.  operators is
-# imported for its side effect: it loads LAPACK, which nondeg, limits and
-# expansion-check all need, so that a scipy without _flapack fails here and
-# names the directory searched.
+# each runs when a command first reads one of its names.  operators loads
+# LAPACK, which nondeg and limits need (no command solves a linear system),
+# so that a scipy without _flapack fails here and names the directory.
 from . import (
     DEFAULT_L_MAX,
     MIN_TAIL_POINTS,

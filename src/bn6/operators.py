@@ -19,10 +19,9 @@ L = -Delta_l - lam - q(r).  `_Assembled.nearest` is the one Sturm bracket
 of lam: the Dirichlet eigenvalues of -Delta_l - q (lumped-mass inner
 product) up to the first above lam, found by Sturm-count bisection
 (LAPACK stebz) on the symmetric pencil, never the full spectrum, once
-per operator and lam.  Its distance to lam (`min_singular_value`) guards
-the Dirichlet solves and gives the sector gaps of the non-degeneracy
-report; its first entry is the lowest eigenvalue.  `dirichlet_solver`
-guards and factorizes an operator once for any number of solves.
+per operator and lam.  Its distance to lam (`min_singular_value`) gives
+the sector gaps of the non-degeneracy report and guards the Dirichlet
+solve (`solve_dirichlet`); its first entry is the lowest eigenvalue.
 """
 
 from __future__ import annotations
@@ -210,47 +209,37 @@ def assemble(op: OperatorSpec) -> _Assembled:
     return _Assembled(op)
 
 
-def dirichlet_solver(asm: _Assembled):
-    """Guard and factorize L = asm.op once; returns solve(g), the solution
-    of L u = g with u(1) = 0 (and the sector origin condition).  Raises
+def solve_dirichlet(op: OperatorSpec, g: RadialFn) -> RadialFn:
+    """Solve L u = g with u(1) = 0 (and the sector origin condition); no
+    command solves, but the tests' FEM oracle of the profiles does and the
+    benchmark's tracer names it.  Raises ValueError for g on another grid,
     NearSingularError when lam sits within NEAR_SINGULAR_RTOL x scale of
-    the sector spectrum.  Each solve raises ValueError for g on another
-    grid, and NotConvergedError when the normwise backward error
+    the spectrum, and NotConvergedError when the normwise backward error
     ||b - A x|| / (||A|| ||x|| + ||b||) (infinity norms; Rigal and Gaches)
     exceeds BACKWARD_ERROR_TOL, which, unlike a relative residual, does not
     grow with the conditioning of the grid."""
-    op = asm.op
+    if g.grid is not op.grid:
+        raise ValueError("rhs grid does not match operator grid")
+    asm = assemble(op)
     sigma = asm.min_singular(op.lam)
     if sigma < NEAR_SINGULAR_RTOL * asm.scale():
         raise NearSingularError(
             f"sector {op.sector}: lam={op.lam} within {sigma:.3e} of spectrum")
-    factored = asm.factor(op.lam)
     d, u = asm.shifted(op.lam)
     anorm = np.max(np.abs(d) + np.append(np.abs(u), 0.0) + np.append(0.0, np.abs(u)))
-
-    def solve(g: RadialFn) -> RadialFn:
-        if g.grid is not op.grid:
-            raise ValueError("rhs grid does not match operator grid")
-        rhs = asm.masses * g.values[asm.idx]
-        x = factored(rhs)
-        res = d * x
-        res[:-1] += u * x[1:]
-        res[1:] += u * x[:-1]
-        res -= rhs
-        rnorm = np.max(np.abs(res))
-        bound = anorm * np.max(np.abs(x)) + np.max(np.abs(rhs))
-        if not rnorm <= BACKWARD_ERROR_TOL * bound:
-            raise NotConvergedError(f"linear solve backward error {rnorm / bound:.3e}")
-        full = np.zeros(len(op.grid.nodes))
-        full[asm.idx] = x
-        return RadialFn.from_values(op.grid, full, regular_origin=(op.sector == 0))
-
-    return solve
-
-
-def solve_dirichlet(op: OperatorSpec, g: RadialFn) -> RadialFn:
-    """Solve L u = g once (`dirichlet_solver`)."""
-    return dirichlet_solver(assemble(op))(g)
+    rhs = asm.masses * g.values[asm.idx]
+    x = asm.factor(op.lam)(rhs)
+    res = d * x
+    res[:-1] += u * x[1:]
+    res[1:] += u * x[:-1]
+    res -= rhs
+    rnorm = np.max(np.abs(res))
+    bound = anorm * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    if not rnorm <= BACKWARD_ERROR_TOL * bound:
+        raise NotConvergedError(f"linear solve backward error {rnorm / bound:.3e}")
+    full = np.zeros(len(op.grid.nodes))
+    full[asm.idx] = x
+    return RadialFn.from_values(op.grid, full, regular_origin=(op.sector == 0))
 
 
 def min_singular_value(op: OperatorSpec) -> float:

@@ -52,7 +52,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -393,6 +392,12 @@ class IVPResult:
             F[k] = coefficients
         return _DenseOutput(np.array(self.rs), self.steps, F)
 
+    def at(self, r: float, j: int) -> float:
+        """Component j of the dense solution at the point r, on Python
+        floats, on the step that holds r by _DenseOutput.__call__'s rule."""
+        k = bisect.bisect_left(self.rs, r) - 1
+        return self.sol.at(min(max(k, 0), len(self.steps) - 1), r, j)
+
 
 def _initial_step(rhs, r0, r_bound, y, f):
     """solve_ivp's first step (Solving ODEs I, II.4), with its numpy norms."""
@@ -549,8 +554,16 @@ def _event_root(piece, r_old, r_new):
                         xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
 
-# u and u' of one IVP on the nodes of any grid (`_sample`)
-Trajectory = Callable[[RadialGrid], RadialFn]
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """One IVP's y: at any r (`IVPResult.at`), and (y, y') on any grid, below
+    the start on the series a + c r^2 + d r^4, series = (a, c, d)."""
+
+    ivp: IVPResult
+    series: tuple
+
+    def __call__(self, grid: RadialGrid) -> RadialFn:
+        return _sample(self.ivp, self.ivp.rs[0], self.series, grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,12 +574,12 @@ class ShootResult:
     lam: float
     # set by shoot; shoot_to_zero's samples (a traced branch's shots) keep none
     trajectory: Trajectory | None = field(default=None, repr=False)
-    ivp: IVPResult | None = field(default=None, repr=False)
 
 
 def _integrate(dimension: int, lam: float, a: float, r_end: float,
                max_zeros: int | None = None):
-    """Integrate the IVP to r_end, or to the max_zeros-th zero of u.
+    """Integrate the IVP to r_end, or to the max_zeros-th zero of u; its
+    Trajectory, on the regular series (`_series`) below the start.
 
     Blow-up beyond BLOWUP_FACTOR x |a| raises BlowUpBeforeOneError (the
     radial energy  u'^2/2 + lam u^2/2 + F(u) decreases in r, so
@@ -585,18 +598,18 @@ def _integrate(dimension: int, lam: float, a: float, r_end: float,
                         BLOWUP_FACTOR * abs(a), max_zeros)
     except BlowUpBeforeOneError as exc:
         raise BlowUpBeforeOneError(f"{exc} (lam={lam}, a={a})") from None
-    return sol, r0, p
+    return Trajectory(sol, (a, *_series(dimension, lam, a, p)))
 
 
-def _sample(sol, r0: float, dimension: int, lam: float, a: float, p: float,
-            grid: RadialGrid) -> RadialFn:
-    """Evaluate the dense IVP solution on grid nodes, series below r0."""
+def _sample(sol, r0: float, series: tuple, grid: RadialGrid) -> RadialFn:
+    """Evaluate the dense IVP solution on grid nodes, below r0 the regular
+    series a + c r^2 + d r^4 of series = (a, c, d)."""
     r = grid.nodes
     vals = np.empty_like(r)
     derivs = np.empty_like(r)
     below = r < r0
     if np.any(below):
-        c, d = _series(dimension, lam, a, p)
+        a, c, d = series
         rb = r[below]
         vals[below] = a + c * rb ** 2 + d * rb ** 4
         derivs[below] = 2.0 * c * rb + 4.0 * d * rb ** 3
@@ -611,12 +624,10 @@ def shoot(dimension: int, lam: float, amplitude: float,
 
     Raises BlowUpBeforeOneError if the trajectory leaves the trust region.
     """
-    sol, r0, p = _integrate(dimension, lam, amplitude, 1.0)
-    trajectory = functools.partial(_sample, sol, r0, dimension, lam,
-                                   amplitude, p)
+    trajectory = _integrate(dimension, lam, amplitude, 1.0)
     profile = trajectory(profile_grid(dimension, amplitude, grid_n))
-    return ShootResult(profile, sol.y_end[0], float(amplitude), float(lam),
-                       trajectory, sol)
+    return ShootResult(profile, trajectory.ivp.y_end[0], float(amplitude),
+                       float(lam), trajectory)
 
 
 def profile_grid(dimension: int, amplitude: float, grid_n: int = 1024) -> RadialGrid:
@@ -636,15 +647,15 @@ def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int):
     lambda the zero lies within the IVP tolerance of r = 1; when it falls
     short, the last step's interpolant carries the profile the rest of
     the way."""
-    sol, r0, p = _integrate(dimension, lam, amplitude, R_MAX, max_zeros=m)
+    u = _integrate(dimension, lam, amplitude, R_MAX, max_zeros=m)
 
     def sample() -> ShootResult:
-        grid = profile_grid(dimension, amplitude)
-        profile = _sample(sol, r0, dimension, lam, amplitude, p, grid)
+        profile = u(profile_grid(dimension, amplitude))
         return ShootResult(profile, float(profile.values[-1]),
                            float(amplitude), float(lam))
 
-    return sol.zeros[m - 1] if len(sol.zeros) >= m else None, sample
+    zeros = u.ivp.zeros
+    return zeros[m - 1] if len(zeros) >= m else None, sample
 
 
 def nodal_count(f: RadialFn) -> int:
@@ -716,29 +727,30 @@ def solve_bvp(dimension: int, lam: float, m: int,
                          shoot(dimension, lam, math.exp(xstar), grid_n), m)
 
 
-def _psi_at_1(shot: ShootResult) -> float:
-    """psi(1) of psi = du/da along an N = 6 shot of u (linear, so with no
-    trust region): psi'' + 5/r psi' + (lam + 2|u|) psi = 0, u from the
-    shot's dense output, started at its r0 on the series psi = 1 + c_a r^2,
-    c_a = dc/da = -(lam + 2a)/12 (`_series`)."""
-    u, rs, last = shot.ivp.sol, shot.ivp.rs, len(shot.ivp.steps) - 1
+def linear_shot(u: Trajectory, lam: float, series: tuple,
+                forcing=None) -> Trajectory:
+    """One linear shot along an N = 6 trajectory u (linear, so with no
+    trust region): y'' + 5/r y' + (lam + 2|u|) y = -forcing(r, u), or 0
+    when forcing is None, u from u's dense output, started at u's r0 on
+    the series y = y0 + c r^2 of series = (y0, c)."""
+    ivp = u.ivp
 
-    def rhs(r, psi, dpsi):
-        # u on the step that holds r, by _DenseOutput.__call__'s rule
-        k = min(max(bisect.bisect_left(rs, r) - 1, 0), last)
-        return (dpsi, -5.0 / r * dpsi
-                - (shot.lam + 2.0 * abs(u.at(k, r, 0))) * psi)
+    def rhs(r, y, dy):
+        u_r = ivp.at(r, 0)
+        f = -5.0 / r * dy - (lam + 2.0 * abs(u_r)) * y
+        return (dy, f) if forcing is None else (dy, f - forcing(r, u_r))
 
-    c_a, r0 = -(shot.lam + 2.0 * shot.amplitude) / 12.0, rs[0]
-    return solve_ivp(rhs, r0, 1.0, (1.0 + c_a * r0 ** 2, 2.0 * c_a * r0),
-                     math.inf).y_end[0]
+    (y0, c), r0 = series, ivp.rs[0]
+    return Trajectory(solve_ivp(rhs, r0, 1.0, (y0 + c * r0 ** 2, 2.0 * c * r0),
+                                math.inf), (y0, c, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class Lambda0Certificate:
     """Certificate for the self-consistent parameter 2 max u = lam
     (find_lambda0).  branch is the shot of u from amplitude = lam_0/2, its
-    trajectory u_0's one integration, which grids sample."""
+    trajectory u_0's one integration, which grids sample, and psi = du/da
+    along it."""
 
     dimension: int
     lam0: float
@@ -748,6 +760,7 @@ class Lambda0Certificate:
     psi_at_1: float
     branch: BranchPoint = field(repr=False)
     trajectory: Trajectory = field(repr=False)
+    psi: Trajectory = field(repr=False)
 
 
 def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
@@ -767,7 +780,10 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
     z = shoot_to_zero(6, 2.0, 1.0, 1)[0]
     lam0 = 2.0 * z * z
     shot = shoot(6, lam0, 0.5 * lam0, grid_n)
-    psi1 = _psi_at_1(shot)
+    # psi = du/da from its series 1 + c_a r^2, c_a = dc/da (`_series`)
+    psi = linear_shot(shot.trajectory, lam0,
+                      (1.0, -(lam0 + 2.0 * shot.amplitude) / 12.0))
+    psi1 = psi.ivp.y_end[0]
     if not abs(psi1) >= PSI_FLOOR:
         raise NearSingularError(f"psi(1) = {psi1:.3e} at lam0={lam0!r}, "
                                 f"below {PSI_FLOOR:g}")
@@ -777,4 +793,4 @@ def find_lambda0(dimension: int = 6, grid_n: int = 2048) -> Lambda0Certificate:
                                 f"{delta:.3e}, gap above {GAP_BOUND:g}")
     return Lambda0Certificate(6, float(lam0), shot.amplitude, 2.0 * abs(delta),
                               delta, psi1, _branch_point(6, shot, 1),
-                              shot.trajectory)
+                              shot.trajectory, psi)

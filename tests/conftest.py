@@ -23,8 +23,10 @@ def profiles(certificate):
 
 
 @pytest.fixture(scope="session")
-def profiles_coarse(certificate):
-    return build_profiles(certificate, grid_n=2048)
+def profiles_ladder(certificate, profiles):
+    """{n: the profiles on n cells}, n = 512, 1024, 2048 and 4096."""
+    return {**{n: build_profiles(certificate, grid_n=n)
+               for n in (512, 1024, 2048)}, 4096: profiles}
 
 
 @pytest.fixture(scope="session")
@@ -42,10 +44,9 @@ def refinement(profiles):
 
 
 @pytest.fixture(scope="session")
-def w_eta_ladder(certificate):
+def w_eta_ladder(profiles_ladder):
     """{n: w_eta at eta = 0.45 e_2 on n-cell profiles}, n = 512, 1024,
     2048."""
     eta = np.zeros(6)
     eta[1] = 0.45
-    return {n: w_eta(build_profiles(certificate, grid_n=n), eta)
-            for n in (512, 1024, 2048)}
+    return {n: w_eta(profiles_ladder[n], eta) for n in (512, 1024, 2048)}

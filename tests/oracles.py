@@ -6,8 +6,9 @@ the ansatz sampled on a grid and the pinned Newton refinement that
 starts from it (criterion 10), an ansatz row's integrals by adaptive
 quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
 eps = 0, J(u) by grid quadrature, the bubble's projection and
-dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, and
-the N = 6, m = 2 branch tail in Emden-Fowler variables."""
+dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, the
+auxiliary profiles by variation of constants, and the N = 6, m = 2
+branch tail in Emden-Fowler variables."""
 
 from __future__ import annotations
 
@@ -246,6 +247,50 @@ def amplitude_derivative_shot(lam: float, a: float) -> tuple:
     sol = solve_ivp(rhs, (r0, 1.0), y0, method="DOP853", rtol=1e-12,
                     atol=1e-14)
     return tuple(float(y) for y in sol.y[:, -1])
+
+
+def aux_profile_shot(lam: float, a: float, rtol: float) -> dict:
+    """The auxiliary profiles of the N = 6 shot from u(0) = a at lam by
+    variation of constants, not by the dilation identity: with
+    L = -Delta - lam - 2|u|, L psi = 0 and psi(0) = 1,
+    v = v_p + c psi (L v_p = u, v_p(0) = 0, c = -v_p(1)/psi(1)) and
+    w = w_p + b psi (L w_p = v + sgn(u) v^2, w_p(0) = 0, b = -w_p(1)/psi(1)).
+    Each of two scipy DOP853 shots (atol 1e-14) integrates
+    (u, u', psi, psi', v_p, v_p', w_p, w_p') from r0 = 1e-5, on the regular
+    series of u and psi to r^4 and of v_p and w_p to r^2: the first gives
+    c, the second, with v known, w_p.  Returns u(1), u'(1) and psi(1) of
+    the second, 2 v(0) - 1 = 2c - 1 and w(0) = b."""
+    c2 = -(lam * a + abs(a) * a) / 12.0
+    c4 = -(lam + 2.0 * abs(a)) * c2 / 32.0
+    ca2 = -(lam + 2.0 * abs(a)) / 12.0
+    ca4 = -(2.0 * math.copysign(1.0, a) * c2 + (lam + 2.0 * abs(a)) * ca2) / 32.0
+    r0 = 1e-5
+
+    def shot(c):
+        f0 = c + np.sign(a) * c * c  # v(0) = c
+
+        def rhs(r, y):
+            u, du, psi, dpsi, vp, dvp, wp, dwp = y
+            pot, v = lam + 2.0 * abs(u), vp + c * psi
+            return [du, -5.0 / r * du - lam * u - abs(u) * u,
+                    dpsi, -5.0 / r * dpsi - pot * psi,
+                    dvp, -5.0 / r * dvp - pot * vp - u,
+                    dwp, -5.0 / r * dwp - pot * wp - v - np.sign(u) * v * v]
+
+        y0 = [a + c2 * r0 ** 2 + c4 * r0 ** 4, 2.0 * c2 * r0 + 4.0 * c4 * r0 ** 3,
+              1.0 + ca2 * r0 ** 2 + ca4 * r0 ** 4,
+              2.0 * ca2 * r0 + 4.0 * ca4 * r0 ** 3,
+              -a / 12.0 * r0 ** 2, -a / 6.0 * r0,
+              -f0 / 12.0 * r0 ** 2, -f0 / 6.0 * r0]
+        return solve_ivp(rhs, (r0, 1.0), y0, method="DOP853", rtol=rtol,
+                         atol=1e-14).y[:, -1]
+
+    end = shot(0.0)
+    c = -end[4] / end[2]
+    end = shot(c)
+    return {"u1": float(end[0]), "du1": float(end[1]), "psi1": float(end[2]),
+            "two_v_minus_one": float(2.0 * c - 1.0),
+            "w0": float(-end[6] / end[2])}
 
 
 def branch_tail_ratio(mu: float, rtol: float) -> tuple:

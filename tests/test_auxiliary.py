@@ -6,15 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bn6 import auxiliary, shooting
 from bn6.auxiliary import (
-    _linearized,
+    END_VALUE_ERROR,
     build_profiles,
     essential_nondegeneracy,
     survey_concentration_points,
 )
 from bn6.errors import NotConvergedError
-from bn6.grid import make_grid
+from bn6.grid import RadialFn, make_grid
 from bn6.operators import (
     OperatorSpec,
     _Assembled,
@@ -24,11 +23,13 @@ from bn6.operators import (
 from bn6.serialize import record
 from bn6.shooting import shoot
 
-from oracles import geometric_grid, w_eta, weak_apply
+from oracles import aux_profile_shot, w_eta
 
-V0_FROZEN = -3.2284188994808511
-W0_FROZEN = 0.10573771048525127
-WETA0_FROZEN = 83.774246440155977
+# v(0), w(0) and u_0(0) - lam_0 v(0) of oracles.aux_profile_shot at
+# rtol 3e-14 from the certificate's (lam_0, lam_0/2)
+V0_FROZEN = -3.2284194178820984
+W0_FROZEN = 0.10573625886655641
+WETA0_FROZEN = 83.77425808804324
 MIN_GAP_FROZEN = 4.1104750029379069
 HESSIAN_FROZEN = -378.64560638396387
 
@@ -71,48 +72,42 @@ def test_profiles_resample_the_certificates_shot(certificate, n):
     assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
 
 
-@pytest.mark.parametrize("grid_n,half_grid", [
-    (64, make_grid),
-    (4096, lambda dimension, n: geometric_grid(dimension, n, 2.0)),
-])
-def test_half_grid_resamples_the_certificates_shot(certificate, monkeypatch,
-                                                   grid_n, half_grid):
-    # the half grid of 2 v(0) - 1's error bar, of other cells (32) or of
-    # 2048 cells at other nodes than the certificate's (geometric), gets
-    # u0 from the certificate's trajectory, with no IVP
-    profiles = build_profiles(certificate, grid_n=grid_n)
-    sampled = []
-
-    def trajectory(grid):
-        sampled.append(certificate.trajectory(grid))
-        return sampled[-1]
-
-    def no_ivp(*args, **kwargs):
-        raise AssertionError("essential_nondegeneracy made an IVP")
-    monkeypatch.setattr(auxiliary, "make_grid", half_grid)
-    monkeypatch.setattr(shooting, "solve_ivp", no_ivp)
-    rep = essential_nondegeneracy(replace(profiles, trajectory=trajectory))
-    monkeypatch.undo()
-    u0, = sampled
-    assert u0.grid.n_cells == grid_n // 2
-    assert (u0.grid.nodes.tobytes()
-            != certificate.branch.profile.grid.nodes.tobytes())
-    assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
-    assert 0.0 < rep.survey.two_v_error < abs(rep.survey.two_v_minus_one)
+def test_profiles_match_the_variation_of_constants_oracle(certificate,
+                                                        profiles):
+    # scipy's DOP853 at rtol 3e-14 gives v = v_p + c psi with v_p forced by
+    # u_0, and w likewise: a route that does not use the dilation identity
+    want = aux_profile_shot(certificate.lam0, certificate.amplitude, 3e-14)
+    survey = survey_concentration_points(profiles)
+    gap = abs(survey.two_v_minus_one - want["two_v_minus_one"])
+    assert gap <= 1e-9
+    assert abs(profiles.w0 - want["w0"]) <= 1e-9
+    # the bar covers the distance, far below the FEM's error of 1.04e-6
+    assert gap < survey.two_v_error < 1e-6
+    # the bar's premise: every end value it propagates is within E
+    u1, du1 = certificate.trajectory.ivp.y_end
+    for got, key in ((u1, "u1"), (du1, "du1"),
+                     (certificate.psi_at_1, "psi1")):
+        assert abs(got - want[key]) <= END_VALUE_ERROR, key
 
 
-def test_v_and_w_solve_their_equations(profiles):
-    # check against the assembled operator the solver factorized; the
-    # floor is LU roundoff at the operator's condition number
-    op = OperatorSpec(profiles.grid, sector=0, lam=profiles.lam0,
-                      potential=profiles.linearized_potential())
-    scale = np.max(np.abs(profiles.u0.values))
-    res_v = weak_apply(op, profiles.v) - profiles.u0.values
-    assert np.max(np.abs(res_v[1:-1])) / scale < 1e-7
-
-    rhs = profiles.v.values + np.sign(profiles.u0.values) * profiles.v.values ** 2
-    res_w = weak_apply(op, profiles.w) - rhs
-    assert np.max(np.abs(res_w[1:-1])) / np.max(np.abs(rhs)) < 1e-7
+def test_fem_profiles_converge_to_the_shot_profiles(profiles_ladder):
+    # the P1 FEM is the shot profiles' oracle: L v = u_0 and then
+    # L w = v + sgn(u_0) v^2 solved on 1024, 2048 and 4096 cells of the
+    # shot's u_0 approach the shot's v and w at second order (max norm)
+    gaps = []
+    for n in (1024, 2048, 4096):
+        p = profiles_ladder[n]
+        op = OperatorSpec(p.grid, lam=p.lam0,
+                          potential=p.linearized_potential())
+        v = solve_dirichlet(op, p.u0)
+        w = solve_dirichlet(op, RadialFn.from_values(
+            p.grid, v.values + np.sign(p.u0.values) * v.values ** 2))
+        gaps.append([np.max(np.abs(v.values - p.v.values)),
+                     np.max(np.abs(w.values - p.w.values))])
+    gaps = np.array(gaps)
+    assert np.all(gaps[-1] < 1e-5)
+    assert np.all(np.diff(gaps, axis=0) < 0.0)
+    assert np.all(np.log2(gaps[0] / gaps[-1]) / 2.0 >= 1.9)
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -120,7 +115,8 @@ def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
     # a relative error of 1e-13 in the solution of the v equation is
     # caught; the solve itself passes
     u0 = certificate.trajectory(make_grid(6, n))
-    op = _linearized(u0, certificate.lam0)
+    op = OperatorSpec(u0.grid, lam=certificate.lam0,
+                      potential=2.0 * np.abs(u0.values))
     solve_dirichlet(op, u0)
     factor = _Assembled.factor
 
@@ -137,13 +133,6 @@ def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
     monkeypatch.setattr(_Assembled, "factor", corrupted)
     with pytest.raises(NotConvergedError):
         solve_dirichlet(op, u0)
-
-
-def test_v_grid_refinement(profiles, profiles_coarse):
-    # halving h moves v(0) by the expected O(h^2); the difference doubles
-    # as the refinement error bar downstream
-    diff = abs(profiles.v0 - profiles_coarse.v0)
-    assert 0.0 < diff < 1e-5
 
 
 def test_w_eta_origin_identity(profiles):
@@ -202,9 +191,8 @@ def test_sector_spectrum_monotone(profiles):
     assert np.all(np.diff(spec[:, 0]) > 0.0)    # centrifugal monotonicity
 
 
-def test_concentration_survey(profiles, profiles_coarse):
-    survey = survey_concentration_points(profiles,
-                                         coarse_v0=profiles_coarse.v0)
+def test_concentration_survey(certificate, profiles):
+    survey = survey_concentration_points(profiles)
     # the + level holds exactly the center; the - level is empty
     assert len(survey.points) == 1
     pt = survey.points[0]
@@ -217,15 +205,27 @@ def test_concentration_survey(profiles, profiles_coarse):
     # 2 v(0) - 1 is far from its degenerate zero, beyond the error bar
     assert survey.two_v_minus_one == pytest.approx(2.0 * V0_FROZEN - 1.0,
                                                    rel=1e-8)
-    assert 0.0 < survey.two_v_error < 1e-4
+    # 2 v(0) - 1 = -(2 u_0(1) + u_0'(1))/(lam_0 psi(1)), from the
+    # certificate's end values, and the bar is E propagated through it
+    u1, du1 = certificate.trajectory.ivp.y_end
+    lam0, psi1, e = profiles.lam0, certificate.psi_at_1, END_VALUE_ERROR
+    assert survey.two_v_minus_one == pytest.approx(
+        -(2.0 * u1 + du1) / (lam0 * psi1), rel=1e-14)
+    assert survey.two_v_error == (3.0 * e + abs(survey.two_v_minus_one)
+                                  * lam0 * e) / (lam0 * abs(psi1))
+    assert 0.0 < survey.two_v_error < 1e-6
     assert abs(survey.two_v_minus_one) > 100.0 * survey.two_v_error
+    # tabulated profiles carry no psi(1), so no bar
+    tabulated = replace(profiles, psi_at_1=math.nan)
+    assert math.isnan(survey_concentration_points(tabulated).two_v_error)
 
 
-def test_nondegeneracy_report(profiles, profiles_coarse):
+def test_nondegeneracy_report(profiles, profiles_ladder):
     rep = essential_nondegeneracy(profiles)
-    # the error bar's half-grid v(0) is the 2048-cell profiles' own
-    assert rep.survey.two_v_error == 2.0 * abs(profiles.v0
-                                               - profiles_coarse.v0)
+    # 2 v(0) - 1 and its bar come from the shots' end values, on any grid
+    coarse = survey_concentration_points(profiles_ladder[512])
+    assert rep.survey.two_v_minus_one == coarse.two_v_minus_one
+    assert rep.survey.two_v_error == coarse.two_v_error
     assert rep.dimension == 6
     assert rep.l_max == 24
     assert len(rep.sector_gaps) == 25

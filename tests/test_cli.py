@@ -445,6 +445,11 @@ def test_nondeg_two_v_has_refinement_error_bar(tmp_path):
     err = survey["two_v_error"]
     assert math.isfinite(err) and err > 0.0
     assert err < abs(survey["two_v_minus_one"])
+    # v(0) and the bar come from the shots' end values, not from the grid
+    assert run("nondeg", "--grid-n", "64", "--out", str(tmp_path / "64")) == 0
+    coarse = json.loads(read(tmp_path / "64" / "nondeg.json"))["survey"]
+    assert coarse["two_v_minus_one"] == survey["two_v_minus_one"]
+    assert coarse["two_v_error"] == err
 
 
 def _counter(monkeypatch):
@@ -463,46 +468,32 @@ def _counter(monkeypatch):
     return counts, count
 
 
-def test_nondeg_solves_the_half_grid_v_alone(tmp_path, monkeypatch):
-    # the error bar of 2 v(0) - 1 needs v on half the cells, solved alone:
-    # one profile set, and one Dirichlet solve (two Sturm eigensolves, one
-    # assembly) beside the full grid's one solver for v and w (the same);
-    # each of the 25 sectors is one assembly and one Sturm bracket of lam_0
+@pytest.mark.parametrize("command", ["nondeg", "aux-solve",
+                                     "expansion-check", "ansatz-check"])
+def test_profile_commands_solve_no_linear_system(tmp_path, monkeypatch,
+                                                 command):
+    # v and w come from shots, so no command solves or factorizes; nondeg
+    # assembles each of its 25 sectors once for one Sturm bracket of lam_0
     # (two eigensolves), and sector 0's bracket also gives nu_1
+    assemblies = 25 if command == "nondeg" else 0
     counts, count = _counter(monkeypatch)
     count(auxiliary, "build_profiles")
-    count(auxiliary, "solve_dirichlet")
     count(auxiliary, "assemble")
     count(operators, "assemble")
     count(operators, "eigvalsh_tridiagonal")
-    count(shooting, "solve_ivp")
-    assert run("nondeg", "--out", str(tmp_path)) == 0
-    # u0 on every grid is sampled from the certificate's shot
-    assert counts == {"build_profiles": 1, "solve_dirichlet": 1,
-                      "assemble": 27, "eigvalsh_tridiagonal": 54,
-                      "solve_ivp": 3}
-
-
-@pytest.mark.parametrize("command", ["aux-solve", "expansion-check"])
-def test_v_and_w_share_one_guarded_factorization(tmp_path, monkeypatch,
-                                                 command):
-    # L is assembled, bracketed (two Sturm eigensolves) and factorized once
-    # for both v and w
-    counts, count = _counter(monkeypatch)
-    count(auxiliary, "assemble")
-    count(operators, "assemble")
-    count(operators, "eigvalsh_tridiagonal")
+    count(operators, "solve_dirichlet")
     count(operators._Assembled, "factor")
     assert run(command, "--out", str(tmp_path)) == 0
-    assert counts == {"assemble": 1, "eigvalsh_tridiagonal": 2, "factor": 1}
+    assert counts == Counter({"build_profiles": 1, "assemble": assemblies,
+                              "eigvalsh_tridiagonal": 2 * assemblies})
 
 
 @pytest.mark.parametrize("argv", [("nondeg",), ("nondeg", "--grid-n", "64"),
                                   ("aux-solve",), ("expansion-check",)])
 def test_u0_is_integrated_once(tmp_path, monkeypatch, argv):
     # the certificate's 3 IVPs (Z_1(2), then u from lam_0/2 and psi = du/da
-    # along it) are all there are: the profiles and the half grid of
-    # 2 v(0) - 1 sample the certificate's shot of u, at any --grid-n
+    # along it) and the forced linear shot of w are all there are: every
+    # grid samples the certificate's shots of u and psi, at any --grid-n
     calls = []
 
     def counted(*args, **kwargs):
@@ -511,7 +502,7 @@ def test_u0_is_integrated_once(tmp_path, monkeypatch, argv):
     solve_ivp = shooting.solve_ivp
     monkeypatch.setattr(shooting, "solve_ivp", counted)
     assert run(*argv, "--out", str(tmp_path)) == 0
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_every_artifact_reaches_the_writer_as_one_str(tmp_path,

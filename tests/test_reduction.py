@@ -48,7 +48,9 @@ from oracles import (ansatz_on_grid, branch_tail_ratio,
                      project_bubble, reduced_energy_polynomial,
                      row_integrals_by_quad)
 
-TAU_STAR_FROZEN = 0.04409647622292704
+# tau_star(d1 |1/2 - v(0)|, d2) with v(0) of oracles.aux_profile_shot at
+# rtol 3e-14 from the certificate's (lam_0, lam_0/2)
+TAU_STAR_FROZEN = 0.04409648235422302
 
 
 def test_tau_star_formula_and_validation():

@@ -151,7 +151,7 @@ def _assert_same_ivp(dim, lam, a, max_zeros):
     dense_output run, and the on-demand stages against its extra nfev."""
     r_end = 1.0 if max_zeros is None else 10.0
     want, r0, p = _scipy_ivp(dim, lam, a, r_end, False, max_zeros)
-    got, _, _ = shooting._integrate(dim, lam, a, r_end, max_zeros)
+    got = shooting._integrate(dim, lam, a, r_end, max_zeros).ivp
     assert len(want.t_events[1]) == 0  # the blow-up event never fires
     assert _hex(got.zeros) == _hex(want.t_events[0])
     assert got.nfev == want.nfev
@@ -165,9 +165,10 @@ def _assert_same_ivp(dim, lam, a, max_zeros):
         return got.rhs(*args)
 
     grid = shooting.profile_grid(dim, a)
-    f_want = shooting._sample(dense, r0, dim, lam, a, p, grid)
+    series = (a, *shooting._series(dim, lam, a, p))
+    f_want = shooting._sample(dense, r0, series, grid)
     f_got = shooting._sample(dataclasses.replace(got, rhs=counting), r0,
-                             dim, lam, a, p, grid)
+                             series, grid)
     assert _hex(f_got.values) == _hex(f_want.values)
     assert _hex(f_got.derivative) == _hex(f_want.derivative)
     assert got.nfev + len(calls) == dense.nfev
@@ -239,7 +240,7 @@ def test_dense_output_is_built_on_demand_once(monkeypatch):
         return coefficients(rhs, steps)
 
     monkeypatch.setattr(shooting, "_coefficients", counting)
-    sol, _, _ = shooting._integrate(6, 20.0, 30.0, 10.0, max_zeros=2)
+    sol = shooting._integrate(6, 20.0, 30.0, 10.0, max_zeros=2).ivp
     starts = [r for r, *_ in sol.steps]
     crossing = [r for r, _, (u, _), (u_new, _), _ in sol.steps
                 if u * u_new <= 0.0]
@@ -285,7 +286,7 @@ def test_stacked_dense_output_keeps_the_per_step_bits(dim, lam, a):
     # the two bit contracts the stacked dense output rests on: the
     # stacked BLAS products equal each step's own dots, and the scalar
     # at(k, r, j) that locates zeros equals the vectorised evaluation
-    sol, _, _ = shooting._integrate(dim, lam, a, 10.0, max_zeros=2)
+    sol = shooting._integrate(dim, lam, a, 10.0, max_zeros=2).ivp
     steps = sol.steps
     per_step = [_step_coefficients(sol.rhs, step) for step in steps]
     K = np.array([k for k, _ in per_step])
@@ -327,7 +328,7 @@ def test_shoot_to_zero_samples_the_profile_shoot_integrates():
                                      (6, lam, 0.9 * a, 2),
                                      (6, lam, 1.1 * a, 2), (6, lam, a, 2)):
         zero, sample = shoot_to_zero(dim, lam_m, amplitude, m)
-        run_on, _, _ = shooting._integrate(dim, lam_m, amplitude, 10.0)
+        run_on = shooting._integrate(dim, lam_m, amplitude, 10.0).ivp
         assert zero is not None
         assert zero == run_on.zeros[m - 1]
     # at the matched amplitude the profile is shoot's, sampled up to the
@@ -435,7 +436,9 @@ def test_certificate_refuses_a_perturbed_lambda0(certificate, monkeypatch,
     z = math.sqrt(0.5 * (certificate.lam0 + 1e-6))
     lam = 2.0 * z * z
     shot = shoot(6, lam, 0.5 * lam, 2048)
-    delta = -shot.boundary_value / shooting._psi_at_1(shot)
+    psi = shooting.linear_shot(shot.trajectory, lam,
+                               (1.0, -(lam + 2.0 * shot.amplitude) / 12.0))
+    delta = -shot.boundary_value / psi.ivp.y_end[0]
     assert 2.0 * abs(delta) > 1e-6
     assert shot.amplitude + delta == pytest.approx(
         solve_bvp(6, lam, 1).amplitude, rel=1e-11)
