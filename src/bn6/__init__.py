@@ -3,13 +3,13 @@ ground-state branches, auxiliary linear profiles, non-degeneracy certificates,
 bubble calculus, and finite-dimensional energy expansion checks.
 
 The layers that only some commands run (auxiliary, bubbles, continuation,
-reduction) are registered here as lazy modules: each is in sys.modules and
-an attribute of this package from the first import of bn6 on, but runs its
-code only when one of its attributes is first read.  So `import bn6.cli`
-runs bn6, cli, errors, grid, lapack, operators, roots, serialize and
-shooting, and each command runs only the layers it calls.  A lazy module,
-unlike an import inside a function, is there to be found by code that
-looks bn6's modules up in sys.modules.
+operators, reduction) are registered here as lazy modules: each is in
+sys.modules and an attribute of this package from the first import of bn6
+on, but runs its code only when one of its attributes is first read.  So
+`import bn6.cli` runs bn6, cli, errors, grid, roots, serialize and
+shooting, and only nondeg runs operators and the LAPACK it loads.  A lazy
+module, unlike an import inside a function, is there to be found by code
+that looks bn6's modules up in sys.modules.
 """
 
 import importlib.util
@@ -22,7 +22,8 @@ __version__ = "0.1.0"
 DEFAULT_L_MAX = 24   # sectors l = 0..24 that auxiliary's nondeg report scans
 MIN_TAIL_POINTS = 8  # shortest tail continuation.extract_limit fits
 
-LAZY_MODULES = ("auxiliary", "bubbles", "continuation", "reduction")
+LAZY_MODULES = ("auxiliary", "bubbles", "continuation", "operators",
+                "reduction")
 
 
 def _register_lazy(name: str) -> None:

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DEFAULT_L_MAX
+from . import DEFAULT_L_MAX, operators
 from .grid import RadialFn, RadialGrid, make_grid
-from .operators import OperatorSpec, assemble, min_singular_value
 from .shooting import Lambda0Certificate, linear_shot
 
 # E: a stated bound on the IVP error of the end values u_0(1), u_0'(1) and
@@ -228,11 +227,12 @@ def essential_nondegeneracy(profiles: AuxProfiles,
     """Measure the spectral gap in each sector and certify the cutoff."""
     N, lam0 = profiles.dimension, profiles.lam0
     q = profiles.linearized_potential()
-    sector0 = assemble(OperatorSpec(profiles.grid, lam=lam0, potential=q))
+    specs = [operators.OperatorSpec(profiles.grid, l, lam0, q)
+             for l in range(l_max + 1)]
+    sector0 = operators.assemble(specs[0])
     nu1 = float(sector0.nearest(lam0)[0])
-    gaps = [sector0.min_singular(lam0)] + [min_singular_value(
-        OperatorSpec(profiles.grid, sector=l, lam=lam0, potential=q))
-        for l in range(1, l_max + 1)]
+    gaps = [sector0.min_singular(lam0)] + [
+        operators.min_singular_value(spec) for spec in specs[1:]]
     comparison_l = next((l for l in range(1, l_max + 1)
                          if nu1 + l * (l + N - 2) > lam0), -1)
     u00 = float(profiles.u0.values[0])

@@ -21,17 +21,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-# auxiliary, bubbles, continuation and reduction are lazy (bn6/__init__.py):
-# each runs when a command first reads one of its names.  operators loads
-# LAPACK, which nondeg and limits need (no command solves a linear system),
-# so that a scipy without _flapack fails here and names the directory.
+# the layers are lazy (bn6/__init__.py): each runs when a command reads it
 from . import (
     DEFAULT_L_MAX,
     MIN_TAIL_POINTS,
     auxiliary,
     bubbles,
     continuation,
-    operators,  # noqa: F401
     reduction,
 )
 from .errors import BN6Error, ConfigError

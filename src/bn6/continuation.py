@@ -48,11 +48,11 @@ from .errors import (
     BranchLostError,
     NotConvergedError,
 )
-from .operators import dirichlet_eigenvalue
 from .roots import brentq
 from .shooting import (
     RTOL,
     BranchPoint,
+    dirichlet_eigenvalue,
     nodal_count,
     shoot,
     shoot_to_zero,
@@ -228,7 +228,7 @@ def trace_branch(dimension: int, m: int, a_start: float = 1.0,
         raise ValueError(
             f"amplitude schedule needs at least 2 points, got {points} from "
             f"a_start = {a_start!r} and a_end = {a_end!r}{default}")
-    lam_hi = 0.9999 * dirichlet_eigenvalue(dimension, m, n=1024)
+    lam_hi = 0.9999 * dirichlet_eigenvalue(dimension, m)
     schedule = np.geomspace(a_start, a_end, points)
     rows = []
     diagnostics = []

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularError, NotConvergedError
-from .grid import RadialFn, RadialGrid, hat_moments, make_grid
+from .grid import RadialFn, RadialGrid, hat_moments
 from .lapack import dgttrf, dgttrs, dstebz
 
 NEAR_SINGULAR_RTOL = 1e-8
@@ -133,22 +133,18 @@ class _Assembled:
         self.upper = -k[idx[:-1]]
         self.masses = masses_full[idx]
         sm = np.sqrt(self.masses)
-        self._pencil = (self.diag / self.masses, self.upper / (sm[:-1] * sm[1:]))
+        # diagonal and off-diagonal of the symmetric form M^{-1/2} A0 M^{-1/2}
+        self.pencil = (self.diag / self.masses, self.upper / (sm[:-1] * sm[1:]))
         self._brackets = {}
 
     def shifted(self, lam: float):
         """diag/upper of A0 - lam M."""
         return self.diag - lam * self.masses, self.upper
 
-    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the symmetric form M^{-1/2} A0 M^{-1/2}."""
-        return self._pencil
-
     def eigenvalues(self, count: int) -> np.ndarray:
         """Lowest `count` eigenvalues of A0 z = nu M z."""
-        d, e = self.pencil()
-        count = min(count, len(d))
-        return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+        d, e = self.pencil
+        return eigvalsh_tridiagonal(d, e, "i", (0, min(count, len(d)) - 1))
 
     def factor(self, lam: float):
         """LU factor of A0 - lam M; returns a solve closure, raising
@@ -184,10 +180,10 @@ class _Assembled:
         strictly below lam, since stebz rejects an empty interval."""
         if lam not in self._brackets:
             window = (min(-self.scale(), lam) - 1.0, lam)
-            below = eigvalsh_tridiagonal(*self._pencil, "v", window, STURM_TOL)
+            below = eigvalsh_tridiagonal(*self.pencil, "v", window, STURM_TOL)
             k = len(below)
             above = below[:0] if k == len(self.diag) else eigvalsh_tridiagonal(
-                *self._pencil, "i", (k, k), STURM_TOL)
+                *self.pencil, "i", (k, k), STURM_TOL)
             self._brackets[lam] = np.concatenate((below, above))
         return self._brackets[lam]
 
@@ -197,7 +193,7 @@ class _Assembled:
 
     def scale(self) -> float:
         """Gershgorin-type magnitude of the pencil, for singularity thresholds."""
-        d, e = self._pencil
+        d, e = self.pencil
         e = np.abs(e)
         rad = np.abs(d)
         rad[:-1] += e
@@ -246,13 +242,3 @@ def min_singular_value(op: OperatorSpec) -> float:
     """Distance from lam to the sector spectrum of -Delta_l - q."""
     return assemble(op).min_singular(op.lam)
 
-
-def dirichlet_eigenvalue(dimension: int, index: int = 1,
-                         n: int = 2048) -> float:
-    """Radial Dirichlet eigenvalue of -Delta on B_1, Richardson-extrapolated
-    from grids with n and 2n cells."""
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
-    coarse, fine = (assemble(OperatorSpec(make_grid(dimension, cells)))
-                    .eigenvalues(index)[index - 1] for cells in (n, 2 * n))
-    return float((4.0 * fine - coarse) / 3.0)

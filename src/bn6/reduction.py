@@ -83,8 +83,7 @@ C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 class SplineSet:
     """Hermite cubic views of u_0, v, w: on each knot cell, the cubic
     that takes each profile's samples and derivative samples at both
-    ends (u_0' from the shot, v' and w' by finite differences, all 0 at
-    the center).
+    ends (u_0', v' and w' from the shots, all 0 at the center).
 
     Values and first derivatives are those of scipy's
     CubicHermiteSpline(x, y, dydx) and its derivative() to the bit: the

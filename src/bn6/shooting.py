@@ -658,6 +658,24 @@ def shoot_to_zero(dimension: int, lam: float, amplitude: float, m: int):
     return zeros[m - 1] if len(zeros) >= m else None, sample
 
 
+def dirichlet_eigenvalue(dimension: int, index: int) -> float:
+    """lam_m = Z_m^2, the index-th radial Dirichlet eigenvalue of -Delta on
+    B_1: y(sqrt(lam) r) solves y'' + (N-1)/r y' + lam y = 0 for the y of
+    lam = 1 with y(0) = 1 (the radial IVP at lam = 0 and p = 1), whose m-th
+    zero is Z_m = j_{N/2-1,m} (Watson 1944).  One IVP to that zero, bounded
+    at (m + N/4 + 1) pi, past McMahon's (m + N/4 - 3/4) pi; index < 1
+    raises ValueError, fewer than index zeros NotConvergedError."""
+    if index < 1:
+        raise ValueError(f"index must be >= 1, got {index}")
+    r0, y0, dy0 = _series_start(dimension, 0.0, 1.0, 1.0)
+    zeros = solve_ivp(_make_rhs(dimension, 0.0, 1.0), r0,
+                      (index + dimension / 4.0 + 1.0) * math.pi, (y0, dy0),
+                      math.inf, index).zeros
+    if len(zeros) < index:
+        raise NotConvergedError(f"{len(zeros)} zeros, wanted {index}")
+    return zeros[-1] * zeros[-1]
+
+
 def nodal_count(f: RadialFn) -> int:
     """Number of nodal regions of f on (0, 1): sign changes + 1, values below
     SIGN_TOL * ||f||_inf treated as zero."""

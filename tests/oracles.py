@@ -1,9 +1,10 @@
 """Checks that no bn6 command runs, for the tests: geometrically graded
 grids, the product-trapezoid integral and the L^p and H^1 norms of a
 radial function, the weak (flux) and finite-difference strong forms of
-the operators, the translation-dilation profiles w_eta (criterion 06),
-the ansatz sampled on a grid and the pinned Newton refinement that
-starts from it (criterion 10), an ansatz row's integrals by adaptive
+the operators, the radial Dirichlet eigenvalues by Bessel zeros, the
+translation-dilation profiles w_eta (criterion 06), the ansatz sampled
+on a grid and the pinned Newton refinement that starts from it
+(criterion 10), an ansatz row's integrals by adaptive
 quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
 eps = 0, J(u) by grid quadrature, the bubble's projection and
 dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, the
@@ -21,6 +22,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
+from scipy.special import jn_zeros, jv
 
 from bn6.auxiliary import AuxProfiles
 from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
@@ -48,6 +50,18 @@ def geometric_grid(dimension: int, n: int, ratio: float) -> RadialGrid:
     nodes = np.concatenate(([0.0], np.cumsum(widths)))
     nodes[-1] = 1.0
     return _finish(dimension, nodes)
+
+
+def bessel_eigenvalue(dimension: int, m: int) -> float:
+    """The m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N, the
+    squared m-th zero of J_{N/2-1}: scipy's jn_zeros for an integer order,
+    else a brentq of jv within (-1, +1/2) of McMahon's (m + N/4 - 3/4) pi,
+    which holds that zero alone."""
+    order = dimension / 2.0 - 1.0
+    if order.is_integer():
+        return float(jn_zeros(int(order), m)[-1]) ** 2
+    guess = (m + dimension / 4.0 - 0.75) * math.pi
+    return brentq(lambda x: jv(order, x), guess - 1.0, guess + 0.5) ** 2
 
 
 def integrate(f: RadialFn) -> float:

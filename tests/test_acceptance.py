@@ -24,10 +24,12 @@ from bn6.cli import main as cli_main
 from bn6.continuation import extract_limit, trace_branch
 from bn6.errors import NoSignChangeError
 from bn6.grid import RadialFn, make_grid
-from bn6.operators import OperatorSpec, dirichlet_eigenvalue
-from bn6.shooting import find_lambda0, solve_bvp
+from bn6 import shooting
+from bn6.operators import OperatorSpec
+from bn6.shooting import dirichlet_eigenvalue, find_lambda0, solve_bvp
 
-from oracles import reduced_energy_polynomial, w_eta, weak_apply
+from oracles import (bessel_eigenvalue, reduced_energy_polynomial, w_eta,
+                     weak_apply)
 
 # independent eigenvalue oracle: squared first zero of J_{N/2-1}
 LAMBDA1 = {
@@ -53,14 +55,28 @@ def test_criterion_01_constants():
     assert elapsed < 1.0, f"constants took {elapsed:.2f}s"
 
 
-def test_criterion_02_eigenvalue_oracles():
+def test_criterion_02_eigenvalue_oracles(monkeypatch):
+    # the lambda_m that limits and branch take, one IVP each, against the
+    # squared Bessel zeros for N = 3..6 and m = 1..3
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+    solve_ivp = shooting.solve_ivp
+    monkeypatch.setattr(shooting, "solve_ivp", counted)
     start = time.perf_counter()
     worst = 0.0
-    for dim, target in LAMBDA1.items():
-        got = dirichlet_eigenvalue(dim, 1, n=1024)
-        worst = max(worst, abs(got - target) / target)
+    for dim in (3, 4, 5, 6):
+        for m in (1, 2, 3):
+            target = bessel_eigenvalue(dim, m)
+            got = dirichlet_eigenvalue(dim, m)
+            worst = max(worst, abs(got - target) / target)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-7, f"worst eigenvalue error {worst:.3e}"
+    assert len(calls) == 12, f"{len(calls)} IVPs for 12 eigenvalues"
+    with pytest.raises(ValueError):
+        dirichlet_eigenvalue(6, 0)
     assert elapsed < 5.0, f"eigenvalues took {elapsed:.2f}s"
 
 

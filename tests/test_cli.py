@@ -478,7 +478,6 @@ def test_profile_commands_solve_no_linear_system(tmp_path, monkeypatch,
     assemblies = 25 if command == "nondeg" else 0
     counts, count = _counter(monkeypatch)
     count(auxiliary, "build_profiles")
-    count(auxiliary, "assemble")
     count(operators, "assemble")
     count(operators, "eigvalsh_tridiagonal")
     count(operators, "solve_dirichlet")
@@ -871,8 +870,8 @@ print(json.dumps(doc))
 
 # the modules `import bn6.cli` runs; the layers are lazy until a command
 # reads them (a lazy module is not a plain ModuleType until it has run)
-EAGER = {"bn6", "bn6.cli", "bn6.errors", "bn6.grid", "bn6.lapack",
-         "bn6.operators", "bn6.roots", "bn6.serialize", "bn6.shooting"}
+EAGER = {"bn6", "bn6.cli", "bn6.errors", "bn6.grid", "bn6.roots",
+         "bn6.serialize", "bn6.shooting"}
 
 
 def _bn6_modules(out: str, argv: str | None = None) -> dict:
@@ -888,18 +887,20 @@ def test_import_runs_only_the_modules_every_command_needs(tmp_path):
     doc = _bn6_modules(str(tmp_path))
     assert set(doc["imported"]) == EAGER
     assert set(doc["present"]) == EAGER | {
-        "bn6.auxiliary", "bn6.bubbles", "bn6.continuation", "bn6.reduction"}
+        "bn6.auxiliary", "bn6.bubbles", "bn6.continuation", "bn6.operators",
+        "bn6.reduction"}
 
 
 @pytest.mark.parametrize("argv,layers", [
-    ("nondeg --grid-n 64", {"bn6.auxiliary"}),
+    ("nondeg --grid-n 64", {"bn6.auxiliary", "bn6.operators", "bn6.lapack"}),
     ("limits --N 3 --m 1 --config {cfg}", {"bn6.continuation"}),
     ("expansion-check", {"bn6.auxiliary", "bn6.bubbles", "bn6.reduction"}),
 ])
 def test_each_benchmarked_command_runs_only_its_layers(tmp_path, argv,
                                                        layers):
     # nondeg runs no bubbles, continuation or reduction, limits no
-    # auxiliary, bubbles or reduction, expansion-check no continuation
+    # auxiliary, bubbles or reduction, expansion-check no continuation, and
+    # only nondeg runs the operators and LAPACK (its sector scan)
     cfg = tmp_path / "short.cfg"
     cfg.write_text("a_end = 256\n")
     doc = _bn6_modules(str(tmp_path / "out"), argv.format(cfg=cfg))
@@ -919,18 +920,25 @@ def test_constants_loads_no_scipy(tmp_path):
 
 
 def test_missing_flapack_names_the_scipy_searched(tmp_path):
-    # a scipy without its compiled LAPACK: bn6 has no other route, and
-    # says which install it searched
+    # a scipy without its compiled LAPACK: nondeg's sector scan has no
+    # other route, and says which install it searched; lambda0, like
+    # every command but nondeg, loads no LAPACK and runs
     (tmp_path / "scipy" / "linalg").mkdir(parents=True)
     (tmp_path / "scipy" / "__init__.py").write_text("")
     src = os.path.dirname(os.path.dirname(bn6.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
-    done = subprocess.run([sys.executable, "-c", "import bn6.cli"], env=env,
-                          capture_output=True, text=True)
+
+    def bn6_run(*argv):
+        script = "import sys, bn6.cli; sys.exit(bn6.cli.main(sys.argv[1:]))"
+        return subprocess.run([sys.executable, "-c", script, *argv,
+                               "--out", str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True)
+    done = bn6_run("nondeg", "--grid-n", "64")
     assert done.returncode != 0
     last = done.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError") and "_flapack" in last
     assert str(tmp_path / "scipy" / "linalg") in last
+    assert bn6_run("lambda0").returncode == 0
 
 
 def _imports(path: pathlib.Path) -> set:
@@ -966,6 +974,17 @@ def test_bn6_imports_no_scipy_and_keeps_its_layers_apart():
         set())
     assert ("bn6.roots", None) in imports["shooting"]
     assert not {name for name, _ in imports["shooting"]} & {"bn6.operators"}
+    # continuation takes lambda_m from a shot, not from the operators, and
+    # auxiliary holds the lazy module operators, not names read from it,
+    # so that only nondeg's sector scan runs the operators and LAPACK
+    assert not {name for name, _ in imports["continuation"]} & {
+        "bn6.operators"}
+    assert ("bn6.operators", None) in imports["auxiliary"]
+    aux = ast.parse((pathlib.Path(bn6.__file__).parent
+                     / "auxiliary.py").read_text())
+    assert not [node for node in ast.walk(aux)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "operators"]
     assert not {name for name, _ in imports["reduction"]} & {
         "bn6.operators", "bn6.shooting"}
 

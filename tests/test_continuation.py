@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeWarning, brentq
+from scipy.optimize import OptimizeWarning
 from scipy.optimize import curve_fit as scipy_curve_fit
-from scipy.special import jn_zeros, jv
 
 from bn6 import continuation, shooting
 from bn6.continuation import (
@@ -21,38 +20,49 @@ from bn6.continuation import (
     trace_branch,
 )
 from bn6.errors import BranchLostError
-from bn6.operators import dirichlet_eigenvalue
 from bn6.serialize import record
 from bn6.shooting import (
     RTOL,
     BranchPoint,
+    dirichlet_eigenvalue,
     nodal_count,
     shoot_to_zero,
     solve_bvp,
 )
 
+from oracles import bessel_eigenvalue
+
 # m-th radial Dirichlet eigenvalue of -Delta on B_1 in R^N: squared m-th
-# zero of J_{N/2-1}.  N = 3 gives (m pi)^2; N = 5 needs brentq on the
-# half-integer order.
-RADIAL_EV = {
-    (3, 1): math.pi ** 2,
-    (3, 2): 4.0 * math.pi ** 2,
-    (3, 3): 9.0 * math.pi ** 2,
-    (4, 2): jn_zeros(1, 2)[1] ** 2,
-    (5, 2): brentq(lambda x: jv(1.5, x), 6.5, 9.5) ** 2,
-    (6, 2): jn_zeros(2, 2)[1] ** 2,
-}
+# zero of J_{N/2-1}
+RADIAL_EV = {(dim, m): bessel_eigenvalue(dim, m)
+             for dim in (3, 4, 5, 6) for m in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("dim,m", sorted(RADIAL_EV))
-def test_radial_eigenvalue_matches_bessel(dim, m):
-    got = dirichlet_eigenvalue(dim, m, n=1024)
+def test_radial_eigenvalue_matches_bessel(dim, m, monkeypatch):
+    # the window edge of trace_branch: one IVP, no matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+    solve_ivp = shooting.solve_ivp
+    monkeypatch.setattr(shooting, "solve_ivp", counted)
+    got = dirichlet_eigenvalue(dim, m)
     assert got == pytest.approx(RADIAL_EV[(dim, m)], rel=1e-8)
+    assert len(calls) == 1
 
 
 def test_radial_eigenvalue_rejects_bad_m():
     with pytest.raises(ValueError):
-        dirichlet_eigenvalue(6, 0, n=1024)
+        dirichlet_eigenvalue(6, 0)
+
+
+def test_radial_eigenvalue_has_no_grid_limit():
+    # no grid caps the index: lambda_2000 in N = 4, near 3.9e7, where a
+    # 1024-cell FEM has no 2000th radial eigenvalue
+    got = dirichlet_eigenvalue(4, 2000)
+    assert got == pytest.approx(bessel_eigenvalue(4, 2000), rel=1e-6)
 
 
 def _synthetic_point(amplitude, lam, m=1):
@@ -459,25 +469,37 @@ def test_trace_branch_corrects_in_few_ivps(monkeypatch):
     assert len(predicted) == 11
     assert max(n for n, _ in predicted) <= 6
     assert all(sampled == 1 for _, sampled in predicted)
-    # every IVP belongs to a match: the accepted shot is the profile
-    assert sum(n for _, n, _ in spent) == ivps[0]
+    # every IVP but the lambda_m shot of the window edge belongs to a
+    # match: the accepted shot is the profile
+    assert sum(n for _, n, _ in spent) == ivps[0] - 1
 
 
 def test_trace_branch_matches_each_amplitude_once(monkeypatch):
     # one match per schedule entry, over the whole admissible window: the
     # first bracketed, every later one predicted and corrected
-    seen = []
+    # (one IVP outside them: the lambda_m shot of the window edge)
+    seen, ivps, matched = [], [0], [0]
     match_lambda = continuation._match_lambda
+    solve_ivp = shooting.solve_ivp
+
+    def counting_ivp(*args, **kwargs):
+        ivps[0] += 1
+        return solve_ivp(*args, **kwargs)
 
     def recording(dimension, amplitude, m, lo, hi, guess=None, slope=None):
         seen.append((amplitude, lo, hi, guess is None))
-        return match_lambda(dimension, amplitude, m, lo, hi, guess, slope)
+        before = ivps[0]
+        match = match_lambda(dimension, amplitude, m, lo, hi, guess, slope)
+        matched[0] += ivps[0] - before
+        return match
 
+    monkeypatch.setattr(shooting, "solve_ivp", counting_ivp)
     monkeypatch.setattr(continuation, "_match_lambda", recording)
     branch = trace_branch(3, 1, a_end=256.0)
     assert len(branch.points) == 9 and branch.diagnostics == ()
     assert [a for a, *_ in seen] == list(branch.amplitudes)
-    hi = 0.9999 * dirichlet_eigenvalue(3, 1, n=1024)
+    assert ivps[0] == matched[0] + 1
+    hi = 0.9999 * dirichlet_eigenvalue(3, 1)
     assert all(lo == continuation.LAMBDA_FLOOR and top == hi
                for _, lo, top, _ in seen)
     assert [bracketed for *_, bracketed in seen] == [True] + [False] * 8

@@ -19,7 +19,6 @@ from bn6.operators import (
     STURM_TOL,
     OperatorSpec,
     assemble,
-    dirichlet_eigenvalue,
     min_singular_value,
     solve_dirichlet,
 )
@@ -36,26 +35,30 @@ LAMBDA1 = {
 }
 
 
+def _richardson(dim, index, sector=0):
+    """The sector's index-th FEM eigenvalue of -Delta, Richardson-
+    extrapolated from 512 and 1024 cells (second order in h)."""
+    coarse, fine = (assemble(OperatorSpec(make_grid(dim, n), sector=sector))
+                    .eigenvalues(index)[index - 1] for n in (512, 1024))
+    return (4.0 * fine - coarse) / 3.0
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_lambda1_matches_bessel(dim):
-    got = dirichlet_eigenvalue(dim, 1, n=512)
-    assert got == pytest.approx(LAMBDA1[dim], rel=1e-9)
+    assert _richardson(dim, 1) == pytest.approx(LAMBDA1[dim], rel=1e-9)
 
 
 def test_higher_radial_eigenvalues_n6():
     zeros = jn_zeros(2, 3)
     for m in (2, 3):
-        got = dirichlet_eigenvalue(6, m, n=512)
+        got = _richardson(6, m)
         assert got == pytest.approx(zeros[m - 1] ** 2, rel=1e-8)
 
 
 @pytest.mark.parametrize("sector,order", [(1, 3), (2, 4)])
 def test_sector_eigenvalues_n6(sector, order):
-    # sector l shifts the Bessel order to N/2 - 1 + l; Richardson from
-    # n = 512 and 1024 cells, as dirichlet_eigenvalue extrapolates sector 0
-    coarse, fine = (assemble(OperatorSpec(make_grid(6, n), sector=sector))
-                    .eigenvalues(1)[0] for n in (512, 1024))
-    got = (4.0 * fine - coarse) / 3.0
+    # sector l shifts the Bessel order to N/2 - 1 + l
+    got = _richardson(6, 1, sector)
     assert got == pytest.approx(jn_zeros(order, 1)[0] ** 2, rel=1e-9)
 
 
@@ -237,7 +240,7 @@ def test_min_singular_value_matches_full_spectrum(n, dim, sector, ratio, depth,
     g = _grid(dim, n, ratio)
     q = depth * np.exp(-(g.nodes / width) ** 2)
     asm = assemble(OperatorSpec(g, sector=sector, potential=q))
-    vals = eigvalsh_tridiagonal(*asm.pencil())
+    vals = eigvalsh_tridiagonal(*asm.pencil)
     if where == "below":
         lam = vals[0] - pick * asm.scale()
     elif where == "above":
@@ -259,7 +262,7 @@ def test_min_singular_value_outside_spectrum(where):
     g = make_grid(6, 16)
     q = np.cos(g.nodes)
     asm = assemble(OperatorSpec(g, sector=1, potential=q))
-    vals = eigvalsh_tridiagonal(*asm.pencil())
+    vals = eigvalsh_tridiagonal(*asm.pencil)
     lam = float(vals[0] - 3.0) if where == "below" else float(vals[-1] + 3.0)
     got = min_singular_value(OperatorSpec(g, sector=1, lam=lam, potential=q))
     assert abs(got - 3.0) <= 1e-12 * asm.scale()
