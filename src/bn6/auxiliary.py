@@ -24,13 +24,13 @@ nu_1 is the first entry of sector 0's Sturm bracket of lam_0, which gives its ga
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import DEFAULT_L_MAX, operators
 from .grid import RadialFn, RadialGrid, make_grid
-from .shooting import Lambda0Certificate, linear_shot
+from .shooting import Lambda0Certificate, Trajectory, linear_shot
 
 # E: a stated bound on the IVP error of the end values u_0(1), u_0'(1) and
 # psi(1) of the certificate's shots; against an rtol 3e-14 shot they are
@@ -39,9 +39,57 @@ END_VALUE_ERROR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
+class AuxFields:
+    """u_0, v and w at any radii from the shots of u, psi = du/da and w_p,
+    the one place where v = (u_0 + r u_0'/2)/lam_0 + alpha psi and
+    w = w_p + beta psi and their slopes are formed.  At an array r it
+    gives (2, 3, len(r)): the values u_0, v, w, then their slopes; z(r,
+    eps) is u_0 + eps v + eps^2 w at one point on Python floats.  Between
+    breakpoints (0 and every shot's step ends) each field is one
+    polynomial, the series below the shots' start."""
+
+    lam0: float
+    u: Trajectory
+    psi: Trajectory
+    alpha: float
+    w_p: Trajectory | None = None
+    beta: float = 0.0
+
+    def v(self, r, f, df, p):
+        """v from u_0, u_0' and psi at r, on arrays or Python floats."""
+        return (f + 0.5 * r * df) / self.lam0 + self.alpha * p
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        (f, df), (p, dp), (q, dq) = (y.sample(r)
+                                     for y in (self.u, self.psi, self.w_p))
+        lam0, beta = self.lam0, self.beta
+        # u_0'' = -(5/r) u_0' - lam_0 u_0 - |u_0| u_0 in v'
+        dv = -(df + 0.5 * r * (lam0 + np.abs(f)) * f) / lam0 + self.alpha * dp
+        return np.array([[f, self.v(r, f, df, p), q + beta * p],
+                         [df, dv, dq + beta * dp]])
+
+    def z(self, r: float, eps: float) -> float:
+        f, p = self.u.at(r, 0), self.psi.at(r, 0)
+        v = self.v(r, f, self.u.at(r, 1), p)
+        return f + eps * v + eps ** 2 * (self.w_p.at(r, 0) + self.beta * p)
+
+    def origin(self) -> list:
+        """[u_0(0), v(0), w(0)], from the series."""
+        return self(np.zeros(1))[0, :, 0].tolist()
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        # np.sort, not np.unique, whose masked-array check imports numpy.ma
+        x = np.sort(np.concatenate(
+            ([0.0], *(y.ivp.rs for y in (self.u, self.psi, self.w_p)))))
+        return x[np.concatenate(([True], np.diff(x) > 0.0))]
+
+
+@dataclass(frozen=True, eq=False)
 class AuxProfiles:
     """Ground state and the two auxiliary profiles on a shared grid, the
-    certificate's Newton step and psi(1) (nan if tabulated)."""
+    fields they sample, and the certificate's Newton step and psi(1) (nan
+    if tabulated)."""
 
     dimension: int
     lam0: float
@@ -49,6 +97,7 @@ class AuxProfiles:
     u0: RadialFn = field(repr=False)
     v: RadialFn = field(repr=False)
     w: RadialFn = field(repr=False)
+    fields: AuxFields = field(repr=False)
     newton_step: float = field(default=math.nan, repr=False)
     psi_at_1: float = field(default=math.nan, repr=False)
 
@@ -58,11 +107,11 @@ class AuxProfiles:
 
     @property
     def v0(self) -> float:
-        return float(self.v.values[0])
+        return self.fields.origin()[1]
 
     @property
     def w0(self) -> float:
-        return float(self.w.values[0])
+        return self.fields.origin()[2]
 
     def linearized_potential(self) -> np.ndarray:
         return 2.0 * np.abs(self.u0.values)
@@ -70,33 +119,30 @@ class AuxProfiles:
 
 def build_profiles(certificate: Lambda0Certificate,
                    grid_n: int = 4096) -> AuxProfiles:
-    """u_0 and psi sampled from the certificate's shots on a uniform grid of
-    grid_n cells; v = (u_0 + r u_0'/2)/lam_0 + alpha psi, with u_0'' in v'
-    from the equation and alpha = -(u_0(1) + u_0'(1)/2)/(lam_0 psi(1)); and
-    w = w_p + beta psi, w_p the linear shot of L w_p = v + sgn(u_0) v^2 from
-    w_p(0) = 0 and beta = -w_p(1)/psi(1)."""
+    """u_0, v and w (AuxFields) from the certificate's shots of u and psi,
+    sampled on a uniform grid of grid_n cells: alpha = -(u_0(1) +
+    u_0'(1)/2)/(lam_0 psi(1)); w_p is the linear shot of L w_p = v +
+    sgn(u_0) v^2 from w_p(0) = 0, and beta = -w_p(1)/psi(1)."""
     lam0, u, psi = certificate.lam0, certificate.trajectory, certificate.psi
-    grid = make_grid(certificate.dimension, grid_n)
-    u0, psi_g = u(grid), psi(grid)
     u1, du1 = u.ivp.y_end
-    alpha = -(u1 + 0.5 * du1) / (lam0 * certificate.psi_at_1)
-    r, f, df = grid.nodes, u0.values, u0.derivative
-    v = RadialFn(grid, (f + 0.5 * r * df) / lam0 + alpha * psi_g.values,
-                 -(df + 0.5 * r * (lam0 + np.abs(f)) * f) / lam0
-                 + alpha * psi_g.derivative)
+    partial = AuxFields(lam0, u, psi,
+                        -(u1 + 0.5 * du1) / (lam0 * certificate.psi_at_1))
 
     def forcing(r, u_r):
-        v_r = (u_r + 0.5 * r * u.ivp.at(r, 1)) / lam0 + alpha * psi.ivp.at(r, 0)
+        v_r = partial.v(r, u_r, u.ivp.at(r, 1), psi.ivp.at(r, 0))
         return v_r + math.copysign(v_r * v_r, u_r)
 
-    v0 = float(v.values[0])  # u_0(0) = lam_0/2 > 0
+    # v(0) = (u_0(0) + 0)/lam_0 + alpha psi(0), as the series gives it;
+    # u_0(0) = lam_0/2 > 0
+    v0 = partial.v(0.0, u.series[0], 0.0, psi.series[0])
     w_p = linear_shot(u, lam0, (0.0, -(v0 + v0 * v0) / 12.0), forcing)
-    beta = -w_p.ivp.y_end[0] / certificate.psi_at_1
-    wp_g = w_p(grid)
-    w = RadialFn(grid, wp_g.values + beta * psi_g.values,
-                 wp_g.derivative + beta * psi_g.derivative)
+    fields = replace(partial, w_p=w_p,
+                     beta=-w_p.ivp.y_end[0] / certificate.psi_at_1)
+    grid = make_grid(certificate.dimension, grid_n)
+    values, slopes = fields(grid.nodes)
+    u0, v, w = (RadialFn(grid, y, dy) for y, dy in zip(values, slopes))
     return AuxProfiles(certificate.dimension, lam0, certificate.amplitude,
-                       u0, v, w, certificate.newton_step,
+                       u0, v, w, fields, certificate.newton_step,
                        certificate.psi_at_1)
 
 

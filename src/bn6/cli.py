@@ -353,11 +353,11 @@ def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
                   or reduction.DEFAULT_EPS_MAGNITUDES)
     profiles = _profiles(cfg)
     sign, tau = reduction.case1_parameters(profiles)
-    splines = reduction.SplineSet(profiles)
     rows = []
     for mag in magnitudes:
         eps, mu = sign * mag, tau * mag
-        rows.append((eps, mu, reduction.residual_norm(splines, eps, mu)))
+        rows.append((eps, mu,
+                     reduction.residual_norm(profiles.fields, eps, mu)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)
     mu = np.array([row[1] for row in rows])

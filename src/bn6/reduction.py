@@ -18,23 +18,24 @@ Everything quantitative about V rests on three exact cancellations:
 Energy comparisons are assembled from integrand-level differences that
 stay small pointwise: the naive route computes J(V) and J(z) separately
 as O(1) quantities and loses the cubic coefficient to roundoff at small
-mu.  z is read from the Hermite cubics of u_0, v and w, which take each
-profile's samples and slopes at the grid nodes (the knots).  Quadrature
-is composite Gauss on panels aligned with the knots and refined
-geometrically at the bubble scale, which integrates products of the
-cubics exactly and resolves the mu-core without adaptive overhead.  The
-sign change of V is the only kink of the integrands of an (eps, mu) row,
-so each row has one panel set, split there: the energy gap, the residual
-norm and the single-shot J(V) that audits the gap are integrated
-together on it.  What the rows of one eps share (z, z', the source
--Delta z - lam z, J(z)'s integrand and r^5) is an EpsTable at the Gauss
-nodes of every knot cell, filled from the cubics' coefficients in one
-pass that also sums J(z).  It is the one table panel quadrature reads: a
-row reads runs of whole knot cells as views of it, derives those fields
-afresh only on the few panels that split a knot cell, and evaluates only
-what depends on mu.  V itself is never sampled: residual_norm (one row)
-and expansion_check (the sweep) reach every row through _eps_rows, so a
-row's residual has one path.
+mu.  z is read from auxiliary.AuxFields, the dense output of the three
+shots behind u_0, v and w (u, psi = du/da and w_p), which is one
+polynomial between the shots' step ends (the knots, about 200).
+Quadrature is composite Gauss on panels aligned with the knots and
+refined geometrically at the bubble scale, which is exact on products
+of those pieces up to degree 23 and resolves the mu-core without
+adaptive overhead.  The sign change of V is the only kink of the integrands of
+an (eps, mu) row, so each row has one panel set, split there: the energy
+gap, the residual norm and the single-shot J(V) that audits the gap are
+integrated together on it.  What the rows of one eps share (z, z', the
+source -Delta z - lam z, J(z)'s integrand and r^5) is an EpsTable at the
+Gauss nodes of every knot cell, filled in one pass that also sums J(z).
+It is the one table panel quadrature reads: a row reads runs of whole
+knot cells as views of it, derives those fields afresh only on the
+panels that split a knot cell, and evaluates only what depends on mu.
+V itself is never sampled: residual_norm (one row) and expansion_check
+(the sweep) reach every row through _eps_rows, so a row's residual has
+one path.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxProfiles
+from .auxiliary import AuxFields, AuxProfiles
 from .bubbles import (
     ALPHA6,
     GAUSS_LEGENDRE,
@@ -67,8 +68,8 @@ from .errors import (
 from .grid import ball_volume, sphere_area
 from .roots import brentq
 
-# Gauss nodes per evaluation of a panel integrand or of an EpsTable fill,
-# whole panels; bounds the memory that a chunk's temporaries take
+# Gauss nodes per evaluation of a panel integrand, whole panels; bounds
+# the memory that a chunk's temporaries take
 QUAD_CHUNK = 512 * GAUSS_ORDER
 # panel edges closer than this are merged; the bubble core gets dyadic
 # panels from mu/16 up, so mu/16 must exceed it
@@ -78,103 +79,22 @@ C2 = ALPHA6 ** 3 * sphere_area(6) / 360.0
 
 
 # ---------------------------------------------------------------------------
-# Hermite cubics of the smooth fields
+# the fields of one eps
 
-class SplineSet:
-    """Hermite cubic views of u_0, v, w: on each knot cell, the cubic
-    that takes each profile's samples and derivative samples at both
-    ends (u_0', v' and w' from the shots, all 0 at the center).
-
-    Values and first derivatives are those of scipy's
-    CubicHermiteSpline(x, y, dydx) and its derivative() to the bit: the
-    same coefficient formulas, each r placed in the cell x[i] <= r <
-    x[i + 1] (the end cells extended outward), and each polynomial
-    summed in powers of s = r - x[i] as scipy's PPoly sums it.  It holds
-    one coefficient array and no values: the derivative's coefficients
-    are formed from it as each evaluation needs them, and each EpsTable
-    evaluates the knot cells' Gauss nodes through cell_chunks.
-    """
-
-    def __init__(self, profiles: AuxProfiles):
-        if profiles.dimension != 6:
-            raise RadialModeViolationError("the ansatz is specific to N = 6")
-        x = profiles.grid.nodes
-        self.profiles, self.knots = profiles, x
-        fns = (profiles.u0, profiles.v, profiles.w)
-        y = np.stack([f.values for f in fns])
-        dydx = np.stack([f.derivative for f in fns])
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / dx
-        # rows u_0, v, w, each with the cubic first; PPoly adds the
-        # constant term to 0.0 first, turning a value or a slope of -0.0
-        # into +0.0
-        c = np.stack((t / dx, (slope - dydx[:, :-1]) / dx - t, dydx[:, :-1],
-                      y[:, :-1]), axis=1)
-        c[:, 2:] += 0.0
-        self._coef = c
-
-    def _cell(self, r):
-        # np.minimum(np.maximum(...)): np.clip's argument checks cost more
-        # than the clipping on the scalars a crossing search passes
-        i = np.minimum(np.maximum(np.searchsorted(self.knots, r, "right") - 1,
-                                  0), len(self.knots) - 2)
-        return i, r - self.knots[i]
-
-    def _values(self, i, s):
-        c = self._coef[:, :, i]
-        s2 = s * s
-        return c[:, 3] + c[:, 2] * s + c[:, 1] * s2 + c[:, 0] * (s2 * s)
-
-    def _slopes(self, i, s):
-        # the derivative's coefficients c * (3, 2, 1), as PPoly's
-        # derivative() forms them
-        c = self._coef[:, :3, i]
-        return c[:, 2] + (c[:, 1] * 2.0) * s + (c[:, 0] * 3.0) * (s * s)
-
-    @staticmethod
-    def _z(fields, eps: float):
-        u0, v, w = fields
-        return u0 + eps * v + eps ** 2 * w
-
-    def z(self, r, eps: float):
-        return self._z(self._values(*self._cell(r)), eps)
-
-    def gauss_panels(self, lo: np.ndarray, hi: np.ndarray):
-        """Gauss nodes and weights of the panels [lo, hi], panel by
-        panel."""
-        x, w = GAUSS_LEGENDRE
-        h = 0.5 * (hi - lo)[:, None]
-        return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
-
-    def cell_chunks(self):
-        """(columns of an EpsTable, Gauss nodes, weights, fields) of the
-        knot cells, QUAD_CHUNK nodes (whole cells) at a time.  fields are
-        _evaluate's by the same operations: each node lies strictly inside
-        its own cell, the one _cell picks, so a slice of cells' coefficients
-        broadcasts over their nodes, with no search and no gather."""
-        g, knots = GAUSS_ORDER, self.knots
-        lo, hi, n = knots[:-1], knots[1:], QUAD_CHUNK // g
-        for p in range(0, len(lo), n):
-            cells = slice(p, p + n)
-            r, w = self.gauss_panels(lo[cells], hi[cells])
-            # s[j, 0, c]: node j of cell c, cells last as in the coefficients
-            s = (r.reshape(-1, g).T - lo[cells])[:, None]
-            fields = np.stack((self._values(cells, s), self._slopes(cells, s)))
-            yield (slice(g * p, g * p + len(r)), r, w,
-                   fields.transpose(0, 2, 3, 1).reshape(2, 3, -1))
-
-    def _evaluate(self, r):
-        i, s = self._cell(r)
-        return np.stack((self._values(i, s), self._slopes(i, s)))
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray):
+    """Gauss nodes and weights of the panels [lo, hi], panel by panel."""
+    x, w = GAUSS_LEGENDRE
+    h = 0.5 * (hi - lo)[:, None]
+    return (lo[:, None] + h * (x + 1.0)).ravel(), (h * w).ravel()
 
 
 class EpsTable:
     """What the (eps, mu) rows of one eps need and that does not depend
     on mu: the rows z = u_0 + eps v + eps^2 w, z', the source
     -Delta z - lam z, J(z)'s integrand z'^2/2 - lam z^2/2 - |z|^3/3 and
-    r^5 at the Gauss nodes of every knot cell, read-only; the pass over
-    the SplineSet's cell_chunks that fills it sums J(z) for _base_energy.
+    r^5 at the Gauss nodes of every cell between the fields'
+    breakpoints (the knots), read-only; the pass that fills it sums J(z)
+    for _base_energy.
 
     chunks() reads a run of whole knot cells as a view of the table, and
     derives the fields on all the panels that split a knot cell in one
@@ -182,29 +102,29 @@ class EpsTable:
     code path.
     """
 
-    def __init__(self, splines: SplineSet, eps: float, lam: float):
-        self.splines, self.eps, self.lam = splines, eps, lam
-        lam0 = splines.profiles.lam0
-        table = np.empty((5, GAUSS_ORDER * (len(splines.knots) - 1)))
-        total, positive = 0, True
-        for cols, r, weights, fields in splines.cell_chunks():
-            table[:, cols] = derived = self._derive(fields, r)
-            (u0, v, w), z, r5 = fields[0], derived[0], derived[4]
-            positive = positive and not np.any(z < 0.0)
-            a = lam0 + 2.0 * u0
-            neg_laplacian_z = (lam0 * u0 + u0 ** 2 + eps * (a * v + u0)
-                               + eps ** 2 * (a * w + v + v ** 2))
-            total = total + (0.5 * z * neg_laplacian_z - 0.5 * lam * z ** 2
-                             - z ** 3 / 3.0) * r5 @ weights
+    def __init__(self, fields: AuxFields, eps: float, lam: float):
+        self.fields, self.eps, self.lam = fields, eps, lam
+        self.knots = knots = fields.breakpoints
+        r, weights = _gauss_panels(knots[:-1], knots[1:])
+        samples = fields(r)
+        table = self._derive(samples, r)
+        (u0, v, w), z, r5 = samples[0], table[0], table[4]
+        lam0 = fields.lam0
+        a = lam0 + 2.0 * u0
+        neg_laplacian_z = (lam0 * u0 + u0 ** 2 + eps * (a * v + u0)
+                           + eps ** 2 * (a * w + v + v ** 2))
+        total = (0.5 * z * neg_laplacian_z - 0.5 * lam * z ** 2
+                 - z ** 3 / 3.0) * r5 @ weights
         table.flags.writeable = False
         self._table = table
-        self._j_base = sphere_area(6) * float(total) if positive else None
+        self._j_base = (None if np.any(z < 0.0)
+                        else sphere_area(6) * float(total))
 
-    def _derive(self, fields, r):
-        values, slopes = fields
+    def _derive(self, samples, r):
+        (u0, v, w), (du0, dv, dw) = samples
         eps, lam = self.eps, self.lam
-        z, dz = SplineSet._z(values, eps), SplineSet._z(slopes, eps)
-        u0, v, w = values
+        z = u0 + eps * v + eps ** 2 * w
+        dz = du0 + eps * dv + eps ** 2 * dw
         source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
         direct_z = 0.5 * dz ** 2 - 0.5 * lam * z ** 2 - np.abs(z) ** 3 / 3.0
         return np.stack((z, dz, source, direct_z, r ** 5))
@@ -212,13 +132,13 @@ class EpsTable:
     def chunks(self, edges: np.ndarray):
         """Gauss nodes r, weights and fields (5, len(r)) of the panels
         `edges`, QUAD_CHUNK nodes (whole panels) at a time."""
-        S, g = self.splines, GAUSS_ORDER
+        knots, g = self.knots, GAUSS_ORDER
         lo, hi = edges[:-1], edges[1:]
-        k = np.searchsorted(S.knots, edges)
-        on_knot = S.knots[np.minimum(k, len(S.knots) - 1)] == edges
+        k = np.searchsorted(knots, edges)
+        on_knot = knots[np.minimum(k, len(knots) - 1)] == edges
         split = ~(on_knot[:-1] & on_knot[1:] & (np.diff(k) == 1))
-        nodes = S.gauss_panels(lo[split], hi[split])[0]
-        fresh = self._derive(S._evaluate(nodes), nodes)
+        nodes = _gauss_panels(lo[split], hi[split])[0]
+        fresh = self._derive(self.fields(nodes), nodes)
         # each panel's block of g columns in its source: its knot cell in
         # the table, or its place among the split panels in `fresh`
         block = np.where(split, np.cumsum(split) - 1, k[:-1])
@@ -231,13 +151,13 @@ class EpsTable:
             pieces = [(fresh if split[p] else self._table)[
                           :, g * block[p]:g * (block[p] + q - p)]
                       for p, q in zip(bounds[:-1], bounds[1:])]
-            r, w = S.gauss_panels(lo[p0:p1], hi[p0:p1])
+            r, w = _gauss_panels(lo[p0:p1], hi[p0:p1])
             yield r, w, (pieces[0] if len(pieces) == 1
                          else np.concatenate(pieces, -1))
 
 
 # ---------------------------------------------------------------------------
-# panel quadrature: exact on spline products, geometric at the bubble core
+# panel quadrature: on the fields' pieces, geometric at the bubble core
 
 def _panel_integral(f, edges: np.ndarray, table: EpsTable,
                     order: int = GAUSS_ORDER):
@@ -276,7 +196,7 @@ def _mu_refined_edges(knots: np.ndarray, mu: float, lo: float,
 # ---------------------------------------------------------------------------
 # the rows of one eps
 
-def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
+def _sign_crossing(fields: AuxFields, eps: float, mu: float) -> float:
     """Radius where z = W, the sign change of the ansatz.  A rate mu
     outside (0, 0.5) is refused: the bubble is no longer concentrated,
     and the |eps| behind it can overflow z."""
@@ -285,7 +205,7 @@ def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
                           "reduce |eps|")
 
     def gap(r):
-        return S.z(r, eps) - (talenti_u(r, mu) - boundary_trace(mu))
+        return fields.z(r, eps) - (talenti_u(r, mu) - boundary_trace(mu))
     lo, hi = mu, 0.999
     if gap(lo) >= 0.0 or gap(hi) <= 0.0:
         raise ConfigError("ansatz sign change not bracketed; mu outside the "
@@ -293,22 +213,24 @@ def _sign_crossing(S: SplineSet, eps: float, mu: float) -> float:
     return float(brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
-def _eps_rows(S: SplineSet, eps: float, mus) -> tuple[EpsTable, list]:
+def _eps_rows(fields: AuxFields, eps: float,
+              mus) -> tuple[EpsTable, list]:
     """(the EpsTable of eps at lam = lam_0 + eps, the _row_integrals of
     the ansatz row at each rate in mus): the one path from (eps, mu) to a
     row's integrals, for residual_norm and expansion_check alike.  The
     sign changes are found first, so a bad rate is refused before the
     table is built."""
-    crossings = [_sign_crossing(S, eps, mu) for mu in mus]
-    T = EpsTable(S, eps, S.profiles.lam0 + eps)
+    crossings = [_sign_crossing(fields, eps, mu) for mu in mus]
+    T = EpsTable(fields, eps, fields.lam0 + eps)
     return T, [_row_integrals(T, mu, x) for mu, x in zip(mus, crossings)]
 
 
-def residual_norm(splines: SplineSet, eps: float, mu: float) -> float:
+def residual_norm(fields: AuxFields, eps: float, mu: float) -> float:
     """L^{3/2}(B_1) norm of -Delta V - lam V - |V|V at lam = lam_0 + eps,
-    by the analytic route: the exact bubble Laplacian and the spline
-    smooth part.  It is expansion_check's residual_l32 of the same row."""
-    _, [row] = _eps_rows(splines, eps, [mu])
+    by the analytic route: the exact bubble Laplacian and the smooth part
+    from the fields.  It is expansion_check's residual_l32 of the same
+    row."""
+    _, [row] = _eps_rows(fields, eps, [mu])
     return row[1]
 
 
@@ -427,7 +349,7 @@ def _row_integrals(T: EpsTable, mu: float,
             return np.multiply(out, r5, out=out)
         return f
 
-    knots = T.splines.knots
+    knots = T.knots
     inner = _panel_integral(integrands(True),
                             _mu_refined_edges(knots, mu, 0.0, crossing), T)
     outer = _panel_integral(integrands(False),
@@ -511,11 +433,12 @@ def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
     tau* follows the paper's rate rule 6a/(11 d2) (see tau_star), not the
     minimizer 3a/(8 d2) of the derived cubic MU3_RATIO.
     """
-    b = 0.5 - profiles.v0
+    u00, v00, _ = profiles.fields.origin()
+    b = 0.5 - v00
     if b == 0.0:
         raise AllPointsExcludedError("v(0) = 1/2: no fixed-center "
                                      "construction at the center")
-    d2 = d2_value(profiles.u0.values[0])
+    d2 = d2_value(u00)
     return -math.copysign(1.0, b), tau_star(d1_closed_form() * abs(b), d2)
 
 
@@ -536,16 +459,17 @@ def expansion_check(profiles: AuxProfiles,
                           f"are required")
     if len(set(mags)) != len(mags):
         raise ConfigError("eps magnitudes must be distinct")
-    S = SplineSet(profiles)
-    lam0 = profiles.lam0
-    u00, v00 = float(profiles.u0.values[0]), profiles.v0
+    if profiles.dimension != 6:
+        raise RadialModeViolationError("the ansatz is specific to N = 6")
+    fields, lam0 = profiles.fields, profiles.lam0
+    u00, v00, _ = fields.origin()
     sign, tau0 = case1_parameters(profiles)
 
     rows = []
     for mag in mags:
         eps = sign * mag
         mus = [t * tau0 * mag for t in TAU_MULTIPLIERS]
-        T, integrals = _eps_rows(S, eps, mus)
+        T, integrals = _eps_rows(fields, eps, mus)
         j_base = _base_energy(T)
         del T  # one eps table alive at a time
         for t, mu, (delta, resid, direct_gap, direct_z) in zip(

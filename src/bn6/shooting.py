@@ -325,40 +325,44 @@ class _DenseOutput:
     coefficients F, one (steps, 7, 2) array, evaluated with scipy's
     elementwise operations in scipy's order.  A sample point belongs to
     the step whose breakpoint interval rs[k] < r <= rs[k + 1] holds it,
-    points outside rs to the end steps: scipy's OdeSolution rule."""
+    points outside rs to the end steps: scipy's OdeSolution rule.  The
+    steps' r_old, h and y_old arrays of __call__ and, for at, each step's
+    end points, y_old and reversed coefficient rows as Python floats are
+    built once, here."""
 
     def __init__(self, rs, steps, F):
         self.rs = rs
-        self.steps = steps
         self.F = F
+        r_old, r_new, y_old, _, _ = zip(*steps)
+        self.r_old = np.array(r_old)
+        self.h = np.array(r_new) - self.r_old
+        self.y_old = np.array(y_old)
+        self._rows = list(zip(r_old, r_new, y_old,
+                              F[:, ::-1].transpose(0, 2, 1).tolist()))
 
     def __call__(self, r):
         """(u, u') at the array of points r, one Horner row at a time."""
-        r_old, r_new, y_old, _, _ = zip(*self.steps)
-        r_old = np.array(r_old)
-        h = np.array(r_new) - r_old
         k = np.searchsorted(self.rs, r, side="left") - 1
-        np.clip(k, 0, len(self.steps) - 1, out=k)
-        x = ((r - r_old[k]) / h[k])[:, None]
+        np.clip(k, 0, len(self.h) - 1, out=k)
+        x = ((r - self.r_old[k]) / self.h[k])[:, None]
         y = np.zeros((len(r), 2))
         # scipy's reversed(F): rows 6, 4, 2, 0 multiply by x, the odd by 1 - x
         for i in range(self.F.shape[1] - 1, -1, -1):
             y += self.F[k, i]
             y *= x if i % 2 == 0 else 1 - x
-        y += np.array(y_old)[k]
+        y += self.y_old[k]
         return y.T
 
     def at(self, k: int, r: float, j: int) -> float:
         """Component j (0 for u, 1 for u') of step k's interpolant at the
         point r, on Python floats: the same IEEE operations as __call__,
         so the same bits."""
-        r_old, r_new, y_old, _, _ = self.steps[k]
+        r_old, r_new, y_old, rows = self._rows[k]
         x = (r - r_old) / (r_new - r_old)
-        y = 0.0
-        for i, f in enumerate(self.F[k, ::-1, j].tolist()):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        return y + y_old[j]
+        x1 = 1 - x
+        f6, f5, f4, f3, f2, f1, f0 = rows[j]
+        return (((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x
+                 + f1) * x1 + f0) * x + y_old[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,14 +560,25 @@ def _event_root(piece, r_old, r_new):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One IVP's y: at any r (`IVPResult.at`), and (y, y') on any grid, below
-    the start on the series a + c r^2 + d r^4, series = (a, c, d)."""
+    """One IVP's y, below the start on the series a + c r^2 + d r^4,
+    series = (a, c, d): y or y' at one point on Python floats (`at`),
+    (y, y') at an array of points (`sample`) or on a grid."""
 
     ivp: IVPResult
     series: tuple
 
+    def at(self, r: float, j: int) -> float:
+        if r >= self.ivp.rs[0]:
+            return self.ivp.at(r, j)
+        a, c, d = self.series
+        return a + c * r ** 2 + d * r ** 4 if j == 0 else (
+            2.0 * c * r + 4.0 * d * r ** 3)
+
+    def sample(self, r: np.ndarray) -> np.ndarray:
+        return _sample(self.ivp, self.ivp.rs[0], self.series, r)
+
     def __call__(self, grid: RadialGrid) -> RadialFn:
-        return _sample(self.ivp, self.ivp.rs[0], self.series, grid)
+        return RadialFn(grid, *self.sample(grid.nodes), regular_origin=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,21 +616,18 @@ def _integrate(dimension: int, lam: float, a: float, r_end: float,
     return Trajectory(sol, (a, *_series(dimension, lam, a, p)))
 
 
-def _sample(sol, r0: float, series: tuple, grid: RadialGrid) -> RadialFn:
-    """Evaluate the dense IVP solution on grid nodes, below r0 the regular
-    series a + c r^2 + d r^4 of series = (a, c, d)."""
-    r = grid.nodes
-    vals = np.empty_like(r)
-    derivs = np.empty_like(r)
+def _sample(sol, r0: float, series: tuple, r: np.ndarray) -> np.ndarray:
+    """(y, y'), shape (2, len(r)), of the dense IVP solution at the points
+    r, below r0 the regular series a + c r^2 + d r^4 of series = (a, c,
+    d)."""
+    out = np.empty((2, len(r)))
     below = r < r0
-    if np.any(below):
-        a, c, d = series
-        rb = r[below]
-        vals[below] = a + c * rb ** 2 + d * rb ** 4
-        derivs[below] = 2.0 * c * rb + 4.0 * d * rb ** 3
-    above = ~below
-    vals[above], derivs[above] = sol.sol(r[above])
-    return RadialFn(grid, vals, derivs, regular_origin=True)
+    a, c, d = series
+    rb = r[below]
+    out[0, below] = a + c * rb ** 2 + d * rb ** 4
+    out[1, below] = 2.0 * c * rb + 4.0 * d * rb ** 3
+    out[:, ~below] = sol.sol(r[~below])
+    return out
 
 
 def shoot(dimension: int, lam: float, amplitude: float,

@@ -2,10 +2,10 @@
 grids, the product-trapezoid integral and the L^p and H^1 norms of a
 radial function, the weak (flux) and finite-difference strong forms of
 the operators, the radial Dirichlet eigenvalues by Bessel zeros, the
-translation-dilation profiles w_eta (criterion 06), the ansatz sampled
-on a grid and the pinned Newton refinement that starts from it
-(criterion 10), an ansatz row's integrals by adaptive
-quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
+translation-dilation profiles w_eta (criterion 06), closed-form
+stand-ins for the auxiliary fields, the ansatz sampled on a grid and the
+pinned Newton refinement that starts from it (criterion 10), an ansatz
+row's integrals by adaptive quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
 eps = 0, J(u) by grid quadrature, the bubble's projection and
 dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, the
 auxiliary profiles by variation of constants, and the N = 6, m = 2
@@ -18,21 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros, jv
 
-from bn6.auxiliary import AuxProfiles
+from bn6.auxiliary import AuxFields, AuxProfiles
 from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
 from bn6.errors import NearSingularError, NotConvergedError
 from bn6.grid import (MIN_CELLS, RadialFn, RadialGrid, _finish,
                       differentiate, hat_moments, make_core_grid,
                       rescale_grid, sphere_area)
 from bn6.operators import OperatorSpec, assemble
-from bn6.reduction import (C2, PAPER_MU3_RATIO, EpsTable, SplineSet,
-                           _row_integrals, _sign_crossing, case1_parameters)
+from bn6.reduction import (C2, PAPER_MU3_RATIO, EpsTable, _row_integrals,
+                           _sign_crossing, case1_parameters)
 from bn6.shooting import critical_exponent
 
 
@@ -162,14 +161,51 @@ def project_bubble(grid: RadialGrid, mu: float) -> tuple[RadialFn, float]:
     return RadialFn(grid, vals, derivs, regular_origin=True), c
 
 
-def ansatz_on_grid(S: SplineSet, eps: float, mu: float,
+@dataclass(frozen=True, eq=False)
+class PolynomialFields:
+    """A closed-form stand-in for bn6.auxiliary.AuxFields: u_0, v and w
+    are the polynomials in r of the rows of `coefficients` (highest power
+    first), with lam0 and breakpoints as given."""
+
+    lam0: float
+    coefficients: tuple
+    breakpoints: np.ndarray
+
+    def __call__(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return np.array([[np.polyval(c, r) for c in self.coefficients],
+                         [np.polyval(np.polyder(c), r)
+                          for c in self.coefficients]])
+
+    def z(self, r: float, eps: float) -> float:
+        u0, v, w = self(r)[0]
+        return float(u0 + eps * v + eps ** 2 * w)
+
+    def origin(self) -> list:
+        return self(np.zeros(1))[0, :, 0].tolist()
+
+
+def polynomial_profiles(dimension: int, lam0: float, coefficients,
+                        grid: RadialGrid) -> AuxProfiles:
+    """AuxProfiles of PolynomialFields(lam0, coefficients, grid.nodes),
+    tabulated on grid."""
+    fields = PolynomialFields(lam0, tuple(map(np.asarray, coefficients)),
+                              grid.nodes)
+    values, slopes = fields(grid.nodes)
+    return AuxProfiles(dimension, lam0, float(values[0, 0]),
+                       *(RadialFn(grid, y, dy)
+                         for y, dy in zip(values, slopes)), fields)
+
+
+def ansatz_on_grid(fields: AuxFields, eps: float, mu: float,
                    grid: RadialGrid) -> RadialFn:
     """V = u_0 + eps v + eps^2 w - W_mu sampled on grid, z and z' from the
-    splines S, W from project_bubble."""
+    fields, W from project_bubble."""
     W, _ = project_bubble(grid, mu)
-    values, slopes = S._evaluate(grid.nodes)
-    return RadialFn(grid, S._z(values, eps) - W.values,
-                    S._z(slopes, eps) - W.derivative, regular_origin=True)
+    (u0, v, w), (du0, dv, dw) = fields(grid.nodes)
+    return RadialFn(grid, u0 + eps * v + eps ** 2 * w - W.values,
+                    du0 + eps * dv + eps ** 2 * dw - W.derivative,
+                    regular_origin=True)
 
 
 def fd_residual_norm(v: RadialFn, lam: float) -> float:
@@ -186,22 +222,24 @@ def row_integrals_by_quad(profiles: AuxProfiles, eps: float,
     """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, J(z)) of the
     ansatz row (eps, mu) at lam = lam_0 + eps, each by scipy's adaptive
     quad over [0, 1].  Breakpoints: the sign change of V, mu {1/2, 1, 2,
-    4, 8, 16} and the knots, where z'' jumps.  z and z' come from scipy's
-    CubicHermiteSpline of the profiles, -Delta z - lam z from the source
-    identity, and every integrand is the plain difference of the
-    functionals: no panels, no table, no expanded cubic."""
-    fns = (profiles.u0, profiles.v, profiles.w)
-    x = profiles.grid.nodes
-    cubic = CubicHermiteSpline(x, np.stack([f.values for f in fns], 1),
-                               np.stack([f.derivative for f in fns], 1))
-    slope, powers = cubic.derivative(), (1.0, eps, eps ** 2)
-    lam, c = profiles.lam0 + eps, boundary_trace(mu)
+    4, 8, 16} and the step ends of the shots behind the profiles, where
+    z'' jumps.  z and z' come from the profiles' fields one point at a
+    time, -Delta z - lam z from the source identity, and every integrand
+    is the plain difference of the functionals: no panels, no table, no
+    expanded cubic.  u_0, psi and w_p and their slopes are read on Python
+    floats (Trajectory.at), and v and w formed from them."""
+    F = profiles.fields
+    x, lam0 = F.breakpoints, F.lam0
+    lam, c = lam0 + eps, boundary_trace(mu)
 
     def fields(r):
-        values = cubic(r)
-        u0, v, w = values
+        (u0, du0), (p, dp), (q, dq) = ((y.at(r, 0), y.at(r, 1))
+                                       for y in (F.u, F.psi, F.w_p))
+        v = (u0 + 0.5 * r * du0) / lam0 + F.alpha * p
+        dv = -(du0 + 0.5 * r * (lam0 + abs(u0)) * u0) / lam0 + F.alpha * dp
+        w, dw = q + F.beta * p, dq + F.beta * dp
         u = talenti_u(r, mu)
-        z, dz = values @ powers, slope(r) @ powers
+        z, dz = u0 + eps * v + eps ** 2 * w, du0 + eps * dv + eps ** 2 * dw
         source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
         return u, z, dz, z - (u - c), dz - talenti_du(r, mu), source
 
@@ -423,11 +461,11 @@ def cubic_coefficient_probe(profiles: AuxProfiles) -> dict:
     ratio to d2 is the dimensionless constant MU3_RATIO derives.
     """
     mu_values = np.geomspace(4e-4, 4e-3, 6)
-    S = SplineSet(profiles)
-    T = EpsTable(S, 0.0, profiles.lam0)
+    fields = profiles.fields
+    T = EpsTable(fields, 0.0, profiles.lam0)
     ratios = []
     for mu in mu_values:
-        delta, *_ = _row_integrals(T, mu, _sign_crossing(S, 0.0, mu))
+        delta, *_ = _row_integrals(T, mu, _sign_crossing(fields, 0.0, mu))
         ratios.append((delta - C2) / mu ** 3)
     ratios = np.asarray(ratios)
     # leading drift is ~mu; eliminate it pairwise and keep the smallest-mu
@@ -443,7 +481,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles) -> dict:
     return {
         "mu3_coefficient": value,
         "extrapolation_spread": spread,
-        "ratio_to_d2": value / d2_value(float(profiles.u0.values[0])),
+        "ratio_to_d2": value / d2_value(profiles.fields.origin()[0]),
         "tail_exponent": tail_exponent,
     }
 
@@ -630,14 +668,13 @@ def refinement_sweep(profiles: AuxProfiles) -> RefinementReport:
     transversal correction the remainder bound speaks about.
     """
     sign, tau0 = case1_parameters(profiles)
-    S = SplineSet(profiles)
     rows = []
     for mag in REFINEMENT_EPS_MAGNITUDES:
         eps = sign * mag
         mu = tau0 * mag
         grid = make_core_grid(6, mu, h_over_scale=REFINEMENT_H_OVER_SCALE,
                               h_max=REFINEMENT_H_MAX)
-        ansatz = ansatz_on_grid(S, eps, mu, grid)
+        ansatz = ansatz_on_grid(profiles.fields, eps, mu, grid)
         core_grid = rescale_grid(grid, 1.0 / mu)
         guess = RadialFn(core_grid, mu ** 2 * ansatz.values,
                          mu ** 3 * ansatz.derivative)

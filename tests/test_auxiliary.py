@@ -72,6 +72,29 @@ def test_profiles_resample_the_certificates_shot(certificate, n):
     assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
 
 
+def test_fields_are_the_grid_tables_to_the_bit(profiles):
+    # build_profiles samples its tables through the fields, so the fields
+    # at the grid's nodes are u_0, v, w and their slopes to the bit; v(0)
+    # and w(0) come from the series, the tables' first entries
+    fields = profiles.fields
+    values, slopes = fields(profiles.grid.nodes)
+    for k, f in enumerate((profiles.u0, profiles.v, profiles.w)):
+        assert values[k].tobytes() == f.values.tobytes()
+        assert slopes[k].tobytes() == f.derivative.tobytes()
+    assert fields.origin() == [profiles.u0.values[0], profiles.v.values[0],
+                               profiles.w.values[0]]
+    # z on Python floats, as the sign-change search reads it, is the
+    # tables' z at every node past the shots' start
+    r0 = fields.u.ivp.rs[0]
+    for eps in (-0.25, 0.02):
+        z = values[0] + eps * values[1] + eps ** 2 * values[2]
+        nodes = profiles.grid.nodes
+        past = nodes >= r0
+        assert [fields.z(r, eps).hex() for r in nodes[past].tolist()] == [
+            x.hex() for x in z[past].tolist()]
+        assert fields.z(0.0, eps) == pytest.approx(z[0], rel=1e-15)
+
+
 def test_profiles_match_the_variation_of_constants_oracle(certificate,
                                                         profiles):
     # scipy's DOP853 at rtol 3e-14 gives v = v_p + c psi with v_p forced by

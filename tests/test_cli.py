@@ -634,6 +634,20 @@ def test_expansion_fit_carries_rows(tmp_path):
                for a in audits)
 
 
+def test_grid_n_leaves_the_expansion_fit_alone(tmp_path):
+    # the sweep reads u_0, v and w, u_0(0) and v(0) among them, from the
+    # shots, not from the grid tables, so --grid-n changes only the
+    # provenance of the fit
+    fits = []
+    for argv in ((), ("--grid-n", "256")):
+        out = tmp_path / f"grid{len(argv)}"
+        assert run("expansion-check", *argv, "--out", str(out)) == 0
+        fit = json.loads(read(out / "expansion_fit.json"))
+        fits.append(fit)
+    assert fits[0].pop("provenance") != fits[1].pop("provenance")
+    assert fits[0] == fits[1]
+
+
 def test_ansatz_check_artifacts(tmp_path):
     out = tmp_path / "ans"
     assert run("ansatz-check", "--out", str(out)) == 0
@@ -834,7 +848,7 @@ def test_lambda0_loads_no_scipy_beyond_linalg(tmp_path):
 
 
 def test_tail_fits_and_splines_load_no_scipy_beyond_linalg(tmp_path):
-    # limits fits its tails and ansatz-check builds its splines on numpy
+    # limits fits its tails and ansatz-check reads its fields on numpy
     # alone, and neither loads numpy.ma (np.unique would) or
     # numpy.polynomial (leggauss would)
     cfg = tmp_path / "short.cfg"
@@ -996,7 +1010,7 @@ SAMPLED_ANSATZ = {"AnsatzSpec", "AnsatzProfile", "assemble_ansatz",
 
 
 def test_reduction_reads_the_residual_from_the_splines_only():
-    # from the source: a row's residual has one path, from the splines
+    # from the source: a row's residual has one path, from the fields
     # through the panel quadrature, so the reduction imports no grid
     # sampler or bubble projection, and no bn6 module defines the sampled
     # ansatz again
@@ -1017,11 +1031,17 @@ def test_reduction_reads_the_residual_from_the_splines_only():
                                if isinstance(t, ast.Name))
     assert {(stem, name) for stem, name in defined
             if name in SAMPLED_ANSATZ} == set()
-    spline_set, = (node for node in trees["reduction"].body
-                   if isinstance(node, ast.ClassDef)
-                   and node.name == "SplineSet")
-    assert "dz" not in {node.name for node in spline_set.body
-                        if isinstance(node, ast.FunctionDef)}
+    # z is read from the shots' fields, not from cubics resampled on a
+    # grid, and v and w are formed in one place: of bn6's top-level
+    # definitions only AuxFields reads psi's multiples alpha and beta
+    assert "SplineSet" not in {name for _, name in defined}
+    readers = {(stem, node.name) for stem, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+               and any(isinstance(a, ast.Attribute)
+                       and a.attr in ("alpha", "beta")
+                       for a in ast.walk(node))}
+    assert readers == {("auxiliary", "AuxFields")}
 
 
 # Defaulted parameters that no call in bn6 passes, and why each stays:

@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline
 
 from bn6 import reduction
-from bn6.auxiliary import AuxProfiles, build_profiles
+from bn6.auxiliary import AuxFields
 from bn6.bubbles import boundary_trace, constants, d1_closed_form, d2_value
 from bn6.errors import (
     ConfigError,
     RadialModeViolationError,
     UnderResolvedError,
 )
-from bn6.grid import (RadialFn, RadialGrid, make_core_grid, make_grid,
-                      sphere_area)
+from bn6.grid import make_core_grid, make_grid, sphere_area
 from bn6.reduction import (
     EDGE_MERGE_TOL,
     GAUSS_ORDER,
@@ -29,7 +27,6 @@ from bn6.reduction import (
     DEFAULT_EPS_MAGNITUDES,
     TAU_MULTIPLIERS,
     EpsTable,
-    SplineSet,
     case1_parameters,
     expansion_E,
     expansion_check,
@@ -43,10 +40,10 @@ from bn6.reduction import (
 )
 from bn6.serialize import record
 
-from oracles import (ansatz_on_grid, branch_tail_ratio,
+from oracles import (PolynomialFields, ansatz_on_grid, branch_tail_ratio,
                      cubic_coefficient_probe, energy, fd_residual_norm,
-                     project_bubble, reduced_energy_polynomial,
-                     row_integrals_by_quad)
+                     polynomial_profiles, project_bubble,
+                     reduced_energy_polynomial, row_integrals_by_quad)
 
 # tau_star(d1 |1/2 - v(0)|, d2) with v(0) of oracles.aux_profile_shot at
 # rtol 3e-14 from the certificate's (lam_0, lam_0/2)
@@ -155,44 +152,6 @@ def _hex(values) -> list:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(3, 40), clustered=st.booleans(), data=st.data())
-def test_spline_set_matches_scipy_cubic_spline(n, clustered, data):
-    # knots from random cell widths, or cells growing geometrically away
-    # from r = 0 as on the profile grids; values and slopes random
-    if clustered:
-        widths = data.draw(st.floats(1.0, 1.5)) ** np.arange(n - 1)
-    else:
-        widths = np.array(data.draw(st.lists(st.floats(0.01, 1.0),
-                                             min_size=n - 1, max_size=n - 1)))
-    cum = np.cumsum(widths)
-    x = np.concatenate(([0.0], cum / cum[-1]))
-    # signed zeros are frequent, and some rows hold nothing else, so
-    # -0.0 + -0.0 sums show
-    zero = st.sampled_from((0.0, -0.0))
-    finite = st.one_of(zero, st.floats(-10.0, 10.0))
-    row = st.one_of(st.lists(finite, min_size=n, max_size=n),
-                    st.lists(zero, min_size=n, max_size=n))
-    grid = RadialGrid(6, x, np.zeros(n))
-    fns = [RadialFn(grid, np.array(data.draw(row)), np.array(data.draw(row)))
-           for _ in range(3)]
-    S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
-
-    fracs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
-                                        max_size=4)))
-    inside = (x[:-1, None] + fracs * np.diff(x)[:, None]).ravel()
-    r = np.concatenate((x, inside, [0.0, 1.0, -1e-3, np.nextafter(0.0, -1.0),
-                                    np.nextafter(1.0, 2.0), 1.0 + 1e-3]))
-    scalars = (0.0, float(inside[0]), 1.0, -1e-3, 1.0 + 1e-3)
-    for k, f in enumerate(fns):
-        spline = CubicHermiteSpline(x, f.values, f.derivative)
-        for ours, ref in ((S._values, spline), (S._slopes,
-                                                 spline.derivative())):
-            assert _hex(ours(*S._cell(r))[k]) == _hex(ref(r))
-            assert _hex([ours(*S._cell(t))[k] for t in scalars]) == _hex(
-                [ref(t) for t in scalars])
-
-
 def _fresh_nodes(edges):
     # Gauss nodes and weights of the panels `edges`, computed afresh
     nodes, weights = leggauss(GAUSS_ORDER)
@@ -214,11 +173,11 @@ def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
-def _fresh_eps_fields(S, eps, lam):
+def _fresh_eps_fields(fields, eps, lam):
     # z, z', the source, J(z)'s integrand and r^5, written out from u_0,
     # v, w
     def evaluate(r):
-        (u0, v, w), (du0, dv, dw) = S._evaluate(r)
+        (u0, v, w), (du0, dv, dw) = fields(r)
         z = u0 + eps * v + eps ** 2 * w
         dz = du0 + eps * dv + eps ** 2 * dw
         source = (u0 + eps * v) ** 2 + 2.0 * eps ** 2 * u0 * w - eps ** 3 * w
@@ -227,48 +186,42 @@ def _fresh_eps_fields(S, eps, lam):
     return evaluate
 
 
-def _base_energy_written_out(S, eps, lam):
-    # J(z) by the -Delta z form over the knot cells, u_0, v, w evaluated
-    # afresh at every node
-    lam0 = S.profiles.lam0
+def _base_energy_written_out(fields, eps, lam):
+    # J(z) by the -Delta z form over the knot cells in one sum, u_0, v, w
+    # evaluated afresh at every node
+    lam0 = fields.lam0
 
-    def integrand(r, fields):
-        u0, v, w = fields[0]
+    def integrand(r, samples):
+        u0, v, w = samples[0]
         z = u0 + eps * v + eps ** 2 * w
         neg_laplacian_z = (lam0 * u0 + u0 ** 2
                            + eps * ((lam0 + 2.0 * u0) * v + u0)
                            + eps ** 2 * ((lam0 + 2.0 * u0) * w + v + v ** 2))
         return (0.5 * z * neg_laplacian_z
                 - 0.5 * lam * z ** 2 - z ** 3 / 3.0) * r ** 5
-    return sphere_area(6) * float(
-        _fresh_panel_integral(integrand, S.knots, S._evaluate))
+    x, w = _fresh_nodes(fields.breakpoints)
+    return sphere_area(6) * float(integrand(x, fields(x)) @ w)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
-    # 1200 random knot cells, so edge sets span three QUAD_CHUNKs
+    # 1200 random knot cells, so edge sets span three QUAD_CHUNKs, and
+    # closed-form fields: random polynomials of degree 7, below 2 in size
     rng = np.random.default_rng(seed)
     cum = np.cumsum(rng.uniform(0.2, 1.0, 1200))
     x = np.concatenate(([0.0], cum / cum[-1]))
-    grid = RadialGrid(6, x, np.zeros(len(x)))
-    fns = [RadialFn(grid, rng.normal(size=len(x)),
-                    np.append(np.zeros(len(x) - 1), rng.normal()))
-           for _ in range(3)]
-    S = SplineSet(AuxProfiles(6, 20.0, 1.0, *fns))
+    coefficients = rng.normal(size=(3, 8)) / 8.0
+    fields = PolynomialFields(20.0, tuple(coefficients), x)
     eps = data.draw(st.floats(-0.5, 0.5))
     lam = data.draw(st.floats(10.0, 30.0))
-    T = EpsTable(S, eps, lam)
+    T = EpsTable(fields, eps, lam)
 
-    # the SplineSet's knot-cell chunks are u_0, v, w and their slopes at
-    # every knot cell's Gauss nodes, as _evaluate gives them
-    assert np.array_equal(
-        _bits(np.concatenate([f for *_, f in S.cell_chunks()], -1)),
-        _bits(S._evaluate(_fresh_nodes(x)[0])))
     # J(z), summed as the eps table fills, is the -Delta z form evaluated
     # afresh; the form needs z > 0, so u_0 is lifted
-    lifted = RadialFn(grid, fns[0].values + 20.0, fns[0].derivative)
-    P = SplineSet(AuxProfiles(6, 20.0, 1.0, lifted, *fns[1:]))
+    lifted = coefficients.copy()
+    lifted[0, -1] += 20.0
+    P = PolynomialFields(20.0, tuple(lifted), x)
     assert _hex(_base_energy(EpsTable(P, eps, lam))) == _hex(
         _base_energy_written_out(P, eps, lam))
 
@@ -290,7 +243,7 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
     for c in (knot, crossing):
         edge_sets += [_mu_refined_edges(x, mu, 0.0, c),
                       _mu_refined_edges(x, mu, c, 1.0)]
-    evaluate = _fresh_eps_fields(S, eps, lam)
+    evaluate = _fresh_eps_fields(fields, eps, lam)
     for edges in edge_sets:
         x_fresh, w_fresh = _fresh_nodes(edges)
         assert _hex(_panel_integral(g, edges, T)) == _hex(
@@ -321,43 +274,35 @@ def test_panel_integral_table_route_is_fresh_evaluation(seed, data):
 def test_base_energy_refuses_negative_z():
     # z = 2 - r^2 - 6 eps r^2 stays positive at eps = 0 and changes sign
     # inside the ball at eps = 0.5, where the -Delta z form of J(z) fails
-    grid = make_grid(6, 64)
-    r2 = grid.nodes ** 2
-    u0, v = (RadialFn.from_values(grid, y) for y in (2.0 - r2, -6.0 * r2))
-    zero = RadialFn.from_values(grid, np.zeros(len(r2)))
-    S = SplineSet(AuxProfiles(6, 20.0, 1.0, u0, v, zero))
-    assert np.isfinite(_base_energy(EpsTable(S, 0.0, 20.0)))
+    fields = PolynomialFields(20.0, ([-1.0, 0.0, 2.0], [-6.0, 0.0, 0.0],
+                                     [0.0]), make_grid(6, 64).nodes)
+    assert np.isfinite(_base_energy(EpsTable(fields, 0.0, 20.0)))
     # the table itself builds; only reading J(z) from it fails
-    T = EpsTable(S, 0.5, 20.5)
+    T = EpsTable(fields, 0.5, 20.5)
     with pytest.raises(ConfigError, match="z must stay positive"):
         _base_energy(T)
 
 
 def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
-    # one SplineSet per run, which holds no node array and evaluates
-    # nothing, and one eps table per eps magnitude, each built from it and
-    # freed before the next; two panel integrals per row, over eps tables
-    # and never over the bare knots (J(z) is summed as the eps table
-    # fills); _evaluate runs only on the panels that split a knot cell
-    built, eps_tables, fresh, calls = [], [], [], []
-    init, evaluate = SplineSet.__init__, SplineSet._evaluate
-    eps_init = EpsTable.__init__
+    # one eps table per eps magnitude, each built from the profiles'
+    # fields and freed before the next; two panel integrals per row, over
+    # eps tables and never over the bare knots (J(z) is summed as the eps
+    # table fills); each table evaluates the fields once at its knot
+    # cells' Gauss nodes, and afterwards only on the panels that split a
+    # knot cell
+    eps_tables, evaluated, calls = [], [], []
+    eps_init, evaluate = EpsTable.__init__, AuxFields.__call__
     panel_integral = reduction._panel_integral
 
-    def counting_init(self, p):
-        built.append(self)
-        init(self, p)
-        assert not fresh
-        nodes = GAUSS_ORDER * (len(p.grid.nodes) - 1)
-        assert all(np.shape(a)[-1:] != (nodes,) for a in vars(self).values())
-
-    def counting_eps_init(self, splines, eps, lam):
+    def counting_eps_init(self, fields, eps, lam):
         assert all(ref() is None for ref, *_ in eps_tables)
-        eps_tables.append((weakref.ref(self), splines, eps))
-        eps_init(self, splines, eps, lam)
+        eps_tables.append((weakref.ref(self), fields, eps))
+        evaluated.append([])
+        eps_init(self, fields, eps, lam)
 
     def counting_evaluate(self, r):
-        fresh.append(len(r))
+        if evaluated:  # not the origin values read before the tables
+            evaluated[-1].append(len(r))
         return evaluate(self, r)
 
     def counting_panel_integral(f, edges, table):
@@ -365,16 +310,15 @@ def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
         calls.append((edges, type(table)))
         return panel_integral(f, edges, table)
 
-    monkeypatch.setattr(SplineSet, "__init__", counting_init)
     monkeypatch.setattr(EpsTable, "__init__", counting_eps_init)
-    monkeypatch.setattr(SplineSet, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(AuxFields, "__call__", counting_evaluate)
     monkeypatch.setattr(reduction, "_panel_integral", counting_panel_integral)
     mags = np.geomspace(0.02, 0.25, 6)
     report = expansion_check(profiles, eps_magnitudes=mags)
-    assert len(built) == 1
-    assert all(splines is built[0] for _, splines, _ in eps_tables)
+    assert all(fields is profiles.fields for _, fields, _ in eps_tables)
     assert [abs(eps) for *_, eps in eps_tables] == list(mags)
-    knots = profiles.grid.nodes
+    knots = profiles.fields.breakpoints
+    assert [n for n, *_ in evaluated] == [GAUSS_ORDER * (len(knots) - 1)] * 6
     assert len(calls) == 2 * len(report.rows)
     assert all(kind is EpsTable for _, kind in calls)
     assert not any(np.array_equal(edges, knots) for edges, _ in calls)
@@ -382,39 +326,25 @@ def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
     split = sum((a, b) not in cells
                 for edges, _ in calls for a, b in zip(edges[:-1], edges[1:]))
     nodes = sum(GAUSS_ORDER * (len(edges) - 1) for edges, _ in calls)
-    assert 0 < sum(fresh) == GAUSS_ORDER * split < 0.01 * nodes
+    fresh = sum(sum(n) for _, *n in evaluated)
+    # measured 9,252 of 77,700 nodes (11.9%): each row's dyadic mu edges
+    # and sign change split about 13 of its ~200 knot cells, a share
+    # twenty times that of 4096 grid cells, on a twentieth of the nodes
+    assert 0 < fresh == GAUSS_ORDER * split < 0.125 * nodes
 
 
 def test_expansion_check_peak_memory(profiles, expansion):
     # warm (the session's expansion fixture has run it), the sweep holds
-    # one eps table (1.9 MiB) and chunk-sized temporaries, 4.1 MiB in all;
-    # a node-sized array of u_0, v, w and slopes (2.4 MiB) beside the
-    # table would break the bound
+    # one eps table on the ~200 knot cells (0.09 MiB) and its
+    # temporaries, 0.44 MiB in all (measured); the bound leaves 0.16 MiB,
+    # and a table on 4096 grid cells (1.9 MiB) would break it
     tracemalloc.start()
     try:
         expansion_check(profiles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.0 * 2 ** 20
-
-
-def test_spline_set_holds_one_coefficient_array(profiles):
-    # the cubics' coefficients (3 fields x 4 powers x n cells) and nothing
-    # node- or cell-sized beside them: the derivative's coefficients are
-    # formed as each evaluation needs them, and the Gauss rule is a
-    # module constant
-    n = len(profiles.grid.nodes) - 1
-    assert n == 4096
-    tracemalloc.start()
-    try:
-        S = SplineSet(profiles)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    coef_bytes = 3 * 4 * n * 8
-    assert S._coef.nbytes == coef_bytes
-    assert held <= coef_bytes + 64 * 2 ** 10
+    assert peak < 0.6 * 2 ** 20
 
 
 @pytest.mark.parametrize("mag, t", [
@@ -422,20 +352,15 @@ def test_spline_set_holds_one_coefficient_array(profiles):
     (DEFAULT_EPS_MAGNITUDES[4], 1.0),
     (DEFAULT_EPS_MAGNITUDES[-1], TAU_MULTIPLIERS[-1]),
 ], ids=["smallest-mu", "tau-star", "largest-mu"])
-def test_row_integrals_match_adaptive_quadrature(certificate, mag, t):
-    # On 64 knot cells, not the command's 4096: the oracle checks the
-    # panel quadrature of the profiles' cubics at any resolution, and wide
-    # knot cells leave the sign change of V inside a panel unless the
-    # panels split there.  Panels that do not split there miss J(V) - J(z)
-    # by 5.6e-11 to 4.7e-10 and the residual norm by up to 3.3e-6
-    # relative on these rows; split, the gaps measured at most 2.1e-12
-    # over all 40 default rows.  The residual's own zeros are kinks no
-    # panel splits at, so its bound is relative: measured at most 1.8e-7.
-    profiles = build_profiles(certificate, grid_n=64)
+def test_row_integrals_match_adaptive_quadrature(profiles, mag, t):
+    # The knots are the shots' step ends, about 200 cells, some of them
+    # wide, so the sign change of V falls inside a knot cell unless the
+    # panels split there.  The residual's own zeros are kinks no panel
+    # splits at, so its bound is relative.
     sign, tau = case1_parameters(profiles)
     eps, mu = sign * mag, t * tau * mag
     _, [(gap, resid, direct_gap, direct_z)] = _eps_rows(
-        SplineSet(profiles), eps, [mu])
+        profiles.fields, eps, [mu])
     gap_ref, resid_ref, base_ref = row_integrals_by_quad(profiles, eps, mu)
     assert abs(direct_gap - gap_ref) <= 2e-11
     assert abs(gap - gap_ref) <= 2e-11
@@ -451,11 +376,9 @@ def test_assemble_z_splines_follow_their_profiles():
     finer = make_grid(6, 256)
     mu = 0.1
     W, _ = project_bubble(finer, mu)
-    fns = [RadialFn.from_values(grid, k * (1.0 - grid.nodes ** 2))
-           for k in range(1, 9)]
-    for k, fn in enumerate(fns, 1):
-        p = AuxProfiles(6, 20.0, float(k), fn, fn, fn)
-        ansatz = ansatz_on_grid(SplineSet(p), 0.0, mu, finer)
+    for k in range(1, 9):
+        p = polynomial_profiles(6, 20.0, [[-k, 0.0, k]] * 3, grid)
+        ansatz = ansatz_on_grid(p.fields, 0.0, mu, finer)
         del p
         z = ansatz.values + W.values
         assert np.max(np.abs(z - k * (1.0 - finer.nodes ** 2))) < 1e-12
@@ -466,9 +389,8 @@ def test_assemble_ansatz_structure(profiles):
     mag = 0.1
     eps, mu = sign * mag, mag * tau
     grid = make_core_grid(6, mu)
-    S = SplineSet(profiles)
-    v = ansatz_on_grid(S, eps, mu, grid).values
-    crossing = _sign_crossing(S, eps, mu)
+    v = ansatz_on_grid(profiles.fields, eps, mu, grid).values
+    crossing = _sign_crossing(profiles.fields, eps, mu)
     assert mu < crossing < 1.0
     # center: the bubble dominates with its negative sign
     z0 = profiles.u0.values[0] + eps * profiles.v0 + eps ** 2 * profiles.w0
@@ -484,13 +406,10 @@ def test_assemble_ansatz_structure(profiles):
 
 
 def test_spline_set_requires_n6():
-    # the ansatz is specific to N = 6; the guard sits in SplineSet, which
-    # both residual_norm and expansion_check start from
-    grid = make_grid(4, 64)
-    fn = RadialFn.from_values(grid, 1.0 - grid.nodes ** 2)
-    p = AuxProfiles(4, 20.0, 1.0, fn, fn, fn)
-    with pytest.raises(RadialModeViolationError):
-        SplineSet(p)
+    # the ansatz is specific to N = 6: expansion_check refuses other
+    # profiles before it reads their fields, and residual_norm's fields
+    # are built from the N = 6 certificate only
+    p = polynomial_profiles(4, 20.0, [[-1.0, 0.0, 1.0]] * 3, make_grid(4, 64))
     with pytest.raises(RadialModeViolationError):
         expansion_check(p)
 
@@ -502,12 +421,11 @@ def _must_not_build(*args, **kwargs):
 def test_rates_outside_the_core_range_are_refused(profiles, monkeypatch):
     # 0 < mu < 0.5 is checked before the eps table of the row is built,
     # on the one path of both commands; a huge eps would overflow there
-    S = SplineSet(profiles)
     sign, _ = case1_parameters(profiles)
     monkeypatch.setattr(reduction, "EpsTable", _must_not_build)
     for mu in (0.0, -1e-3, 0.5, np.nan, np.inf):
         with pytest.raises(ConfigError, match="outside"):
-            residual_norm(S, sign * 0.1, mu)
+            residual_norm(profiles.fields, sign * 0.1, mu)
     with pytest.raises(ConfigError, match="outside"):
         expansion_check(profiles, 1e150 * 2.0 ** np.arange(6))
 
@@ -517,26 +435,26 @@ def test_residual_norm_is_the_expansion_rows_residual(profiles, expansion):
     # the tau-multiplier-1 rows come from one path, so their bits agree
     report, _ = expansion
     sign, tau = case1_parameters(profiles)
-    S = SplineSet(profiles)
     central = [row for row in report.rows if row.tau_mult == 1.0]
     mags = sorted(DEFAULT_EPS_MAGNITUDES)
     assert [row.eps for row in central] == [sign * m for m in mags]
     for mag, row in zip(mags, central):
         assert row.mu == tau * mag
-        assert residual_norm(S, sign * mag, tau * mag).hex() == \
+        assert residual_norm(profiles.fields, sign * mag,
+                             tau * mag).hex() == \
             row.residual_l32.hex()
 
 
 def test_residual_routes_agree_in_magnitude(profiles):
-    # the analytic route (exact bubble Laplacian + splines) and the
+    # the analytic route (exact bubble Laplacian + the fields) and the
     # finite-difference route on the sampled ansatz measure the same
     # defect; the FD route carries stencil noise at the spike and the
     # kink, so the comparison is order-of-magnitude
     sign, tau = case1_parameters(profiles)
     eps, mu = sign * 0.1, 0.1 * tau
-    S = SplineSet(profiles)
-    analytic = residual_norm(S, eps, mu)
-    fd = fd_residual_norm(ansatz_on_grid(S, eps, mu, make_core_grid(6, mu)),
+    analytic = residual_norm(profiles.fields, eps, mu)
+    fd = fd_residual_norm(ansatz_on_grid(profiles.fields, eps, mu,
+                                         make_core_grid(6, mu)),
                           profiles.lam0 + eps)
     assert analytic > 0.0
     assert 0.5 < fd / analytic < 2.0
@@ -547,7 +465,7 @@ def test_unresolvable_bubble_scale_raises(profiles):
     # would merge away and the inner integrals read nearly 0
     sign, _ = case1_parameters(profiles)
     with pytest.raises(UnderResolvedError):
-        residual_norm(SplineSet(profiles), sign * 40e-30, 1e-30)
+        residual_norm(profiles.fields, sign * 40e-30, 1e-30)
     knots = profiles.grid.nodes
     with pytest.raises(UnderResolvedError):
         _mu_refined_edges(knots, 16 * EDGE_MERGE_TOL, 0.0, 1.0)

@@ -166,11 +166,10 @@ def _assert_same_ivp(dim, lam, a, max_zeros):
 
     grid = shooting.profile_grid(dim, a)
     series = (a, *shooting._series(dim, lam, a, p))
-    f_want = shooting._sample(dense, r0, series, grid)
+    f_want = shooting._sample(dense, r0, series, grid.nodes)
     f_got = shooting._sample(dataclasses.replace(got, rhs=counting), r0,
-                             series, grid)
-    assert _hex(f_got.values) == _hex(f_want.values)
-    assert _hex(f_got.derivative) == _hex(f_want.derivative)
+                             series, grid.nodes)
+    assert _hex(f_got.ravel()) == _hex(f_want.ravel())
     assert got.nfev + len(calls) == dense.nfev
     return got
 
@@ -310,6 +309,42 @@ def test_stacked_dense_output_keeps_the_per_step_bits(dim, lam, a):
     owner = np.concatenate(([0], np.arange(n), np.arange(n), np.arange(n),
                             [0, n - 1, n - 1]))
     want = dense(points)
+    for j in (0, 1):
+        got = [dense.at(k, r, j) for k, r in zip(owner.tolist(),
+                                                 points.tolist())]
+        assert _hex(got) == _hex(want[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_dense_output_at_is_call_to_the_bit(n, data):
+    # random steps, coefficient rows and start values (signed zeros among
+    # them) and points inside and outside the breakpoints: at(k, r, j) on
+    # Python floats is __call__'s component j at r, k the step __call__
+    # picks, to the bit
+    # some steps hold signed zeros only, so -0.0 + -0.0 sums show
+    zero = st.sampled_from((0.0, -0.0))
+    finite = st.one_of(zero, st.floats(-1e3, 1e3))
+
+    def step_values(size):
+        return st.one_of(st.lists(finite, min_size=size, max_size=size),
+                         st.lists(zero, min_size=size, max_size=size))
+
+    widths = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=n,
+                                max_size=n))
+    start = data.draw(st.floats(0.0, 1.0))
+    rs = np.concatenate(([start], start + np.cumsum(widths)))
+    steps = [(float(rs[k]), float(rs[k + 1]),
+              tuple(data.draw(step_values(2))), None, None)
+             for k in range(n)]
+    F = np.array([data.draw(step_values(14)) for _ in range(n)]).reshape(
+        n, 7, 2)
+    dense = shooting._DenseOutput(rs, steps, F)
+    inside = st.floats(float(rs[0]) - 0.5, float(rs[-1]) + 0.5)
+    points = np.array(data.draw(st.lists(inside, min_size=1, max_size=10))
+                      + rs.tolist())
+    want = dense(points)
+    owner = np.clip(np.searchsorted(rs, points, "left") - 1, 0, n - 1)
     for j in (0, 1):
         got = [dense.at(k, r, j) for k, r in zip(owner.tolist(),
                                                  points.tolist())]
