@@ -10,6 +10,9 @@ No matrix gives them.  At N = 6 the critical scaling u -> s^2 u(s .)
 gives L (u_0 + r u_0'/2) = lam_0 u_0, and L psi = 0 for the certificate's
 psi = du/da, so v is (u_0 + r u_0'/2)/lam_0 plus the multiple of psi
 that makes v(1) = 0, and w one forced linear shot plus a multiple of psi.
+build_profiles returns them as AuxFields, which hold no grid; only the
+concentration survey and the sector scan read tables, sampled by
+AuxFields.tabulate.
 Essential non-degeneracy of u_0 is the statement that lam_0 keeps a
 positive distance from the Dirichlet spectrum of -Delta - 2|u_0| in
 every angular sector; sectors l with
@@ -24,12 +27,12 @@ nu_1 is the first entry of sector 0's Sturm bracket of lam_0, which gives its ga
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import DEFAULT_L_MAX, operators
-from .grid import RadialFn, RadialGrid, make_grid
+from .grid import RadialFn, make_grid
 from .shooting import Lambda0Certificate, Trajectory, linear_shot
 
 # E: a stated bound on the IVP error of the end values u_0(1), u_0'(1) and
@@ -77,6 +80,13 @@ class AuxFields:
         """[u_0(0), v(0), w(0)], from the series."""
         return self(np.zeros(1))[0, :, 0].tolist()
 
+    def tabulate(self, grid_n: int = 4096) -> tuple:
+        """(u_0, v, w) as RadialFns on a uniform grid of grid_n cells, the
+        one place where the fields are sampled on a grid."""
+        grid = make_grid(6, grid_n)
+        values, slopes = self(grid.nodes)
+        return tuple(RadialFn(grid, y, dy) for y, dy in zip(values, slopes))
+
     @property
     def breakpoints(self) -> np.ndarray:
         # np.sort, not np.unique, whose masked-array check imports numpy.ma
@@ -85,44 +95,11 @@ class AuxFields:
         return x[np.concatenate(([True], np.diff(x) > 0.0))]
 
 
-@dataclass(frozen=True, eq=False)
-class AuxProfiles:
-    """Ground state and the two auxiliary profiles on a shared grid, the
-    fields they sample, and the certificate's Newton step and psi(1) (nan
-    if tabulated)."""
-
-    dimension: int
-    lam0: float
-    amplitude: float
-    u0: RadialFn = field(repr=False)
-    v: RadialFn = field(repr=False)
-    w: RadialFn = field(repr=False)
-    fields: AuxFields = field(repr=False)
-    newton_step: float = field(default=math.nan, repr=False)
-    psi_at_1: float = field(default=math.nan, repr=False)
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.u0.grid
-
-    @property
-    def v0(self) -> float:
-        return self.fields.origin()[1]
-
-    @property
-    def w0(self) -> float:
-        return self.fields.origin()[2]
-
-    def linearized_potential(self) -> np.ndarray:
-        return 2.0 * np.abs(self.u0.values)
-
-
-def build_profiles(certificate: Lambda0Certificate,
-                   grid_n: int = 4096) -> AuxProfiles:
-    """u_0, v and w (AuxFields) from the certificate's shots of u and psi,
-    sampled on a uniform grid of grid_n cells: alpha = -(u_0(1) +
-    u_0'(1)/2)/(lam_0 psi(1)); w_p is the linear shot of L w_p = v +
-    sgn(u_0) v^2 from w_p(0) = 0, and beta = -w_p(1)/psi(1)."""
+def build_profiles(certificate: Lambda0Certificate) -> AuxFields:
+    """u_0, v and w (AuxFields) from the certificate's shots of u and psi:
+    alpha = -(u_0(1) + u_0'(1)/2)/(lam_0 psi(1)); w_p is the linear shot
+    of L w_p = v + sgn(u_0) v^2 from w_p(0) = 0, and beta =
+    -w_p(1)/psi(1).  No grid is sampled here (AuxFields.tabulate)."""
     lam0, u, psi = certificate.lam0, certificate.trajectory, certificate.psi
     u1, du1 = u.ivp.y_end
     partial = AuxFields(lam0, u, psi,
@@ -136,14 +113,8 @@ def build_profiles(certificate: Lambda0Certificate,
     # u_0(0) = lam_0/2 > 0
     v0 = partial.v(0.0, u.series[0], 0.0, psi.series[0])
     w_p = linear_shot(u, lam0, (0.0, -(v0 + v0 * v0) / 12.0), forcing)
-    fields = replace(partial, w_p=w_p,
-                     beta=-w_p.ivp.y_end[0] / certificate.psi_at_1)
-    grid = make_grid(certificate.dimension, grid_n)
-    values, slopes = fields(grid.nodes)
-    u0, v, w = (RadialFn(grid, y, dy) for y, dy in zip(values, slopes))
-    return AuxProfiles(certificate.dimension, lam0, certificate.amplitude,
-                       u0, v, w, fields, certificate.newton_step,
-                       certificate.psi_at_1)
+    return replace(partial, w_p=w_p,
+                   beta=-w_p.ivp.y_end[0] / certificate.psi_at_1)
 
 
 @dataclass(frozen=True)
@@ -174,7 +145,7 @@ class ConcentrationSurvey:
     nonempty.  two_v_minus_one = 2 alpha = -(2 u_0(1) + u_0'(1))/(lam_0
     psi(1)) (`build_profiles`), and two_v_error is the first-order
     propagation through it of an error END_VALUE_ERROR in each of u_0(1),
-    u_0'(1) and psi(1) (nan for tabulated profiles).
+    u_0'(1) and psi(1).
     """
 
     lam0: float
@@ -196,20 +167,23 @@ def _classify_case(v_value: float, dv_dr: float) -> int:
     return 0
 
 
-def survey_concentration_points(profiles: AuxProfiles) -> ConcentrationSurvey:
-    """Enumerate critical points of u_0 on the levels +-lam_0/2.
+def survey_concentration_points(certificate: Lambda0Certificate, u0: RadialFn,
+                                v: RadialFn) -> ConcentrationSurvey:
+    """Enumerate critical points of u_0 on the levels +-lam_0/2, from the
+    tables u0 and v (AuxFields.tabulate) and the certificate's lam_0 and
+    psi(1).
 
     Radially the candidates are the center plus any interior zero of u_0';
     each is kept when u_0 matches one of the levels to LEVEL_RTOL
     (relative to lam_0/2).  For the ground state the survey returns the
     center alone on the + level, matching the known ball picture.
     """
-    lam0 = profiles.lam0
+    lam0 = certificate.lam0
     half = 0.5 * lam0
     tol = LEVEL_RTOL * half
-    r = profiles.grid.nodes
-    u, du = profiles.u0.values, profiles.u0.derivative
-    v, dv = profiles.v.values, profiles.v.derivative
+    r = u0.grid.nodes
+    u, du = u0.values, u0.derivative
+    v, dv = v.values, v.derivative
 
     candidates = [0.0]
     interior = slice(1, len(r) - 1)
@@ -236,9 +210,9 @@ def survey_concentration_points(profiles: AuxProfiles) -> ConcentrationSurvey:
                     case=_classify_case(v_val, dv_val),
                 ))
 
-    two_v = 2.0 * profiles.v0 - 1.0
-    e = END_VALUE_ERROR
-    err = (3.0 * e + abs(two_v) * lam0 * e) / (lam0 * abs(profiles.psi_at_1))
+    two_v, e = 2.0 * v[0] - 1.0, END_VALUE_ERROR
+    psi1 = abs(certificate.psi_at_1)
+    err = (3.0 * e + abs(two_v) * lam0 * e) / (lam0 * psi1)
     return ConcentrationSurvey(lam0, tuple(points), two_v, err, bool(points))
 
 
@@ -267,13 +241,13 @@ class NondegeneracyReport:
     survey: ConcentrationSurvey | None = None
 
 
-def essential_nondegeneracy(profiles: AuxProfiles,
-                            l_max: int = DEFAULT_L_MAX,
+def essential_nondegeneracy(certificate: Lambda0Certificate, u0: RadialFn,
+                            v: RadialFn, l_max: int = DEFAULT_L_MAX,
                             ) -> NondegeneracyReport:
-    """Measure the spectral gap in each sector and certify the cutoff."""
-    N, lam0 = profiles.dimension, profiles.lam0
-    q = profiles.linearized_potential()
-    specs = [operators.OperatorSpec(profiles.grid, l, lam0, q)
+    """Measure the spectral gap in each sector on u0's grid, with the
+    potential 2|u_0| at its nodes, and certify the cutoff."""
+    N, lam0 = certificate.dimension, certificate.lam0
+    specs = [operators.OperatorSpec(u0.grid, l, lam0, 2.0 * np.abs(u0.values))
              for l in range(l_max + 1)]
     sector0 = operators.assemble(specs[0])
     nu1 = float(sector0.nearest(lam0)[0])
@@ -281,7 +255,7 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         operators.min_singular_value(spec) for spec in specs[1:]]
     comparison_l = next((l for l in range(1, l_max + 1)
                          if nu1 + l * (l + N - 2) > lam0), -1)
-    u00 = float(profiles.u0.values[0])
+    u00 = float(u0.values[0])
     return NondegeneracyReport(
         dimension=N,
         lam0=lam0,
@@ -291,6 +265,6 @@ def essential_nondegeneracy(profiles: AuxProfiles,
         comparison_l=comparison_l,
         cutoff_certified=comparison_l > 0,
         hessian_witness=-(lam0 * u00 + u00 ** 2),
-        origin_value_gap=abs(profiles.newton_step),
-        survey=survey_concentration_points(profiles),
+        origin_value_gap=abs(certificate.newton_step),
+        survey=survey_concentration_points(certificate, u0, v),
     )

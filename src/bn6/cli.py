@@ -272,12 +272,6 @@ def _require_lambda(cfg: RunConfig) -> float:
     return cfg.lam
 
 
-def _profiles(cfg: RunConfig):
-    return auxiliary.build_profiles(find_lambda0(cfg.dimension),
-                                    **({} if cfg.grid_n is None
-                                       else {"grid_n": cfg.grid_n}))
-
-
 def cmd_constants(cfg: RunConfig, prov: dict) -> None:
     lam = find_lambda0(cfg.dimension).lam0 if cfg.lam is None else cfg.lam
     _write_json(cfg, prov, "constants.json", record(bubbles.constants(0.5 * lam)))
@@ -329,35 +323,38 @@ def cmd_limits(cfg: RunConfig, prov: dict) -> None:
 
 
 def cmd_aux_solve(cfg: RunConfig, prov: dict) -> None:
-    profiles = _profiles(cfg)
-    for name, fn in (("u0", profiles.u0), ("v", profiles.v),
-                     ("w", profiles.w)):
+    cert = find_lambda0(cfg.dimension)
+    fields = auxiliary.build_profiles(cert)
+    tables = fields.tabulate(**({} if cfg.grid_n is None
+                                else {"grid_n": cfg.grid_n}))
+    for name, fn in zip(("u0", "v", "w"), tables):
         _write_table(cfg, prov, f"aux_{name}", PROFILE_HEADER,
                      radial_fn_rows(fn))
+    _, v0, w0 = fields.origin()
     _write_json(cfg, prov, "aux.json",
-                {**record(profiles), "v0": profiles.v0, "w0": profiles.w0})
+                {"dimension": cert.dimension, "lambda0": cert.lam0,
+                 "amplitude": cert.amplitude, "v0": v0, "w0": w0})
 
 
 def cmd_nondeg(cfg: RunConfig, prov: dict) -> None:
-    profiles = _profiles(cfg)
-    report = auxiliary.essential_nondegeneracy(profiles, l_max=cfg.lmax)
+    cert = find_lambda0(cfg.dimension)
+    u0, v, w = auxiliary.build_profiles(cert).tabulate(
+        **({} if cfg.grid_n is None else {"grid_n": cfg.grid_n}))
+    report = auxiliary.essential_nondegeneracy(cert, u0, v, l_max=cfg.lmax)
     _write_json(cfg, prov, "nondeg.json", record(report))
-    _write_table(cfg, prov, "nondeg_v", PROFILE_HEADER,
-                 radial_fn_rows(profiles.v))
-    _write_table(cfg, prov, "nondeg_w", PROFILE_HEADER,
-                 radial_fn_rows(profiles.w))
+    _write_table(cfg, prov, "nondeg_v", PROFILE_HEADER, radial_fn_rows(v))
+    _write_table(cfg, prov, "nondeg_w", PROFILE_HEADER, radial_fn_rows(w))
 
 
 def cmd_ansatz_check(cfg: RunConfig, prov: dict) -> None:
     magnitudes = (parse_eps_grid(cfg.eps_grid)
                   or reduction.DEFAULT_EPS_MAGNITUDES)
-    profiles = _profiles(cfg)
-    sign, tau = reduction.case1_parameters(profiles)
+    fields = auxiliary.build_profiles(find_lambda0(cfg.dimension))
+    sign, tau = reduction.case1_parameters(fields)
     rows = []
     for mag in magnitudes:
         eps, mu = sign * mag, tau * mag
-        rows.append((eps, mu,
-                     reduction.residual_norm(profiles.fields, eps, mu)))
+        rows.append((eps, mu, reduction.residual_norm(fields, eps, mu)))
     _write_table(cfg, prov, "ansatz_check", ANSATZ_HEADER, rows,
                  pinned_csv=False)
     mu = np.array([row[1] for row in rows])
@@ -375,8 +372,8 @@ def cmd_expansion_check(cfg: RunConfig, prov: dict) -> None:
     if magnitudes is not None and len(magnitudes) < least:
         raise ConfigError(f"expansion-check needs --eps-grid count >= "
                           f"{least}, got {cfg.eps_grid!r}")
-    profiles = _profiles(cfg)
-    report = reduction.expansion_check(profiles,
+    fields = auxiliary.build_profiles(find_lambda0(cfg.dimension))
+    report = reduction.expansion_check(fields,
                                        **({} if magnitudes is None
                                           else {"eps_magnitudes": magnitudes}))
     _write_table(cfg, prov, "expansion_check", EXPANSION_HEADER,

@@ -18,9 +18,10 @@ Everything quantitative about V rests on three exact cancellations:
 Energy comparisons are assembled from integrand-level differences that
 stay small pointwise: the naive route computes J(V) and J(z) separately
 as O(1) quantities and loses the cubic coefficient to roundoff at small
-mu.  z is read from auxiliary.AuxFields, the dense output of the three
-shots behind u_0, v and w (u, psi = du/da and w_p), which is one
-polynomial between the shots' step ends (the knots, about 200).
+mu.  z is read from auxiliary.AuxFields, which build_profiles returns
+and which exist only at N = 6: the dense output of the three shots
+behind u_0, v and w (u, psi = du/da and w_p), which is one polynomial
+between the shots' step ends (the knots, about 200).  No grid is sampled.
 Quadrature is composite Gauss on panels aligned with the knots and
 refined geometrically at the bubble scale, which is exact on products
 of those pieces up to degree 23 and resolves the mu-core without
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxFields, AuxProfiles
+from .auxiliary import AuxFields
 from .bubbles import (
     ALPHA6,
     GAUSS_LEGENDRE,
@@ -62,7 +63,6 @@ from .bubbles import (
 from .errors import (
     AllPointsExcludedError,
     ConfigError,
-    RadialModeViolationError,
     UnderResolvedError,
 )
 from .grid import ball_volume, sphere_area
@@ -426,14 +426,14 @@ MIN_EPS_MAGNITUDES = 6
 TAU_MULTIPLIERS = (0.6, 0.8, 1.0, 1.25, 1.5)
 
 
-def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
+def case1_parameters(fields: AuxFields) -> tuple[float, float]:
     """(sign of eps, tau*) for the fixed-center construction at the
     center with beta = -1.
 
     tau* follows the paper's rate rule 6a/(11 d2) (see tau_star), not the
     minimizer 3a/(8 d2) of the derived cubic MU3_RATIO.
     """
-    u00, v00, _ = profiles.fields.origin()
+    u00, v00, _ = fields.origin()
     b = 0.5 - v00
     if b == 0.0:
         raise AllPointsExcludedError("v(0) = 1/2: no fixed-center "
@@ -442,7 +442,7 @@ def case1_parameters(profiles: AuxProfiles) -> tuple[float, float]:
     return -math.copysign(1.0, b), tau_star(d1_closed_form() * abs(b), d2)
 
 
-def expansion_check(profiles: AuxProfiles,
+def expansion_check(fields: AuxFields,
                     eps_magnitudes=DEFAULT_EPS_MAGNITUDES) -> ExpansionReport:
     """Sweep (eps, mu) on the fixed-center schedule and fit the expansion.
 
@@ -459,11 +459,9 @@ def expansion_check(profiles: AuxProfiles,
                           f"are required")
     if len(set(mags)) != len(mags):
         raise ConfigError("eps magnitudes must be distinct")
-    if profiles.dimension != 6:
-        raise RadialModeViolationError("the ansatz is specific to N = 6")
-    fields, lam0 = profiles.fields, profiles.lam0
+    lam0 = fields.lam0
     u00, v00, _ = fields.origin()
-    sign, tau0 = case1_parameters(profiles)
+    sign, tau0 = case1_parameters(fields)
 
     rows = []
     for mag in mags:

@@ -18,35 +18,43 @@ def certificate():
 
 
 @pytest.fixture(scope="session")
-def profiles(certificate):
-    return build_profiles(certificate, grid_n=4096)
+def fields(certificate):
+    """The certificate's AuxFields: u_0, v and w from its shots."""
+    return build_profiles(certificate)
 
 
 @pytest.fixture(scope="session")
-def profiles_ladder(certificate, profiles):
-    """{n: the profiles on n cells}, n = 512, 1024, 2048 and 4096."""
-    return {**{n: build_profiles(certificate, grid_n=n)
-               for n in (512, 1024, 2048)}, 4096: profiles}
+def tables(fields):
+    """(u_0, v, w) tabulated on 4096 cells."""
+    return fields.tabulate(4096)
 
 
 @pytest.fixture(scope="session")
-def expansion(profiles):
+def tables_ladder(fields, tables):
+    """{n: (u_0, v, w) on n cells}, n = 512, 1024, 2048 and 4096."""
+    return {**{n: fields.tabulate(n) for n in (512, 1024, 2048)},
+            4096: tables}
+
+
+@pytest.fixture(scope="session")
+def expansion(fields):
     """(report, seconds): one default expansion_check and its wall time."""
     start = time.perf_counter()
-    report = expansion_check(profiles)
+    report = expansion_check(fields)
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def refinement(profiles):
-    """One refinement_sweep of the profiles."""
-    return refinement_sweep(profiles)
+def refinement(fields):
+    """One refinement_sweep of the fields."""
+    return refinement_sweep(fields)
 
 
 @pytest.fixture(scope="session")
-def w_eta_ladder(profiles_ladder):
-    """{n: w_eta at eta = 0.45 e_2 on n-cell profiles}, n = 512, 1024,
+def w_eta_ladder(certificate, tables_ladder):
+    """{n: w_eta at eta = 0.45 e_2 on n-cell tables}, n = 512, 1024,
     2048."""
     eta = np.zeros(6)
     eta[1] = 0.45
-    return {n: w_eta(profiles_ladder[n], eta) for n in (512, 1024, 2048)}
+    return {n: w_eta(certificate.lam0, *tables_ladder[n][:2], eta)
+            for n in (512, 1024, 2048)}

@@ -8,8 +8,9 @@ pinned Newton refinement that starts from it (criterion 10), an ansatz
 row's integrals by adaptive quadrature, the paper's reduced-energy polynomial, the mu^3 probe at
 eps = 0, J(u) by grid quadrature, the bubble's projection and
 dilation kernel, the lambda_0 certificate's (u, psi = du/da) shot, the
-auxiliary profiles by variation of constants, and the N = 6, m = 2
-branch tail in Emden-Fowler variables."""
+auxiliary profiles by variation of constants, the N = 6, m = 2 branch
+tail in Emden-Fowler variables, and lambda_0, psi(1), u_0'(1) and
+2 v(0) - 1 from the power series of the dilation profile."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 from scipy.special import jn_zeros, jv
 
-from bn6.auxiliary import AuxFields, AuxProfiles
+from bn6.auxiliary import AuxFields
 from bn6.bubbles import ALPHA6, boundary_trace, d2_value, talenti_du, talenti_u
 from bn6.errors import NearSingularError, NotConvergedError
 from bn6.grid import (MIN_CELLS, RadialFn, RadialGrid, _finish,
@@ -185,18 +186,6 @@ class PolynomialFields:
         return self(np.zeros(1))[0, :, 0].tolist()
 
 
-def polynomial_profiles(dimension: int, lam0: float, coefficients,
-                        grid: RadialGrid) -> AuxProfiles:
-    """AuxProfiles of PolynomialFields(lam0, coefficients, grid.nodes),
-    tabulated on grid."""
-    fields = PolynomialFields(lam0, tuple(map(np.asarray, coefficients)),
-                              grid.nodes)
-    values, slopes = fields(grid.nodes)
-    return AuxProfiles(dimension, lam0, float(values[0, 0]),
-                       *(RadialFn(grid, y, dy)
-                         for y, dy in zip(values, slopes)), fields)
-
-
 def ansatz_on_grid(fields: AuxFields, eps: float, mu: float,
                    grid: RadialGrid) -> RadialFn:
     """V = u_0 + eps v + eps^2 w - W_mu sampled on grid, z and z' from the
@@ -217,18 +206,16 @@ def fd_residual_norm(v: RadialFn, lam: float) -> float:
     return lp_norm(RadialFn.from_values(v.grid, vals), 1.5)
 
 
-def row_integrals_by_quad(profiles: AuxProfiles, eps: float,
+def row_integrals_by_quad(F: AuxFields, eps: float,
                           mu: float) -> tuple[float, float, float]:
     """(J(V) - J(z), ||-Delta V - lam V - |V|V||_{L^{3/2}}, J(z)) of the
     ansatz row (eps, mu) at lam = lam_0 + eps, each by scipy's adaptive
     quad over [0, 1].  Breakpoints: the sign change of V, mu {1/2, 1, 2,
-    4, 8, 16} and the step ends of the shots behind the profiles, where
-    z'' jumps.  z and z' come from the profiles' fields one point at a
-    time, -Delta z - lam z from the source identity, and every integrand
+    4, 8, 16} and the step ends of the shots behind the fields F, where
+    z'' jumps.  z and z' come from F one point at a time, -Delta z - lam z from the source identity, and every integrand
     is the plain difference of the functionals: no panels, no table, no
     expanded cubic.  u_0, psi and w_p and their slopes are read on Python
     floats (Trajectory.at), and v and w formed from them."""
-    F = profiles.fields
     x, lam0 = F.breakpoints, F.lam0
     lam, c = lam0 + eps, boundary_trace(mu)
 
@@ -273,6 +260,44 @@ def row_integrals_by_quad(profiles: AuxProfiles, eps: float,
 # lambda_0 = 2 Z_1(2)^2 by mpmath's Taylor method at 20 digits
 # (test_lambda0_matches_mpmath)
 LAMBDA0_MPMATH = 22.469107870741982642
+
+
+def dilation_series(terms: int, dps: int) -> dict:
+    """lambda_0, psi(1), u_0'(1) and 2 v(0) - 1 in mpmath at dps digits
+    from `terms` terms of the regular series phi = sum_k a_k s^{2k} of
+    phi'' + 5/s phi' + mu phi + phi^2 = 0, phi(0) = 1, at mu = 2:
+    a_{k+1} = -(mu a_k + sum_{i<=k} a_i a_{k-i})/((2k+2)(2k+6)), and the
+    series of d_mu phi by the mu-derivative of the same recursion.
+
+    With Z the first zero of phi, u_0(r) = Z^2 phi(Z r) at lambda_0 =
+    2 Z^2.  The shots from u(0) = a at lambda_0 are a phi(sqrt(a) r) at
+    mu = lambda_0/a, so at a = Z^2 psi(1) = (Z/2) phi'(Z) - 2 d_mu phi(Z);
+    u_0'(1) = Z^3 phi'(Z), and 2 v(0) - 1 = -u_0'(1)/(lambda_0 psi(1))
+    because u_0(1) = 0.  No IVP is integrated."""
+    import mpmath
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        mu = mp.mpf(2)
+        a, b = [mp.mpf(1)], [mp.mpf(0)]
+        for k in range(terms - 1):
+            d = (2 * k + 2) * (2 * k + 6)
+            a.append(-(mu * a[k] + mp.fdot(a[:k + 1], a[k::-1])) / d)
+            b.append(-(a[k] + mu * b[k]
+                       + 2 * mp.fdot(a[:k + 1], b[k::-1])) / d)
+
+        def phi(s):
+            return mp.polyval(a[::-1], s * s)
+
+        def dphi(s):
+            return 2 * s * mp.polyval([k * c for k, c in enumerate(a)][:0:-1],
+                                      s * s)
+        z = mp.findroot(phi, mp.mpf("3.35"))
+        lam0 = 2 * z * z
+        psi1 = z / 2 * dphi(z) - 2 * mp.polyval(b[::-1], z * z)
+        du1 = z ** 3 * dphi(z)
+        return {"lambda0": float(lam0), "psi1": float(psi1),
+                "du1": float(du1),
+                "two_v_minus_one": float(-du1 / (lam0 * psi1))}
 
 
 def amplitude_derivative_shot(lam: float, a: float) -> tuple:
@@ -397,24 +422,24 @@ class WEtaDecomposition:
     residual_sector1: float = 0.0
 
 
-def w_eta(profiles: AuxProfiles, eta) -> WEtaDecomposition:
-    """Build the translation-dilation profile for a shift eta in B_1."""
+def w_eta(lam0: float, u0: RadialFn, v: RadialFn, eta) -> WEtaDecomposition:
+    """Build the translation-dilation profile for a shift eta in B_1 from
+    the tables u0 and v on one grid (AuxFields.tabulate)."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if len(eta) != profiles.dimension:
-        raise ValueError(f"eta must have {profiles.dimension} components")
+    grid = u0.grid
+    if len(eta) != grid.dimension:
+        raise ValueError(f"eta must have {grid.dimension} components")
     mag = float(np.linalg.norm(eta))
     if mag >= 1.0:
         raise ValueError("eta must lie inside the unit ball")
-    grid = profiles.grid
     r = grid.nodes
-    u, du = profiles.u0.values, profiles.u0.derivative
-    lam0 = profiles.lam0
-    sector0 = RadialFn.from_values(grid, 0.5 * r * du + u - lam0 * profiles.v.values)
+    u, du = u0.values, u0.derivative
+    sector0 = RadialFn.from_values(grid, 0.5 * r * du + u - lam0 * v.values)
     sector1 = RadialFn.from_values(grid, -0.5 * mag * du, regular_origin=False)
-    q = profiles.linearized_potential()
+    q = 2.0 * np.abs(u)
     res0 = _relative_sector_residual(grid, 0, lam0, q, sector0)
     res1 = _relative_sector_residual(grid, 1, lam0, q, sector1) if mag > 0 else 0.0
-    return WEtaDecomposition(tuple(eta), float(u[0] - lam0 * profiles.v.values[0]),
+    return WEtaDecomposition(tuple(eta), float(u[0] - lam0 * v.values[0]),
                              sector0, sector1, res0, res1)
 
 
@@ -453,7 +478,7 @@ def kernel_psi0(r, mu: float):
     return 2.0 * ALPHA6 * mu * (r ** 2 - mu ** 2) / (mu ** 2 + r ** 2) ** 3
 
 
-def cubic_coefficient_probe(profiles: AuxProfiles) -> dict:
+def cubic_coefficient_probe(fields: AuxFields) -> dict:
     """Measure the mu^3 coefficient of J(V) - J(z) at eps = 0 directly.
 
     Richardson extrapolation of (delta - c2)/mu^3 over a geometric mu
@@ -461,8 +486,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles) -> dict:
     ratio to d2 is the dimensionless constant MU3_RATIO derives.
     """
     mu_values = np.geomspace(4e-4, 4e-3, 6)
-    fields = profiles.fields
-    T = EpsTable(fields, 0.0, profiles.lam0)
+    T = EpsTable(fields, 0.0, fields.lam0)
     ratios = []
     for mu in mu_values:
         delta, *_ = _row_integrals(T, mu, _sign_crossing(fields, 0.0, mu))
@@ -481,7 +505,7 @@ def cubic_coefficient_probe(profiles: AuxProfiles) -> dict:
     return {
         "mu3_coefficient": value,
         "extrapolation_spread": spread,
-        "ratio_to_d2": value / d2_value(profiles.fields.origin()[0]),
+        "ratio_to_d2": value / d2_value(fields.origin()[0]),
         "tail_exponent": tail_exponent,
     }
 
@@ -653,7 +677,7 @@ class RefinementReport:
     distance_exponent_raw: float
 
 
-def refinement_sweep(profiles: AuxProfiles) -> RefinementReport:
+def refinement_sweep(fields: AuxFields) -> RefinementReport:
     """Refine the ansatz to a true solution at mu = tau* |eps| for each
     eps in REFINEMENT_EPS_MAGNITUDES and record the H^1 drift, which the
     remainder bound controls by mu^2 log and eps^3 terms.
@@ -667,20 +691,20 @@ def refinement_sweep(profiles: AuxProfiles) -> RefinementReport:
     where the linearization is nearly singular, so the distance is the
     transversal correction the remainder bound speaks about.
     """
-    sign, tau0 = case1_parameters(profiles)
+    sign, tau0 = case1_parameters(fields)
     rows = []
     for mag in REFINEMENT_EPS_MAGNITUDES:
         eps = sign * mag
         mu = tau0 * mag
         grid = make_core_grid(6, mu, h_over_scale=REFINEMENT_H_OVER_SCALE,
                               h_max=REFINEMENT_H_MAX)
-        ansatz = ansatz_on_grid(profiles.fields, eps, mu, grid)
+        ansatz = ansatz_on_grid(fields, eps, mu, grid)
         core_grid = rescale_grid(grid, 1.0 / mu)
         guess = RadialFn(core_grid, mu ** 2 * ansatz.values,
                          mu ** 3 * ansatz.derivative)
         pin = RadialFn.from_values(core_grid,
                                    -kernel_psi0(core_grid.nodes, 1.0))
-        result = newton_refine(guess, (profiles.lam0 + eps) * mu ** 2,
+        result = newton_refine(guess, (fields.lam0 + eps) * mu ** 2,
                                max_iter=REFINEMENT_MAX_ITER, pin=pin)
         err = RadialFn(grid,
                        (result.profile.values - guess.values) / mu ** 2,

@@ -138,18 +138,18 @@ def test_criterion_05_n6_concentration_value():
     assert elapsed < 600.0, f"criterion took {elapsed:.1f}s"
 
 
-def test_criterion_06_translation_dilation_profiles(profiles, w_eta_ladder):
+def test_criterion_06_translation_dilation_profiles(certificate, tables,
+                                                   w_eta_ladder):
     rng = np.random.default_rng(20260815)
     worst = 0.0
     for _ in range(10):
         direction = rng.normal(size=6)
         direction /= np.linalg.norm(direction)
         eta = rng.uniform(0.05, 0.95) * direction
-        dec = w_eta(profiles, eta)
+        dec = w_eta(certificate.lam0, *tables[:2], eta)
         worst = max(worst, dec.residual_sector0, dec.residual_sector1)
-        origin_gap = abs(dec.origin_value
-                         - (profiles.u0.values[0]
-                            - profiles.lam0 * profiles.v0))
+        u00, v00, _ = (f.values[0] for f in tables)
+        origin_gap = abs(dec.origin_value - (u00 - certificate.lam0 * v00))
         assert origin_gap <= 1e-10, (
             f"w_eta(0) identity violated by {origin_gap:.3e}")
     assert worst <= 1e-6, f"worst sector residual {worst:.3e}"
@@ -165,8 +165,8 @@ def test_criterion_06_translation_dilation_profiles(profiles, w_eta_ladder):
     assert order1 >= 1.9, f"sector-1 residual order {order1:.3f}"
 
 
-def test_criterion_07_nondegeneracy_report(profiles):
-    rep = essential_nondegeneracy(profiles)
+def test_criterion_07_nondegeneracy_report(certificate, tables):
+    rep = essential_nondegeneracy(certificate, *tables[:2])
     survey = rep.survey
     plus = [p for p in survey.points if p.level == 1]
     minus = [p for p in survey.points if p.level == -1]
@@ -189,7 +189,7 @@ def test_criterion_08_residual_scaling(expansion):
     assert elapsed < 300.0, f"criterion took {elapsed:.1f}s"
 
 
-def test_criterion_09_expansion_coefficients(profiles, expansion):
+def test_criterion_09_expansion_coefficients(fields, expansion):
     report, _ = expansion
 
     rel_eps_mu2 = (abs(report.coef_eps_mu2 - report.target_eps_mu2)
@@ -203,7 +203,7 @@ def test_criterion_09_expansion_coefficients(profiles, expansion):
     # target: the derived -(16/9) d2, the sum of the five crossing-region
     # integrals at the sign change.  The paper states -(11/9) d2, which the
     # fit misses by about 46%; the report carries it as paper_mu3.
-    d2 = d2_value(profiles.u0.values[0])
+    d2 = d2_value(fields.origin()[0])
     rel_mu3 = abs(report.coef_mu3 - report.target_mu3) / abs(report.target_mu3)
     assert rel_mu3 <= 0.05, (
         f"mu^3 coefficient {report.coef_mu3:.6g} vs target "

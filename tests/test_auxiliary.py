@@ -1,14 +1,12 @@
 """Auxiliary linear profiles, sector spectra, the non-degeneracy report."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bn6.auxiliary import (
     END_VALUE_ERROR,
-    build_profiles,
     essential_nondegeneracy,
     survey_concentration_points,
 )
@@ -23,7 +21,7 @@ from bn6.operators import (
 from bn6.serialize import record
 from bn6.shooting import shoot
 
-from oracles import aux_profile_shot, w_eta
+from oracles import aux_profile_shot, dilation_series, w_eta
 
 # v(0), w(0) and u_0(0) - lam_0 v(0) of oracles.aux_profile_shot at
 # rtol 3e-14 from the certificate's (lam_0, lam_0/2)
@@ -34,21 +32,23 @@ MIN_GAP_FROZEN = 4.1104750029379069
 HESSIAN_FROZEN = -378.64560638396387
 
 
-def test_profile_structure(profiles, certificate):
-    assert profiles.dimension == 6
-    assert profiles.amplitude == pytest.approx(profiles.lam0 / 2.0, abs=1e-8)
-    assert profiles.u0.values[0] == pytest.approx(profiles.amplitude,
-                                                  rel=1e-12)
-    assert np.all(profiles.u0.values[:-1] > 0.0)
+def test_profile_structure(fields, tables, certificate):
+    u0, v, w = tables
+    assert u0.grid.dimension == 6
+    assert certificate.amplitude == pytest.approx(certificate.lam0 / 2.0,
+                                                  abs=1e-8)
+    assert u0.values[0] == pytest.approx(certificate.amplitude, rel=1e-12)
+    assert np.all(u0.values[:-1] > 0.0)
     # the boundary value is the shot's u(1) from a = lam_0/2, which the
     # certificate's Newton step accounts for, within the IVP's own error
-    assert profiles.u0.values[-1] == pytest.approx(
+    assert u0.values[-1] == pytest.approx(
         -certificate.newton_step * certificate.psi_at_1, rel=1e-12)
-    assert abs(profiles.u0.values[-1]) < 1e-11
-    assert profiles.v.values[-1] == 0.0
-    assert profiles.w.values[-1] == 0.0
-    assert profiles.v0 == pytest.approx(V0_FROZEN, rel=1e-8)
-    assert profiles.w0 == pytest.approx(W0_FROZEN, rel=1e-7)
+    assert abs(u0.values[-1]) < 1e-11
+    assert v.values[-1] == 0.0
+    assert w.values[-1] == 0.0
+    _, v0, w0 = fields.origin()
+    assert v0 == pytest.approx(V0_FROZEN, rel=1e-8)
+    assert w0 == pytest.approx(W0_FROZEN, rel=1e-7)
 
 
 def _same_bytes(f, g) -> bool:
@@ -64,31 +64,29 @@ def _fresh_u0(certificate, grid):
 
 
 @pytest.mark.parametrize("n", [64, 2048, 4096])
-def test_profiles_resample_the_certificates_shot(certificate, n):
-    # u0 is the certificate's trajectory sampled on the profiles' grid:
-    # the same bytes as a new IVP sampled there
-    u0 = build_profiles(certificate, grid_n=n).u0
+def test_profiles_resample_the_certificates_shot(certificate, fields, n):
+    # u0 is the certificate's trajectory sampled on the tables' grid: the
+    # same bytes as a new IVP sampled there
+    u0 = fields.tabulate(n)[0]
     assert u0.grid.n_cells == n
     assert _same_bytes(u0, _fresh_u0(certificate, u0.grid))
 
 
-def test_fields_are_the_grid_tables_to_the_bit(profiles):
-    # build_profiles samples its tables through the fields, so the fields
-    # at the grid's nodes are u_0, v, w and their slopes to the bit; v(0)
-    # and w(0) come from the series, the tables' first entries
-    fields = profiles.fields
-    values, slopes = fields(profiles.grid.nodes)
-    for k, f in enumerate((profiles.u0, profiles.v, profiles.w)):
+def test_fields_are_the_grid_tables_to_the_bit(fields, tables):
+    # tabulate samples the fields, so the fields at the grid's nodes are
+    # u_0, v, w and their slopes to the bit; v(0) and w(0) come from the
+    # series, the tables' first entries
+    nodes = tables[0].grid.nodes
+    values, slopes = fields(nodes)
+    for k, f in enumerate(tables):
         assert values[k].tobytes() == f.values.tobytes()
         assert slopes[k].tobytes() == f.derivative.tobytes()
-    assert fields.origin() == [profiles.u0.values[0], profiles.v.values[0],
-                               profiles.w.values[0]]
+    assert fields.origin() == [f.values[0] for f in tables]
     # z on Python floats, as the sign-change search reads it, is the
     # tables' z at every node past the shots' start
     r0 = fields.u.ivp.rs[0]
     for eps in (-0.25, 0.02):
         z = values[0] + eps * values[1] + eps ** 2 * values[2]
-        nodes = profiles.grid.nodes
         past = nodes >= r0
         assert [fields.z(r, eps).hex() for r in nodes[past].tolist()] == [
             x.hex() for x in z[past].tolist()]
@@ -96,14 +94,14 @@ def test_fields_are_the_grid_tables_to_the_bit(profiles):
 
 
 def test_profiles_match_the_variation_of_constants_oracle(certificate,
-                                                        profiles):
+                                                        fields, tables):
     # scipy's DOP853 at rtol 3e-14 gives v = v_p + c psi with v_p forced by
     # u_0, and w likewise: a route that does not use the dilation identity
     want = aux_profile_shot(certificate.lam0, certificate.amplitude, 3e-14)
-    survey = survey_concentration_points(profiles)
+    survey = survey_concentration_points(certificate, *tables[:2])
     gap = abs(survey.two_v_minus_one - want["two_v_minus_one"])
     assert gap <= 1e-9
-    assert abs(profiles.w0 - want["w0"]) <= 1e-9
+    assert abs(fields.origin()[2] - want["w0"]) <= 1e-9
     # the bar covers the distance, far below the FEM's error of 1.04e-6
     assert gap < survey.two_v_error < 1e-6
     # the bar's premise: every end value it propagates is within E
@@ -113,20 +111,37 @@ def test_profiles_match_the_variation_of_constants_oracle(certificate,
         assert abs(got - want[key]) <= END_VALUE_ERROR, key
 
 
-def test_fem_profiles_converge_to_the_shot_profiles(profiles_ladder):
+def test_certificate_matches_the_dilation_series(certificate, tables):
+    # lambda_0, psi(1), u_0'(1) and 2 v(0) - 1 from mpmath's series of
+    # the critical dilation profile at 40 digits, a route with no IVP:
+    # each agrees with bn6 within bn6's own bar
+    pytest.importorskip("mpmath")
+    want = dilation_series(400, 40)
+    # test_lambda0_matches_mpmath's bar on the certificate
+    assert certificate.lam0 == pytest.approx(want["lambda0"], rel=1e-10)
+    du1 = certificate.trajectory.ivp.y_end[1]
+    assert abs(certificate.psi_at_1 - want["psi1"]) <= END_VALUE_ERROR
+    assert abs(du1 - want["du1"]) <= END_VALUE_ERROR
+    survey = survey_concentration_points(certificate, *tables[:2])
+    assert abs(survey.two_v_minus_one
+               - want["two_v_minus_one"]) <= survey.two_v_error
+
+
+def test_fem_profiles_converge_to_the_shot_profiles(certificate,
+                                                    tables_ladder):
     # the P1 FEM is the shot profiles' oracle: L v = u_0 and then
     # L w = v + sgn(u_0) v^2 solved on 1024, 2048 and 4096 cells of the
     # shot's u_0 approach the shot's v and w at second order (max norm)
     gaps = []
     for n in (1024, 2048, 4096):
-        p = profiles_ladder[n]
-        op = OperatorSpec(p.grid, lam=p.lam0,
-                          potential=p.linearized_potential())
-        v = solve_dirichlet(op, p.u0)
-        w = solve_dirichlet(op, RadialFn.from_values(
-            p.grid, v.values + np.sign(p.u0.values) * v.values ** 2))
-        gaps.append([np.max(np.abs(v.values - p.v.values)),
-                     np.max(np.abs(w.values - p.w.values))])
+        u0, v, w = tables_ladder[n]
+        op = OperatorSpec(u0.grid, lam=certificate.lam0,
+                          potential=2.0 * np.abs(u0.values))
+        fem_v = solve_dirichlet(op, u0)
+        fem_w = solve_dirichlet(op, RadialFn.from_values(
+            u0.grid, fem_v.values + np.sign(u0.values) * fem_v.values ** 2))
+        gaps.append([np.max(np.abs(fem_v.values - v.values)),
+                     np.max(np.abs(fem_w.values - w.values))])
     gaps = np.array(gaps)
     assert np.all(gaps[-1] < 1e-5)
     assert np.all(np.diff(gaps, axis=0) < 0.0)
@@ -158,9 +173,10 @@ def test_dirichlet_guard_rejects_corrupted_solve(certificate, monkeypatch, n):
         solve_dirichlet(op, u0)
 
 
-def test_w_eta_origin_identity(profiles):
-    dec = w_eta(profiles, np.zeros(6))
-    expected = profiles.u0.values[0] - profiles.lam0 * profiles.v0
+def test_w_eta_origin_identity(certificate, fields, tables):
+    dec = w_eta(certificate.lam0, *tables[:2], np.zeros(6))
+    u00, v00, _ = fields.origin()
+    expected = u00 - certificate.lam0 * v00
     assert dec.origin_value == pytest.approx(expected, abs=1e-10)
     assert dec.origin_value == pytest.approx(WETA0_FROZEN, rel=1e-8)
     # no shift: the first-harmonic part vanishes identically
@@ -168,13 +184,13 @@ def test_w_eta_origin_identity(profiles):
     assert np.all(dec.sector1.values == 0.0)
 
 
-def test_w_eta_sector_residuals_random_shifts(profiles):
+def test_w_eta_sector_residuals_random_shifts(certificate, tables):
     rng = np.random.default_rng(7)
     for _ in range(10):
         direction = rng.normal(size=6)
         direction /= np.linalg.norm(direction)
         eta = rng.uniform(0.05, 0.95) * direction
-        dec = w_eta(profiles, eta)
+        dec = w_eta(certificate.lam0, *tables[:2], eta)
         assert dec.residual_sector0 < 1e-6
         assert dec.residual_sector1 < 1e-6
         assert dec.eta == pytest.approx(tuple(eta))
@@ -195,18 +211,19 @@ def test_w_eta_residual_convergence_order(w_eta_ladder):
     assert order1 >= 1.9
 
 
-def test_w_eta_input_validation(profiles):
+def test_w_eta_input_validation(certificate, tables):
     with pytest.raises(ValueError):
-        w_eta(profiles, np.zeros(5))
+        w_eta(certificate.lam0, *tables[:2], np.zeros(5))
     bad = np.zeros(6)
     bad[0] = 1.0
     with pytest.raises(ValueError):
-        w_eta(profiles, bad)
+        w_eta(certificate.lam0, *tables[:2], bad)
 
 
-def test_sector_spectrum_monotone(profiles):
-    q = profiles.linearized_potential()
-    spec = np.vstack([assemble(OperatorSpec(profiles.grid, sector=l,
+def test_sector_spectrum_monotone(tables):
+    u0 = tables[0]
+    q = 2.0 * np.abs(u0.values)
+    spec = np.vstack([assemble(OperatorSpec(u0.grid, sector=l,
                                             potential=q)).eigenvalues(3)
                       for l in range(6)])
     assert spec.shape == (6, 3)
@@ -214,8 +231,8 @@ def test_sector_spectrum_monotone(profiles):
     assert np.all(np.diff(spec[:, 0]) > 0.0)    # centrifugal monotonicity
 
 
-def test_concentration_survey(certificate, profiles):
-    survey = survey_concentration_points(profiles)
+def test_concentration_survey(certificate, tables):
+    survey = survey_concentration_points(certificate, *tables[:2])
     # the + level holds exactly the center; the - level is empty
     assert len(survey.points) == 1
     pt = survey.points[0]
@@ -223,7 +240,7 @@ def test_concentration_survey(certificate, profiles):
     assert pt.level == 1
     assert pt.beta == -1
     assert pt.case == 1
-    assert pt.u_value == pytest.approx(profiles.lam0 / 2.0, abs=1e-8)
+    assert pt.u_value == pytest.approx(certificate.lam0 / 2.0, abs=1e-8)
     assert survey.essential
     # 2 v(0) - 1 is far from its degenerate zero, beyond the error bar
     assert survey.two_v_minus_one == pytest.approx(2.0 * V0_FROZEN - 1.0,
@@ -231,22 +248,19 @@ def test_concentration_survey(certificate, profiles):
     # 2 v(0) - 1 = -(2 u_0(1) + u_0'(1))/(lam_0 psi(1)), from the
     # certificate's end values, and the bar is E propagated through it
     u1, du1 = certificate.trajectory.ivp.y_end
-    lam0, psi1, e = profiles.lam0, certificate.psi_at_1, END_VALUE_ERROR
+    lam0, psi1, e = certificate.lam0, certificate.psi_at_1, END_VALUE_ERROR
     assert survey.two_v_minus_one == pytest.approx(
         -(2.0 * u1 + du1) / (lam0 * psi1), rel=1e-14)
     assert survey.two_v_error == (3.0 * e + abs(survey.two_v_minus_one)
                                   * lam0 * e) / (lam0 * abs(psi1))
     assert 0.0 < survey.two_v_error < 1e-6
     assert abs(survey.two_v_minus_one) > 100.0 * survey.two_v_error
-    # tabulated profiles carry no psi(1), so no bar
-    tabulated = replace(profiles, psi_at_1=math.nan)
-    assert math.isnan(survey_concentration_points(tabulated).two_v_error)
 
 
-def test_nondegeneracy_report(profiles, profiles_ladder):
-    rep = essential_nondegeneracy(profiles)
+def test_nondegeneracy_report(certificate, tables, tables_ladder):
+    rep = essential_nondegeneracy(certificate, *tables[:2])
     # 2 v(0) - 1 and its bar come from the shots' end values, on any grid
-    coarse = survey_concentration_points(profiles_ladder[512])
+    coarse = survey_concentration_points(certificate, *tables_ladder[512][:2])
     assert rep.survey.two_v_minus_one == coarse.two_v_minus_one
     assert rep.survey.two_v_error == coarse.two_v_error
     assert rep.dimension == 6
@@ -268,35 +282,37 @@ def test_nondegeneracy_report(profiles, profiles_ladder):
     assert d["cutoff_certified"] is True
 
 
-def test_cutoff_nu1_is_the_lowest_sector_0_eigenvalue(profiles, monkeypatch):
+def test_cutoff_nu1_is_the_lowest_sector_0_eigenvalue(certificate, tables,
+                                                      monkeypatch):
     # comparison_l reads nu_1 as the first entry of sector 0's Sturm bracket
     # of lam_0, bisected at STURM_TOL, and the bracket is computed once; the
     # head eigensolve bisects at stebz's default tolerance, so the two agree
     # to the looser one
     brackets = []
+    u0 = tables[0]
     nearest = _Assembled.nearest
 
     def recorded(self, lam):
         bracket = nearest(self, lam)
-        if self.op.grid is profiles.grid and self.op.sector == 0:
+        if self.op.grid is u0.grid and self.op.sector == 0:
             brackets.append(bracket)
         return bracket
     monkeypatch.setattr(_Assembled, "nearest", recorded)
-    rep = essential_nondegeneracy(profiles, l_max=2)
+    rep = essential_nondegeneracy(certificate, *tables[:2], l_max=2)
     assert len(brackets) == 2 and brackets[0] is brackets[1]
     nu1 = brackets[0][0]
-    q = profiles.linearized_potential()
-    head = assemble(OperatorSpec(profiles.grid, potential=q)).eigenvalues(1)[0]
+    q = 2.0 * np.abs(u0.values)
+    head = assemble(OperatorSpec(u0.grid, potential=q)).eigenvalues(1)[0]
     assert nu1 == pytest.approx(head, rel=1e-8)
     assert rep.comparison_l == next(l for l in (1, 2)
                                     if nu1 + l * (l + 4) > rep.lam0)
 
 
 def test_origin_value_gap_is_the_certificates_newton_step(certificate,
-                                                          profiles):
+                                                          tables):
     # u_0(0) is lam_0/2 itself; the gap is how far the amplitude that
     # matches u(1) = 0 lies from it, |delta|, and that is not 0
-    rep = essential_nondegeneracy(profiles, l_max=0)
-    assert profiles.u0.values[0] == 0.5 * profiles.lam0
+    rep = essential_nondegeneracy(certificate, *tables[:2], l_max=0)
+    assert tables[0].values[0] == 0.5 * certificate.lam0
     assert rep.origin_value_gap > 0.0
     assert rep.origin_value_gap == certificate.gap / 2.0

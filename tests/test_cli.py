@@ -79,6 +79,10 @@ def test_solver_failure_exits_2(tmp_path, capsys):
     # 2u(0) = lambda_0 is defined in dimension 6 only
     assert run("lambda0", "--N", "5", "--out", str(tmp_path)) == 2
     assert "N = 6" in capsys.readouterr().err
+    # and so is the ansatz, whose fields come from the lambda_0 certificate
+    for command in ("expansion-check", "ansatz-check"):
+        assert run(command, "--N", "4", "--out", str(tmp_path)) == 2
+        assert "N = 6" in capsys.readouterr().err
 
 
 def test_removed_s_key_exits_3(tmp_path, capsys):
@@ -474,17 +478,23 @@ def test_profile_commands_solve_no_linear_system(tmp_path, monkeypatch,
                                                  command):
     # v and w come from shots, so no command solves or factorizes; nondeg
     # assembles each of its 25 sectors once for one Sturm bracket of lam_0
-    # (two eigensolves), and sector 0's bracket also gives nu_1
+    # (two eigensolves), and sector 0's bracket also gives nu_1.  The
+    # certificate's grid is the one grid of the sweeps; aux-solve and
+    # nondeg tabulate the fields on one more
     assemblies = 25 if command == "nondeg" else 0
+    grids = 2 if command in ("nondeg", "aux-solve") else 1
     counts, count = _counter(monkeypatch)
     count(auxiliary, "build_profiles")
+    count(shooting, "make_grid")
+    count(auxiliary, "make_grid")
     count(operators, "assemble")
     count(operators, "eigvalsh_tridiagonal")
     count(operators, "solve_dirichlet")
     count(operators._Assembled, "factor")
     assert run(command, "--out", str(tmp_path)) == 0
     assert counts == Counter({"build_profiles": 1, "assemble": assemblies,
-                              "eigvalsh_tridiagonal": 2 * assemblies})
+                              "eigvalsh_tridiagonal": 2 * assemblies,
+                              "make_grid": grids})
 
 
 @pytest.mark.parametrize("argv", [("nondeg",), ("nondeg", "--grid-n", "64"),

@@ -12,11 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from bn6 import reduction
 from bn6.auxiliary import AuxFields
 from bn6.bubbles import boundary_trace, constants, d1_closed_form, d2_value
-from bn6.errors import (
-    ConfigError,
-    RadialModeViolationError,
-    UnderResolvedError,
-)
+from bn6.errors import ConfigError, UnderResolvedError
 from bn6.grid import make_core_grid, make_grid, sphere_area
 from bn6.reduction import (
     EDGE_MERGE_TOL,
@@ -42,8 +38,8 @@ from bn6.serialize import record
 
 from oracles import (PolynomialFields, ansatz_on_grid, branch_tail_ratio,
                      cubic_coefficient_probe, energy, fd_residual_norm,
-                     polynomial_profiles, project_bubble,
-                     reduced_energy_polynomial, row_integrals_by_quad)
+                     project_bubble, reduced_energy_polynomial,
+                     row_integrals_by_quad)
 
 # tau_star(d1 |1/2 - v(0)|, d2) with v(0) of oracles.aux_profile_shot at
 # rtol 3e-14 from the certificate's (lam_0, lam_0/2)
@@ -77,24 +73,25 @@ def test_reduced_energy_polynomial_values():
     assert got == pytest.approx([0.0, -2.0 + 11.0, -18.0 + 297.0])
 
 
-def test_case1_parameters(profiles):
-    sign, tau = case1_parameters(profiles)
+def test_case1_parameters(fields):
+    sign, tau = case1_parameters(fields)
     assert sign == -1.0
     assert tau == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
     # tau* reproduces its defining formula at the center data
-    b = 0.5 - profiles.v0
-    d2 = d2_value(profiles.u0.values[0])
+    u00, v00, _ = fields.origin()
+    b = 0.5 - v00
+    d2 = d2_value(u00)
     assert tau == pytest.approx(6.0 * d1_closed_form() * b / (11.0 * d2),
                                 rel=1e-14)
 
 
-def test_expansion_E_vanishing_leading_term(profiles):
-    lam0 = profiles.lam0
+def test_expansion_E_vanishing_leading_term(fields):
+    lam0, v00 = fields.lam0, fields.origin()[1]
     mu, eps = 3e-3, -0.1
-    got = expansion_E(0.5 * lam0, profiles.v0, -1, mu, eps, lam0)
+    got = expansion_E(0.5 * lam0, v00, -1, mu, eps, lam0)
     d1 = d1_closed_form()
     d2 = d2_value(0.5 * lam0)
-    expect = (eps * d1 * (0.5 - profiles.v0) * mu ** 2
+    expect = (eps * d1 * (0.5 - v00) * mu ** 2
               - MU3_RATIO * d2 * mu ** 3)
     assert got == pytest.approx(expect, rel=1e-13)
 
@@ -283,8 +280,8 @@ def test_base_energy_refuses_negative_z():
         _base_energy(T)
 
 
-def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
-    # one eps table per eps magnitude, each built from the profiles'
+def test_expansion_check_builds_one_table_per_eps(fields, monkeypatch):
+    # one eps table per eps magnitude, each built from the certificate's
     # fields and freed before the next; two panel integrals per row, over
     # eps tables and never over the bare knots (J(z) is summed as the eps
     # table fills); each table evaluates the fields once at its knot
@@ -294,11 +291,11 @@ def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
     eps_init, evaluate = EpsTable.__init__, AuxFields.__call__
     panel_integral = reduction._panel_integral
 
-    def counting_eps_init(self, fields, eps, lam):
+    def counting_eps_init(self, F, eps, lam):
         assert all(ref() is None for ref, *_ in eps_tables)
-        eps_tables.append((weakref.ref(self), fields, eps))
+        eps_tables.append((weakref.ref(self), F, eps))
         evaluated.append([])
-        eps_init(self, fields, eps, lam)
+        eps_init(self, F, eps, lam)
 
     def counting_evaluate(self, r):
         if evaluated:  # not the origin values read before the tables
@@ -314,10 +311,10 @@ def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
     monkeypatch.setattr(AuxFields, "__call__", counting_evaluate)
     monkeypatch.setattr(reduction, "_panel_integral", counting_panel_integral)
     mags = np.geomspace(0.02, 0.25, 6)
-    report = expansion_check(profiles, eps_magnitudes=mags)
-    assert all(fields is profiles.fields for _, fields, _ in eps_tables)
+    report = expansion_check(fields, eps_magnitudes=mags)
+    assert all(F is fields for _, F, _ in eps_tables)
     assert [abs(eps) for *_, eps in eps_tables] == list(mags)
-    knots = profiles.fields.breakpoints
+    knots = fields.breakpoints
     assert [n for n, *_ in evaluated] == [GAUSS_ORDER * (len(knots) - 1)] * 6
     assert len(calls) == 2 * len(report.rows)
     assert all(kind is EpsTable for _, kind in calls)
@@ -333,14 +330,14 @@ def test_expansion_check_builds_one_table_per_eps(profiles, monkeypatch):
     assert 0 < fresh == GAUSS_ORDER * split < 0.125 * nodes
 
 
-def test_expansion_check_peak_memory(profiles, expansion):
+def test_expansion_check_peak_memory(fields, expansion):
     # warm (the session's expansion fixture has run it), the sweep holds
     # one eps table on the ~200 knot cells (0.09 MiB) and its
     # temporaries, 0.44 MiB in all (measured); the bound leaves 0.16 MiB,
     # and a table on 4096 grid cells (1.9 MiB) would break it
     tracemalloc.start()
     try:
-        expansion_check(profiles)
+        expansion_check(fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,16 +349,15 @@ def test_expansion_check_peak_memory(profiles, expansion):
     (DEFAULT_EPS_MAGNITUDES[4], 1.0),
     (DEFAULT_EPS_MAGNITUDES[-1], TAU_MULTIPLIERS[-1]),
 ], ids=["smallest-mu", "tau-star", "largest-mu"])
-def test_row_integrals_match_adaptive_quadrature(profiles, mag, t):
+def test_row_integrals_match_adaptive_quadrature(fields, mag, t):
     # The knots are the shots' step ends, about 200 cells, some of them
     # wide, so the sign change of V falls inside a knot cell unless the
     # panels split there.  The residual's own zeros are kinks no panel
     # splits at, so its bound is relative.
-    sign, tau = case1_parameters(profiles)
+    sign, tau = case1_parameters(fields)
     eps, mu = sign * mag, t * tau * mag
-    _, [(gap, resid, direct_gap, direct_z)] = _eps_rows(
-        profiles.fields, eps, [mu])
-    gap_ref, resid_ref, base_ref = row_integrals_by_quad(profiles, eps, mu)
+    _, [(gap, resid, direct_gap, direct_z)] = _eps_rows(fields, eps, [mu])
+    gap_ref, resid_ref, base_ref = row_integrals_by_quad(fields, eps, mu)
     assert abs(direct_gap - gap_ref) <= 2e-11
     assert abs(gap - gap_ref) <= 2e-11
     assert abs(direct_z - base_ref) <= 1e-12
@@ -369,35 +365,36 @@ def test_row_integrals_match_adaptive_quadrature(profiles, mag, t):
 
 
 def test_assemble_z_splines_follow_their_profiles():
-    # each AuxProfiles is freed before the next is built, so CPython
+    # each PolynomialFields is freed before the next is built, so CPython
     # hands the next one the same id; the resampled z = V + W of the
     # eps = 0 ansatz must still come from the new values
-    grid = make_grid(6, 64)
+    knots = make_grid(6, 64).nodes
     finer = make_grid(6, 256)
     mu = 0.1
     W, _ = project_bubble(finer, mu)
     for k in range(1, 9):
-        p = polynomial_profiles(6, 20.0, [[-k, 0.0, k]] * 3, grid)
-        ansatz = ansatz_on_grid(p.fields, 0.0, mu, finer)
+        p = PolynomialFields(20.0, (np.array([-k, 0.0, k]),) * 3, knots)
+        ansatz = ansatz_on_grid(p, 0.0, mu, finer)
         del p
         z = ansatz.values + W.values
         assert np.max(np.abs(z - k * (1.0 - finer.nodes ** 2))) < 1e-12
 
 
-def test_assemble_ansatz_structure(profiles):
-    sign, tau = case1_parameters(profiles)
+def test_assemble_ansatz_structure(fields):
+    sign, tau = case1_parameters(fields)
     mag = 0.1
     eps, mu = sign * mag, mag * tau
     grid = make_core_grid(6, mu)
-    v = ansatz_on_grid(profiles.fields, eps, mu, grid).values
-    crossing = _sign_crossing(profiles.fields, eps, mu)
+    v = ansatz_on_grid(fields, eps, mu, grid).values
+    crossing = _sign_crossing(fields, eps, mu)
     assert mu < crossing < 1.0
     # center: the bubble dominates with its negative sign
-    z0 = profiles.u0.values[0] + eps * profiles.v0 + eps ** 2 * profiles.w0
+    u00, v00, w00 = fields.origin()
+    z0 = u00 + eps * v00 + eps ** 2 * w00
     expect0 = z0 - 24.0 / mu ** 2 + boundary_trace(mu)
     assert v[0] == pytest.approx(expect0, rel=1e-10)
     # boundary: c(mu) cancels U(1) and v, w vanish, so V(1) is u_0(1)
-    assert v[-1] == pytest.approx(profiles.u0.values[-1], abs=1e-15)
+    assert v[-1] == pytest.approx(fields.u.at(1.0, 0), abs=1e-15)
     # exactly one sign change, at the crossing radius
     keep = np.abs(v) > 1e-12 * np.max(np.abs(v))
     signs = np.sign(v[keep])
@@ -405,68 +402,58 @@ def test_assemble_ansatz_structure(profiles):
     assert np.all((grid.nodes[keep] < crossing) == (signs < 0.0))
 
 
-def test_spline_set_requires_n6():
-    # the ansatz is specific to N = 6: expansion_check refuses other
-    # profiles before it reads their fields, and residual_norm's fields
-    # are built from the N = 6 certificate only
-    p = polynomial_profiles(4, 20.0, [[-1.0, 0.0, 1.0]] * 3, make_grid(4, 64))
-    with pytest.raises(RadialModeViolationError):
-        expansion_check(p)
-
-
 def _must_not_build(*args, **kwargs):
     raise AssertionError("an eps table was built for a refused rate")
 
 
-def test_rates_outside_the_core_range_are_refused(profiles, monkeypatch):
+def test_rates_outside_the_core_range_are_refused(fields, monkeypatch):
     # 0 < mu < 0.5 is checked before the eps table of the row is built,
     # on the one path of both commands; a huge eps would overflow there
-    sign, _ = case1_parameters(profiles)
+    sign, _ = case1_parameters(fields)
     monkeypatch.setattr(reduction, "EpsTable", _must_not_build)
     for mu in (0.0, -1e-3, 0.5, np.nan, np.inf):
         with pytest.raises(ConfigError, match="outside"):
-            residual_norm(profiles.fields, sign * 0.1, mu)
+            residual_norm(fields, sign * 0.1, mu)
     with pytest.raises(ConfigError, match="outside"):
-        expansion_check(profiles, 1e150 * 2.0 ** np.arange(6))
+        expansion_check(fields, 1e150 * 2.0 ** np.arange(6))
 
 
-def test_residual_norm_is_the_expansion_rows_residual(profiles, expansion):
+def test_residual_norm_is_the_expansion_rows_residual(fields, expansion):
     # ansatz-check's residual_norm and expansion-check's residual_l32 of
     # the tau-multiplier-1 rows come from one path, so their bits agree
     report, _ = expansion
-    sign, tau = case1_parameters(profiles)
+    sign, tau = case1_parameters(fields)
     central = [row for row in report.rows if row.tau_mult == 1.0]
     mags = sorted(DEFAULT_EPS_MAGNITUDES)
     assert [row.eps for row in central] == [sign * m for m in mags]
     for mag, row in zip(mags, central):
         assert row.mu == tau * mag
-        assert residual_norm(profiles.fields, sign * mag,
-                             tau * mag).hex() == \
+        assert residual_norm(fields, sign * mag, tau * mag).hex() == \
             row.residual_l32.hex()
 
 
-def test_residual_routes_agree_in_magnitude(profiles):
+def test_residual_routes_agree_in_magnitude(fields):
     # the analytic route (exact bubble Laplacian + the fields) and the
     # finite-difference route on the sampled ansatz measure the same
     # defect; the FD route carries stencil noise at the spike and the
     # kink, so the comparison is order-of-magnitude
-    sign, tau = case1_parameters(profiles)
+    sign, tau = case1_parameters(fields)
     eps, mu = sign * 0.1, 0.1 * tau
-    analytic = residual_norm(profiles.fields, eps, mu)
-    fd = fd_residual_norm(ansatz_on_grid(profiles.fields, eps, mu,
+    analytic = residual_norm(fields, eps, mu)
+    fd = fd_residual_norm(ansatz_on_grid(fields, eps, mu,
                                          make_core_grid(6, mu)),
-                          profiles.lam0 + eps)
+                          fields.lam0 + eps)
     assert analytic > 0.0
     assert 0.5 < fd / analytic < 2.0
 
 
-def test_unresolvable_bubble_scale_raises(profiles):
+def test_unresolvable_bubble_scale_raises(fields, tables):
     # the core panels start at mu/16, so below 16 EDGE_MERGE_TOL they
     # would merge away and the inner integrals read nearly 0
-    sign, _ = case1_parameters(profiles)
+    sign, _ = case1_parameters(fields)
     with pytest.raises(UnderResolvedError):
-        residual_norm(profiles.fields, sign * 40e-30, 1e-30)
-    knots = profiles.grid.nodes
+        residual_norm(fields, sign * 40e-30, 1e-30)
+    knots = tables[0].grid.nodes
     with pytest.raises(UnderResolvedError):
         _mu_refined_edges(knots, 16 * EDGE_MERGE_TOL, 0.0, 1.0)
     edges = _mu_refined_edges(knots, np.nextafter(16 * EDGE_MERGE_TOL, 1.0),
@@ -474,17 +461,18 @@ def test_unresolvable_bubble_scale_raises(profiles):
     assert edges[1] == np.nextafter(16 * EDGE_MERGE_TOL, 1.0) / 16
 
 
-def test_ground_state_energy_identity(profiles):
+def test_ground_state_energy_identity(certificate, tables):
     # on a solution, testing the equation against u itself leaves
     # J(u) = (1/6) int u^3
-    w = profiles.grid.quad_weights
-    cube = float(np.dot(w, profiles.u0.values ** 3))
-    assert energy(profiles.u0, profiles.lam0) == pytest.approx(
+    u0 = tables[0]
+    w = u0.grid.quad_weights
+    cube = float(np.dot(w, u0.values ** 3))
+    assert energy(u0, certificate.lam0) == pytest.approx(
         cube / 6.0, rel=1e-4)
 
 
-def test_cubic_coefficient_probe(profiles):
-    probe = cubic_coefficient_probe(profiles)
+def test_cubic_coefficient_probe(fields):
+    probe = cubic_coefficient_probe(fields)
     # the fitted mu^3 coefficient of the energy gap sits at the derived
     # -16/9 d2 to a few tenths of a percent, nowhere near the paper's
     # -11/9 d2
@@ -496,14 +484,14 @@ def test_cubic_coefficient_probe(profiles):
 
 
 @pytest.mark.parametrize("mu", [1e-8, 1e-9])
-def test_branch_tail_realises_the_derived_mu3_rate(profiles, mu):
+def test_branch_tail_realises_the_derived_mu3_rate(fields, mu):
     # far out on the N = 6, m = 2 radial branch, mu_b = sqrt(24/(a +
     # lam_0/2)) and eps = lam - lam_0 < 0 approach mu_b/|eps| -> the
     # minimiser 2A/(3 |MU3_RATIO| d2) of the derived reduced energy, with
     # A = d1 |1/2 - v(0)|, and not the paper's 6A/(11 d2) = tau*; the
     # branch comes from an Emden-Fowler scipy shot, A and d2 from bn6
-    c = constants(0.5 * profiles.lam0)
-    A = c.d1 * abs(0.5 - profiles.v0)
+    c = constants(0.5 * fields.lam0)
+    A = c.d1 * abs(0.5 - fields.origin()[1])
     target = 2.0 * A / (3.0 * abs(MU3_RATIO) * c.d2)
     paper = tau_star(A, c.d2)
     _, _, eps, ratio = branch_tail_ratio(mu, 3e-14)
@@ -512,7 +500,7 @@ def test_branch_tail_realises_the_derived_mu3_rate(profiles, mu):
     assert abs(ratio - paper) > 0.3 * paper
 
 
-def test_expansion_check_report(profiles, expansion):
+def test_expansion_check_report(fields, expansion):
     report, _ = expansion
     assert len(report.rows) == 40  # 8 magnitudes x 5 multipliers
     assert report.tau_star == pytest.approx(TAU_STAR_FROZEN, rel=1e-8)
@@ -534,7 +522,7 @@ def test_expansion_check_report(profiles, expansion):
     assert report.coef_eps_mu2 == pytest.approx(report.target_eps_mu2,
                                                 rel=5e-3)
     # the measured cubic coefficient: the derived -16/9 d2, reproducibly
-    d2 = d2_value(profiles.u0.values[0])
+    d2 = d2_value(fields.origin()[0])
     assert report.coef_mu3 == pytest.approx(MU3_RATIO * d2, rel=2e-2)
 
     assert 1.5 < report.residual_exponent < 2.5
@@ -548,11 +536,11 @@ def test_expansion_check_report(profiles, expansion):
     assert d["paper_mu3"] == PAPER_MU3_RATIO * d2
 
 
-def test_expansion_check_input_validation(profiles):
+def test_expansion_check_input_validation(fields):
     with pytest.raises(ConfigError):
-        expansion_check(profiles, eps_magnitudes=(0.1, 0.2, 0.3))
+        expansion_check(fields, eps_magnitudes=(0.1, 0.2, 0.3))
     with pytest.raises(ConfigError):
-        expansion_check(profiles,
+        expansion_check(fields,
                         eps_magnitudes=(0.1, 0.1, 0.2, 0.25, 0.3, 0.35))
 
 
